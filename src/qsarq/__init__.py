@@ -6,10 +6,17 @@ CLI pipeline that compares them on one dataset.
 """
 
 from .errors import InternalConsistencyError, ResourceLimitError
-from .feature_maps import FeatureMapSpec, encode, encoding_circuit, entanglement_pairs
+from .feature_maps import (
+    FeatureMapSpec,
+    encode,
+    encode_batch,
+    encoding_circuit,
+    entanglement_pairs,
+)
 from .kernels import (
     GramMatrix,
     KernelConfig,
+    cross_gram,
     gram,
     kernel_value,
     load_gram,
@@ -63,6 +70,7 @@ from .svm import (
     SvmConfig,
     SvmModel,
     decision_value,
+    decision_values,
     load_svm_model,
     predict,
     save_svm_model,

@@ -47,7 +47,7 @@ from .regression import (
     predict_labels,
     save_reg_model,
 )
-from .svm import SvmConfig, decision_value, load_svm_model, save_svm_model, train
+from .svm import SvmConfig, decision_values, load_svm_model, save_svm_model, train
 from .svm import FORMAT_TAG as SVM_TAG
 
 
@@ -144,7 +144,7 @@ def cmd_train(args) -> None:
                             max_passes=entry.max_passes, max_iters=entry.max_iters)
         model = train(gm, labels, svm_cfg, features=X)
         save_svm_model(model, out_path)
-        preds = np.array([1 if decision_value(model, x) >= 0 else -1 for x in X])
+        preds = np.where(decision_values(model, X) >= 0, 1, -1)
         _say(args, f"wrote {out_path} (training accuracy "
                    f"{accuracy(preds, labels):.4f}, converged={model.converged})")
         return
@@ -173,7 +173,7 @@ def cmd_eval(args) -> None:
     X, _ = feature_matrix(rows)
     if first == SVM_TAG:
         model = load_svm_model(args.model)
-        preds = np.array([1 if decision_value(model, x) >= 0 else -1 for x in X])
+        preds = np.where(decision_values(model, X) >= 0, 1, -1)
     else:
         model = load_reg_model(args.model)
         preds = predict_labels(model, X)

@@ -5,6 +5,12 @@ Hadamard + phase + pairwise-phase construction with angles 2*x_j on single
 qubits and 2*(pi - x_j)*(pi - x_k) on entangled pairs. The ``custom``
 family rotates each qubit by RY(2*x_j) and entangles pairs with a parity
 phase of pi*x_j*x_k. One qubit per feature; the block repeats `reps` times.
+
+`encode` runs the gate list of one vector and is the reference.
+`encode_batch` prepares many states at once: each H or RY layer is one
+butterfly per qubit axis over all rows, with per-row angles, and all phase
+gates of one repetition are one diagonal exp(i * phase), the phases being a
+product of per-row angles with a table of amplitude bits and pair parities.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevector import (
+    BLOCK_BYTES,
     H,
     PARITY_PHASE,
     PHASE,
@@ -23,6 +30,7 @@ from .statevector import (
     GateOp,
     StateVector,
     apply_circuit,
+    check_state_stack,
     new_zero_state,
 )
 
@@ -33,6 +41,10 @@ FAMILIES = frozenset({ZZ, CUSTOM})
 LINEAR = "linear"
 FULL = "full"
 ENTANGLEMENTS = frozenset({LINEAR, FULL})
+
+_SQRT2_INV = 1.0 / math.sqrt(2.0)
+# amplitudes per chunk of the phase table (chunk x terms float64)
+_PHASE_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -87,22 +99,24 @@ def entanglement_pairs(scheme: str, n_qubits: int) -> list[tuple[int, int]]:
     raise ValueError(f"unknown entanglement scheme {scheme!r}")
 
 
-def _validated_features(spec: FeatureMapSpec, x) -> np.ndarray:
-    vec = np.asarray(x, dtype=np.float64)
-    if vec.ndim != 1 or vec.size != spec.n_qubits:
+def _validated_features(spec: FeatureMapSpec, x, ndim: int = 1) -> np.ndarray:
+    """One feature vector (ndim=1) or a matrix of them, one per row (ndim=2)."""
+    arr = np.asarray(x, dtype=np.float64)
+    kind = "vector" if ndim == 1 else "matrix"
+    if arr.ndim != ndim or arr.shape[-1:] != (spec.n_qubits,):
         raise ValueError(
-            f"feature vector of length {vec.size if vec.ndim == 1 else 'n/a'} "
-            f"does not match n_qubits={spec.n_qubits}"
+            f"feature {kind} of shape {arr.shape} does not match "
+            f"n_qubits={spec.n_qubits}"
         )
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("feature vector contains non-finite values")
-    if np.any(vec < 0.0) or np.any(vec > 1.0):
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"feature {kind} contains non-finite values")
+    if np.any(arr < 0.0) or np.any(arr > 1.0):
         warnings.warn(
             "feature values outside [0, 1]; encoding angles are still defined "
             "but inputs are expected to be min-max normalized",
             stacklevel=3,
         )
-    return vec
+    return arr
 
 
 def encoding_circuit(spec: FeatureMapSpec, x) -> list[GateOp]:
@@ -131,3 +145,85 @@ def encode(spec: FeatureMapSpec, x) -> StateVector:
     """Prepare the encoded state by running the circuit on |0...0>."""
     gates = encoding_circuit(spec, x)
     return apply_circuit(new_zero_state(spec.n_qubits), gates)
+
+
+def _phase_diagonal(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
+    """exp(i * phase) per row and amplitude: all phase gates of one repetition.
+
+    The phase of amplitude a is angles @ table[a], where table[a] holds
+    the bits of a (ZZ family only) and the parity of each entangled pair's
+    two bits; the table is built a chunk of amplitudes at a time.
+    """
+    n = spec.n_qubits
+    pairs = np.array(entanglement_pairs(spec.entanglement, n), dtype=np.intp).reshape(-1, 2)
+    j, k = pairs[:, 0], pairs[:, 1]
+    if spec.family == ZZ:
+        angles = np.hstack([2.0 * X, 2.0 * (math.pi - X[:, j]) * (math.pi - X[:, k])])
+    else:
+        angles = math.pi * X[:, j] * X[:, k]
+    diag = np.empty((X.shape[0], 1 << n), dtype=np.complex128)
+    for start in range(0, 1 << n, _PHASE_CHUNK):
+        stop = min(start + _PHASE_CHUNK, 1 << n)
+        bits = ((np.arange(start, stop)[:, None] >> np.arange(n)) & 1).astype(np.float64)
+        table = np.abs(bits[:, j] - bits[:, k])
+        if spec.family == ZZ:
+            table = np.hstack([bits, table])
+        diag[:, start:stop] = np.exp(1j * (angles @ table.T))
+    return diag
+
+
+def _encode_rows(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
+    """States of the (validated) rows of X, every gate layer applied to all rows."""
+    rows, n = X.shape
+    states = np.zeros((rows, 1 << n), dtype=np.complex128)
+    states[:, 0] = 1.0
+    diag = _phase_diagonal(spec, X)  # the same in every repetition
+    cos, sin = np.cos(X)[:, :, None, None], np.sin(X)[:, :, None, None]
+    for _ in range(spec.reps):
+        for q in range(n):
+            view = states.reshape(rows, -1, 2, 1 << q)
+            a = view[:, :, 0, :].copy()
+            b = view[:, :, 1, :]
+            if spec.family == ZZ:  # H on qubit q
+                view[:, :, 0, :] = (a + b) * _SQRT2_INV
+                view[:, :, 1, :] = (a - b) * _SQRT2_INV
+            else:  # RY(2 x_q): half-angle x_q
+                c, s = cos[:, q], sin[:, q]
+                view[:, :, 0, :] = c * a - s * b
+                view[:, :, 1, :] = s * a + c * b
+        states *= diag
+    return states
+
+
+def _blocks(spec: FeatureMapSpec, feats: np.ndarray):
+    """(row slice, states) per block of about BLOCK_BYTES of amplitudes."""
+    step = max(1, BLOCK_BYTES // (16 << spec.n_qubits))
+    for start in range(0, feats.shape[0], step):
+        yield slice(start, start + step), _encode_rows(spec, feats[start:start + step])
+
+
+def encode_blocks(spec: FeatureMapSpec, X):
+    """Validate X, then return an iterator of (row slice, states of those rows).
+
+    Rows are encoded a block at a time, each block about BLOCK_BYTES of
+    amplitudes (at least one row), so callers can consume states without
+    holding all of them.
+    """
+    feats = _validated_features(spec, X, ndim=2)
+    check_state_stack(1, spec.n_qubits)  # the qubit cap; blocks stay near BLOCK_BYTES
+    return _blocks(spec, feats)
+
+
+def encode_batch(spec: FeatureMapSpec, X) -> np.ndarray:
+    """Encoded states of every row of X as an (N, 2^n) complex array.
+
+    Row i equals ``encode(spec, X[i]).amplitudes`` up to rounding. The
+    whole stack must fit the state-stack budget, which is checked before
+    anything is allocated.
+    """
+    feats = _validated_features(spec, X, ndim=2)
+    check_state_stack(feats.shape[0], spec.n_qubits)
+    out = np.empty((feats.shape[0], 1 << spec.n_qubits), dtype=np.complex128)
+    for rows, states in _blocks(spec, feats):
+        out[rows] = states
+    return out

@@ -3,23 +3,29 @@
 Quantum kernels measure the fidelity |<phi(x)|phi(x')>|^2 between encoded
 states, either exactly from the statevectors or through seeded binomial
 shot sampling. Classical kernels (linear, polynomial, RBF) act directly
-on the feature vectors. Gram matrices are computed once per unordered
-pair, mirrored, and carry the kernel configuration plus a content hash
-of the feature matrix they were built from.
+on the feature vectors. Gram matrices are symmetric by construction and
+carry the kernel configuration plus a content hash of the feature matrix
+they were built from.
+
+Each feature vector is encoded once: a quantum Gram matrix is |S S^H|^2
+over the stack S of encoded states, computed block by block with real
+matrix products on the stack's real and imaginary parts. `cross_gram`
+evaluates every kernel kind between two sets of rows the same way.
+`kernel_value` and `shot_estimate` evaluate one entry from the gate-list
+encoder and are the reference for both.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .feature_maps import FeatureMapSpec, encode
-from .statevector import StateVector
+from .feature_maps import FeatureMapSpec, encode, encode_blocks
+from .statevector import BLOCK_BYTES, StateVector, check_state_stack
 
 QUANTUM_EXACT = "quantum_exact"
 QUANTUM_SHOTS = "quantum_shots"
@@ -140,12 +146,20 @@ def _as_pair(x, x2) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _clamp_unit(value: float) -> float:
-    if value < -_CLAMP_SLACK or value > 1.0 + _CLAMP_SLACK:
+def _clamp_unit(value):
+    """Clip fidelities into [0, 1]; larger excursions than rounding are errors.
+
+    Takes one value (returns a float) or an array (returns an array).
+    """
+    arr = np.asarray(value, dtype=np.float64)
+    if np.any(arr < -_CLAMP_SLACK) or np.any(arr > 1.0 + _CLAMP_SLACK):
+        worst = float(arr.flat[np.argmax(np.abs(arr - 0.5))])
         raise InternalConsistencyError(
-            f"quantum kernel value {value!r} outside [0, 1] beyond rounding slack"
+            f"quantum kernel value {worst!r} outside [0, 1] beyond rounding slack"
         )
-    return min(max(value, 0.0), 1.0)
+    if arr.ndim == 0:
+        return min(max(float(arr), 0.0), 1.0)
+    return np.clip(arr, 0.0, 1.0)
 
 
 def _fidelity(a: StateVector, b: StateVector) -> float:
@@ -162,13 +176,19 @@ def _exact_quantum(cfg: KernelConfig, x: np.ndarray, x2: np.ndarray) -> float:
     return _fidelity(encode(cfg.feature_map, x), encode(cfg.feature_map, x2))
 
 
-def _content_seed(x: np.ndarray, x2: np.ndarray) -> list[int]:
-    """Order-independent seed words derived from the two vectors' bytes."""
-    da = hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).digest()
-    db = hashlib.sha256(np.ascontiguousarray(x2, dtype="<f8").tobytes()).digest()
+def _row_digest(x: np.ndarray) -> bytes:
+    return hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).digest()
+
+
+def _mixed_seed(da: bytes, db: bytes) -> list[int]:
     lo, hi = sorted((da, db))
     mixed = hashlib.sha256(lo + hi).digest()
     return list(np.frombuffer(mixed[:16], dtype=np.uint32))
+
+
+def _content_seed(x: np.ndarray, x2: np.ndarray) -> list[int]:
+    """Order-independent seed words derived from the two vectors' bytes."""
+    return _mixed_seed(_row_digest(x), _row_digest(x2))
 
 
 def shot_estimate(cfg: KernelConfig, x, x2, pair: tuple[int, int] | None = None) -> float:
@@ -189,8 +209,7 @@ def shot_estimate(cfg: KernelConfig, x, x2, pair: tuple[int, int] | None = None)
         seed = [int(cfg.rng_seed), i, j]
     else:
         seed = [int(cfg.rng_seed)] + _content_seed(a, b)
-    rng = np.random.default_rng(seed)
-    return int(rng.binomial(cfg.shots, p)) / cfg.shots
+    return _draw(cfg, p, seed)
 
 
 def kernel_value(cfg: KernelConfig, x, x2) -> float:
@@ -208,13 +227,75 @@ def kernel_value(cfg: KernelConfig, x, x2) -> float:
     return float(np.exp(-cfg.gamma * np.dot(diff, diff)))
 
 
-def gram(cfg: KernelConfig, X, n_workers: int = 1, jitter: float = 0.0) -> GramMatrix:
-    """Kernel matrix over the rows of X, computed once per unordered pair.
+def _state_planes(spec: FeatureMapSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the encoded rows of X, each one contiguous stack."""
+    blocks = encode_blocks(spec, X)  # validates X before anything is allocated
+    check_state_stack(X.shape[0], spec.n_qubits)
+    re = np.empty((X.shape[0], 1 << spec.n_qubits))
+    im = np.empty_like(re)
+    for rows, states in blocks:
+        re[rows] = states.real
+        im[rows] = states.imag
+    return re, im
 
-    Entries are filled per pair with the same arithmetic regardless of
-    `n_workers`, so the result is identical for any worker count. `jitter`
-    adds a diagonal constant to shot-sampled matrices, which are not
-    guaranteed positive semidefinite.
+
+def _fidelities(re_a, im_a, re_b, im_b) -> np.ndarray:
+    """|<a|b>|^2 for every row a of the first stack and row b of the second."""
+    real = re_a @ re_b.T
+    real += im_a @ im_b.T
+    imag = re_a @ im_b.T
+    imag -= im_a @ re_b.T
+    real *= real
+    imag *= imag
+    real += imag
+    return _clamp_unit(real)
+
+
+def _fidelity_gram(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
+    """Exact fidelity matrix of the rows of X, exactly symmetric.
+
+    Each block of rows is multiplied against the columns from its first
+    row onward; the upper triangle is then mirrored. The state stack is
+    freed on return.
+    """
+    re, im = _state_planes(spec, X)
+    n = X.shape[0]
+    out = np.empty((n, n))
+    step = max(1, BLOCK_BYTES // (8 * n))
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        out[r0:r1, r0:] = _fidelities(re[r0:r1], im[r0:r1], re[r0:], im[r0:])
+    for i in range(n):
+        out[i + 1:, i] = out[i, i + 1:]
+    return out
+
+
+def _cross_fidelities(spec: FeatureMapSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact fidelities between rows of a, encoded a block at a time, and the stack of b."""
+    blocks = encode_blocks(spec, a)
+    re_b, im_b = _state_planes(spec, b)
+    out = np.empty((a.shape[0], b.shape[0]))
+    for rows, states in blocks:
+        out[rows] = _fidelities(np.ascontiguousarray(states.real),
+                                np.ascontiguousarray(states.imag), re_b, im_b)
+    return out
+
+
+def _draw(cfg: KernelConfig, p: float, seed: list[int]) -> float:
+    """One binomial shot estimate of fidelity `p` from a seeded generator."""
+    rng = np.random.default_rng(seed)
+    return int(rng.binomial(cfg.shots, p)) / cfg.shots
+
+
+def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
+    """Kernel matrix over the rows of X.
+
+    Quantum entries come from one fidelity matrix over the encoded rows;
+    shot-sampled entries then draw each off-diagonal pair (i < j) from a
+    generator seeded with (rng_seed, i, j), and the diagonal is 1. Classical
+    entries are evaluated once per unordered pair. `jitter` adds a diagonal
+    constant to shot-sampled matrices, which are not guaranteed positive
+    semidefinite.
     """
     feats = np.asarray(X, dtype=np.float64)
     if feats.ndim == 1:
@@ -227,54 +308,77 @@ def gram(cfg: KernelConfig, X, n_workers: int = 1, jitter: float = 0.0) -> GramM
         raise ValueError("diagonal jitter only applies to shot-sampled kernels")
     n = feats.shape[0]
     digest = dataset_digest(feats)
-    entries = np.zeros((n, n), dtype=np.float64)
 
     if cfg.kind in QUANTUM_KINDS:
-        states = [encode(cfg.feature_map, row) for row in feats]
-
-        def fill_row(i: int) -> None:
-            for j in range(i, n):
-                if cfg.kind == QUANTUM_EXACT:
-                    v = _fidelity(states[i], states[j])
-                elif i == j:
-                    v = 1.0  # self-fidelity is known; sampling adds nothing
-                else:
-                    p = _fidelity(states[i], states[j])
-                    rng = np.random.default_rng([int(cfg.rng_seed), i, j])
-                    v = int(rng.binomial(cfg.shots, p)) / cfg.shots
-                entries[i, j] = entries[j, i] = v
-
+        entries = _fidelity_gram(cfg.feature_map, feats)
+        if cfg.kind == QUANTUM_SHOTS:
+            seed = int(cfg.rng_seed)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    entries[i, j] = entries[j, i] = _draw(cfg, entries[i, j], [seed, i, j])
+            # self-fidelity is known; sampling adds nothing
+            np.fill_diagonal(entries, 1.0)
     else:
-
-        def fill_row(i: int) -> None:
+        entries = np.empty((n, n))
+        for i in range(n):
             for j in range(i, n):
                 entries[i, j] = entries[j, i] = kernel_value(cfg, feats[i], feats[j])
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill_row, range(n)))
-    else:
-        for i in range(n):
-            fill_row(i)
 
     if jitter > 0:
         entries[np.diag_indices(n)] += jitter
     return GramMatrix(entries=entries, kernel_config=cfg, dataset_digest=digest)
 
 
+def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
+    """Kernel values K(A_i, B_j) for every row of A and every row of B.
+
+    Entry (i, j) equals ``kernel_value(cfg, A[i], B[j])`` up to rounding,
+    and shot-sampled entries are drawn with the same content seeds, so the
+    draws agree. Each row of A and of B is encoded once; rows of A are
+    encoded and multiplied a block at a time against the stack of B.
+    """
+    a = np.asarray(A, dtype=np.float64)
+    b = np.asarray(B, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError(
+            "A and B must be 2-D feature matrices with the same number of columns"
+        )
+    if cfg.kind in QUANTUM_KINDS:
+        out = _cross_fidelities(cfg.feature_map, a, b)
+        if cfg.kind == QUANTUM_SHOTS:
+            seed = int(cfg.rng_seed)
+            digests_b = [_row_digest(row) for row in b]
+            for i, row in enumerate(a):
+                da = _row_digest(row)
+                for j, db in enumerate(digests_b):
+                    out[i, j] = _draw(cfg, out[i, j], [seed] + _mixed_seed(da, db))
+        return out
+    if cfg.kind == RBF:
+        sq = np.zeros((a.shape[0], b.shape[0]))
+        for col in range(a.shape[1]):
+            diff = a[:, col, None] - b[None, :, col]
+            sq += diff * diff
+        return np.exp(-cfg.gamma * sq)
+    dots = a @ b.T
+    if cfg.kind == LINEAR:
+        return dots
+    return (dots + cfg.offset) ** cfg.degree
+
+
 def save_gram(gm: GramMatrix, path) -> None:
-    """Write the text form: N, N rows of 17-significant-digit values, footer."""
-    n = gm.size
-    lines = [str(n)]
-    for i in range(n):
-        lines.append(" ".join(f"{v:.17g}" for v in gm.entries[i]))
+    """Write the text form: N, N rows of 17-significant-digit values, footer.
+
+    Rows are written as they are formatted.
+    """
     footer = (
         f"digest={gm.dataset_digest} "
         f"config={json.dumps(gm.kernel_config.to_dict(), sort_keys=True)}"
     )
-    lines.append(footer)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{gm.size}\n")
+        for row in gm.entries:
+            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(footer + "\n")
 
 
 def load_gram(path) -> GramMatrix:

@@ -43,7 +43,7 @@ from .regression import (
     fit_least_squares,
     predict_labels,
 )
-from .svm import SvmConfig, decision_value, train
+from .svm import SvmConfig, decision_values, train
 
 REG_LS = "reg_ls"
 REG_ANNEAL = "reg_anneal"
@@ -381,10 +381,7 @@ def _run_svm_row(entry, X_train, X_test, y_train, y_test):
     )
     gm = gram(kcfg, X_train, jitter=entry.jitter)
     model = train(gm, y_train, svm_cfg, features=X_train)
-    preds = np.array(
-        [1 if decision_value(model, x) >= 0.0 else -1 for x in X_test],
-        dtype=np.int64,
-    )
+    preds = np.where(decision_values(model, X_test) >= 0.0, 1, -1).astype(np.int64)
     acc = accuracy(preds, y_test)
     execution = EXEC_SHOTS if kcfg.kind == QUANTUM_SHOTS else EXEC_CPU
     detail = {

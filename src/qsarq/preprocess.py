@@ -196,6 +196,10 @@ def read_descriptor_csv(path) -> list[DescriptorRow]:
             raise ValueError(f"{path}: required column compound_id not found")
         rows = []
         for lineno, record in enumerate(reader, start=2):
+            if None in record:  # DictReader files surplus fields under the key None
+                n_fields = len(reader.fieldnames) + len(record[None])
+                raise ValueError(f"{path}: line {lineno} has {n_fields} fields, "
+                                 f"the header has {len(reader.fieldnames)}")
             known: dict = {}
             extras: dict[str, float] = {}
             for raw_name, value in record.items():
@@ -205,7 +209,13 @@ def read_descriptor_csv(path) -> list[DescriptorRow]:
                 if name == "compound_id":
                     known[name] = value.strip()
                 elif name == "label":
-                    known[name] = int(float(value))
+                    label = _parse_float(value, name, record.get("compound_id", f"line {lineno}"))
+                    if label not in (-1.0, 1.0):
+                        raise ValueError(
+                            f"{path}: line {lineno} has label {value.strip()!r}; "
+                            "labels must be +1 or -1"
+                        )
+                    known[name] = int(label)
                 elif name in _CANONICAL.values():
                     field_name = "ec50_nM" if name == "ec50_nM" else name
                     known[field_name] = _parse_float(value, name, record.get("compound_id", f"line {lineno}"))

@@ -26,6 +26,11 @@ _ONE_QUBIT_KINDS = frozenset({RY, H, PHASE})
 _TWO_QUBIT_KINDS = frozenset({PARITY_PHASE})
 
 DEFAULT_QUBIT_CAP = 24
+# largest stack of statevectors (rows x 2^n complex128 amplitudes) built at once
+DEFAULT_STACK_BYTES = 1 << 30
+# working set of one block of batched work: rows are encoded and multiplied
+# a block at a time so temporaries stay near this size
+BLOCK_BYTES = 1 << 18
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -87,6 +92,24 @@ def new_zero_state(n_qubits: int, qubit_cap: int = DEFAULT_QUBIT_CAP) -> StateVe
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(n_qubits, amps)
+
+
+def check_state_stack(n_states: int, n_qubits: int) -> None:
+    """Raise ResourceLimitError unless `n_states` states on `n_qubits` fit the caps.
+
+    Called before a stack is allocated, so an oversized request costs nothing.
+    """
+    if n_qubits > DEFAULT_QUBIT_CAP:
+        raise ResourceLimitError(
+            f"n_qubits={n_qubits} exceeds the cap of {DEFAULT_QUBIT_CAP} "
+            f"({2 ** DEFAULT_QUBIT_CAP} amplitudes)"
+        )
+    n_bytes = n_states * (16 << n_qubits)
+    if n_bytes > DEFAULT_STACK_BYTES:
+        raise ResourceLimitError(
+            f"{n_states} states on {n_qubits} qubits need {n_bytes} bytes, "
+            f"over the state-stack budget of {DEFAULT_STACK_BYTES} bytes"
+        )
 
 
 def _check_targets(gate: GateOp, n_qubits: int) -> None:

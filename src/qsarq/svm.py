@@ -6,6 +6,10 @@ analytic clipping. Pair selection is deterministic: scan for the first
 KKT violator, pick the partner with the largest error gap, break ties
 by lowest index. Indefinite (shot-sampled) Gram matrices are handled by
 comparing the objective at the clipping endpoints.
+
+`decision_values` scores many points with one cross-kernel matrix against
+the support vectors; `decision_value` scores one point entry by entry and
+is its reference.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelConfig, dataset_digest, kernel_value
+from .kernels import GramMatrix, KernelConfig, cross_gram, dataset_digest, kernel_value
 
 FORMAT_TAG = "qsarq-svm v1"
 
@@ -217,6 +221,11 @@ def train(gm: GramMatrix, y, cfg: SvmConfig = SvmConfig(),
         b = bias
         F = F_final.copy()
 
+    # multipliers within clipping slack of 0 are at the bound, not support
+    # vectors; leaving that dust in would make the support set depend on
+    # rounding in the Gram matrix
+    alphas[_bound_masks(alphas, C)[0]] = 0.0
+    bias = _final_bias(K, labels, alphas, C)
     trace.append(_dual_objective(K, labels, alphas))
     return SvmModel(
         alphas=alphas,
@@ -229,22 +238,41 @@ def train(gm: GramMatrix, y, cfg: SvmConfig = SvmConfig(),
     )
 
 
-def decision_value(model: SvmModel, x) -> float:
-    """sum_i alpha_i y_i K(x_i, x) + b, kernels evaluated on demand."""
+def _retained_features(model: SvmModel, queries: np.ndarray, ndim: int) -> np.ndarray:
+    """The model's training rows, once `queries` are checked against them."""
     if model.training_features is None:
         raise ValueError("model was trained from a bare Gram matrix and retains "
                          "no feature vectors; cannot evaluate new points")
-    vec = np.asarray(x, dtype=np.float64)
-    if vec.ndim != 1 or vec.size != model.training_features.shape[1]:
+    width = model.training_features.shape[1]
+    if queries.ndim != ndim or queries.shape[-1:] != (width,):
         raise ValueError(
-            f"query dimension {vec.size if vec.ndim == 1 else 'n/a'} does not "
-            f"match training dimension {model.training_features.shape[1]}"
+            f"query of shape {queries.shape} does not match training dimension {width}"
         )
+    return model.training_features
+
+
+def decision_value(model: SvmModel, x) -> float:
+    """sum_i alpha_i y_i K(x_i, x) + b, one kernel entry per support vector."""
+    vec = np.asarray(x, dtype=np.float64)
+    feats = _retained_features(model, vec, ndim=1)
     total = 0.0
     for i in model.support_indices:  # ascending index order, deterministic sum
-        k = kernel_value(model.kernel_config, model.training_features[i], vec)
+        k = kernel_value(model.kernel_config, feats[i], vec)
         total += float(model.alphas[i]) * float(model.labels[i]) * k
     return total + model.bias
+
+
+def decision_values(model: SvmModel, X) -> np.ndarray:
+    """Decision values of every row of X, from one cross-kernel matrix.
+
+    Equals ``decision_value`` row by row up to rounding; shot-sampled
+    kernel entries are the same draws.
+    """
+    queries = np.asarray(X, dtype=np.float64)
+    feats = _retained_features(model, queries, ndim=2)
+    sv = model.support_indices
+    K = cross_gram(model.kernel_config, queries, feats[sv])
+    return K @ (model.alphas[sv] * model.labels[sv]) + model.bias
 
 
 def predict(model: SvmModel, x) -> int:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import circuit_unitary
+from qsarq.errors import ResourceLimitError
 from qsarq.feature_maps import (
     CUSTOM,
     FULL,
@@ -11,9 +13,11 @@ from qsarq.feature_maps import (
     ZZ,
     FeatureMapSpec,
     encode,
+    encode_batch,
     encoding_circuit,
     entanglement_pairs,
 )
+from qsarq.statevector import DEFAULT_QUBIT_CAP, DEFAULT_STACK_BYTES, check_state_stack
 
 
 def test_linear_pairs_three_qubits():
@@ -123,3 +127,55 @@ def test_out_of_range_features_warn_but_encode():
     with pytest.warns(UserWarning):
         state = encode(FeatureMapSpec(CUSTOM, 2, reps=1), [1.5, -0.2])
     assert abs(state.norm() - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("family", [ZZ, CUSTOM])
+@pytest.mark.parametrize("entanglement", [LINEAR, FULL])
+@pytest.mark.parametrize("reps", [1, 2, 3])
+def test_encode_batch_matches_gate_list_and_dense_oracle(family, entanglement, reps):
+    from qsarq.statevector import apply_circuit, new_zero_state
+
+    rng = np.random.default_rng(reps)
+    for n in (1, 2, 3, 4):
+        spec = FeatureMapSpec(family, n, reps=reps, entanglement=entanglement)
+        X = rng.random((5, n))
+        states = encode_batch(spec, X)
+        assert states.shape == (5, 1 << n)
+        for x, state in zip(X, states):
+            gates = encoding_circuit(spec, x)
+            ref = apply_circuit(new_zero_state(n), gates).amplitudes
+            oracle = circuit_unitary(gates, n)[:, 0]
+            assert np.max(np.abs(state - ref)) <= 1e-12
+            assert np.max(np.abs(state - oracle)) <= 1e-12
+
+
+def test_encode_batch_validation():
+    spec = FeatureMapSpec(ZZ, 2)
+    with pytest.raises(ValueError):
+        encode_batch(spec, [0.1, 0.2])  # one vector, not a matrix
+    with pytest.raises(ValueError):
+        encode_batch(spec, [[0.1, 0.2, 0.3]])
+    with pytest.raises(ValueError):
+        encode_batch(spec, [[0.1, float("nan")]])
+    with pytest.warns(UserWarning):
+        states = encode_batch(FeatureMapSpec(CUSTOM, 2, reps=1), [[1.5, -0.2]])
+    assert abs(np.linalg.norm(states[0]) - 1.0) <= 1e-10
+    assert encode_batch(spec, np.empty((0, 2))).shape == (0, 4)
+
+
+def test_encode_batch_budget_checked_before_allocating():
+    spec = FeatureMapSpec(ZZ, 24, reps=1)
+    X = np.full((5, 24), 0.5)  # 5 x 2^24 x 16 bytes: over the 1 GiB budget
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            encode_batch(spec, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ResourceLimitError):
+        check_state_stack(1, DEFAULT_QUBIT_CAP + 1)
+    with pytest.raises(ResourceLimitError):
+        check_state_stack(DEFAULT_STACK_BYTES // 16 + 1, 0)
+    check_state_stack(DEFAULT_STACK_BYTES // (16 << 10), 10)  # exactly at the budget

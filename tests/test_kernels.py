@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import circuit_unitary, jacobi_eigh
-from qsarq.errors import InternalConsistencyError
+from qsarq.errors import InternalConsistencyError, ResourceLimitError
 from qsarq.feature_maps import FeatureMapSpec, encoding_circuit
 from qsarq.kernels import (
     LINEAR,
@@ -14,6 +15,7 @@ from qsarq.kernels import (
     RBF,
     KernelConfig,
     _clamp_unit,
+    cross_gram,
     gram,
     kernel_value,
     load_gram,
@@ -179,19 +181,119 @@ def test_gram_shots_symmetric_with_pinned_diagonal():
     assert np.array_equal(gram(cfg, X).entries, gm.entries)
 
 
-def test_gram_parallel_is_bit_identical():
+def test_gram_batched_matches_per_pair_reference():
     rng = np.random.default_rng(12)
     X = rng.random((9, 3))
+    spec = FeatureMapSpec("custom", 3, reps=1)
+    shots = KernelConfig(kind=QUANTUM_SHOTS, feature_map=spec, shots=256, rng_seed=4)
     for cfg in (
+        KernelConfig(kind=QUANTUM_EXACT, feature_map=spec),
         KernelConfig(kind=QUANTUM_EXACT,
-                     feature_map=FeatureMapSpec("custom", 3, reps=1)),
+                     feature_map=FeatureMapSpec("zz", 3, reps=2, entanglement="full")),
         KernelConfig(kind=LINEAR),
         KernelConfig(kind=POLY, degree=3, offset=0.5),
         KernelConfig(kind=RBF, gamma=1.5),
     ):
-        single = gram(cfg, X, n_workers=1).entries
-        multi = gram(cfg, X, n_workers=4).entries
-        assert np.array_equal(single, multi)
+        batched = gram(cfg, X).entries
+        per_pair = np.array([[kernel_value(cfg, a, b) for b in X] for a in X])
+        if cfg.kind == QUANTUM_EXACT:
+            assert np.max(np.abs(batched - per_pair)) <= 1e-12
+        else:
+            assert np.array_equal(batched, per_pair)
+    # shot entries are drawn from the exact p with (rng_seed, i, j) pair seeds
+    batched = gram(shots, X).entries
+    for i in range(9):
+        for j in range(9):
+            expected = 1.0 if i == j else shot_estimate(shots, X[i], X[j], pair=(i, j))
+            assert batched[i, j] == expected
+
+
+# written by save_gram before Gram matrices were built from stacked states
+PARENT_SHOT_GRAM = """3
+1.05 0.35999999999999999 0.46000000000000002
+0.35999999999999999 1.05 0.42999999999999999
+0.46000000000000002 0.42999999999999999 1.05
+digest=fe280ac4daadfc23cb3ae975a1bc866d3f55ac9176fffcea371f3ecf2d700baf \
+config={"feature_map": {"entanglement": "linear", "family": "zz", "n_qubits": 2, \
+"reps": 2}, "kind": "quantum_shots", "rng_seed": 3, "shots": 100}
+"""
+PARENT_EXACT_GRAM = """3
+0.99999999999999845 0.40834425305506489 0.48372959425918755
+0.40834425305506489 0.99999999999999867 0.41443387164205131
+0.48372959425918755 0.41443387164205131 0.99999999999999822
+digest=fe280ac4daadfc23cb3ae975a1bc866d3f55ac9176fffcea371f3ecf2d700baf \
+config={"feature_map": {"entanglement": "linear", "family": "zz", "n_qubits": 2, \
+"reps": 2}, "kind": "quantum_exact"}
+"""
+PARENT_X = np.array([[0.1, 0.7], [0.4, 0.25], [0.9, 0.55]])
+
+
+def test_gram_file_round_trips_byte_identically(tmp_path):
+    for text in (PARENT_SHOT_GRAM, PARENT_EXACT_GRAM):
+        src, dst = tmp_path / "parent.gram", tmp_path / "again.gram"
+        src.write_bytes(text.encode())
+        save_gram(load_gram(src), dst)
+        assert dst.read_bytes() == text.encode()
+
+
+def test_gram_files_unchanged_for_the_same_config(tmp_path):
+    spec = FeatureMapSpec("zz", 2, reps=2)
+    shots = KernelConfig(kind=QUANTUM_SHOTS, feature_map=spec, shots=100, rng_seed=3)
+    save_gram(gram(shots, PARENT_X, jitter=0.05), tmp_path / "shots.gram")
+    assert (tmp_path / "shots.gram").read_bytes() == PARENT_SHOT_GRAM.encode()
+    (tmp_path / "exact.gram").write_text(PARENT_EXACT_GRAM, encoding="utf-8")
+    before = load_gram(tmp_path / "exact.gram").entries
+    after = gram(KernelConfig(kind=QUANTUM_EXACT, feature_map=spec), PARENT_X).entries
+    assert np.max(np.abs(after - before)) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg", [
+    KernelConfig(kind=QUANTUM_EXACT, feature_map=FeatureMapSpec("zz", 3, reps=2)),
+    KernelConfig(kind=QUANTUM_SHOTS, feature_map=FeatureMapSpec("custom", 3, reps=2,
+                                                                entanglement="full"),
+                 shots=200, rng_seed=11),
+    KernelConfig(kind=LINEAR),
+    KernelConfig(kind=POLY, degree=2, offset=1.0),
+    KernelConfig(kind=RBF, gamma=0.7),
+], ids=lambda cfg: cfg.kind)
+def test_cross_gram_matches_kernel_value(cfg):
+    rng = np.random.default_rng(21)
+    A, B = rng.random((6, 3)), rng.random((4, 3))
+    B[1] = A[2]  # a shared row: the self-pair is drawn, not pinned
+    K = cross_gram(cfg, A, B)
+    assert K.shape == (6, 4)
+    ref = np.array([[kernel_value(cfg, a, b) for b in B] for a in A])
+    if cfg.kind == QUANTUM_SHOTS:
+        assert np.array_equal(K, ref)  # same content seeds, same draws
+    else:
+        assert np.max(np.abs(K - ref)) <= 1e-12 * max(1.0, np.abs(ref).max())
+    assert cross_gram(cfg, A, B[:0]).shape == (6, 0)
+
+
+def test_cross_gram_input_validation():
+    with pytest.raises(ValueError):
+        cross_gram(KernelConfig(kind=LINEAR), np.ones((2, 3)), np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        cross_gram(KernelConfig(kind=LINEAR), np.ones(3), np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        cross_gram(EXACT2, np.ones((2, 3)), np.ones((2, 3)))  # map has 2 qubits
+
+
+def test_state_stack_budget_checked_before_allocating():
+    # 5 states on 24 qubits would take 1.25 GiB, over the 1 GiB budget
+    cfg = KernelConfig(kind=QUANTUM_EXACT,
+                       feature_map=FeatureMapSpec("zz", 24, reps=1))
+    X = np.full((5, 24), 0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            gram(cfg, X)
+        with pytest.raises(ResourceLimitError):
+            cross_gram(cfg, X[:1], X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_gram_input_validation():

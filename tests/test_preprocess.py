@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from mpmath import mp
 
 from oracles import jacobi_eigh
+from qsarq.cli import main as cli_main
 from qsarq.preprocess import (
     DescriptorRow,
     feature_matrix,
@@ -236,6 +237,22 @@ class TestCsv:
         assert [r.label for r in again] == [1, -1]
         X2, _ = feature_matrix(again)
         assert np.array_equal(X, X2)
+
+    def test_row_with_extra_fields_rejected(self, tmp_path):
+        path = self.write(tmp_path, "compound_id,logp,mol_weight\nA,1,300\nB,2,310,99\n")
+        with pytest.raises(ValueError, match="line 3 has 4 fields"):
+            read_descriptor_csv(path)
+        assert cli_main(["preprocess", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("label", ["1.7", "0", "2", "-0.5", "nan", "yes"])
+    def test_label_other_than_plus_or_minus_one_rejected(self, tmp_path, label):
+        path = self.write(tmp_path, f"compound_id,mol_weight,label\nm1,300,{label}\n")
+        with pytest.raises(ValueError):
+            read_descriptor_csv(path)
+
+    def test_labels_written_as_floats_accepted(self, tmp_path):
+        path = self.write(tmp_path, "compound_id,mol_weight,label\nm1,300,1.0\nm2,400,-1e0\n")
+        assert [r.label for r in read_descriptor_csv(path)] == [1, -1]
 
     def test_inconsistent_extras_rejected(self, tmp_path):
         path = self.write(tmp_path, "compound_id,mol_weight,fp1\nm1,300,1\nm2,400,\n")

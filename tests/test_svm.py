@@ -6,7 +6,9 @@ from qsarq.feature_maps import FeatureMapSpec
 from qsarq.kernels import (
     KernelConfig,
     LINEAR,
+    POLY,
     QUANTUM_EXACT,
+    QUANTUM_SHOTS,
     RBF,
     GramMatrix,
     dataset_digest,
@@ -16,6 +18,7 @@ from qsarq.svm import (
     SvmConfig,
     SvmModel,
     decision_value,
+    decision_values,
     load_svm_model,
     predict,
     save_svm_model,
@@ -213,3 +216,45 @@ def test_loading_rejects_other_formats(tmp_path):
     path.write_text("not a model\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_svm_model(path)
+
+
+@pytest.mark.parametrize("cfg", [
+    KernelConfig(kind=QUANTUM_EXACT, feature_map=FeatureMapSpec("zz", 3, reps=2)),
+    KernelConfig(kind=QUANTUM_SHOTS, feature_map=FeatureMapSpec("custom", 3, reps=2),
+                 shots=128, rng_seed=6),
+    KernelConfig(kind=LINEAR),
+    KernelConfig(kind=POLY, degree=2, offset=1.0),
+    KernelConfig(kind=RBF, gamma=2.0),
+], ids=lambda cfg: cfg.kind)
+def test_decision_values_match_decision_value(cfg):
+    rng = np.random.default_rng(5)
+    X = rng.random((24, 3))
+    y = np.where(X[:, 0] + X[:, 1] > 1.0, 1, -1)
+    jitter = 0.05 if cfg.kind == QUANTUM_SHOTS else 0.0
+    model = train(gram(cfg, X, jitter=jitter), y, SvmConfig(C=1.0), features=X)
+    queries = np.vstack([rng.random((7, 3)), X[:3]])
+    batched = decision_values(model, queries)
+    reference = np.array([decision_value(model, q) for q in queries])
+    assert batched.shape == (10,)
+    assert np.max(np.abs(batched - reference)) <= 1e-12
+    with pytest.raises(ValueError):
+        decision_values(model, queries[:, :2])
+
+
+def test_support_set_stable_under_gram_rounding():
+    # SMO's last clip can leave multipliers of about 1e-17; they are snapped
+    # to 0, so a rounding-level change of K does not change the support set
+    spec = FeatureMapSpec("zz", 3, reps=2)
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        X = rng.random((30, 3))
+        y = np.where(X[:, 0] + 0.3 * X[:, 1] + 0.2 * rng.standard_normal(30) > 0.6, 1, -1)
+        for cfg in (LIN, KernelConfig(kind=QUANTUM_EXACT, feature_map=spec)):
+            gm = gram(cfg, X)
+            noise = 1e-13 * rng.standard_normal((30, 30))
+            perturbed = GramMatrix(gm.entries + (noise + noise.T) / 2, cfg,
+                                   gm.dataset_digest)
+            model = train(gm, y, SvmConfig(C=1.0))
+            again = train(perturbed, y, SvmConfig(C=1.0))
+            assert model.support_indices.size == again.support_indices.size
+            assert np.all(model.alphas[model.support_indices] > 1e-8)
