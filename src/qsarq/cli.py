@@ -3,9 +3,11 @@
 Subcommands mirror the pipeline stages: `preprocess` normalizes a raw
 descriptor CSV, `gram` materializes a kernel matrix, `train` fits one
 configured model, `eval` scores a saved model, and `run` executes the
-whole experiment and writes the comparison report. Exit codes: 0 on
-success, 2 on invalid input or config, 3 on internal consistency
-failures.
+whole experiment and writes the comparison report. `gram` and `train`
+prepare the whole input with the pipeline's `prepare_features` (no
+train/test split) and `train` fits through `fit_entry`, so a saved model
+is fitted exactly as its row in the report is. Exit codes: 0 on success,
+2 on invalid input or config, 3 on internal consistency failures.
 """
 
 from __future__ import annotations
@@ -14,17 +16,19 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .errors import InternalConsistencyError, ResourceLimitError
-from .kernels import dataset_digest, gram, load_gram, save_gram
+from .kernels import dataset_digest, load_gram, save_gram
 from .pipeline import (
     SVM,
     ExperimentConfig,
     accuracy,
+    entry_gram,
+    fit_entry,
     load_experiment_config,
-    resolve_kernel_config,
+    predict,
+    prepare_features,
     run_experiment,
 )
 from .preprocess import (
@@ -32,48 +36,18 @@ from .preprocess import (
     feature_matrix,
     minmax_fit,
     minmax_transform,
-    pca_fit,
-    pca_transform,
     read_descriptor_csv,
     resolve_labels,
     write_feature_csv,
 )
-from .regression import (
-    AnnealSchedule,
-    BasisSpec,
-    fit_annealing,
-    fit_least_squares,
-    load_reg_model,
-    predict_labels,
-    save_reg_model,
-)
-from .svm import SvmConfig, decision_values, load_svm_model, save_svm_model, train
+from .regression import load_reg_model, save_reg_model
+from .svm import load_svm_model, save_svm_model
 from .svm import FORMAT_TAG as SVM_TAG
 
 
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
-
-
-def _prepare_unsplit(config: ExperimentConfig):
-    """Config preprocessing applied to the whole file (no train/test split)."""
-    rows = read_descriptor_csv(config.input)
-    if config.lipinski_filter:
-        rows = apply_lipinski_filter(rows)
-        if not rows:
-            raise ValueError("no rows survive the rule-of-five filter")
-    labels = resolve_labels(rows, config.activity_cutoff)
-    X, names = feature_matrix(rows)
-    if config.scaler:
-        X = minmax_transform(minmax_fit(X), X)
-    if config.pca_k is not None:
-        pca = pca_fit(X, config.pca_k)
-        X = pca_transform(pca, X)
-        names = [f"pc{i + 1}" for i in range(config.pca_k)]
-        if config.scaler:
-            X = minmax_transform(minmax_fit(X), X)
-    return rows, X, names, labels
 
 
 def _select_entry(config: ExperimentConfig, name: str | None):
@@ -111,58 +85,41 @@ def cmd_gram(args) -> None:
     entry = _select_entry(config, args.model)
     if entry.kind != SVM:
         raise ValueError(f"model {entry.name!r} has no kernel (kind {entry.kind})")
-    _, X, _, _ = _prepare_unsplit(config)
-    kcfg = resolve_kernel_config(entry.kernel, X.shape[1])
-    gm = gram(kcfg, X, jitter=entry.jitter)
+    X, _, _, _, _ = prepare_features(config, split=False)
+    gm = entry_gram(entry, X)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{entry.name}.gram"
     save_gram(gm, out_path)
-    _say(args, f"wrote {out_path} ({gm.size}x{gm.size}, {kcfg.describe()})")
+    _say(args, f"wrote {out_path} ({gm.size}x{gm.size}, {gm.kernel_config.describe()})")
 
 
 def cmd_train(args) -> None:
     config = load_experiment_config(args.config)
     entry = _select_entry(config, args.model)
-    _, X, _, labels = _prepare_unsplit(config)
+    if args.gram and entry.kind != SVM:
+        raise ValueError("--gram only applies to svm models")
+    X, _, labels, _, info = prepare_features(config, split=False)
+    gm = None
+    if args.gram:
+        gm = load_gram(args.gram)
+        if gm.dataset_digest != dataset_digest(X):
+            raise ValueError(
+                f"{args.gram}: Gram matrix digest does not match the "
+                "preprocessed input data"
+            )
+    model = fit_entry(entry, X, labels, info["rows"], config.activity_cutoff, gm)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{entry.name}.model"
-
     if entry.kind == SVM:
-        kcfg = resolve_kernel_config(entry.kernel, X.shape[1])
-        if args.gram:
-            gm = load_gram(args.gram)
-            if gm.dataset_digest != dataset_digest(X):
-                raise ValueError(
-                    f"{args.gram}: Gram matrix digest does not match the "
-                    "preprocessed input data"
-                )
-        else:
-            gm = gram(kcfg, X, jitter=entry.jitter)
-        svm_cfg = SvmConfig(C=entry.C, tol=entry.tol, eps=entry.eps,
-                            max_passes=entry.max_passes, max_iters=entry.max_iters)
-        model = train(gm, labels, svm_cfg, features=X)
         save_svm_model(model, out_path)
-        preds = np.where(decision_values(model, X) >= 0, 1, -1)
-        _say(args, f"wrote {out_path} (training accuracy "
-                   f"{accuracy(preds, labels):.4f}, converged={model.converged})")
-        return
-
-    if args.gram:
-        raise ValueError("--gram only applies to svm models")
-    basis = BasisSpec(kind=entry.basis, n_features=X.shape[1])
-    targets = labels.astype(np.float64)
-    if entry.kind == "reg_anneal":
-        schedule = AnnealSchedule(t0=entry.t0, cooling=entry.cooling,
-                                  n_iters=entry.iterations)
-        model = fit_annealing(X, targets, basis, schedule, seed=entry.anneal_seed,
-                              ridge=entry.ridge)
+        solver = f", converged={model.converged}"
     else:
-        model = fit_least_squares(X, targets, basis, ridge=entry.ridge)
-    save_reg_model(model, out_path)
-    preds = predict_labels(model, X)
-    _say(args, f"wrote {out_path} (training accuracy {accuracy(preds, labels):.4f})")
+        save_reg_model(model, out_path)
+        solver = ""
+    _say(args, f"wrote {out_path} (training accuracy "
+               f"{accuracy(predict(model, X), labels):.4f}{solver})")
 
 
 def cmd_eval(args) -> None:
@@ -171,13 +128,8 @@ def cmd_eval(args) -> None:
     rows = read_descriptor_csv(args.data)
     labels = resolve_labels(rows, args.cutoff)
     X, _ = feature_matrix(rows)
-    if first == SVM_TAG:
-        model = load_svm_model(args.model)
-        preds = np.where(decision_values(model, X) >= 0, 1, -1)
-    else:
-        model = load_reg_model(args.model)
-        preds = predict_labels(model, X)
-    acc = accuracy(preds, labels)
+    model = (load_svm_model if first == SVM_TAG else load_reg_model)(args.model)
+    acc = accuracy(predict(model, X), labels)
     _say(args, f"accuracy {acc:.4f} on {len(rows)} rows")
     if args.out:
         out_dir = Path(args.out)

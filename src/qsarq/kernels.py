@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -53,8 +54,14 @@ class KernelConfig:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        for name, kind in (("shots", Integral), ("rng_seed", Integral),
+                           ("degree", Integral), ("offset", Real), ("gamma", Real)):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                what = "an integer" if kind is Integral else "a number"
+                raise ValueError(f"{self.kind} kernel: {name} must be {what}, got {value!r}")
         required = {
             QUANTUM_EXACT: ("feature_map",),
             QUANTUM_SHOTS: ("feature_map", "shots", "rng_seed"),

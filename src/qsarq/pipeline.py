@@ -11,7 +11,9 @@ input are byte-identical.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from .errors import InternalConsistencyError
 from .kernels import (
     QUANTUM_KINDS,
     QUANTUM_SHOTS,
+    GramMatrix,
     KernelConfig,
     dataset_digest,
     gram,
@@ -43,7 +46,7 @@ from .regression import (
     fit_least_squares,
     predict_labels,
 )
-from .svm import SvmConfig, decision_values, train
+from .svm import SvmConfig, SvmModel, decision_values, train
 
 REG_LS = "reg_ls"
 REG_ANNEAL = "reg_anneal"
@@ -62,6 +65,17 @@ _CONFIG_KEYS = {
     "input", "seed", "split", "lipinski_filter", "activity_cutoff",
     "pca_k", "scaler", "models",
 }
+_OPTIONAL_STR = (str, type(None))
+_TYPE_NAMES = {str: "a string", _OPTIONAL_STR: "a string", Real: "a number",
+               Integral: "an integer"}
+# the type every scalar entry field must have as read from YAML; values are
+# checked, not converted, so the report echoes them as written
+_ENTRY_TYPES = {
+    **dict.fromkeys(("name", "kind", "basis", "target"), str),
+    **dict.fromkeys(("tag", "note"), _OPTIONAL_STR),
+    **dict.fromkeys(("ridge", "t0", "cooling", "C", "tol", "eps", "jitter"), Real),
+    **dict.fromkeys(("iterations", "anneal_seed", "max_passes", "max_iters"), Integral),
+}
 
 
 @dataclass
@@ -70,7 +84,7 @@ class ModelEntry:
 
     name: str
     kind: str
-    tag: str
+    tag: str | None = None  # default from the kind and kernel
     note: str | None = None
     # regression rows
     basis: str = "affine"
@@ -90,12 +104,24 @@ class ModelEntry:
     jitter: float = 0.0
 
     def __post_init__(self):
+        for key, kind in _ENTRY_TYPES.items():
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"model {self.name!r}: {key} must be "
+                                 f"{_TYPE_NAMES[kind]}, got {value!r}")
+        if self.kernel is not None and not (
+            isinstance(self.kernel, dict) and isinstance(self.kernel.get("kind"), str)
+        ):
+            raise ValueError(f"model {self.name!r}: kernel must be a mapping with "
+                             f"a 'kind', got {self.kernel!r}")
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"model {self.name!r}: unknown kind {self.kind!r}")
         if self.kind == SVM and self.kernel is None:
             raise ValueError(f"model {self.name!r}: svm rows need a kernel section")
         if self.target not in ("label", "activity"):
             raise ValueError(f"model {self.name!r}: unknown target {self.target!r}")
+        if self.tag is None:
+            self.tag = _default_tag(self.kind, self.kernel)
 
 
 @dataclass
@@ -140,9 +166,16 @@ def _parse_entry(raw: dict) -> ModelEntry:
     for key in ("name", "kind"):
         if key not in raw:
             raise ValueError(f"model entry missing required key {key!r}")
-    raw = dict(raw)
-    raw.setdefault("tag", _default_tag(raw["kind"], raw.get("kernel")))
     return ModelEntry(**raw)
+
+
+def _convert(raw: dict, key: str, kind, path):
+    """`kind(raw[key])`, failing with a ValueError that names the key."""
+    try:
+        return kind(raw[key])
+    except (TypeError, ValueError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{path}: {key} must be {what}, got {raw[key]!r}") from exc
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -161,21 +194,25 @@ def load_experiment_config(path) -> ExperimentConfig:
     for key in ("input", "seed", "split", "models"):
         if key not in raw:
             raise ValueError(f"{path}: missing required key {key!r}")
+    if not isinstance(raw["input"], str):
+        raise ValueError(f"{path}: input must be a path, got {raw['input']!r}")
+    if not isinstance(raw["models"] or [], list):
+        raise ValueError(f"{path}: models must be a list of model entries")
     models = [_parse_entry(m) for m in raw["models"] or []]
     input_path = Path(raw["input"])
     if not input_path.is_absolute():
         input_path = (cfg_path.parent / input_path).resolve()
     return ExperimentConfig(
         input=str(input_path),
-        seed=int(raw["seed"]),
-        split=float(raw["split"]),
+        seed=_convert(raw, "seed", int, path),
+        split=_convert(raw, "split", float, path),
         models=models,
         lipinski_filter=bool(raw.get("lipinski_filter", False)),
         activity_cutoff=(
             None if raw.get("activity_cutoff") is None
-            else float(raw["activity_cutoff"])
+            else _convert(raw, "activity_cutoff", float, path)
         ),
-        pca_k=None if raw.get("pca_k") is None else int(raw["pca_k"]),
+        pca_k=None if raw.get("pca_k") is None else _convert(raw, "pca_k", int, path),
         scaler=bool(raw.get("scaler", True)),
     )
 
@@ -214,6 +251,8 @@ def resolve_kernel_config(raw: dict, n_features: int) -> KernelConfig:
     spec = dict(raw)
     fm = spec.get("feature_map")
     if fm is not None:
+        if not isinstance(fm, dict):
+            raise ValueError(f"kernel feature_map must be a mapping, got {fm!r}")
         fm = dict(fm)
         fm.setdefault("n_qubits", n_features)
         if int(fm["n_qubits"]) != n_features:
@@ -296,19 +335,14 @@ class EvalReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+@contextmanager
 def _stage(name: str):
-    class _StageContext:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, (ValueError, OSError)):
-                raise ValueError(f"stage {name}: {exc}") from exc
-            if exc is not None and isinstance(exc, InternalConsistencyError):
-                raise InternalConsistencyError(f"stage {name}: {exc}") from exc
-            return False
-
-    return _StageContext()
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"stage {name}: {exc}") from exc
+    except InternalConsistencyError as exc:
+        raise InternalConsistencyError(f"stage {name}: {exc}") from exc
 
 
 def _activity_values(rows) -> np.ndarray:
@@ -325,11 +359,12 @@ def _activity_values(rows) -> np.ndarray:
     return values
 
 
-def prepare_features(config: ExperimentConfig):
+def prepare_features(config: ExperimentConfig, split: bool = True):
     """Shared preprocessing: ingest, filter, label, scale, reduce.
 
     Returns (X_train, X_test, y_train, y_test, info) with all fit steps
-    performed on the training split only.
+    performed on the training split only. With `split=False` every row
+    is a training row and the test arrays are empty.
     """
     with _stage("ingest"):
         rows = read_descriptor_csv(config.input)
@@ -343,9 +378,12 @@ def prepare_features(config: ExperimentConfig):
     with _stage("features"):
         X, names = feature_matrix(rows)
     with _stage("split"):
-        train_idx, test_idx = split_indices(len(rows), config.split, config.seed)
+        if split:
+            train_idx, test_idx = split_indices(len(rows), config.split, config.seed)
+        else:
+            train_idx, test_idx = np.arange(len(rows)), np.arange(0)
         y_train, y_test = labels[train_idx], labels[test_idx]
-        if np.all(y_train == y_train[0]):
+        if split and np.all(y_train == y_train[0]):
             raise ValueError("training split contains a single class; change the seed")
     X_train, X_test = X[train_idx], X[test_idx]
     with _stage("scale"):
@@ -373,51 +411,66 @@ def prepare_features(config: ExperimentConfig):
     return X_train, X_test, y_train, y_test, info
 
 
-def _run_svm_row(entry, X_train, X_test, y_train, y_test):
-    kcfg = resolve_kernel_config(entry.kernel, X_train.shape[1])
-    svm_cfg = SvmConfig(
-        C=entry.C, tol=entry.tol, eps=entry.eps,
-        max_passes=entry.max_passes, max_iters=entry.max_iters,
-    )
-    gm = gram(kcfg, X_train, jitter=entry.jitter)
-    model = train(gm, y_train, svm_cfg, features=X_train)
-    preds = np.where(decision_values(model, X_test) >= 0.0, 1, -1).astype(np.int64)
-    acc = accuracy(preds, y_test)
-    execution = EXEC_SHOTS if kcfg.kind == QUANTUM_SHOTS else EXEC_CPU
-    detail = {
-        "C": entry.C,
-        "converged": model.converged,
-        "n_support": int(model.support_indices.size),
-        "kernel_config": kcfg.to_dict(),
-    }
-    return acc, execution, kcfg.describe(), detail
+def entry_gram(entry: ModelEntry, X) -> GramMatrix:
+    """Gram matrix of an svm row's kernel over the rows of X."""
+    kcfg = resolve_kernel_config(entry.kernel, X.shape[1])
+    return gram(kcfg, X, jitter=entry.jitter)
 
 
-def _run_reg_row(entry, rows, train_idx, test_idx,
-                 X_train, X_test, y_train, y_test, cutoff):
-    basis = BasisSpec(kind=entry.basis, n_features=X_train.shape[1])
+def fit_entry(entry: ModelEntry, X, y, rows, cutoff, gm: GramMatrix | None = None):
+    """Fit one configured model on the rows of X with class labels y.
+
+    `rows` are the descriptor rows behind X, read for activity targets;
+    `cutoff` is the config's activity_cutoff. An svm row trains on `gm`
+    when given (its Gram matrix over X), else on a freshly built one.
+    """
+    if entry.kind == SVM:
+        if gm is None:
+            gm = entry_gram(entry, X)
+        svm_cfg = SvmConfig(
+            C=entry.C, tol=entry.tol, eps=entry.eps,
+            max_passes=entry.max_passes, max_iters=entry.max_iters,
+        )
+        return train(gm, y, svm_cfg, features=X)
+    basis = BasisSpec(kind=entry.basis, n_features=X.shape[1])
     if entry.target == "activity":
-        activities = _activity_values(rows)
-        targets = activities[train_idx]
         if cutoff is None:
             raise ValueError(
                 f"model {entry.name!r}: activity target needs activity_cutoff"
             )
-        threshold = float(cutoff)
+        targets, threshold = _activity_values(rows), float(cutoff)
     else:
-        targets = y_train.astype(np.float64)
-        threshold = 0.0
+        targets, threshold = y.astype(np.float64), 0.0
     if entry.kind == REG_LS:
-        model = fit_least_squares(X_train, targets, basis, ridge=entry.ridge,
-                                  threshold=threshold)
-    else:
-        schedule = AnnealSchedule(t0=entry.t0, cooling=entry.cooling,
-                                  n_iters=entry.iterations)
-        model = fit_annealing(X_train, targets, basis, schedule,
-                              seed=entry.anneal_seed, ridge=entry.ridge,
-                              threshold=threshold)
-    preds = predict_labels(model, X_test)
-    acc = accuracy(preds, y_test)
+        return fit_least_squares(X, targets, basis, ridge=entry.ridge,
+                                 threshold=threshold)
+    schedule = AnnealSchedule(t0=entry.t0, cooling=entry.cooling,
+                              n_iters=entry.iterations)
+    return fit_annealing(X, targets, basis, schedule, seed=entry.anneal_seed,
+                         ridge=entry.ridge, threshold=threshold)
+
+
+def predict(model, X) -> np.ndarray:
+    """+1/-1 class predictions of a fitted svm or regression model."""
+    if isinstance(model, SvmModel):
+        return np.where(decision_values(model, X) >= 0.0, 1, -1).astype(np.int64)
+    return predict_labels(model, X)
+
+
+def _run_row(entry, train_rows, cutoff, X_train, X_test, y_train, y_test):
+    """Fit one row on the training split, then score it on the test split."""
+    model = fit_entry(entry, X_train, y_train, train_rows, cutoff)
+    acc = accuracy(predict(model, X_test), y_test)
+    if entry.kind == SVM:
+        kcfg = model.kernel_config
+        execution = EXEC_SHOTS if kcfg.kind == QUANTUM_SHOTS else EXEC_CPU
+        detail = {
+            "C": entry.C,
+            "converged": model.converged,
+            "n_support": int(model.support_indices.size),
+            "kernel_config": kcfg.to_dict(),
+        }
+        return acc, execution, kcfg.describe(), detail
     detail = {
         "basis": entry.basis,
         "target": entry.target,
@@ -434,19 +487,15 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     """Execute every configured model row and assemble the report."""
     X_train, X_test, y_train, y_test, info = prepare_features(config)
     rows, train_idx, test_idx = info["rows"], info["train_idx"], info["test_idx"]
+    train_rows = [rows[i] for i in train_idx]
 
     results = []
     for entry in config.models:
         with _stage(f"model {entry.name}"):
-            if entry.kind == SVM:
-                acc, execution, kdesc, detail = _run_svm_row(
-                    entry, X_train, X_test, y_train, y_test
-                )
-            else:
-                acc, execution, kdesc, detail = _run_reg_row(
-                    entry, rows, train_idx, test_idx,
-                    X_train, X_test, y_train, y_test, config.activity_cutoff,
-                )
+            acc, execution, kdesc, detail = _run_row(
+                entry, train_rows, config.activity_cutoff,
+                X_train, X_test, y_train, y_test,
+            )
         results.append(ModelResult(
             name=entry.name, tag=entry.tag, accuracy=acc,
             execution=execution, kernel=kdesc, note=entry.note, detail=detail,

@@ -1,0 +1,177 @@
+"""End-to-end tests of the `qsarq` subcommands, driven through `cli.main`."""
+
+import numpy as np
+import pytest
+import yaml
+
+from qsarq.cli import main
+from qsarq.errors import InternalConsistencyError
+from qsarq.pipeline import fit_entry, load_experiment_config, prepare_features
+from qsarq.regression import load_reg_model
+
+CUTOFF = 6.0
+COLUMNS = ("n_donors", "n_acceptors", "rotatable_bonds", "mol_weight", "logp")
+MODELS = [
+    {"name": "qsvm", "kind": "svm", "C": 4.0,
+     "kernel": {"kind": "quantum_exact", "feature_map": {"family": "zz", "reps": 1}}},
+    {"name": "rbf", "kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}},
+    {"name": "ls", "kind": "reg_ls", "ridge": 0.01},
+    {"name": "ls_activity", "kind": "reg_ls", "ridge": 0.01, "target": "activity"},
+    {"name": "anneal", "kind": "reg_anneal", "iterations": 300, "anneal_seed": 2},
+]
+
+
+def write_csv(path, n=30, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform([0, 0, 0, 200, -1], [6, 10, 8, 550, 6], size=(n, len(COLUMNS)))
+    activity = 4.5 + 0.3 * X[:, 0] + 0.004 * X[:, 3] - 0.3 * X[:, 4]
+    lines = [",".join(("compound_id", *COLUMNS, "pec50"))]
+    lines += [",".join((f"c{i}", *(f"{v:.4f}" for v in X[i]), f"{activity[i]:.4f}"))
+              for i in range(n)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def write_config(path, csv_name="data.csv", **overrides):
+    config = {"input": csv_name, "seed": 3, "split": 0.7, "activity_cutoff": CUTOFF,
+              "models": MODELS, **overrides}
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def config(tmp_path):
+    write_csv(tmp_path / "data.csv")
+    return write_config(tmp_path / "exp.yaml")
+
+
+@pytest.fixture
+def qsarq(capsys):
+    def run(*args):
+        code = main([str(a) for a in args])
+        out, err = capsys.readouterr()
+        return code, out, err
+    return run
+
+
+def test_run_twice_is_byte_identical(tmp_path, config, qsarq):
+    for out in ("a", "b"):
+        assert qsarq("run", "--config", config, "--out", tmp_path / out, "--quiet")[0] == 0
+    for name in ("report.txt", "report.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("model", ["qsvm", "ls"])
+def test_eval_on_preprocessed_csv_reproduces_training_accuracy(tmp_path, config, qsarq,
+                                                               model):
+    assert qsarq("preprocess", tmp_path / "data.csv", "--cutoff", CUTOFF,
+                 "--out", tmp_path / "pre", "--quiet")[0] == 0
+    code, out, _ = qsarq("train", "--config", config, "--model", model,
+                         "--out", tmp_path / "models")
+    assert code == 0
+    train_acc = out.split("training accuracy ")[1][:6]
+    assert qsarq("eval", tmp_path / "models" / f"{model}.model",
+                 tmp_path / "pre" / "normalized.csv", "--out", tmp_path / "ev",
+                 "--quiet")[0] == 0
+    metrics = dict(line.split() for line in (tmp_path / "ev" / "metrics.txt").read_text()
+                   .splitlines())
+    assert f"{float(metrics['accuracy']):.4f}" == train_acc
+    assert metrics["n"] == "30"
+
+
+def test_train_activity_target_fits_pec50_at_the_cutoff(tmp_path, config, qsarq):
+    assert qsarq("train", "--config", config, "--model", "ls_activity",
+                 "--out", tmp_path, "--quiet")[0] == 0
+    saved = load_reg_model(tmp_path / "ls_activity.model")
+    assert saved.threshold == CUTOFF
+
+    cfg = load_experiment_config(config)
+    X, X_test, y, _, info = prepare_features(cfg, split=False)
+    assert X_test.shape == (0, X.shape[1]) and len(y) == 30
+    entry = next(e for e in cfg.models if e.name == "ls_activity")
+    model = fit_entry(entry, X, y, info["rows"], cfg.activity_cutoff)
+    np.testing.assert_array_equal(saved.coefficients, model.coefficients)
+    # independently: ridge least squares of pEC50 on [1, x]
+    phi = np.hstack([np.ones((len(X), 1)), X])
+    pec50 = np.array([row.pec50 for row in info["rows"]])
+    a = np.vstack([phi, np.sqrt(entry.ridge) * np.eye(phi.shape[1])])
+    q = np.linalg.lstsq(a, np.concatenate([pec50, np.zeros(phi.shape[1])]), rcond=None)[0]
+    np.testing.assert_allclose(saved.coefficients, q, rtol=1e-9, atol=1e-9)
+
+
+def test_train_reuses_a_saved_gram_matrix(tmp_path, config, qsarq):
+    assert qsarq("gram", "--config", config, "--model", "qsvm", "--out", tmp_path / "g",
+                 "--quiet")[0] == 0
+    assert qsarq("train", "--config", config, "--model", "qsvm", "--out", tmp_path / "a",
+                 "--quiet")[0] == 0
+    assert qsarq("train", "--config", config, "--model", "qsvm", "--out", tmp_path / "b",
+                 "--gram", tmp_path / "g" / "qsvm.gram", "--quiet")[0] == 0
+    assert ((tmp_path / "a" / "qsvm.model").read_bytes()
+            == (tmp_path / "b" / "qsvm.model").read_bytes())
+
+
+def test_gram_of_another_dataset_exits_2(tmp_path, config, qsarq):
+    write_csv(tmp_path / "other.csv", seed=1)
+    other = write_config(tmp_path / "other.yaml", csv_name="other.csv")
+    assert qsarq("gram", "--config", other, "--model", "qsvm", "--out", tmp_path,
+                 "--quiet")[0] == 0
+    code, _, err = qsarq("train", "--config", config, "--model", "qsvm",
+                         "--gram", tmp_path / "qsvm.gram", "--out", tmp_path, "--quiet")
+    assert code == 2 and "digest" in err
+
+
+def test_gram_on_a_regression_row_exits_2(tmp_path, config, qsarq):
+    assert qsarq("gram", "--config", config, "--model", "qsvm", "--out", tmp_path,
+                 "--quiet")[0] == 0
+    code, _, err = qsarq("train", "--config", config, "--model", "ls",
+                         "--gram", tmp_path / "qsvm.gram", "--out", tmp_path, "--quiet")
+    assert code == 2 and "--gram" in err
+
+
+@pytest.mark.parametrize("command", ["run", "train", "gram"])
+def test_csv_row_with_surplus_fields_exits_2(tmp_path, config, qsarq, command):
+    path = tmp_path / "data.csv"
+    path.write_text(path.read_text() + "extra,1,2,3,300,1,6.5,99\n", encoding="utf-8")
+    code, _, err = qsarq(command, "--config", config, "--out", tmp_path, "--quiet")
+    assert code == 2 and "line 32 has 8 fields" in err
+
+
+def test_internal_consistency_error_exits_3(tmp_path, config, qsarq, monkeypatch):
+    def corrupt(*args, **kwargs):
+        raise InternalConsistencyError("kernel value out of range")
+
+    monkeypatch.setattr("qsarq.pipeline.gram", corrupt)
+    code, _, err = qsarq("run", "--config", config, "--out", tmp_path, "--quiet")
+    assert code == 3 and "kernel value out of range" in err
+
+
+# (key, wrongly typed value, the key the error must name)
+TYPE_ERRORS = [
+    ("seed", [1], "seed"),
+    ("split", "most", "split"),
+    ("pca_k", {"k": 2}, "pca_k"),
+    ("input", ["data.csv"], "input"),
+    ("models", "ls", "models"),
+    ("C", "abc", "C"),
+    ("max_iters", 1.5, "max_iters"),
+    ("name", ["m"], "name"),
+    ("kernel", {"kind": "rbf", "gamma": "x"}, "gamma"),
+    ("kernel", ["linear"], "kernel"),
+    ("kernel", {"kind": "quantum_exact", "feature_map": ["zz"]}, "feature_map"),
+]
+
+
+@pytest.mark.parametrize("key, value, named", TYPE_ERRORS,
+                         ids=[named for _, _, named in TYPE_ERRORS])
+def test_wrongly_typed_config_value_exits_2(tmp_path, qsarq, key, value, named):
+    write_csv(tmp_path / "data.csv")
+    entry = {"name": "m", "kind": "svm", "kernel": {"kind": "linear"}}
+    overrides = {"models": [entry]}
+    if key in ("seed", "split", "pca_k", "input", "models"):
+        overrides[key] = value
+    else:
+        entry[key] = value
+    config = write_config(tmp_path / "exp.yaml", **overrides)
+    code, _, err = qsarq("run", "--config", config, "--out", tmp_path, "--quiet")
+    assert code == 2
+    assert err.startswith("error: ") and f"{named} must be" in err
