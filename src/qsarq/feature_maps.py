@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -57,6 +58,12 @@ class FeatureMapSpec:
     entanglement: str = LINEAR
 
     def __post_init__(self):
+        for name, kind in (("family", str), ("n_qubits", Integral),
+                           ("reps", Integral), ("entanglement", str)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is Integral else "a string"
+                raise ValueError(f"feature map: {name} must be {what}, got {value!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown feature-map family {self.family!r}")
         if self.entanglement not in ENTANGLEMENTS:
@@ -77,10 +84,10 @@ class FeatureMapSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureMapSpec":
         return cls(
-            family=d["family"],
-            n_qubits=int(d["n_qubits"]),
-            reps=int(d["reps"]),
-            entanglement=d["entanglement"],
+            family=d.get("family"),
+            n_qubits=d.get("n_qubits"),
+            reps=d.get("reps"),
+            entanglement=d.get("entanglement"),
         )
 
 

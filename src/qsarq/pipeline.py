@@ -59,7 +59,7 @@ EXEC_SHOTS = "sim-shots"
 _ENTRY_KEYS = {
     "name", "kind", "tag", "note", "basis", "ridge", "target",
     "t0", "cooling", "iterations", "anneal_seed",
-    "kernel", "C", "tol", "eps", "max_passes", "max_iters", "jitter",
+    "kernel", "C", "tol", "max_iters", "jitter",
 }
 _CONFIG_KEYS = {
     "input", "seed", "split", "lipinski_filter", "activity_cutoff",
@@ -73,8 +73,8 @@ _TYPE_NAMES = {str: "a string", _OPTIONAL_STR: "a string", Real: "a number",
 _ENTRY_TYPES = {
     **dict.fromkeys(("name", "kind", "basis", "target"), str),
     **dict.fromkeys(("tag", "note"), _OPTIONAL_STR),
-    **dict.fromkeys(("ridge", "t0", "cooling", "C", "tol", "eps", "jitter"), Real),
-    **dict.fromkeys(("iterations", "anneal_seed", "max_passes", "max_iters"), Integral),
+    **dict.fromkeys(("ridge", "t0", "cooling", "C", "tol", "jitter"), Real),
+    **dict.fromkeys(("iterations", "anneal_seed", "max_iters"), Integral),
 }
 
 
@@ -98,8 +98,6 @@ class ModelEntry:
     kernel: dict | None = None
     C: float = 1.0
     tol: float = 1e-3
-    eps: float = 1e-12
-    max_passes: int = 10
     max_iters: int = 100_000
     jitter: float = 0.0
 
@@ -255,15 +253,16 @@ def resolve_kernel_config(raw: dict, n_features: int) -> KernelConfig:
             raise ValueError(f"kernel feature_map must be a mapping, got {fm!r}")
         fm = dict(fm)
         fm.setdefault("n_qubits", n_features)
-        if int(fm["n_qubits"]) != n_features:
-            raise ValueError(
-                f"feature map n_qubits={fm['n_qubits']} does not match the "
-                f"{n_features}-dimensional data"
-            )
         fm.setdefault("reps", 2)
         fm.setdefault("entanglement", "linear")
         spec["feature_map"] = fm
-    return KernelConfig.from_dict(spec)
+    kcfg = KernelConfig.from_dict(spec)
+    if kcfg.feature_map is not None and kcfg.feature_map.n_qubits != n_features:
+        raise ValueError(
+            f"feature map n_qubits={kcfg.feature_map.n_qubits} does not match the "
+            f"{n_features}-dimensional data"
+        )
+    return kcfg
 
 
 @dataclass
@@ -422,15 +421,21 @@ def fit_entry(entry: ModelEntry, X, y, rows, cutoff, gm: GramMatrix | None = Non
 
     `rows` are the descriptor rows behind X, read for activity targets;
     `cutoff` is the config's activity_cutoff. An svm row trains on `gm`
-    when given (its Gram matrix over X), else on a freshly built one.
+    when given (its Gram matrix over X, which must hold the row's kernel),
+    else on a freshly built one.
     """
     if entry.kind == SVM:
         if gm is None:
             gm = entry_gram(entry, X)
-        svm_cfg = SvmConfig(
-            C=entry.C, tol=entry.tol, eps=entry.eps,
-            max_passes=entry.max_passes, max_iters=entry.max_iters,
-        )
+        else:
+            kcfg = resolve_kernel_config(entry.kernel, X.shape[1])
+            if gm.kernel_config != kcfg:
+                raise ValueError(
+                    f"model {entry.name!r}: the Gram matrix holds a "
+                    f"'{gm.kernel_config.describe()}' kernel, the row a "
+                    f"'{kcfg.describe()}' kernel"
+                )
+        svm_cfg = SvmConfig(C=entry.C, tol=entry.tol, max_iters=entry.max_iters)
         return train(gm, y, svm_cfg, features=X)
     basis = BasisSpec(kind=entry.basis, n_features=X.shape[1])
     if entry.target == "activity":

@@ -1,11 +1,16 @@
 """Kernel SVM: SMO dual training over a precomputed Gram matrix.
 
-The trainer maximizes the usual dual objective under the box and
-equality constraints, updating one pair of multipliers at a time with
-analytic clipping. Pair selection is deterministic: scan for the first
-KKT violator, pick the partner with the largest error gap, break ties
-by lowest index. Indefinite (shot-sampled) Gram matrices are handled by
-comparing the objective at the clipping endpoints.
+The trainer minimizes f(a) = 1/2 a^T Q a - e^T a, Q_ij = y_i y_j K_ij,
+over 0 <= a <= C with sum(y * a) = 0, one pair of multipliers at a time,
+keeping the gradient G = Q a - e up to date (Platt 1998). The pair is
+LIBSVM's second-order working set (Fan, Chen & Lin, JMLR 6, 2005): i is
+the maximal violator, argmax of -y G over the multipliers that may move
+up, and j, among those that may move down, gives the largest decrease
+b^2 / a of f along the pair's constraint line. Curvatures a <= 0, which
+shot-sampled (indefinite) Gram matrices can give, are replaced by TAU.
+Training stops when m(a) - M(a), the largest violation of the optimality
+conditions, is at most `tol`, or after `max_iters` updates. Ties go to
+the lowest index, so training is deterministic.
 
 `decision_values` scores many points with one cross-kernel matrix against
 the support vectors; `decision_value` scores one point entry by entry and
@@ -22,14 +27,13 @@ import numpy as np
 from .kernels import GramMatrix, KernelConfig, cross_gram, dataset_digest, kernel_value
 
 FORMAT_TAG = "qsarq-svm v1"
+TAU = 1e-12  # curvature used when a pair's is not positive, as in LIBSVM
 
 
 @dataclass(frozen=True)
 class SvmConfig:
     C: float = 1.0
-    tol: float = 1e-3  # KKT violation tolerance
-    eps: float = 1e-12  # minimum multiplier step
-    max_passes: int = 10
+    tol: float = 1e-3  # stop when m(a) - M(a) <= tol
     max_iters: int = 100_000
 
     def __post_init__(self):
@@ -37,8 +41,6 @@ class SvmConfig:
             raise ValueError("C must be > 0")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
 
 
 @dataclass
@@ -95,13 +97,6 @@ def _final_bias(K: np.ndarray, y: np.ndarray, alphas: np.ndarray, C: float) -> f
     return float(0.5 * (residual[lower].max() + residual[upper].min()))
 
 
-def _kkt_violations(F: np.ndarray, y: np.ndarray, alphas: np.ndarray,
-                    C: float, tol: float) -> np.ndarray:
-    margin = y * (F - y)  # y_i * E_i = y_i f_i - 1
-    at_zero, at_cap = _bound_masks(alphas, C)
-    return ((margin < -tol) & ~at_cap) | ((margin > tol) & ~at_zero)
-
-
 def train(gm: GramMatrix, y, cfg: SvmConfig = SvmConfig(),
           features=None) -> SvmModel:
     """Solve the dual over `gm` and return a model with the recomputed bias.
@@ -122,104 +117,41 @@ def train(gm: GramMatrix, y, cfg: SvmConfig = SvmConfig(),
             raise ValueError("features do not match the Gram matrix's dataset digest")
 
     K = gm.entries
-    n = gm.size
-    C, tol, eps = cfg.C, cfg.tol, cfg.eps
-    bound_slack = 1e-8 * C
-    alphas = np.zeros(n)
-    b = 0.0
-    F = np.zeros(n)  # running decision values, kept incrementally
+    C = cfg.C
+    alphas = np.zeros(gm.size)
+    grad = -np.ones(gm.size)  # G = Q a - e
+    diag = np.diag(K)
     trace: list[float] = [_dual_objective(K, labels, alphas)]
-    iters = 0
-
-    def take_step(i: int, j: int) -> bool:
-        nonlocal b, F
-        if i == j:
-            return False
-        a_i, a_j = alphas[i], alphas[j]
-        y_i, y_j = labels[i], labels[j]
-        s = y_i * y_j
-        if s < 0:
-            lo, hi = max(0.0, a_j - a_i), min(C, C + a_j - a_i)
-        else:
-            lo, hi = max(0.0, a_i + a_j - C), min(C, a_i + a_j)
-        if lo >= hi:
-            return False
-        e_i, e_j = F[i] - y_i, F[j] - y_j
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        if eta > 0.0:
-            a_j_new = a_j + y_j * (e_i - e_j) / eta
-            a_j_new = min(max(a_j_new, lo), hi)
-        else:
-            # objective change along the constraint line at the endpoints
-            gain_lo = y_j * (e_i - e_j) * (lo - a_j) - 0.5 * eta * (lo - a_j) ** 2
-            gain_hi = y_j * (e_i - e_j) * (hi - a_j) - 0.5 * eta * (hi - a_j) ** 2
-            if gain_lo > gain_hi + eps:
-                a_j_new = lo
-            elif gain_hi > gain_lo + eps:
-                a_j_new = hi
-            else:
-                return False
-        if abs(a_j_new - a_j) < eps:
-            return False
-        # analytically in [0, C]; clamp the last-ulp rounding drift
-        a_i_new = min(max(a_i + s * (a_j - a_j_new), 0.0), C)
-        d_i, d_j = a_i_new - a_i, a_j_new - a_j
-        b1 = b - e_i - y_i * d_i * K[i, i] - y_j * d_j * K[i, j]
-        b2 = b - e_j - y_i * d_i * K[i, j] - y_j * d_j * K[j, j]
-        if 0.0 < a_i_new < C:
-            b_new = b1
-        elif 0.0 < a_j_new < C:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-        F += y_i * d_i * K[:, i] + y_j * d_j * K[:, j] + (b_new - b)
-        alphas[i], alphas[j] = a_i_new, a_j_new
-        b = b_new
-        return True
-
-    hit_budget = False
     converged = False
-    while True:
-        passes_without_update = 0
-        updates_this_round = 0
-        while passes_without_update < cfg.max_passes:
-            changed = 0
-            found_violator = False
-            for i in range(n):
-                if iters >= cfg.max_iters:
-                    hit_budget = True
-                    break
-                margin = labels[i] * (F[i] - labels[i])
-                if not ((margin < -tol and alphas[i] < C - bound_slack)
-                        or (margin > tol and alphas[i] > bound_slack)):
-                    continue
-                found_violator = True
-                gaps = np.abs((F[i] - labels[i]) - (F - labels))
-                gaps[i] = -1.0
-                # partners in decreasing error-gap order, ties by lowest
-                # index; fall through when a pair cannot move
-                for j in np.argsort(-gaps, kind="stable"):
-                    if take_step(i, int(j)):
-                        changed += 1
-                        iters += 1
-                        if iters % 100 == 0:
-                            trace.append(_dual_objective(K, labels, alphas))
-                        break
-            if hit_budget or not found_violator:
-                break
-            passes_without_update = passes_without_update + 1 if changed == 0 else 0
-            updates_this_round += changed
-        # the reported bias is recomputed from the multipliers; resume the
-        # sweeps when it exposes violations the running bias hid
-        bias = _final_bias(K, labels, alphas, C)
-        F_final = K @ (alphas * labels) + bias
-        if not np.any(_kkt_violations(F_final, labels, alphas, C, tol)):
+    for iters in range(cfg.max_iters + 1):
+        score = -labels * grad
+        at_zero, at_cap = alphas <= 0.0, alphas >= C
+        up = np.where(labels > 0, ~at_cap, ~at_zero)  # y a may grow
+        low = np.where(labels > 0, ~at_zero, ~at_cap)  # y a may shrink
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        if score[i] - np.min(score, where=low, initial=np.inf) <= cfg.tol:
             converged = True
             break
-        if hit_budget or updates_this_round == 0:
+        if iters == cfg.max_iters:
             break
-        b = bias
-        F = F_final.copy()
+        if iters and iters % 100 == 0:
+            trace.append(_dual_objective(K, labels, alphas))
+        gap = score[i] - score
+        curv = diag[i] + diag - 2.0 * K[i]
+        curv[curv <= 0.0] = TAU
+        j = int(np.argmax(np.where(low & (gap > 0.0), gap * gap / curv, -np.inf)))
+        # move y_i a_i up and y_j a_j down by the same step, clipped where
+        # either multiplier reaches its bound; a multiplier that reaches
+        # it is set to the bound exactly
+        end_i = C if labels[i] > 0 else 0.0
+        end_j = 0.0 if labels[j] > 0 else C
+        room_i, room_j = abs(end_i - alphas[i]), abs(end_j - alphas[j])
+        step = min(gap[j] / curv[j], room_i, room_j)
+        new_i = end_i if step >= room_i else alphas[i] + labels[i] * step
+        new_j = end_j if step >= room_j else alphas[j] - labels[j] * step
+        grad += labels * (K[i] * (labels[i] * (new_i - alphas[i]))
+                          + K[j] * (labels[j] * (new_j - alphas[j])))
+        alphas[i], alphas[j] = new_i, new_j
 
     # multipliers within clipping slack of 0 are at the bound, not support
     # vectors; leaving that dust in would make the support set depend on

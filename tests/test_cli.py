@@ -120,6 +120,16 @@ def test_gram_of_another_dataset_exits_2(tmp_path, config, qsarq):
     assert code == 2 and "digest" in err
 
 
+def test_gram_of_another_kernel_exits_2(tmp_path, config, qsarq):
+    assert qsarq("gram", "--config", config, "--model", "qsvm", "--out", tmp_path,
+                 "--quiet")[0] == 0
+    code, _, err = qsarq("train", "--config", config, "--model", "rbf",
+                         "--gram", tmp_path / "qsvm.gram", "--out", tmp_path, "--quiet")
+    assert code == 2
+    assert "q | zz linear r1" in err and "c | rbf gamma=1.5" in err
+    assert not (tmp_path / "rbf.model").exists()
+
+
 def test_gram_on_a_regression_row_exits_2(tmp_path, config, qsarq):
     assert qsarq("gram", "--config", config, "--model", "qsvm", "--out", tmp_path,
                  "--quiet")[0] == 0
@@ -158,6 +168,15 @@ TYPE_ERRORS = [
     ("kernel", {"kind": "rbf", "gamma": "x"}, "gamma"),
     ("kernel", ["linear"], "kernel"),
     ("kernel", {"kind": "quantum_exact", "feature_map": ["zz"]}, "feature_map"),
+    ("kernel", {"kind": "quantum_exact", "feature_map": {}}, "family"),
+    ("kernel", {"kind": "quantum_exact", "feature_map": {"family": "zz", "n_qubits": [5]}},
+     "n_qubits"),
+    ("kernel", {"kind": "quantum_exact", "feature_map": {"family": "zz", "reps": [1]}},
+     "reps"),
+    ("kernel", {"kind": "quantum_exact", "feature_map": {"family": "zz", "reps": 1.5}},
+     "reps"),
+    ("kernel", {"kind": "quantum_exact", "feature_map": {"family": "zz", "reps": True}},
+     "reps"),
 ]
 
 
@@ -175,3 +194,13 @@ def test_wrongly_typed_config_value_exits_2(tmp_path, qsarq, key, value, named):
     code, _, err = qsarq("run", "--config", config, "--out", tmp_path, "--quiet")
     assert code == 2
     assert err.startswith("error: ") and f"{named} must be" in err
+
+
+@pytest.mark.parametrize("key, value", [("max_passes", 10), ("eps", 1e-12)])
+def test_removed_solver_key_exits_2(tmp_path, qsarq, key, value):
+    write_csv(tmp_path / "data.csv")
+    entry = {"name": "m", "kind": "svm", "kernel": {"kind": "linear"}, key: value}
+    config = write_config(tmp_path / "exp.yaml", models=[entry])
+    code, _, err = qsarq("run", "--config", config, "--out", tmp_path, "--quiet")
+    assert code == 2
+    assert err.startswith("error: ") and repr(key) in err

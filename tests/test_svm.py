@@ -241,6 +241,18 @@ def test_decision_values_match_decision_value(cfg):
         decision_values(model, queries[:, :2])
 
 
+def test_indefinite_pair_moves_to_the_box_corner():
+    # K_00 + K_11 - 2 K_01 < 0: the curvature along the pair is replaced by
+    # TAU, and the objective, unbounded on the line, is maximized at the box
+    K = np.array([[1.0, 1.2], [1.2, 1.0]])
+    gm = GramMatrix(entries=K, kernel_config=LIN, dataset_digest="indefinite")
+    model = train(gm, [1, -1], SvmConfig(C=0.5))
+    assert np.array_equal(model.alphas, [0.5, 0.5])
+    assert model.converged
+    trace = np.array(model.objective_trace)
+    assert np.all(np.diff(trace) >= 0.0) and trace[-1] > trace[0]
+
+
 def test_support_set_stable_under_gram_rounding():
     # SMO's last clip can leave multipliers of about 1e-17; they are snapped
     # to 0, so a rounding-level change of K does not change the support set
