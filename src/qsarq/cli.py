@@ -6,8 +6,10 @@ configured model, `eval` scores a saved model, and `run` executes the
 whole experiment and writes the comparison report. `gram` and `train`
 prepare the whole input with the pipeline's `prepare_features` (no
 train/test split) and `train` fits through `fit_entry`, so a saved model
-is fitted exactly as its row in the report is. Exit codes: 0 on success,
-2 on invalid input or config, 3 on internal consistency failures.
+is fitted exactly as its row in the report is. Gram matrices and models
+are files in the one JSON format of `qsarq.artifact`; `eval` reads either
+model type through `pipeline.load_model`. Exit codes: 0 on success, 2 on
+invalid input or config, 3 on internal consistency failures.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from .pipeline import (
     entry_gram,
     fit_entry,
     load_experiment_config,
+    load_model,
     predict,
     prepare_features,
     run_experiment,
+    save_model,
 )
 from .preprocess import (
     apply_lipinski_filter,
@@ -40,9 +44,6 @@ from .preprocess import (
     resolve_labels,
     write_feature_csv,
 )
-from .regression import load_reg_model, save_reg_model
-from .svm import load_svm_model, save_svm_model
-from .svm import FORMAT_TAG as SVM_TAG
 
 
 def _say(args, message: str) -> None:
@@ -112,23 +113,18 @@ def cmd_train(args) -> None:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{entry.name}.model"
-    if entry.kind == SVM:
-        save_svm_model(model, out_path)
-        solver = f", converged={model.converged}"
-    else:
-        save_reg_model(model, out_path)
-        solver = ""
+    save_model(model, out_path)
+    converged = getattr(model, "converged", None)  # svm models only
+    solver = "" if converged is None else f", converged={converged}"
     _say(args, f"wrote {out_path} (training accuracy "
                f"{accuracy(predict(model, X), labels):.4f}{solver})")
 
 
 def cmd_eval(args) -> None:
-    with open(args.model, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
+    model = load_model(args.model)
     rows = read_descriptor_csv(args.data)
     labels = resolve_labels(rows, args.cutoff)
     X, _ = feature_matrix(rows)
-    model = (load_svm_model if first == SVM_TAG else load_reg_model)(args.model)
     acc = accuracy(predict(model, X), labels)
     _say(args, f"accuracy {acc:.4f} on {len(rows)} rows")
     if args.out:

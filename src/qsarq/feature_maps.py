@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral
 
 import numpy as np
@@ -83,6 +83,11 @@ class FeatureMapSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureMapSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"feature map must be a mapping, got {d!r}")
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"feature map has unknown key(s) {sorted(unknown)}")
         return cls(
             family=d.get("family"),
             n_qubits=d.get("n_qubits"),

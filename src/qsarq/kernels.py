@@ -18,12 +18,12 @@ encoder and are the reference for both.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
 
+from . import artifact
 from .errors import InternalConsistencyError
 from .feature_maps import FeatureMapSpec, encode, encode_blocks
 from .statevector import BLOCK_BYTES, StateVector, check_state_stack
@@ -111,9 +111,12 @@ class KernelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelConfig":
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"{d.get('kind')} kernel has unknown key(s) {sorted(unknown)}")
         fm = d.get("feature_map")
         return cls(
-            kind=d["kind"],
+            kind=d.get("kind"),
             feature_map=FeatureMapSpec.from_dict(fm) if fm is not None else None,
             shots=d.get("shots"),
             rng_seed=d.get("rng_seed"),
@@ -130,6 +133,7 @@ class GramMatrix:
     entries: np.ndarray = field(repr=False)
     kernel_config: KernelConfig
     dataset_digest: str
+    jitter: float = 0.0  # constant added to the diagonal
 
     @property
     def size(self) -> int:
@@ -333,7 +337,8 @@ def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
 
     if jitter > 0:
         entries[np.diag_indices(n)] += jitter
-    return GramMatrix(entries=entries, kernel_config=cfg, dataset_digest=digest)
+    return GramMatrix(entries=entries, kernel_config=cfg, dataset_digest=digest,
+                      jitter=float(jitter))
 
 
 def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
@@ -373,45 +378,13 @@ def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
 
 
 def save_gram(gm: GramMatrix, path) -> None:
-    """Write the text form: N, N rows of 17-significant-digit values, footer.
-
-    Rows are written as they are formatted.
-    """
-    footer = (
-        f"digest={gm.dataset_digest} "
-        f"config={json.dumps(gm.kernel_config.to_dict(), sort_keys=True)}"
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{gm.size}\n")
-        for row in gm.entries:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-        fh.write(footer + "\n")
+    """Write `gm` as a `gram` artifact (see `qsarq.artifact`)."""
+    artifact.save(path, artifact.GRAM, {
+        "entries": gm.entries, "kernel_config": gm.kernel_config.to_dict(),
+        "dataset_digest": gm.dataset_digest, "jitter": gm.jitter})
 
 
 def load_gram(path) -> GramMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
-    if len(lines) < 2:
-        raise ValueError(f"{path}: not a Gram matrix file")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise ValueError(f"{path}: first line must be the matrix size") from exc
-    if len(lines) != n + 2:
-        raise ValueError(f"{path}: expected {n} rows plus a footer")
-    entries = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        row = lines[1 + i].split()
-        if len(row) != n:
-            raise ValueError(f"{path}: row {i} has {len(row)} values, expected {n}")
-        entries[i] = [float(v) for v in row]
-    footer = lines[n + 1]
-    if not footer.startswith("digest="):
-        raise ValueError(f"{path}: missing footer line")
-    digest_part, _, config_part = footer.partition(" config=")
-    digest = digest_part[len("digest="):]
-    if not config_part:
-        raise ValueError(f"{path}: footer missing kernel config")
-    cfg = KernelConfig.from_dict(json.loads(config_part))
-    return GramMatrix(entries=entries, kernel_config=cfg, dataset_digest=digest)
+    return artifact.load(path, {artifact.GRAM: lambda f: GramMatrix(
+        f["entries"], KernelConfig.from_dict(f["kernel_config"]), f["dataset_digest"],
+        float(f["jitter"]))})

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import artifact
 from .errors import InternalConsistencyError
 from .kernels import (
     QUANTUM_KINDS,
@@ -45,8 +46,10 @@ from .regression import (
     fit_annealing,
     fit_least_squares,
     predict_labels,
+    reg_from_fields,
+    save_reg_model,
 )
-from .svm import SvmConfig, SvmModel, decision_values, train
+from .svm import SvmConfig, SvmModel, decision_values, save_svm_model, svm_from_fields, train
 
 REG_LS = "reg_ls"
 REG_ANNEAL = "reg_anneal"
@@ -66,16 +69,37 @@ _CONFIG_KEYS = {
     "pca_k", "scaler", "models",
 }
 _OPTIONAL_STR = (str, type(None))
+_OPTIONAL_REAL = (Real, type(None))
+_OPTIONAL_INT = (Integral, type(None))
 _TYPE_NAMES = {str: "a string", _OPTIONAL_STR: "a string", Real: "a number",
-               Integral: "an integer"}
-# the type every scalar entry field must have as read from YAML; values are
-# checked, not converted, so the report echoes them as written
+               _OPTIONAL_REAL: "a number", Integral: "an integer",
+               _OPTIONAL_INT: "an integer", bool: "true or false"}
+# the type every scalar entry field and top-level value must have as read
+# from YAML; values are checked, not converted, so the report echoes them
+# as written
 _ENTRY_TYPES = {
     **dict.fromkeys(("name", "kind", "basis", "target"), str),
     **dict.fromkeys(("tag", "note"), _OPTIONAL_STR),
     **dict.fromkeys(("ridge", "t0", "cooling", "C", "tol", "jitter"), Real),
     **dict.fromkeys(("iterations", "anneal_seed", "max_iters"), Integral),
 }
+_CONFIG_TYPES = {
+    "input": str, "seed": Integral, "split": Real, "lipinski_filter": bool,
+    "activity_cutoff": _OPTIONAL_REAL, "pca_k": _OPTIONAL_INT, "scaler": bool,
+}
+
+
+def _check_types(values: dict, types: dict, where: str) -> None:
+    """Raise a ValueError naming the first key whose value has the wrong type.
+
+    A bool is neither a number nor an integer here. Absent keys are skipped.
+    """
+    for key, kind in types.items():
+        if key not in values:
+            continue
+        value = values[key]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise ValueError(f"{where}{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 @dataclass
@@ -102,11 +126,7 @@ class ModelEntry:
     jitter: float = 0.0
 
     def __post_init__(self):
-        for key, kind in _ENTRY_TYPES.items():
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"model {self.name!r}: {key} must be "
-                                 f"{_TYPE_NAMES[kind]}, got {value!r}")
+        _check_types(vars(self), _ENTRY_TYPES, f"model {self.name!r}: ")
         if self.kernel is not None and not (
             isinstance(self.kernel, dict) and isinstance(self.kernel.get("kind"), str)
         ):
@@ -167,15 +187,6 @@ def _parse_entry(raw: dict) -> ModelEntry:
     return ModelEntry(**raw)
 
 
-def _convert(raw: dict, key: str, kind, path):
-    """`kind(raw[key])`, failing with a ValueError that names the key."""
-    try:
-        return kind(raw[key])
-    except (TypeError, ValueError) as exc:
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{path}: {key} must be {what}, got {raw[key]!r}") from exc
-
-
 def load_experiment_config(path) -> ExperimentConfig:
     """Read and validate a YAML experiment config.
 
@@ -192,8 +203,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     for key in ("input", "seed", "split", "models"):
         if key not in raw:
             raise ValueError(f"{path}: missing required key {key!r}")
-    if not isinstance(raw["input"], str):
-        raise ValueError(f"{path}: input must be a path, got {raw['input']!r}")
+    _check_types(raw, _CONFIG_TYPES, f"{path}: ")
     if not isinstance(raw["models"] or [], list):
         raise ValueError(f"{path}: models must be a list of model entries")
     models = [_parse_entry(m) for m in raw["models"] or []]
@@ -202,16 +212,15 @@ def load_experiment_config(path) -> ExperimentConfig:
         input_path = (cfg_path.parent / input_path).resolve()
     return ExperimentConfig(
         input=str(input_path),
-        seed=_convert(raw, "seed", int, path),
-        split=_convert(raw, "split", float, path),
+        seed=raw["seed"],
+        split=float(raw["split"]),
         models=models,
-        lipinski_filter=bool(raw.get("lipinski_filter", False)),
+        lipinski_filter=raw.get("lipinski_filter", False),
         activity_cutoff=(
-            None if raw.get("activity_cutoff") is None
-            else _convert(raw, "activity_cutoff", float, path)
+            None if raw.get("activity_cutoff") is None else float(raw["activity_cutoff"])
         ),
-        pca_k=None if raw.get("pca_k") is None else _convert(raw, "pca_k", int, path),
-        scaler=bool(raw.get("scaler", True)),
+        pca_k=raw.get("pca_k"),
+        scaler=raw.get("scaler", True),
     )
 
 
@@ -435,6 +444,9 @@ def fit_entry(entry: ModelEntry, X, y, rows, cutoff, gm: GramMatrix | None = Non
                     f"'{gm.kernel_config.describe()}' kernel, the row a "
                     f"'{kcfg.describe()}' kernel"
                 )
+            if gm.jitter != entry.jitter:
+                raise ValueError(f"model {entry.name!r}: the Gram matrix has diagonal "
+                                 f"jitter {gm.jitter!r}, the row {entry.jitter!r}")
         svm_cfg = SvmConfig(C=entry.C, tol=entry.tol, max_iters=entry.max_iters)
         return train(gm, y, svm_cfg, features=X)
     basis = BasisSpec(kind=entry.basis, n_features=X.shape[1])
@@ -460,6 +472,16 @@ def predict(model, X) -> np.ndarray:
     if isinstance(model, SvmModel):
         return np.where(decision_values(model, X) >= 0.0, 1, -1).astype(np.int64)
     return predict_labels(model, X)
+
+
+def save_model(model, path) -> None:
+    """Save a fitted svm or regression model as an artifact."""
+    (save_svm_model if isinstance(model, SvmModel) else save_reg_model)(model, path)
+
+
+def load_model(path):
+    """The svm or regression model saved at `path`, by the artifact's type."""
+    return artifact.load(path, {artifact.SVM: svm_from_fields, artifact.REG: reg_from_fields})
 
 
 def _run_row(entry, train_rows, cutoff, X_train, X_test, y_train, y_test):

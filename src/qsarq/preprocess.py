@@ -173,13 +173,14 @@ def pca_transform(model: PcaModel, X) -> np.ndarray:
     return (arr - model.mean) @ model.components.T
 
 
-def _parse_float(raw: str, column: str, compound_id: str) -> float:
+def _parse_float(raw: str, column: str, where: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
-        raise ValueError(
-            f"{compound_id}: column {column!r} has non-numeric value {raw!r}"
-        ) from exc
+        raise ValueError(f"{where}: column {column!r} has non-numeric value {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: column {column!r} has non-finite value {raw!r}")
+    return value
 
 
 def read_descriptor_csv(path) -> list[DescriptorRow]:
@@ -202,6 +203,7 @@ def read_descriptor_csv(path) -> list[DescriptorRow]:
                                  f"the header has {len(reader.fieldnames)}")
             known: dict = {}
             extras: dict[str, float] = {}
+            where = f"{path}: line {lineno}"
             for raw_name, value in record.items():
                 if value is None or value.strip() == "":
                     continue
@@ -209,7 +211,7 @@ def read_descriptor_csv(path) -> list[DescriptorRow]:
                 if name == "compound_id":
                     known[name] = value.strip()
                 elif name == "label":
-                    label = _parse_float(value, name, record.get("compound_id", f"line {lineno}"))
+                    label = _parse_float(value, name, where)
                     if label not in (-1.0, 1.0):
                         raise ValueError(
                             f"{path}: line {lineno} has label {value.strip()!r}; "
@@ -218,9 +220,9 @@ def read_descriptor_csv(path) -> list[DescriptorRow]:
                     known[name] = int(label)
                 elif name in _CANONICAL.values():
                     field_name = "ec50_nM" if name == "ec50_nM" else name
-                    known[field_name] = _parse_float(value, name, record.get("compound_id", f"line {lineno}"))
+                    known[field_name] = _parse_float(value, name, where)
                 else:
-                    extras[name] = _parse_float(value, name, record.get("compound_id", f"line {lineno}"))
+                    extras[name] = _parse_float(value, name, where)
             if "compound_id" not in known:
                 raise ValueError(f"{path}: line {lineno} is missing compound_id")
             rows.append(DescriptorRow(extras=extras, **known))

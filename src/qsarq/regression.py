@@ -8,16 +8,15 @@ Class predictions come from thresholding the fitted value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifact
+
 AFFINE = "affine"
 POLY2 = "poly2"
 BASIS_KINDS = frozenset({AFFINE, POLY2})
-
-FORMAT_TAG = "qsarq-reg v1"
 
 
 @dataclass(frozen=True)
@@ -184,35 +183,20 @@ def predict_labels(model: RegModel, X) -> np.ndarray:
 
 
 def save_reg_model(model: RegModel, path) -> None:
-    lines = [
-        FORMAT_TAG,
-        "basis " + json.dumps(
-            {"kind": model.basis.kind, "n_features": model.basis.n_features},
-            sort_keys=True,
-        ),
-        f"threshold {model.threshold:.17g}",
-        "coefficients " + " ".join(f"{v:.17g}" for v in model.coefficients),
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write `model` as a `reg` artifact (see `qsarq.artifact`)."""
+    artifact.save(path, artifact.REG, {
+        "basis": model.basis.kind, "n_features": model.basis.n_features,
+        "coefficients": model.coefficients, "threshold": model.threshold})
+
+
+def reg_from_fields(f: dict) -> RegModel:
+    """The model in the checked fields of a `reg` artifact."""
+    basis = BasisSpec(f["basis"], f["n_features"])
+    if f["coefficients"].size != basis.size:
+        raise ValueError(f"a basis of size {basis.size} has "
+                         f"{f['coefficients'].size} coefficients")
+    return RegModel(f["coefficients"], basis, float(f["threshold"]))
 
 
 def load_reg_model(path) -> RegModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != FORMAT_TAG:
-        raise ValueError(f"{path}: not a {FORMAT_TAG} file")
-
-    def fieldline(idx: int, name: str) -> str:
-        prefix = name + " "
-        if idx >= len(lines) or not lines[idx].startswith(prefix):
-            raise ValueError(f"{path}: expected '{name}' on line {idx + 1}")
-        return lines[idx][len(prefix):]
-
-    basis_dict = json.loads(fieldline(1, "basis"))
-    basis = BasisSpec(kind=basis_dict["kind"], n_features=int(basis_dict["n_features"]))
-    threshold = float(fieldline(2, "threshold"))
-    coeffs = np.array([float(v) for v in fieldline(3, "coefficients").split()])
-    if coeffs.size != basis.size:
-        raise ValueError(f"{path}: coefficient count does not match basis size")
-    return RegModel(coefficients=coeffs, basis=basis, threshold=threshold)
+    return artifact.load(path, {artifact.REG: reg_from_fields})

@@ -14,19 +14,19 @@ the lowest index, so training is deterministic.
 
 `decision_values` scores many points with one cross-kernel matrix against
 the support vectors; `decision_value` scores one point entry by entry and
-is its reference.
+is its reference. A model is saved as an `svm` artifact (`qsarq.artifact`),
+training rows included.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifact
 from .kernels import GramMatrix, KernelConfig, cross_gram, dataset_digest, kernel_value
 
-FORMAT_TAG = "qsarq-svm v1"
 TAU = 1e-12  # curvature used when a pair's is not positive, as in LIBSVM
 
 
@@ -213,58 +213,23 @@ def predict(model: SvmModel, x) -> int:
 
 
 def save_svm_model(model: SvmModel, path) -> None:
-    if model.training_features is None:
-        feats = np.zeros((model.alphas.size, 0))
-    else:
-        feats = model.training_features
-    lines = [
-        FORMAT_TAG,
-        "kernel " + json.dumps(model.kernel_config.to_dict(), sort_keys=True),
-        f"converged {int(model.converged)}",
-        f"bias {model.bias:.17g}",
-        "alphas " + " ".join(f"{a:.17g}" for a in model.alphas),
-        "labels " + " ".join(str(int(v)) for v in model.labels),
-        f"features {feats.shape[0]} {feats.shape[1]}",
-    ]
-    for row in feats:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write `model` as an `svm` artifact (see `qsarq.artifact`)."""
+    feats = model.training_features
+    artifact.save(path, artifact.SVM, {
+        "alphas": model.alphas, "bias": model.bias, "converged": model.converged,
+        "kernel_config": model.kernel_config.to_dict(), "labels": model.labels,
+        "training_features": np.zeros((model.alphas.size, 0)) if feats is None else feats})
+
+
+def svm_from_fields(f: dict) -> SvmModel:
+    """The model in the checked fields of an `svm` artifact."""
+    if not np.all(np.isin(f["labels"], (-1, 1))):
+        raise ValueError("labels must be +1 or -1")
+    feats = f["training_features"]
+    return SvmModel(f["alphas"], float(f["bias"]), f["labels"].astype(np.int64),
+                    KernelConfig.from_dict(f["kernel_config"]),
+                    feats if feats.shape[1] else None, f["converged"])
 
 
 def load_svm_model(path) -> SvmModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != FORMAT_TAG:
-        raise ValueError(f"{path}: not a {FORMAT_TAG} file")
-
-    def fieldline(idx: int, name: str) -> str:
-        prefix = name + " "
-        if idx >= len(lines) or not lines[idx].startswith(prefix):
-            raise ValueError(f"{path}: expected '{name}' on line {idx + 1}")
-        return lines[idx][len(prefix):]
-
-    cfg = KernelConfig.from_dict(json.loads(fieldline(1, "kernel")))
-    converged = bool(int(fieldline(2, "converged")))
-    bias = float(fieldline(3, "bias"))
-    alphas = np.array([float(v) for v in fieldline(4, "alphas").split()])
-    labels = np.array([int(v) for v in fieldline(5, "labels").split()], dtype=np.int64)
-    n_rows, n_cols = (int(v) for v in fieldline(6, "features").split())
-    if len(lines) < 7 + n_rows:
-        raise ValueError(f"{path}: truncated feature matrix")
-    feats = np.empty((n_rows, n_cols))
-    for r in range(n_rows):
-        row = lines[7 + r].split()
-        if len(row) != n_cols:
-            raise ValueError(f"{path}: feature row {r} has {len(row)} values")
-        feats[r] = [float(v) for v in row]
-    if alphas.size != labels.size or alphas.size != n_rows:
-        raise ValueError(f"{path}: inconsistent record sizes")
-    return SvmModel(
-        alphas=alphas,
-        bias=bias,
-        labels=labels,
-        kernel_config=cfg,
-        training_features=feats if n_cols > 0 else None,
-        converged=converged,
-    )
+    return artifact.load(path, {artifact.SVM: svm_from_fields})

@@ -130,6 +130,53 @@ def test_gram_of_another_kernel_exits_2(tmp_path, config, qsarq):
     assert not (tmp_path / "rbf.model").exists()
 
 
+def test_gram_of_another_jitter_exits_2(tmp_path, qsarq):
+    write_csv(tmp_path / "data.csv")
+    kernel = {"kind": "quantum_shots", "shots": 64, "rng_seed": 1,
+              "feature_map": {"family": "zz", "reps": 1}}
+    for name, jitter in (("a.yaml", 0.5), ("b.yaml", 0.0)):
+        write_config(tmp_path / name,
+                     models=[{"name": "q", "kind": "svm", "jitter": jitter, "kernel": kernel}])
+    assert qsarq("gram", "--config", tmp_path / "a.yaml", "--out", tmp_path,
+                 "--quiet")[0] == 0
+    code, _, err = qsarq("train", "--config", tmp_path / "b.yaml", "--gram",
+                         tmp_path / "q.gram", "--out", tmp_path, "--quiet")
+    assert code == 2 and "jitter 0.5" in err and "0.0" in err
+    assert not (tmp_path / "q.model").exists()
+
+
+# a Gram file and a model file in the text formats written before the JSON envelope
+TEXT_GRAM = """2
+1 0.5
+0.5 1
+digest=0 config={"gamma": 1.5, "kind": "rbf"}
+"""
+TEXT_MODEL = """qsarq-reg v1
+basis {"kind": "affine", "n_features": 5}
+threshold 0
+coefficients 0 1 0 0 0 0
+"""
+
+
+@pytest.mark.parametrize("text", [TEXT_GRAM, '{"format": "qsarq", "version": 1'],
+                         ids=["text format", "truncated envelope"])
+def test_unreadable_gram_file_exits_2_naming_it(tmp_path, config, qsarq, text):
+    path = tmp_path / "old.gram"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = qsarq("train", "--config", config, "--model", "rbf", "--gram", path,
+                         "--out", tmp_path, "--quiet")
+    assert code == 2 and f"error: {path}: not a qsarq artifact" in err
+
+
+@pytest.mark.parametrize("text", [TEXT_MODEL, "{}"], ids=["text format", "empty envelope"])
+def test_unreadable_model_file_exits_2_naming_it(tmp_path, config, qsarq, text):
+    path = tmp_path / "old.model"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = qsarq("eval", path, tmp_path / "data.csv", "--cutoff", CUTOFF,
+                         "--out", tmp_path, "--quiet")
+    assert code == 2 and f"error: {path}: not a qsarq artifact" in err
+
+
 def test_gram_on_a_regression_row_exits_2(tmp_path, config, qsarq):
     assert qsarq("gram", "--config", config, "--model", "qsvm", "--out", tmp_path,
                  "--quiet")[0] == 0
@@ -177,6 +224,14 @@ TYPE_ERRORS = [
      "reps"),
     ("kernel", {"kind": "quantum_exact", "feature_map": {"family": "zz", "reps": True}},
      "reps"),
+    # explicit ids keep those of the cases above
+    pytest.param("seed", 1.7, "seed", id="seed_float"),
+    pytest.param("seed", True, "seed", id="seed_bool"),
+    pytest.param("pca_k", 2.9, "pca_k", id="pca_k_float"),
+    pytest.param("split", True, "split", id="split_bool"),
+    pytest.param("activity_cutoff", "6", "activity_cutoff", id="activity_cutoff_string"),
+    pytest.param("scaler", "false", "scaler", id="scaler_string"),
+    pytest.param("lipinski_filter", "no", "lipinski_filter", id="lipinski_filter_string"),
 ]
 
 
@@ -186,7 +241,8 @@ def test_wrongly_typed_config_value_exits_2(tmp_path, qsarq, key, value, named):
     write_csv(tmp_path / "data.csv")
     entry = {"name": "m", "kind": "svm", "kernel": {"kind": "linear"}}
     overrides = {"models": [entry]}
-    if key in ("seed", "split", "pca_k", "input", "models"):
+    if key in ("seed", "split", "pca_k", "input", "models", "activity_cutoff", "scaler",
+               "lipinski_filter"):
         overrides[key] = value
     else:
         entry[key] = value
@@ -204,3 +260,16 @@ def test_removed_solver_key_exits_2(tmp_path, qsarq, key, value):
     code, _, err = qsarq("run", "--config", config, "--out", tmp_path, "--quiet")
     assert code == 2
     assert err.startswith("error: ") and repr(key) in err
+
+
+@pytest.mark.parametrize("kernel, unknown", [
+    ({"kind": "quantum_exact", "feature_map": {"family": "zz", "rep": 1}}, "rep"),
+    ({"kind": "linear", "foo": 1}, "foo"),
+], ids=["feature_map", "kernel"])
+def test_unknown_kernel_key_exits_2(tmp_path, qsarq, kernel, unknown):
+    write_csv(tmp_path / "data.csv")
+    config = write_config(tmp_path / "exp.yaml",
+                          models=[{"name": "m", "kind": "svm", "kernel": kernel}])
+    code, _, err = qsarq("run", "--config", config, "--out", tmp_path, "--quiet")
+    assert code == 2
+    assert err.startswith("error: ") and f"unknown key(s) [{unknown!r}]" in err

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from qsarq.kernels import (
     QUANTUM_EXACT,
     QUANTUM_SHOTS,
     RBF,
+    GramMatrix,
     KernelConfig,
     _clamp_unit,
     cross_gram,
@@ -208,7 +210,8 @@ def test_gram_batched_matches_per_pair_reference():
             assert batched[i, j] == expected
 
 
-# written by save_gram before Gram matrices were built from stacked states
+# written by save_gram, in the text form it had before the JSON envelope, before
+# Gram matrices were built from stacked states
 PARENT_SHOT_GRAM = """3
 1.05 0.35999999999999999 0.46000000000000002
 0.35999999999999999 1.05 0.42999999999999999
@@ -228,21 +231,37 @@ config={"feature_map": {"entanglement": "linear", "family": "zz", "n_qubits": 2,
 PARENT_X = np.array([[0.1, 0.7], [0.4, 0.25], [0.9, 0.55]])
 
 
+def parse_parent_gram(text):
+    """Entries, dataset digest and kernel config of a Gram file in the old text form."""
+    lines = text.splitlines()
+    n = int(lines[0])
+    entries = np.array([[float(v) for v in line.split()] for line in lines[1:n + 1]])
+    digest, _, config = lines[n + 1].removeprefix("digest=").partition(" config=")
+    return entries, digest, KernelConfig.from_dict(json.loads(config))
+
+
 def test_gram_file_round_trips_byte_identically(tmp_path):
-    for text in (PARENT_SHOT_GRAM, PARENT_EXACT_GRAM):
-        src, dst = tmp_path / "parent.gram", tmp_path / "again.gram"
-        src.write_bytes(text.encode())
-        save_gram(load_gram(src), dst)
-        assert dst.read_bytes() == text.encode()
+    for text, jitter in ((PARENT_SHOT_GRAM, 0.05), (PARENT_EXACT_GRAM, 0.0)):
+        entries, digest, cfg = parse_parent_gram(text)
+        first, again = tmp_path / "first.gram", tmp_path / "again.gram"
+        save_gram(GramMatrix(entries, cfg, digest, jitter), first)
+        loaded = load_gram(first)
+        save_gram(loaded, again)
+        assert again.read_bytes() == first.read_bytes()
+        assert np.array_equal(loaded.entries, entries)
+        assert (loaded.kernel_config, loaded.dataset_digest, loaded.jitter) == (cfg, digest,
+                                                                                jitter)
 
 
 def test_gram_files_unchanged_for_the_same_config(tmp_path):
     spec = FeatureMapSpec("zz", 2, reps=2)
     shots = KernelConfig(kind=QUANTUM_SHOTS, feature_map=spec, shots=100, rng_seed=3)
     save_gram(gram(shots, PARENT_X, jitter=0.05), tmp_path / "shots.gram")
-    assert (tmp_path / "shots.gram").read_bytes() == PARENT_SHOT_GRAM.encode()
-    (tmp_path / "exact.gram").write_text(PARENT_EXACT_GRAM, encoding="utf-8")
-    before = load_gram(tmp_path / "exact.gram").entries
+    saved = load_gram(tmp_path / "shots.gram")
+    entries, digest, cfg = parse_parent_gram(PARENT_SHOT_GRAM)
+    assert np.array_equal(saved.entries, entries)
+    assert (saved.kernel_config, saved.dataset_digest) == (cfg, digest)
+    before = parse_parent_gram(PARENT_EXACT_GRAM)[0]
     after = gram(KernelConfig(kind=QUANTUM_EXACT, feature_map=spec), PARENT_X).entries
     assert np.max(np.abs(after - before)) <= 1e-12
 

@@ -244,6 +244,14 @@ class TestCsv:
             read_descriptor_csv(path)
         assert cli_main(["preprocess", str(path), "--out", str(tmp_path), "--quiet"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = self.write(tmp_path, f"compound_id,mol_weight,logp,label\n"
+                                    f"A,300,1.5,1\nB,310,{value},-1\n")
+        with pytest.raises(ValueError, match="line 3: column 'logp' has non-finite"):
+            read_descriptor_csv(path)
+        assert cli_main(["preprocess", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+
     @pytest.mark.parametrize("label", ["1.7", "0", "2", "-0.5", "nan", "yes"])
     def test_label_other_than_plus_or_minus_one_rejected(self, tmp_path, label):
         path = self.write(tmp_path, f"compound_id,mol_weight,label\nm1,300,{label}\n")
