@@ -7,6 +7,14 @@ on the feature vectors. Gram matrices are symmetric by construction and
 carry the kernel configuration plus a content hash of the feature matrix
 they were built from.
 
+Shot sampling has one rule. A query row x owns one stream,
+``default_rng([rng_seed, *w])`` with w the four ``<u4`` words of the first
+16 bytes of the SHA-256 of x's ``<f8`` bytes; its entries against rows
+b_0, b_1, ... are the stream's draws ``binomial(shots, p_j) / shots`` in
+column order. A query's draws never depend on the rest of its batch, but
+`cross_gram` is not symmetric in its arguments. `gram` mirrors the upper
+triangle of ``cross_gram(X, X)``, so appending rows changes no earlier entry.
+
 Each feature vector is encoded once: a quantum Gram matrix is |S S^H|^2
 over the stack S of encoded states, computed block by block with real
 matrix products on the stack's real and imaginary parts. `cross_gram`
@@ -18,6 +26,7 @@ encoder and are the reference for both.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
@@ -39,6 +48,7 @@ QUANTUM_KINDS = frozenset({QUANTUM_EXACT, QUANTUM_SHOTS})
 
 # rounding slack before a quantum kernel value is considered corrupt
 _CLAMP_SLACK = 1e-12
+_MAX_SHOTS = 2**63 - 1  # numpy's binomial takes an int64 count
 
 
 @dataclass(frozen=True)
@@ -62,6 +72,9 @@ class KernelConfig:
             if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
                 what = "an integer" if kind is Integral else "a number"
                 raise ValueError(f"{self.kind} kernel: {name} must be {what}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{self.kind} kernel: {name} must be a finite number, "
+                                 f"got {value!r}")
         required = {
             QUANTUM_EXACT: ("feature_map",),
             QUANTUM_SHOTS: ("feature_map", "shots", "rng_seed"),
@@ -76,8 +89,10 @@ class KernelConfig:
                 raise ValueError(f"{self.kind} kernel requires {name}")
             if name not in required and value is not None:
                 raise ValueError(f"{self.kind} kernel does not take {name}")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        if self.shots is not None and not 1 <= self.shots <= _MAX_SHOTS:
+            raise ValueError(f"shots must be between 1 and {_MAX_SHOTS}, got {self.shots}")
+        if self.rng_seed is not None and self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.degree is not None and self.degree < 1:
             raise ValueError("degree must be >= 1")
         if self.offset is not None and self.offset < 0:
@@ -191,36 +206,25 @@ def _row_digest(x: np.ndarray) -> bytes:
     return hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).digest()
 
 
-def _mixed_seed(da: bytes, db: bytes) -> list[int]:
-    lo, hi = sorted((da, db))
-    mixed = hashlib.sha256(lo + hi).digest()
-    return list(np.frombuffer(mixed[:16], dtype=np.uint32))
+def _shot_draws(cfg: KernelConfig, x: np.ndarray, p):
+    """The first draws of row x's shot stream at fidelities `p` (module docstring)."""
+    words = np.frombuffer(_row_digest(x)[:16], dtype="<u4")
+    rng = np.random.default_rng([cfg.rng_seed, *words])
+    return rng.binomial(cfg.shots, p) / cfg.shots
 
 
-def _content_seed(x: np.ndarray, x2: np.ndarray) -> list[int]:
-    """Order-independent seed words derived from the two vectors' bytes."""
-    return _mixed_seed(_row_digest(x), _row_digest(x2))
-
-
-def shot_estimate(cfg: KernelConfig, x, x2, pair: tuple[int, int] | None = None) -> float:
+def shot_estimate(cfg: KernelConfig, x, x2) -> float:
     """Finite-shot fidelity estimate: binomial draw around the exact value.
 
     This models the compute-uncompute test, where the fidelity equals the
     probability of the all-zeros outcome, estimated from `shots` repetitions.
-    When `pair` is given (Gram assembly), the generator is seeded from
-    (rng_seed, i, j); otherwise from rng_seed mixed with a symmetric content
-    hash of the two vectors, so repeated calls are deterministic.
+    The estimate is the first draw of x's shot stream (see the module
+    docstring), so it is not symmetric in x and x2.
     """
     if cfg.kind != QUANTUM_SHOTS:
         raise ValueError("shot_estimate requires a quantum_shots kernel config")
     a, b = _as_pair(x, x2)
-    p = _exact_quantum(cfg, a, b)
-    if pair is not None:
-        i, j = sorted(pair)
-        seed = [int(cfg.rng_seed), i, j]
-    else:
-        seed = [int(cfg.rng_seed)] + _content_seed(a, b)
-    return _draw(cfg, p, seed)
+    return float(_shot_draws(cfg, a, _exact_quantum(cfg, a, b)))
 
 
 def kernel_value(cfg: KernelConfig, x, x2) -> float:
@@ -292,21 +296,16 @@ def _cross_fidelities(spec: FeatureMapSpec, a: np.ndarray, b: np.ndarray) -> np.
     return out
 
 
-def _draw(cfg: KernelConfig, p: float, seed: list[int]) -> float:
-    """One binomial shot estimate of fidelity `p` from a seeded generator."""
-    rng = np.random.default_rng(seed)
-    return int(rng.binomial(cfg.shots, p)) / cfg.shots
-
-
 def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
     """Kernel matrix over the rows of X.
 
-    Quantum entries come from one fidelity matrix over the encoded rows;
-    shot-sampled entries then draw each off-diagonal pair (i < j) from a
-    generator seeded with (rng_seed, i, j), and the diagonal is 1. Classical
-    entries are evaluated once per unordered pair. `jitter` adds a diagonal
-    constant to shot-sampled matrices, which are not guaranteed positive
-    semidefinite.
+    Quantum entries come from one fidelity matrix over the encoded rows.
+    A shot-sampled entry (i, j), i < j, is the j-th draw of X[i]'s shot
+    stream, drawn in place into that matrix and mirrored: the upper triangle
+    is ``cross_gram(cfg, X, X)``'s, ``gram(X[:m])`` is the leading m x m
+    block of ``gram(X)``, and the diagonal is 1. Classical entries are
+    evaluated once per unordered pair. `jitter` adds a diagonal constant to
+    shot-sampled matrices, which are not guaranteed positive semidefinite.
     """
     feats = np.asarray(X, dtype=np.float64)
     if feats.ndim == 1:
@@ -323,10 +322,9 @@ def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
     if cfg.kind in QUANTUM_KINDS:
         entries = _fidelity_gram(cfg.feature_map, feats)
         if cfg.kind == QUANTUM_SHOTS:
-            seed = int(cfg.rng_seed)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    entries[i, j] = entries[j, i] = _draw(cfg, entries[i, j], [seed, i, j])
+            for i in reversed(range(n)):  # rows below i are drawn; row i is still exact
+                drawn = _shot_draws(cfg, feats[i], entries[i])[i + 1:]
+                entries[i, i + 1:] = entries[i + 1:, i] = drawn
             # self-fidelity is known; sampling adds nothing
             np.fill_diagonal(entries, 1.0)
     else:
@@ -344,10 +342,12 @@ def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
 def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
     """Kernel values K(A_i, B_j) for every row of A and every row of B.
 
-    Entry (i, j) equals ``kernel_value(cfg, A[i], B[j])`` up to rounding,
-    and shot-sampled entries are drawn with the same content seeds, so the
-    draws agree. Each row of A and of B is encoded once; rows of A are
-    encoded and multiplied a block at a time against the stack of B.
+    Exact and classical entry (i, j) equals ``kernel_value(cfg, A[i], B[j])``
+    up to rounding. A shot-sampled row i is the draws of A[i]'s shot stream
+    over the rows of B in order: it does not depend on the other rows of A,
+    and column j = 0 is ``shot_estimate(cfg, A[i], B[0])``. The result is not
+    symmetric in A and B. Each row of A and of B is encoded once; rows of A
+    are encoded and multiplied a block at a time against the stack of B.
     """
     a = np.asarray(A, dtype=np.float64)
     b = np.asarray(B, dtype=np.float64)
@@ -358,12 +358,8 @@ def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
     if cfg.kind in QUANTUM_KINDS:
         out = _cross_fidelities(cfg.feature_map, a, b)
         if cfg.kind == QUANTUM_SHOTS:
-            seed = int(cfg.rng_seed)
-            digests_b = [_row_digest(row) for row in b]
             for i, row in enumerate(a):
-                da = _row_digest(row)
-                for j, db in enumerate(digests_b):
-                    out[i, j] = _draw(cfg, out[i, j], [seed] + _mixed_seed(da, db))
+                out[i] = _shot_draws(cfg, row, out[i])
         return out
     if cfg.kind == RBF:
         sq = np.zeros((a.shape[0], b.shape[0]))

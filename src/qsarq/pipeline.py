@@ -11,6 +11,7 @@ input are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -92,7 +93,8 @@ _CONFIG_TYPES = {
 def _check_types(values: dict, types: dict, where: str) -> None:
     """Raise a ValueError naming the first key whose value has the wrong type.
 
-    A bool is neither a number nor an integer here. Absent keys are skipped.
+    A bool is neither a number nor an integer here, and NaN and +-inf are not
+    numbers. Absent keys are skipped.
     """
     for key, kind in types.items():
         if key not in values:
@@ -100,6 +102,8 @@ def _check_types(values: dict, types: dict, where: str) -> None:
         value = values[key]
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
             raise ValueError(f"{where}{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{where}{key} must be a finite number, got {value!r}")
 
 
 @dataclass

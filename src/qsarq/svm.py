@@ -14,8 +14,11 @@ the lowest index, so training is deterministic.
 
 `decision_values` scores many points with one cross-kernel matrix against
 the support vectors; `decision_value` scores one point entry by entry and
-is its reference. A model is saved as an `svm` artifact (`qsarq.artifact`),
-training rows included.
+is its reference. With a shot-sampled kernel, a query's kernel row is the
+draws of the query's own shot stream over the support vectors in ascending
+order (see `qsarq.kernels`), so its score does not depend on the other
+queries it is scored with. A model is saved as an `svm` artifact
+(`qsarq.artifact`), training rows included.
 """
 
 from __future__ import annotations
@@ -25,7 +28,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifact
-from .kernels import GramMatrix, KernelConfig, cross_gram, dataset_digest, kernel_value
+from .kernels import (
+    QUANTUM_EXACT,
+    QUANTUM_SHOTS,
+    GramMatrix,
+    KernelConfig,
+    _shot_draws,
+    cross_gram,
+    dataset_digest,
+    kernel_value,
+)
 
 TAU = 1e-12  # curvature used when a pair's is not positive, as in LIBSVM
 
@@ -184,13 +196,23 @@ def _retained_features(model: SvmModel, queries: np.ndarray, ndim: int) -> np.nd
 
 
 def decision_value(model: SvmModel, x) -> float:
-    """sum_i alpha_i y_i K(x_i, x) + b, one kernel entry per support vector."""
+    """sum_i alpha_i y_i K(x_i, x) + b, one kernel entry per support vector.
+
+    A shot-sampled K draws x's shot stream at the exact fidelities of the
+    gate-list encoder, over the support vectors in ascending order.
+    """
     vec = np.asarray(x, dtype=np.float64)
     feats = _retained_features(model, vec, ndim=1)
+    cfg = model.kernel_config
+    sv = model.support_indices  # ascending index order, deterministic sum
+    if cfg.kind == QUANTUM_SHOTS:
+        exact = KernelConfig(kind=QUANTUM_EXACT, feature_map=cfg.feature_map)
+        ks = _shot_draws(cfg, vec, [kernel_value(exact, feats[i], vec) for i in sv])
+    else:
+        ks = [kernel_value(cfg, feats[i], vec) for i in sv]
     total = 0.0
-    for i in model.support_indices:  # ascending index order, deterministic sum
-        k = kernel_value(model.kernel_config, feats[i], vec)
-        total += float(model.alphas[i]) * float(model.labels[i]) * k
+    for i, k in zip(sv, ks):
+        total += float(model.alphas[i]) * float(model.labels[i]) * float(k)
     return total + model.bias
 
 
@@ -198,7 +220,8 @@ def decision_values(model: SvmModel, X) -> np.ndarray:
     """Decision values of every row of X, from one cross-kernel matrix.
 
     Equals ``decision_value`` row by row up to rounding; shot-sampled
-    kernel entries are the same draws.
+    kernel entries are the same draws, each query's own shot stream over
+    the support vectors, so a row's value does not depend on the others.
     """
     queries = np.asarray(X, dtype=np.float64)
     feats = _retained_features(model, queries, ndim=2)

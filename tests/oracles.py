@@ -3,15 +3,18 @@
 Everything here deliberately avoids the code paths it is used to check:
 gates become explicit Kronecker-product matrices, eigenproblems go
 through hand-rolled Jacobi rotations, the SVM dual is solved by
-projected gradient ascent, and linear systems by Gaussian elimination.
+projected gradient ascent, linear systems by Gaussian elimination, and
+shot draws one entry at a time from the gate-list fidelities.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 
+from qsarq.kernels import QUANTUM_EXACT, KernelConfig, kernel_value
 from qsarq.statevector import H, PARITY_PHASE, PHASE, RY, GateOp
 
 _I2 = np.eye(2, dtype=np.complex128)
@@ -183,3 +186,25 @@ def random_gate(rng: np.random.Generator, n_qubits: int) -> GateOp:
 def random_state(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
     amps = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)
     return amps / np.linalg.norm(amps)
+
+
+def reference_shot_rows(cfg: KernelConfig, A, B) -> np.ndarray:
+    """Shot-sampled kernel entries of the rows of A against the rows of B.
+
+    The stream rule, written out: row a's stream is
+    ``default_rng([rng_seed, w0, w1, w2, w3])``, with w the four
+    little-endian 32-bit words of the first 16 bytes of the SHA-256 of a's
+    float64 bytes. Entry (i, j) is the stream's j-th binomial draw, drawn one
+    at a time, at the exact fidelity `kernel_value` gives for the matching
+    `quantum_exact` config.
+    """
+    exact = KernelConfig(kind=QUANTUM_EXACT, feature_map=cfg.feature_map)
+    rows = np.asarray(A, dtype=np.float64)
+    out = np.empty((rows.shape[0], len(B)))
+    for i, a in enumerate(rows):
+        digest = hashlib.sha256(a.astype("<f8").tobytes()).digest()
+        words = [int.from_bytes(digest[k:k + 4], "little") for k in range(0, 16, 4)]
+        stream = np.random.default_rng([cfg.rng_seed, *words])
+        for j, b in enumerate(B):
+            out[i, j] = stream.binomial(cfg.shots, kernel_value(exact, a, b)) / cfg.shots
+    return out

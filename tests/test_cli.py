@@ -1,5 +1,7 @@
 """End-to-end tests of the `qsarq` subcommands, driven through `cli.main`."""
 
+import math
+
 import numpy as np
 import pytest
 import yaml
@@ -202,6 +204,9 @@ def test_internal_consistency_error_exits_3(tmp_path, config, qsarq, monkeypatch
     assert code == 3 and "kernel value out of range" in err
 
 
+SHOT_KERNEL = {"kind": "quantum_shots", "shots": 64, "rng_seed": 1,
+               "feature_map": {"family": "zz", "reps": 1}}
+
 # (key, wrongly typed value, the key the error must name)
 TYPE_ERRORS = [
     ("seed", [1], "seed"),
@@ -232,6 +237,21 @@ TYPE_ERRORS = [
     pytest.param("activity_cutoff", "6", "activity_cutoff", id="activity_cutoff_string"),
     pytest.param("scaler", "false", "scaler", id="scaler_string"),
     pytest.param("lipinski_filter", "no", "lipinski_filter", id="lipinski_filter_string"),
+    # NaN and +-inf are not numbers
+    pytest.param("C", math.nan, "C", id="C_nan"),
+    pytest.param("ridge", math.nan, "ridge", id="ridge_nan"),
+    pytest.param("jitter", math.nan, "jitter", id="jitter_nan"),
+    pytest.param("tol", math.inf, "tol", id="tol_inf"),
+    pytest.param("t0", math.inf, "t0", id="t0_inf"),
+    pytest.param("cooling", -math.inf, "cooling", id="cooling_minus_inf"),
+    pytest.param("split", math.nan, "split", id="split_nan"),
+    pytest.param("activity_cutoff", math.nan, "activity_cutoff", id="activity_cutoff_nan"),
+    pytest.param("kernel", {"kind": "rbf", "gamma": math.nan}, "gamma", id="gamma_nan"),
+    pytest.param("kernel", {"kind": "poly", "degree": 2, "offset": math.inf}, "offset",
+                 id="offset_inf"),
+    # shot-kernel integers outside numpy's seed and binomial-count ranges
+    pytest.param("kernel", {**SHOT_KERNEL, "rng_seed": -1}, "rng_seed", id="rng_seed_negative"),
+    pytest.param("kernel", {**SHOT_KERNEL, "shots": 2**63}, "shots", id="shots_over_int64"),
 ]
 
 

@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import circuit_unitary, jacobi_eigh
+from oracles import circuit_unitary, jacobi_eigh, reference_shot_rows
 from qsarq.errors import InternalConsistencyError, ResourceLimitError
 from qsarq.feature_maps import FeatureMapSpec, encoding_circuit
 from qsarq.kernels import (
@@ -105,19 +106,22 @@ def test_single_shot_is_bernoulli():
 
 def test_shot_estimate_frozen_golden():
     # seed 42, 1e5 shots around the frozen oracle fidelity; value frozen
-    # from the first seeded run and bounded by 5 binomial sigmas
+    # from the first seeded run of the per-row stream rule and bounded by 5
+    # binomial sigmas
     cfg = KernelConfig(kind=QUANTUM_SHOTS, feature_map=ZZ2, shots=100_000, rng_seed=42)
     estimate = shot_estimate(cfg, [0.1, 0.2], [0.3, 0.4])
-    assert estimate == 15152 / 100_000
+    assert estimate == 15061 / 100_000
     p = ZZ2_KERNEL_ORACLE
     assert abs(estimate - p) <= 5.0 * math.sqrt(p * (1 - p) / 100_000)
 
 
-def test_shot_estimate_deterministic_and_symmetric():
+def test_shot_estimate_deterministic_and_batch_independent():
     cfg = KernelConfig(kind=QUANTUM_SHOTS, feature_map=ZZ2, shots=1000, rng_seed=7)
     a = shot_estimate(cfg, [0.1, 0.2], [0.3, 0.4])
     assert shot_estimate(cfg, [0.1, 0.2], [0.3, 0.4]) == a
-    assert shot_estimate(cfg, [0.3, 0.4], [0.1, 0.2]) == a
+    # the query's own stream: other queries in the batch do not move its draw
+    batch = cross_gram(cfg, [[0.9, 0.8], [0.1, 0.2], [0.5, 0.6]], [[0.3, 0.4]])
+    assert batch[1, 0] == a
 
 
 def test_shot_error_shrinks_with_shots():
@@ -179,7 +183,7 @@ def test_gram_shots_symmetric_with_pinned_diagonal():
     gm = gram(cfg, X)
     assert np.array_equal(gm.entries, gm.entries.T)
     assert np.array_equal(np.diag(gm.entries), np.ones(6))
-    # rerun is identical: per-pair seeds depend only on (seed, i, j)
+    # rerun is identical: a row's stream depends only on rng_seed and the row
     assert np.array_equal(gram(cfg, X).entries, gm.entries)
 
 
@@ -202,12 +206,10 @@ def test_gram_batched_matches_per_pair_reference():
             assert np.max(np.abs(batched - per_pair)) <= 1e-12
         else:
             assert np.array_equal(batched, per_pair)
-    # shot entries are drawn from the exact p with (rng_seed, i, j) pair seeds
+    # shot entry (i, j), i < j, is the j-th draw of X[i]'s stream, mirrored
     batched = gram(shots, X).entries
-    for i in range(9):
-        for j in range(9):
-            expected = 1.0 if i == j else shot_estimate(shots, X[i], X[j], pair=(i, j))
-            assert batched[i, j] == expected
+    upper = np.triu(reference_shot_rows(shots, X, X), 1)
+    assert np.array_equal(batched, upper + upper.T + np.eye(9))
 
 
 # written by save_gram, in the text form it had before the JSON envelope, before
@@ -258,8 +260,9 @@ def test_gram_files_unchanged_for_the_same_config(tmp_path):
     shots = KernelConfig(kind=QUANTUM_SHOTS, feature_map=spec, shots=100, rng_seed=3)
     save_gram(gram(shots, PARENT_X, jitter=0.05), tmp_path / "shots.gram")
     saved = load_gram(tmp_path / "shots.gram")
-    entries, digest, cfg = parse_parent_gram(PARENT_SHOT_GRAM)
-    assert np.array_equal(saved.entries, entries)
+    upper = np.triu(reference_shot_rows(shots, PARENT_X, PARENT_X), 1)
+    assert np.array_equal(saved.entries, upper + upper.T + (1.0 + 0.05) * np.eye(3))
+    _, digest, cfg = parse_parent_gram(PARENT_SHOT_GRAM)
     assert (saved.kernel_config, saved.dataset_digest) == (cfg, digest)
     before = parse_parent_gram(PARENT_EXACT_GRAM)[0]
     after = gram(KernelConfig(kind=QUANTUM_EXACT, feature_map=spec), PARENT_X).entries
@@ -281,10 +284,12 @@ def test_cross_gram_matches_kernel_value(cfg):
     B[1] = A[2]  # a shared row: the self-pair is drawn, not pinned
     K = cross_gram(cfg, A, B)
     assert K.shape == (6, 4)
-    ref = np.array([[kernel_value(cfg, a, b) for b in B] for a in A])
     if cfg.kind == QUANTUM_SHOTS:
-        assert np.array_equal(K, ref)  # same content seeds, same draws
+        # row i is A[i]'s stream over B in order; its first draw is kernel_value's
+        assert np.array_equal(K, reference_shot_rows(cfg, A, B))
+        assert np.array_equal(K[:, 0], [kernel_value(cfg, a, B[0]) for a in A])
     else:
+        ref = np.array([[kernel_value(cfg, a, b) for b in B] for a in A])
         assert np.max(np.abs(K - ref)) <= 1e-12 * max(1.0, np.abs(ref).max())
     assert cross_gram(cfg, A, B[:0]).shape == (6, 0)
 
@@ -349,3 +354,50 @@ def test_load_gram_rejects_malformed_files(tmp_path):
     path.write_text("2\n1 0\n0 1\n", encoding="utf-8")  # missing footer
     with pytest.raises(ValueError):
         load_gram(path)
+
+
+# the shot stream rule (see qsarq.kernels) over small random feature matrices
+
+
+@st.composite
+def shot_configs(draw):
+    spec = FeatureMapSpec(draw(st.sampled_from(["zz", "custom"])), 2, reps=2)
+    return KernelConfig(kind=QUANTUM_SHOTS, feature_map=spec,
+                        shots=draw(st.integers(1, 10**6)), rng_seed=draw(st.integers(0, 2**40)))
+
+
+FEATURE_ROWS = st.lists(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+                        min_size=1, max_size=7).map(np.array)
+STREAM_PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@STREAM_PROPERTY
+@given(shot_configs(), FEATURE_ROWS, st.integers(1, 7))
+def test_shot_gram_is_prefix_stable(cfg, X, m):
+    m = min(m, len(X))
+    assert np.array_equal(gram(cfg, X[:m]).entries, gram(cfg, X).entries[:m, :m])
+
+
+@STREAM_PROPERTY
+@given(shot_configs(), FEATURE_ROWS, FEATURE_ROWS)
+def test_shot_cross_gram_rows_ignore_the_batch_and_columns_are_prefix_stable(cfg, A, B):
+    K = cross_gram(cfg, A, B)
+    for i in range(len(A)):
+        assert np.array_equal(cross_gram(cfg, A[i:i + 1], B)[0], K[i])
+    for k in range(len(B)):
+        assert np.array_equal(cross_gram(cfg, A, B[:k]), K[:, :k])
+
+
+@STREAM_PROPERTY
+@given(shot_configs(), FEATURE_ROWS)
+def test_shot_gram_upper_triangle_is_cross_gram_of_itself(cfg, X):
+    upper = np.triu_indices(len(X), 1)
+    assert np.array_equal(gram(cfg, X).entries[upper], cross_gram(cfg, X, X)[upper])
+
+
+@STREAM_PROPERTY
+@given(shot_configs(), FEATURE_ROWS, FEATURE_ROWS)
+def test_shot_entries_are_shot_fractions_in_the_unit_interval(cfg, A, B):
+    for K in (gram(cfg, A).entries, cross_gram(cfg, A, B)):
+        assert np.array_equal(np.rint(K * cfg.shots) / cfg.shots, K)
+        assert K.min() >= 0.0 and K.max() <= 1.0
