@@ -15,18 +15,19 @@ column order. A query's draws never depend on the rest of its batch, but
 `cross_gram` is not symmetric in its arguments. `gram` mirrors the upper
 triangle of ``cross_gram(X, X)``, so appending rows changes no earlier entry.
 
-Each feature vector is encoded once: a quantum Gram matrix is |S S^H|^2
-over the stack S of encoded states, computed block by block with real
-matrix products on the stack's real and imaginary parts. `cross_gram`
-evaluates every kernel kind between two sets of rows the same way.
-`kernel_value` and `shot_estimate` evaluate one entry from the gate-list
-encoder and are the reference for both.
+`gram` and `cross_gram` take one path for every kind. Rows become
+operands once (quantum kinds: the real and imaginary planes of the encoded
+states; classical kinds: the feature rows), and one block evaluator gives
+the exact kernel values between two operand blocks: |S S^H|^2 from four
+real matrix products, the column-wise RBF sum, or the dot products.
+`kernel_value` and `shot_estimate` evaluate one entry, from the gate-list
+encoder for quantum kinds, and are the reference for both.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
+import sys
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
@@ -72,7 +73,8 @@ class KernelConfig:
             if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
                 what = "an integer" if kind is Integral else "a number"
                 raise ValueError(f"{self.kind} kernel: {name} must be {what}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
+            if kind is Real and value is not None and not (
+                    abs(value) <= sys.float_info.max):  # false for NaN, +-inf, huge ints
                 raise ValueError(f"{self.kind} kernel: {name} must be a finite number, "
                                  f"got {value!r}")
         required = {
@@ -242,70 +244,59 @@ def kernel_value(cfg: KernelConfig, x, x2) -> float:
     return float(np.exp(-cfg.gamma * np.dot(diff, diff)))
 
 
-def _state_planes(spec: FeatureMapSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the encoded rows of X, each one contiguous stack."""
+def _operands(cfg: KernelConfig, X: np.ndarray) -> np.ndarray:
+    """The rows of X as `_kernel_block` takes them; ``[..., rows, :]`` slices rows.
+
+    Quantum kinds: the (2, rows, 2^n) stack of the encoded rows' real and
+    imaginary planes. Classical kinds: X itself.
+    """
+    if cfg.kind not in QUANTUM_KINDS:
+        return X
+    spec = cfg.feature_map
     blocks = encode_blocks(spec, X)  # validates X before anything is allocated
     check_state_stack(X.shape[0], spec.n_qubits)
-    re = np.empty((X.shape[0], 1 << spec.n_qubits))
-    im = np.empty_like(re)
+    planes = np.empty((2, X.shape[0], 1 << spec.n_qubits))
     for rows, states in blocks:
-        re[rows] = states.real
-        im[rows] = states.imag
-    return re, im
+        planes[0, rows] = states.real
+        planes[1, rows] = states.imag
+    return planes
 
 
-def _fidelities(re_a, im_a, re_b, im_b) -> np.ndarray:
-    """|<a|b>|^2 for every row a of the first stack and row b of the second."""
-    real = re_a @ re_b.T
-    real += im_a @ im_b.T
-    imag = re_a @ im_b.T
-    imag -= im_a @ re_b.T
-    real *= real
-    imag *= imag
-    real += imag
-    return _clamp_unit(real)
-
-
-def _fidelity_gram(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
-    """Exact fidelity matrix of the rows of X, exactly symmetric.
-
-    Each block of rows is multiplied against the columns from its first
-    row onward; the upper triangle is then mirrored. The state stack is
-    freed on return.
-    """
-    re, im = _state_planes(spec, X)
-    n = X.shape[0]
-    out = np.empty((n, n))
-    step = max(1, BLOCK_BYTES // (8 * n))
-    for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
-        out[r0:r1, r0:] = _fidelities(re[r0:r1], im[r0:r1], re[r0:], im[r0:])
-    for i in range(n):
-        out[i + 1:, i] = out[i, i + 1:]
-    return out
-
-
-def _cross_fidelities(spec: FeatureMapSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact fidelities between rows of a, encoded a block at a time, and the stack of b."""
-    blocks = encode_blocks(spec, a)
-    re_b, im_b = _state_planes(spec, b)
-    out = np.empty((a.shape[0], b.shape[0]))
-    for rows, states in blocks:
-        out[rows] = _fidelities(np.ascontiguousarray(states.real),
-                                np.ascontiguousarray(states.imag), re_b, im_b)
-    return out
+def _kernel_block(cfg: KernelConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact kernel values between every operand row of `a` and every one of `b`."""
+    if cfg.kind in QUANTUM_KINDS:  # |<a|b>|^2 from four real matrix products
+        (re_a, im_a), (re_b, im_b) = a, b
+        real = re_a @ re_b.T
+        real += im_a @ im_b.T
+        imag = re_a @ im_b.T
+        imag -= im_a @ re_b.T
+        real *= real
+        imag *= imag
+        real += imag
+        return _clamp_unit(real)
+    if cfg.kind == RBF:
+        sq = np.zeros((a.shape[0], b.shape[0]))
+        for col in range(a.shape[1]):
+            diff = a[:, col, None] - b[None, :, col]
+            sq += diff * diff
+        return np.exp(-cfg.gamma * sq)
+    dots = a @ b.T
+    if cfg.kind == LINEAR:
+        return dots
+    return (dots + cfg.offset) ** cfg.degree
 
 
 def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
-    """Kernel matrix over the rows of X.
+    """Kernel matrix over the rows of X, exactly symmetric.
 
-    Quantum entries come from one fidelity matrix over the encoded rows.
-    A shot-sampled entry (i, j), i < j, is the j-th draw of X[i]'s shot
-    stream, drawn in place into that matrix and mirrored: the upper triangle
-    is ``cross_gram(cfg, X, X)``'s, ``gram(X[:m])`` is the leading m x m
-    block of ``gram(X)``, and the diagonal is 1. Classical entries are
-    evaluated once per unordered pair. `jitter` adds a diagonal constant to
-    shot-sampled matrices, which are not guaranteed positive semidefinite.
+    X becomes one operand stack; each block of its rows is evaluated against
+    the columns from the block's first row on, and the upper triangle is
+    mirrored. Entries equal ``kernel_value``'s up to rounding. A shot-sampled
+    entry (i, j), i < j, is then the j-th draw of X[i]'s shot stream, drawn
+    in place and mirrored: the upper triangle is ``cross_gram(cfg, X, X)``'s,
+    ``gram(X[:m])`` is the leading m x m block of ``gram(X)``, and the
+    diagonal is 1. `jitter` adds a diagonal constant to shot-sampled
+    matrices, which are not guaranteed positive semidefinite.
     """
     feats = np.asarray(X, dtype=np.float64)
     if feats.ndim == 1:
@@ -317,26 +308,25 @@ def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
     if jitter > 0 and cfg.kind != QUANTUM_SHOTS:
         raise ValueError("diagonal jitter only applies to shot-sampled kernels")
     n = feats.shape[0]
-    digest = dataset_digest(feats)
-
-    if cfg.kind in QUANTUM_KINDS:
-        entries = _fidelity_gram(cfg.feature_map, feats)
-        if cfg.kind == QUANTUM_SHOTS:
-            for i in reversed(range(n)):  # rows below i are drawn; row i is still exact
-                drawn = _shot_draws(cfg, feats[i], entries[i])[i + 1:]
-                entries[i, i + 1:] = entries[i + 1:, i] = drawn
-            # self-fidelity is known; sampling adds nothing
-            np.fill_diagonal(entries, 1.0)
-    else:
-        entries = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                entries[i, j] = entries[j, i] = kernel_value(cfg, feats[i], feats[j])
-
+    ops = _operands(cfg, feats)
+    entries = np.empty((n, n))
+    step = max(1, BLOCK_BYTES // (8 * n))
+    for r0 in range(0, n, step):
+        entries[r0:r0 + step, r0:] = _kernel_block(cfg, ops[..., r0:r0 + step, :],
+                                                   ops[..., r0:, :])
+    del ops  # free the stack before the shot draws, as it raises their peak RSS
+    for i in range(n):
+        entries[i + 1:, i] = entries[i, i + 1:]
+    if cfg.kind == QUANTUM_SHOTS:
+        for i in reversed(range(n)):  # rows below i are drawn; row i is still exact
+            drawn = _shot_draws(cfg, feats[i], entries[i])[i + 1:]
+            entries[i, i + 1:] = entries[i + 1:, i] = drawn
+        # self-fidelity is known; sampling adds nothing
+        np.fill_diagonal(entries, 1.0)
     if jitter > 0:
         entries[np.diag_indices(n)] += jitter
-    return GramMatrix(entries=entries, kernel_config=cfg, dataset_digest=digest,
-                      jitter=float(jitter))
+    return GramMatrix(entries=entries, kernel_config=cfg,
+                      dataset_digest=dataset_digest(feats), jitter=float(jitter))
 
 
 def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
@@ -346,8 +336,9 @@ def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
     up to rounding. A shot-sampled row i is the draws of A[i]'s shot stream
     over the rows of B in order: it does not depend on the other rows of A,
     and column j = 0 is ``shot_estimate(cfg, A[i], B[0])``. The result is not
-    symmetric in A and B. Each row of A and of B is encoded once; rows of A
-    are encoded and multiplied a block at a time against the stack of B.
+    symmetric in A and B. B becomes one operand stack; rows of A become
+    operands a block at a time, each block's output and encoded rows taking
+    about BLOCK_BYTES, and are evaluated against it.
     """
     a = np.asarray(A, dtype=np.float64)
     b = np.asarray(B, dtype=np.float64)
@@ -355,22 +346,16 @@ def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
         raise ValueError(
             "A and B must be 2-D feature matrices with the same number of columns"
         )
-    if cfg.kind in QUANTUM_KINDS:
-        out = _cross_fidelities(cfg.feature_map, a, b)
-        if cfg.kind == QUANTUM_SHOTS:
-            for i, row in enumerate(a):
-                out[i] = _shot_draws(cfg, row, out[i])
-        return out
-    if cfg.kind == RBF:
-        sq = np.zeros((a.shape[0], b.shape[0]))
-        for col in range(a.shape[1]):
-            diff = a[:, col, None] - b[None, :, col]
-            sq += diff * diff
-        return np.exp(-cfg.gamma * sq)
-    dots = a @ b.T
-    if cfg.kind == LINEAR:
-        return dots
-    return (dots + cfg.offset) ** cfg.degree
+    ops_b = _operands(cfg, b)
+    out = np.empty((a.shape[0], b.shape[0]))
+    encoded = 16 << cfg.feature_map.n_qubits if cfg.kind in QUANTUM_KINDS else 0
+    step = max(1, BLOCK_BYTES // max(1, 8 * b.shape[0] + encoded))
+    for r0 in range(0, a.shape[0], step):
+        out[r0:r0 + step] = _kernel_block(cfg, _operands(cfg, a[r0:r0 + step]), ops_b)
+    if cfg.kind == QUANTUM_SHOTS:
+        for i, row in enumerate(a):
+            out[i] = _shot_draws(cfg, row, out[i])
+    return out
 
 
 def save_gram(gm: GramMatrix, path) -> None:

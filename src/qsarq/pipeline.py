@@ -11,7 +11,7 @@ input are byte-identical.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -31,13 +31,13 @@ from .kernels import (
     gram,
 )
 from .preprocess import (
+    activity,
     apply_lipinski_filter,
     feature_matrix,
     minmax_fit,
     minmax_transform,
     pca_fit,
     pca_transform,
-    pec50,
     read_descriptor_csv,
     resolve_labels,
 )
@@ -93,8 +93,8 @@ _CONFIG_TYPES = {
 def _check_types(values: dict, types: dict, where: str) -> None:
     """Raise a ValueError naming the first key whose value has the wrong type.
 
-    A bool is neither a number nor an integer here, and NaN and +-inf are not
-    numbers. Absent keys are skipped.
+    A bool is neither a number nor an integer here, and NaN, +-inf and
+    integers too large for a float are not numbers. Absent keys are skipped.
     """
     for key, kind in types.items():
         if key not in values:
@@ -102,7 +102,8 @@ def _check_types(values: dict, types: dict, where: str) -> None:
         value = values[key]
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
             raise ValueError(f"{where}{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
+        if kind in (Real, _OPTIONAL_REAL) and value is not None and not (
+                abs(value) <= sys.float_info.max):  # false for NaN, +-inf, huge ints
             raise ValueError(f"{where}{key} must be a finite number, got {value!r}")
 
 
@@ -360,14 +361,12 @@ def _stage(name: str):
 def _activity_values(rows) -> np.ndarray:
     values = np.empty(len(rows))
     for i, row in enumerate(rows):
-        if row.pec50 is not None:
-            values[i] = row.pec50
-        elif row.ec50_nM is not None:
-            values[i] = pec50(row.ec50_nM)
-        else:
+        value = activity(row)
+        if value is None:
             raise ValueError(
                 f"{row.compound_id}: activity-target regression needs pEC50 or EC50"
             )
+        values[i] = value
     return values
 
 

@@ -274,6 +274,13 @@ def feature_matrix(rows: list[DescriptorRow]) -> tuple[np.ndarray, list[str]]:
     return data, names + extra_names
 
 
+def activity(row: DescriptorRow) -> float | None:
+    """The row's pEC50: the stored value, else one derived from EC50, else None."""
+    if row.pec50 is not None:
+        return row.pec50
+    return pec50(row.ec50_nM) if row.ec50_nM is not None else None
+
+
 def resolve_labels(rows: list[DescriptorRow], cutoff: float | None = None) -> np.ndarray:
     """Class labels per row: stored label, else thresholded pEC50 activity."""
     labels = np.empty(len(rows), dtype=np.int64)
@@ -281,9 +288,7 @@ def resolve_labels(rows: list[DescriptorRow], cutoff: float | None = None) -> np
         if row.label is not None:
             labels[i] = row.label
             continue
-        p = row.pec50 if row.pec50 is not None else (
-            pec50(row.ec50_nM) if row.ec50_nM is not None else None
-        )
+        p = activity(row)
         if p is None:
             raise ValueError(
                 f"{row.compound_id}: no label and no activity measurement"

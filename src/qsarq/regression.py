@@ -94,13 +94,8 @@ def _objective(phi: np.ndarray, y: np.ndarray, q: np.ndarray, ridge: float) -> f
     return value
 
 
-def fit_least_squares(X, y, basis: BasisSpec, ridge: float = 0.0,
-                      threshold: float = 0.0) -> RegModel:
-    """Minimize ||phi q - y||^2 + ridge*||q||^2 via orthogonal factorization.
-
-    With ridge=0 a rank-deficient design yields the minimum-norm solution
-    and sets `rank_deficient` on the model.
-    """
+def _design(X, y, basis: BasisSpec, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """Checked design matrix and targets of a fit: (expand(basis, X) as rows, y)."""
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
     targets = np.asarray(y, dtype=np.float64)
@@ -109,6 +104,17 @@ def fit_least_squares(X, y, basis: BasisSpec, ridge: float = 0.0,
         phi = phi.reshape(1, -1)
     if targets.ndim != 1 or targets.size != phi.shape[0]:
         raise ValueError(f"expected {phi.shape[0]} targets, got {targets.shape}")
+    return phi, targets
+
+
+def fit_least_squares(X, y, basis: BasisSpec, ridge: float = 0.0,
+                      threshold: float = 0.0) -> RegModel:
+    """Minimize ||phi q - y||^2 + ridge*||q||^2 via orthogonal factorization.
+
+    With ridge=0 a rank-deficient design yields the minimum-norm solution
+    and sets `rank_deficient` on the model.
+    """
+    phi, targets = _design(X, y, basis, ridge)
     m = basis.size
     if ridge > 0:
         a = np.vstack([phi, np.sqrt(ridge) * np.eye(m)])
@@ -133,15 +139,7 @@ def fit_annealing(X, y, basis: BasisSpec, schedule: AnnealSchedule, seed: int,
     are returned, so the final loss never exceeds the loss at the q=0 start.
     Fixed seeds give identical trajectories.
     """
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
-    targets = np.asarray(y, dtype=np.float64)
-    phi = expand(basis, X)
-    if phi.ndim == 1:
-        phi = phi.reshape(1, -1)
-    if targets.ndim != 1 or targets.size != phi.shape[0]:
-        raise ValueError(f"expected {phi.shape[0]} targets, got {targets.shape}")
-
+    phi, targets = _design(X, y, basis, ridge)
     rng = np.random.default_rng(seed)
     m = basis.size
     current = np.zeros(m)

@@ -252,6 +252,14 @@ TYPE_ERRORS = [
     # shot-kernel integers outside numpy's seed and binomial-count ranges
     pytest.param("kernel", {**SHOT_KERNEL, "rng_seed": -1}, "rng_seed", id="rng_seed_negative"),
     pytest.param("kernel", {**SHOT_KERNEL, "shots": 2**63}, "shots", id="shots_over_int64"),
+    # integers too large for a float are not numbers either
+    pytest.param("kernel", {"kind": "rbf", "gamma": 10**400}, "gamma", id="gamma_huge_int"),
+    pytest.param("kernel", {"kind": "poly", "degree": 2, "offset": 10**400}, "offset",
+                 id="offset_huge_int"),
+    pytest.param("C", 10**400, "C", id="C_huge_int"),
+    pytest.param("ridge", 10**400, "ridge", id="ridge_huge_int"),
+    pytest.param("split", 10**400, "split", id="split_huge_int"),
+    pytest.param("activity_cutoff", 10**400, "activity_cutoff", id="activity_cutoff_huge_int"),
 ]
 
 

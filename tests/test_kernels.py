@@ -202,12 +202,15 @@ def test_gram_batched_matches_per_pair_reference():
     ):
         batched = gram(cfg, X).entries
         per_pair = np.array([[kernel_value(cfg, a, b) for b in X] for a in X])
+        assert np.array_equal(batched, batched.T)
         if cfg.kind == QUANTUM_EXACT:
             assert np.max(np.abs(batched - per_pair)) <= 1e-12
-        else:
-            assert np.array_equal(batched, per_pair)
+        else:  # matrix products and the column-wise RBF sum round unlike np.dot
+            assert np.all(np.abs(batched - per_pair)
+                          <= 1e-12 * np.maximum(1.0, np.abs(per_pair)))
     # shot entry (i, j), i < j, is the j-th draw of X[i]'s stream, mirrored
     batched = gram(shots, X).entries
+    assert np.array_equal(batched, batched.T)
     upper = np.triu(reference_shot_rows(shots, X, X), 1)
     assert np.array_equal(batched, upper + upper.T + np.eye(9))
 
@@ -318,6 +321,23 @@ def test_state_stack_budget_checked_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_cross_gram_blocks_stay_small_for_many_query_rows():
+    # each block of query rows is sized by its output and its encoded rows;
+    # sized by the output alone, all 2000 rows are encoded at once (32 MiB)
+    cfg = KernelConfig(kind=QUANTUM_EXACT,
+                       feature_map=FeatureMapSpec("zz", 10, reps=2, entanglement="full"))
+    rng = np.random.default_rng(8)
+    A, B = rng.random((2000, 10)), rng.random((3, 10))
+    tracemalloc.start()
+    try:
+        K = cross_gram(cfg, A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert K.shape == (2000, 3)
+    assert peak <= 4 << 20
 
 
 def test_gram_input_validation():
