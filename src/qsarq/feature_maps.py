@@ -185,13 +185,24 @@ def _phase_diagonal(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
 
 
 def _encode_rows(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
-    """States of the (validated) rows of X, every gate layer applied to all rows."""
+    """States of the (validated) rows of X, every gate layer applied to all rows.
+
+    Repetition 1's H or RY layer acts on |0...0>, whose state stays a
+    product: qubit q doubles the 2^q leading amplitudes into c * a and
+    s * a, the butterfly's products with the other half's zeros left out.
+    """
     rows, n = X.shape
-    states = np.zeros((rows, 1 << n), dtype=np.complex128)
+    states = np.empty((rows, 1 << n), dtype=np.complex128)
     states[:, 0] = 1.0
     diag = _phase_diagonal(spec, X)  # the same in every repetition
     cos, sin = np.cos(X)[:, :, None, None], np.sin(X)[:, :, None, None]
-    for _ in range(spec.reps):
+    for q in range(n):
+        lead = states[:, :1 << q]
+        c, s = (_SQRT2_INV, _SQRT2_INV) if spec.family == ZZ else (cos[:, q, 0], sin[:, q, 0])
+        np.multiply(s, lead, out=states[:, 1 << q:2 << q])
+        lead *= c
+    states *= diag
+    for _ in range(spec.reps - 1):
         for q in range(n):
             view = states.reshape(rows, -1, 2, 1 << q)
             a = view[:, :, 0, :].copy()

@@ -73,7 +73,7 @@ class KernelConfig:
             if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
                 what = "an integer" if kind is Integral else "a number"
                 raise ValueError(f"{self.kind} kernel: {name} must be {what}, got {value!r}")
-            if kind is Real and value is not None and not (
+            if name in ("degree", "offset", "gamma") and value is not None and not (
                     abs(value) <= sys.float_info.max):  # false for NaN, +-inf, huge ints
                 raise ValueError(f"{self.kind} kernel: {name} must be a finite number, "
                                  f"got {value!r}")

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from qsarq.feature_maps import ZZ, FeatureMapSpec, _phase_diagonal
 from qsarq.kernels import QUANTUM_EXACT, KernelConfig, kernel_value
 from qsarq.statevector import H, PARITY_PHASE, PHASE, RY, GateOp
 
@@ -55,6 +56,33 @@ def circuit_unitary(gates: list[GateOp], n_qubits: int) -> np.ndarray:
     for gate in gates:
         total = dense_gate_matrix(gate, n_qubits) @ total
     return total
+
+
+def butterfly_states(spec: FeatureMapSpec, X) -> np.ndarray:
+    """Encoded rows of X, every H or RY layer run as butterflies from |0...0>.
+
+    Each repetition applies, for every qubit, one butterfly over the pairs
+    of amplitudes that differ in that qubit's bit, then the repetition's
+    phase diagonal (taken from the encoder, which this does not check).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    rows, n = X.shape
+    states = np.zeros((rows, 1 << n), dtype=np.complex128)
+    states[:, 0] = 1.0
+    cos, sin = np.cos(X)[:, :, None, None], np.sin(X)[:, :, None, None]
+    for _ in range(spec.reps):
+        for q in range(n):
+            view = states.reshape(rows, -1, 2, 1 << q)
+            a, b = view[:, :, 0, :].copy(), view[:, :, 1, :].copy()
+            if spec.family == ZZ:
+                view[:, :, 0, :] = (a + b) * (1.0 / math.sqrt(2.0))
+                view[:, :, 1, :] = (a - b) * (1.0 / math.sqrt(2.0))
+            else:
+                c, s = cos[:, q], sin[:, q]
+                view[:, :, 0, :] = c * a - s * b
+                view[:, :, 1, :] = s * a + c * b
+        states *= _phase_diagonal(spec, X)
+    return states
 
 
 def jacobi_eigh(A, tol: float = 1e-12, max_sweeps: int = 100):

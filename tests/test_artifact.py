@@ -1,10 +1,16 @@
 """The artifact envelope: exact round trips and strict loading, for every type."""
 
+import base64
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from qsarq import artifact
 
 from qsarq.feature_maps import FeatureMapSpec
 from qsarq.kernels import QUANTUM_SHOTS, KernelConfig, gram, load_gram, save_gram
@@ -52,7 +58,7 @@ def test_round_trip_is_exact_and_rewrites_the_same_bytes(tmp_path, type_):
         if hasattr(saved, name):
             assert getattr(loaded, name) == getattr(saved, name), name
     record = json.loads((tmp_path / "first").read_text(), parse_constant=pytest.fail)
-    assert (record["format"], record["version"], record["type"]) == ("qsarq", 1, type_)
+    assert (record["format"], record["version"], record["type"]) == ("qsarq", 2, type_)
 
 
 def test_load_model_follows_the_saved_type(tmp_path):
@@ -64,19 +70,102 @@ def test_load_model_follows_the_saved_type(tmp_path):
         load_model(tmp_path / "gram")
 
 
+# any finite float64, with -0.0, subnormals and the largest magnitudes drawn often
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, sys.float_info.max, -sys.float_info.max])
+
+
+@st.composite
+def artifact_fields(draw):
+    """(type, fields) of an artifact whose arrays hold arbitrary finite float64 values."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+
+    def array(*shape):
+        return draw(arrays(np.float64, shape, elements=FLOATS))
+
+    type_ = draw(st.sampled_from(sorted(TYPES)))
+    return type_, {
+        "gram": lambda: {"entries": array(n, n), "kernel_config": {"kind": "linear"},
+                         "dataset_digest": "0", "jitter": 0.0},
+        "svm": lambda: {"alphas": array(n), "bias": 0.5, "converged": True,
+                        "kernel_config": {"kind": "linear"}, "labels": array(n),
+                        "training_features": array(n, d)},
+        "reg": lambda: {"basis": "affine", "n_features": d, "coefficients": array(n),
+                        "threshold": 0.0},
+    }[type_]()
+
+
+@settings(max_examples=60, deadline=None)
+@given(artifact_fields())
+def test_arrays_round_trip_bitwise_as_writable_float64(tmp_path_factory, drawn):
+    type_, fields = drawn
+    path = tmp_path_factory.mktemp("property") / "artifact"
+    artifact.save(path, type_, fields)
+    loaded = artifact.load(path, {type_: dict})
+    for key, saved in fields.items():
+        if isinstance(saved, np.ndarray):
+            got = loaded[key]
+            assert got.dtype == np.float64 and got.shape == saved.shape, key
+            assert got.tobytes() == saved.tobytes(), key  # -0.0 keeps its sign bit
+            assert got.flags.writeable and got.flags.owndata, key
+        else:
+            assert loaded[key] == saved, key
+
+
 # per type, one scalar field and one array field to spoil
 SCALAR_OF = {"gram": "jitter", "svm": "bias", "reg": "threshold"}
 ARRAY_OF = {"gram": "entries", "svm": "training_features", "reg": "coefficients"}
 
 
-def wrong_shape(rec):
-    """The array field of `rec` in a shape its type cannot have."""
-    array = rec[ARRAY_OF[rec["type"]]]
-    if rec["type"] == "gram":
-        return [row[:-1] for row in array]  # not square
-    if rec["type"] == "svm":
-        return array[:-1]  # one training row fewer than alphas
-    return [array]  # coefficients with a second axis
+def decoded(payload):
+    """The float64 array of a saved array field: base64 of little-endian float64 bytes."""
+    if isinstance(payload, str):
+        return np.frombuffer(base64.b64decode(payload), dtype="<f8")
+    return np.array([decoded(row) for row in payload])
+
+
+def encoded(array):
+    """The saved form of `array`: one base64 string, or one per row of a 2-D array."""
+    if array.ndim == 1:
+        return base64.b64encode(array.astype("<f8").tobytes()).decode("ascii")
+    return [encoded(row) for row in array]
+
+
+def respoiled(change, field=None):
+    """A record fault re-encoding array `field` (default: the type's) after `change`."""
+    def fault(rec):
+        name = field or ARRAY_OF[rec["type"]]
+        rec[name] = encoded(change(decoded(rec[name]).copy()))
+    return fault
+
+
+def first_row(change):
+    """A record fault applying `change` to the first payload string of the array field."""
+    def fault(rec):
+        name = ARRAY_OF[rec["type"]]
+        if isinstance(rec[name], str):
+            rec[name] = change(rec[name])
+        else:
+            rec[name][0] = change(rec[name][0])
+    return fault
+
+
+def wrong_shape(array):
+    """A valid array in a shape the field of its type cannot have."""
+    if array.ndim == 1:
+        return array[None, :]  # coefficients with a second axis
+    if array.shape[0] == array.shape[1]:
+        return array[:, :-1]  # entries not square
+    return array[:-1]  # one training row fewer than alphas
+
+
+def nan_first(array):
+    array.flat[0] = np.nan
+    return array
+
+
+def one_byte_short(text):
+    return base64.b64encode(base64.b64decode(text)[:-1]).decode("ascii")
 
 
 def spoiled(tmp_path, type_, fault):
@@ -89,37 +178,52 @@ def spoiled(tmp_path, type_, fault):
     return path
 
 
-# (name, malformed change to a saved record)
+# (name, malformed change to a saved record, pattern of the error message)
 FAULTS = [
     ("wrong type", lambda rec: rec.update(type={"gram": "svm", "svm": "reg",
-                                                "reg": "gram"}[rec["type"]])),
-    ("wrong version", lambda rec: rec.update(version=2)),
-    ("version true", lambda rec: rec.update(version=True)),
-    ("other format", lambda rec: rec.update(format="qsarq-svm v1")),
-    ("missing key", lambda rec: rec.pop(SCALAR_OF[rec["type"]])),
-    ("unknown key", lambda rec: rec.update(extra=1)),
-    ("wrong-shaped array", lambda rec: rec.__setitem__(ARRAY_OF[rec["type"]],
-                                                       wrong_shape(rec))),
-    ("array of strings", lambda rec: rec.__setitem__(
-        ARRAY_OF[rec["type"]], np.asarray(rec[ARRAY_OF[rec["type"]]]).astype(str).tolist())),
-    ("non-finite number", lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], float("nan"))),
-    ("number as a string", lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], "0.5")),
+                                                "reg": "gram"}[rec["type"]]), "artifact, expected"),
+    ("wrong version", lambda rec: rec.update(version=1), "artifact version 1, not 2"),
+    ("version true", lambda rec: rec.update(version=True), "artifact version True"),
+    ("other format", lambda rec: rec.update(format="qsarq-svm v1"), "not a qsarq artifact"),
+    ("missing key", lambda rec: rec.pop(SCALAR_OF[rec["type"]]), "missing key"),
+    ("unknown key", lambda rec: rec.update(extra=1), "unknown key"),
+    ("wrong-shaped array", respoiled(wrong_shape), "has shape|1-D array as base64"),
+    ("array as numbers", lambda rec: rec.__setitem__(
+        ARRAY_OF[rec["type"]], decoded(rec[ARRAY_OF[rec["type"]]]).tolist()), "base64"),
+    ("non-finite number", lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], float("nan")),
+     "not a finite number"),
+    ("number as a string", lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], "0.5"),
+     "must be of type"),
+    ("non-base64 character", first_row(lambda text: "!" + text[1:]), "not base64"),
+    ("payload not a multiple of 8", first_row(one_byte_short), "not a multiple of 8"),
+    ("NaN bits", respoiled(nan_first), "non-finite"),
 ]
 
 
-@pytest.mark.parametrize("name, fault", FAULTS, ids=[name for name, _ in FAULTS])
+@pytest.mark.parametrize("name, fault, message", FAULTS, ids=[name for name, *_ in FAULTS])
 @pytest.mark.parametrize("type_", TYPES)
-def test_malformed_artifact_raises_naming_the_file(tmp_path, type_, name, fault):
+def test_malformed_artifact_raises_naming_the_file(tmp_path, type_, name, fault, message):
     path = spoiled(tmp_path, type_, fault)
-    with pytest.raises(ValueError, match=re.escape(str(path))):
+    with pytest.raises(ValueError, match=re.escape(str(path))) as info:
+        TYPES[type_][2](path)
+    assert re.search(message, str(info.value))
+
+
+@pytest.mark.parametrize("type_", ["gram", "svm"])
+def test_ragged_rows_raise_naming_the_file(tmp_path, type_):
+    def ragged(rec):
+        rows = rec[ARRAY_OF[type_]]
+        rows[0] = encoded(decoded(rows[0])[:-1])
+    path = spoiled(tmp_path, type_, ragged)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*unequal length"):
         TYPES[type_][2](path)
 
 
 @pytest.mark.parametrize("type_, fault", [
     ("gram", lambda rec: rec["kernel_config"].update(gamma=1.0)),
     ("svm", lambda rec: rec["kernel_config"]["feature_map"].update(rep=1)),
-    ("svm", lambda rec: rec["labels"].__setitem__(0, 0)),
-    ("reg", lambda rec: rec.update(coefficients=rec["coefficients"][:-1])),
+    ("svm", respoiled(lambda labels: np.r_[0.0, labels[1:]], "labels")),
+    ("reg", respoiled(lambda coefficients: coefficients[:-1], "coefficients")),
     ("reg", lambda rec: rec.update(n_features=True)),
 ], ids=["kernel key", "feature map key", "label 0", "coefficient count", "n_features"])
 def test_fields_that_build_no_object_raise_naming_the_file(tmp_path, type_, fault):

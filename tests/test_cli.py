@@ -179,6 +179,22 @@ def test_unreadable_model_file_exits_2_naming_it(tmp_path, config, qsarq, text):
     assert code == 2 and f"error: {path}: not a qsarq artifact" in err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_version_1_artifact_exits_2_naming_it(tmp_path, config, qsarq, command):
+    maker, saved = ("gram", "qsvm.gram") if command == "train" else ("train", "qsvm.model")
+    assert qsarq(maker, "--config", config, "--model", "qsvm", "--out", tmp_path,
+                 "--quiet")[0] == 0
+    path = tmp_path / "v1"
+    text = (tmp_path / saved).read_text(encoding="utf-8")
+    path.write_text(text.replace('"version": 2', '"version": 1'), encoding="utf-8")
+    if command == "train":
+        args = ("train", "--config", config, "--model", "qsvm", "--gram", path)
+    else:
+        args = ("eval", path, tmp_path / "data.csv", "--cutoff", CUTOFF)
+    code, _, err = qsarq(*args, "--out", tmp_path / "out", "--quiet")
+    assert code == 2 and f"error: {path}: artifact version 1, not 2" in err
+
+
 def test_gram_on_a_regression_row_exits_2(tmp_path, config, qsarq):
     assert qsarq("gram", "--config", config, "--model", "qsvm", "--out", tmp_path,
                  "--quiet")[0] == 0
@@ -256,6 +272,8 @@ TYPE_ERRORS = [
     pytest.param("kernel", {"kind": "rbf", "gamma": 10**400}, "gamma", id="gamma_huge_int"),
     pytest.param("kernel", {"kind": "poly", "degree": 2, "offset": 10**400}, "offset",
                  id="offset_huge_int"),
+    pytest.param("kernel", {"kind": "poly", "degree": 10**400, "offset": 1.0}, "degree",
+                 id="degree_huge_int"),
     pytest.param("C", 10**400, "C", id="C_huge_int"),
     pytest.param("ridge", 10**400, "ridge", id="ridge_huge_int"),
     pytest.param("split", 10**400, "split", id="split_huge_int"),

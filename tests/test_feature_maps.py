@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import circuit_unitary
+from oracles import butterfly_states, circuit_unitary
 from qsarq.errors import ResourceLimitError
 from qsarq.feature_maps import (
     CUSTOM,
@@ -147,6 +147,16 @@ def test_encode_batch_matches_gate_list_and_dense_oracle(family, entanglement, r
             oracle = circuit_unitary(gates, n)[:, 0]
             assert np.max(np.abs(state - ref)) <= 1e-12
             assert np.max(np.abs(state - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("family", [ZZ, CUSTOM])
+@pytest.mark.parametrize("entanglement", [LINEAR, FULL])
+@pytest.mark.parametrize("reps", [1, 2])
+def test_encode_batch_equals_butterflies_from_the_zero_state(family, entanglement, reps):
+    X = np.random.default_rng(11).random((40, 6))
+    for n in range(1, 7):
+        spec = FeatureMapSpec(family, n, reps=reps, entanglement=entanglement)
+        assert np.array_equal(encode_batch(spec, X[:, :n]), butterfly_states(spec, X[:, :n]))
 
 
 def test_encode_batch_validation():

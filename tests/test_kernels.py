@@ -364,7 +364,7 @@ def test_gram_text_round_trip(tmp_path):
     path = tmp_path / "kernel.gram"
     save_gram(gm, path)
     loaded = load_gram(path)
-    assert np.array_equal(loaded.entries, gm.entries)  # 17 digits round-trip exactly
+    assert np.array_equal(loaded.entries, gm.entries)  # the float64 bytes round-trip exactly
     assert loaded.dataset_digest == gm.dataset_digest
     assert loaded.kernel_config == gm.kernel_config
 
