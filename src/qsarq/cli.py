@@ -15,6 +15,7 @@ invalid input or config, 3 on internal consistency failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -44,6 +45,17 @@ from .preprocess import (
     resolve_labels,
     write_feature_csv,
 )
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor +-inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _say(args, message: str) -> None:
@@ -165,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="raw descriptor CSV")
     p.add_argument("--lipinski", action="store_true",
                    help="drop rows failing the rule of five")
-    p.add_argument("--cutoff", type=float, default=None,
+    p.add_argument("--cutoff", type=_finite_float, default=None,
                    help="pEC50 cutoff for deriving labels")
     p.add_argument("--no-scale", action="store_true", help="skip min-max scaling")
     common(p)
@@ -188,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a saved model on a feature CSV")
     p.add_argument("model", help="saved model file")
     p.add_argument("data", help="feature CSV with labels (see `preprocess`)")
-    p.add_argument("--cutoff", type=float, default=None,
+    p.add_argument("--cutoff", type=_finite_float, default=None,
                    help="pEC50 cutoff if labels must be derived")
     common(p)
     p.set_defaults(func=cmd_eval)

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
-from numbers import Integral
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .fields import check_fields, from_mapping
 from .statevector import (
     BLOCK_BYTES,
     H,
@@ -58,12 +58,7 @@ class FeatureMapSpec:
     entanglement: str = LINEAR
 
     def __post_init__(self):
-        for name, kind in (("family", str), ("n_qubits", Integral),
-                           ("reps", Integral), ("entanglement", str)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if kind is Integral else "a string"
-                raise ValueError(f"feature map: {name} must be {what}, got {value!r}")
+        check_fields(self, "feature map")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown feature-map family {self.family!r}")
         if self.entanglement not in ENTANGLEMENTS:
@@ -74,26 +69,11 @@ class FeatureMapSpec:
             raise ValueError("reps must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n_qubits": self.n_qubits,
-            "reps": self.reps,
-            "entanglement": self.entanglement,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureMapSpec":
-        if not isinstance(d, dict):
-            raise ValueError(f"feature map must be a mapping, got {d!r}")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"feature map has unknown key(s) {sorted(unknown)}")
-        return cls(
-            family=d.get("family"),
-            n_qubits=d.get("n_qubits"),
-            reps=d.get("reps"),
-            entanglement=d.get("entanglement"),
-        )
+        return from_mapping(cls, d, "kernel feature_map")
 
 
 def entanglement_pairs(scheme: str, n_qubits: int) -> list[tuple[int, int]]:

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from dataclasses import dataclass, field, fields
-from numbers import Integral, Real
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import artifact
 from .errors import InternalConsistencyError
 from .feature_maps import FeatureMapSpec, encode, encode_blocks
+from .fields import check_fields, from_mapping
 from .statevector import BLOCK_BYTES, StateVector, check_state_stack
 
 QUANTUM_EXACT = "quantum_exact"
@@ -65,18 +65,9 @@ class KernelConfig:
     gamma: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in KINDS:
+        check_fields(self, "kernel")
+        if self.kind not in KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        for name, kind in (("shots", Integral), ("rng_seed", Integral),
-                           ("degree", Integral), ("offset", Real), ("gamma", Real)):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
-                what = "an integer" if kind is Integral else "a number"
-                raise ValueError(f"{self.kind} kernel: {name} must be {what}, got {value!r}")
-            if name in ("degree", "offset", "gamma") and value is not None and not (
-                    abs(value) <= sys.float_info.max):  # false for NaN, +-inf, huge ints
-                raise ValueError(f"{self.kind} kernel: {name} must be a finite number, "
-                                 f"got {value!r}")
         required = {
             QUANTUM_EXACT: ("feature_map",),
             QUANTUM_SHOTS: ("feature_map", "shots", "rng_seed"),
@@ -95,8 +86,9 @@ class KernelConfig:
             raise ValueError(f"shots must be between 1 and {_MAX_SHOTS}, got {self.shots}")
         if self.rng_seed is not None and self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if self.degree is not None and self.degree < 1:
-            raise ValueError("degree must be >= 1")
+        # a degree too large for a float would overflow the kernel's power
+        if self.degree is not None and not 1 <= self.degree <= sys.float_info.max:
+            raise ValueError(f"degree must be >= 1 and fit a float, got {self.degree}")
         if self.offset is not None and self.offset < 0:
             raise ValueError("offset must be >= 0")
         if self.gamma is not None and self.gamma <= 0:
@@ -117,30 +109,14 @@ class KernelConfig:
         return f"c | rbf gamma={self.gamma:g}"
 
     def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.feature_map is not None:
-            d["feature_map"] = self.feature_map.to_dict()
-        for name in ("shots", "rng_seed", "degree", "offset", "gamma"):
-            value = getattr(self, name)
-            if value is not None:
-                d[name] = value
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"{d.get('kind')} kernel has unknown key(s) {sorted(unknown)}")
         fm = d.get("feature_map")
-        return cls(
-            kind=d.get("kind"),
-            feature_map=FeatureMapSpec.from_dict(fm) if fm is not None else None,
-            shots=d.get("shots"),
-            rng_seed=d.get("rng_seed"),
-            degree=d.get("degree"),
-            offset=d.get("offset"),
-            gamma=d.get("gamma"),
-        )
+        if fm is not None:
+            d = {**d, "feature_map": FeatureMapSpec.from_dict(fm)}
+        return from_mapping(cls, d, "kernel")
 
 
 @dataclass

@@ -11,10 +11,8 @@ input are byte-identical.
 from __future__ import annotations
 
 import json
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +20,7 @@ import yaml
 
 from . import artifact
 from .errors import InternalConsistencyError
+from .fields import check_fields, from_mapping
 from .kernels import (
     QUANTUM_KINDS,
     QUANTUM_SHOTS,
@@ -60,52 +59,6 @@ MODEL_KINDS = frozenset({REG_LS, REG_ANNEAL, SVM})
 EXEC_CPU = "cpu-exact"
 EXEC_SHOTS = "sim-shots"
 
-_ENTRY_KEYS = {
-    "name", "kind", "tag", "note", "basis", "ridge", "target",
-    "t0", "cooling", "iterations", "anneal_seed",
-    "kernel", "C", "tol", "max_iters", "jitter",
-}
-_CONFIG_KEYS = {
-    "input", "seed", "split", "lipinski_filter", "activity_cutoff",
-    "pca_k", "scaler", "models",
-}
-_OPTIONAL_STR = (str, type(None))
-_OPTIONAL_REAL = (Real, type(None))
-_OPTIONAL_INT = (Integral, type(None))
-_TYPE_NAMES = {str: "a string", _OPTIONAL_STR: "a string", Real: "a number",
-               _OPTIONAL_REAL: "a number", Integral: "an integer",
-               _OPTIONAL_INT: "an integer", bool: "true or false"}
-# the type every scalar entry field and top-level value must have as read
-# from YAML; values are checked, not converted, so the report echoes them
-# as written
-_ENTRY_TYPES = {
-    **dict.fromkeys(("name", "kind", "basis", "target"), str),
-    **dict.fromkeys(("tag", "note"), _OPTIONAL_STR),
-    **dict.fromkeys(("ridge", "t0", "cooling", "C", "tol", "jitter"), Real),
-    **dict.fromkeys(("iterations", "anneal_seed", "max_iters"), Integral),
-}
-_CONFIG_TYPES = {
-    "input": str, "seed": Integral, "split": Real, "lipinski_filter": bool,
-    "activity_cutoff": _OPTIONAL_REAL, "pca_k": _OPTIONAL_INT, "scaler": bool,
-}
-
-
-def _check_types(values: dict, types: dict, where: str) -> None:
-    """Raise a ValueError naming the first key whose value has the wrong type.
-
-    A bool is neither a number nor an integer here, and NaN, +-inf and
-    integers too large for a float are not numbers. Absent keys are skipped.
-    """
-    for key, kind in types.items():
-        if key not in values:
-            continue
-        value = values[key]
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-            raise ValueError(f"{where}{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
-        if kind in (Real, _OPTIONAL_REAL) and value is not None and not (
-                abs(value) <= sys.float_info.max):  # false for NaN, +-inf, huge ints
-            raise ValueError(f"{where}{key} must be a finite number, got {value!r}")
-
 
 @dataclass
 class ModelEntry:
@@ -131,10 +84,8 @@ class ModelEntry:
     jitter: float = 0.0
 
     def __post_init__(self):
-        _check_types(vars(self), _ENTRY_TYPES, f"model {self.name!r}: ")
-        if self.kernel is not None and not (
-            isinstance(self.kernel, dict) and isinstance(self.kernel.get("kind"), str)
-        ):
+        check_fields(self, f"model {self.name!r}")
+        if self.kernel is not None and not isinstance(self.kernel.get("kind"), str):
             raise ValueError(f"model {self.name!r}: kernel must be a mapping with "
                              f"a 'kind', got {self.kernel!r}")
         if self.kind not in MODEL_KINDS:
@@ -159,6 +110,7 @@ class ExperimentConfig:
     scaler: bool = True
 
     def __post_init__(self):
+        check_fields(self, "config")
         if not self.models:
             raise ValueError("config lists no models")
         if not 0.0 < self.split < 1.0:
@@ -180,18 +132,6 @@ def _default_tag(kind: str, kernel: dict | None) -> str:
     return "c"
 
 
-def _parse_entry(raw: dict) -> ModelEntry:
-    if not isinstance(raw, dict):
-        raise ValueError(f"model entry must be a mapping, got {type(raw).__name__}")
-    unknown = set(raw) - _ENTRY_KEYS
-    if unknown:
-        raise ValueError(f"model entry has unknown key(s) {sorted(unknown)}")
-    for key in ("name", "kind"):
-        if key not in raw:
-            raise ValueError(f"model entry missing required key {key!r}")
-    return ModelEntry(**raw)
-
-
 def load_experiment_config(path) -> ExperimentConfig:
     """Read and validate a YAML experiment config.
 
@@ -200,33 +140,20 @@ def load_experiment_config(path) -> ExperimentConfig:
     cfg_path = Path(path)
     with open(cfg_path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config must be a mapping")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"{path}: unknown config key(s) {sorted(unknown)}")
-    for key in ("input", "seed", "split", "models"):
-        if key not in raw:
-            raise ValueError(f"{path}: missing required key {key!r}")
-    _check_types(raw, _CONFIG_TYPES, f"{path}: ")
-    if not isinstance(raw["models"] or [], list):
-        raise ValueError(f"{path}: models must be a list of model entries")
-    models = [_parse_entry(m) for m in raw["models"] or []]
-    input_path = Path(raw["input"])
+    try:
+        if isinstance(raw, dict) and isinstance(raw.get("models"), list):
+            raw = {**raw, "models": [from_mapping(ModelEntry, m, "model entry")
+                                     for m in raw["models"]]}
+        config = from_mapping(ExperimentConfig, raw, "config")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    input_path = Path(config.input)
     if not input_path.is_absolute():
         input_path = (cfg_path.parent / input_path).resolve()
-    return ExperimentConfig(
-        input=str(input_path),
-        seed=raw["seed"],
-        split=float(raw["split"]),
-        models=models,
-        lipinski_filter=raw.get("lipinski_filter", False),
-        activity_cutoff=(
-            None if raw.get("activity_cutoff") is None else float(raw["activity_cutoff"])
-        ),
-        pca_k=raw.get("pca_k"),
-        scaler=raw.get("scaler", True),
-    )
+    config.input = str(input_path)
+    if config.activity_cutoff is not None:
+        config.activity_cutoff = float(config.activity_cutoff)
+    return config
 
 
 def accuracy(predictions, truth) -> float:
@@ -258,19 +185,10 @@ def split_indices(n_rows: int, fraction: float, seed: int) -> tuple[np.ndarray, 
 
 def resolve_kernel_config(raw: dict, n_features: int) -> KernelConfig:
     """Build a KernelConfig, filling the feature-map qubit count from the data."""
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ValueError("kernel section must be a mapping with a 'kind'")
-    spec = dict(raw)
-    fm = spec.get("feature_map")
-    if fm is not None:
-        if not isinstance(fm, dict):
-            raise ValueError(f"kernel feature_map must be a mapping, got {fm!r}")
-        fm = dict(fm)
-        fm.setdefault("n_qubits", n_features)
-        fm.setdefault("reps", 2)
-        fm.setdefault("entanglement", "linear")
-        spec["feature_map"] = fm
-    kcfg = KernelConfig.from_dict(spec)
+    fm = raw.get("feature_map")
+    if isinstance(fm, dict):
+        raw = {**raw, "feature_map": {"n_qubits": n_features, **fm}}
+    kcfg = KernelConfig.from_dict(raw)
     if kcfg.feature_map is not None and kcfg.feature_map.n_qubits != n_features:
         raise ValueError(
             f"feature map n_qubits={kcfg.feature_map.n_qubits} does not match the "
@@ -542,17 +460,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         "feature_names": list(info["names"]),
         "digest": info["digest"],
     }
-    config_echo = {
-        "input": config.input,
-        "seed": config.seed,
-        "split": config.split,
-        "lipinski_filter": config.lipinski_filter,
-        "activity_cutoff": config.activity_cutoff,
-        "pca_k": config.pca_k,
-        "scaler": config.scaler,
-        "models": [
-            {k: v for k, v in vars(entry).items() if v is not None}
-            for entry in config.models
-        ],
-    }
+    config_echo = {**vars(config), "models": [
+        {k: v for k, v in vars(entry).items() if v is not None} for entry in config.models
+    ]}
     return EvalReport(results=results, dataset=dataset, config_echo=config_echo)

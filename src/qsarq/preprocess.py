@@ -219,8 +219,7 @@ def read_descriptor_csv(path) -> list[DescriptorRow]:
                         )
                     known[name] = int(label)
                 elif name in _CANONICAL.values():
-                    field_name = "ec50_nM" if name == "ec50_nM" else name
-                    known[field_name] = _parse_float(value, name, where)
+                    known[name] = _parse_float(value, name, where)
                 else:
                     extras[name] = _parse_float(value, name, where)
             if "compound_id" not in known:

@@ -319,3 +319,31 @@ def test_unknown_kernel_key_exits_2(tmp_path, qsarq, kernel, unknown):
     code, _, err = qsarq("run", "--config", config, "--out", tmp_path, "--quiet")
     assert code == 2
     assert err.startswith("error: ") and f"unknown key(s) [{unknown!r}]" in err
+
+
+@pytest.mark.parametrize("section", ["config", "kernel"])
+def test_unknown_keys_of_mixed_type_exit_2(tmp_path, qsarq, section):
+    write_csv(tmp_path / "data.csv")
+    config = {"input": "data.csv", "seed": 3, "split": 0.7, "activity_cutoff": CUTOFF,
+              "models": [{"name": "m", "kind": "svm", "kernel": {"kind": "linear"}}]}
+    (config if section == "config" else config["models"][0]["kernel"]).update({1: 2, "foo": 3})
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+    code, _, err = qsarq("run", "--config", path, "--out", tmp_path / "out", "--quiet")
+    assert code == 2
+    assert err.startswith("error: ") and "unknown key(s) [1, 'foo']" in err
+
+
+@pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["preprocess", "eval"])
+def test_non_finite_cutoff_exits_2(tmp_path, config, qsarq, capsys, command, cutoff):
+    inputs = (tmp_path / "data.csv",)
+    if command == "eval":
+        assert qsarq("train", "--config", config, "--model", "ls", "--out", tmp_path,
+                     "--quiet")[0] == 0
+        inputs = (tmp_path / "ls.model", *inputs)
+    with pytest.raises(SystemExit) as info:
+        qsarq(command, *inputs, f"--cutoff={cutoff}", "--out", tmp_path / "out", "--quiet")
+    assert info.value.code == 2
+    assert f"--cutoff: must be a finite number, got '{cutoff}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

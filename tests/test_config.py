@@ -1,0 +1,67 @@
+"""Fuzzing of experiment-config ingestion: a bad value exits through ValueError only."""
+
+import copy
+import math
+
+import yaml
+from hypothesis import given, settings, strategies as st
+
+from qsarq.feature_maps import FeatureMapSpec
+from qsarq.kernels import KernelConfig
+from qsarq.pipeline import (
+    SVM,
+    ExperimentConfig,
+    ModelEntry,
+    load_experiment_config,
+    resolve_kernel_config,
+)
+
+N_FEATURES = 5
+CONFIG = {
+    "input": "data.csv", "seed": 3, "split": 0.7, "activity_cutoff": 6.0, "pca_k": None,
+    "models": [
+        {"name": "q", "kind": "svm", "C": 2.0, "jitter": 0.01,
+         "kernel": {"kind": "quantum_shots", "shots": 64, "rng_seed": 1,
+                    "feature_map": {"family": "zz", "reps": 1, "entanglement": "full"}}},
+        {"name": "ls", "kind": "reg_ls", "ridge": 0.01, "target": "activity"},
+    ],
+}
+# each section of CONFIG, and the dataclass whose field names may key it
+SECTIONS = {
+    "config": (lambda c: c, ExperimentConfig),
+    "model entry": (lambda c: c["models"][0], ModelEntry),
+    "kernel": (lambda c: c["models"][0]["kernel"], KernelConfig),
+    "feature map": (lambda c: c["models"][0]["kernel"]["feature_map"], FeatureMapSpec),
+}
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+SCALARS = (st.none() | st.booleans() | st.integers() | TEXT
+           | st.sampled_from([10**400, -10**400, 2**63, -1, 0])
+           | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 1e308]))
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(TEXT | st.integers(), inner, max_size=3),
+                      max_leaves=6)
+
+
+@st.composite
+def mutated_configs(draw):
+    """CONFIG with one key of one section set to an arbitrary value."""
+    config = copy.deepcopy(CONFIG)
+    pick, cls = SECTIONS[draw(st.sampled_from(sorted(SECTIONS)))]
+    section = pick(config)
+    names = sorted({*section, *cls.__dataclass_fields__})
+    section[draw(st.sampled_from(names) | TEXT | st.integers())] = draw(VALUES)
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_configs())
+def test_config_ingestion_raises_only_value_errors(tmp_path_factory, config):
+    path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
+    path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+    try:
+        loaded = load_experiment_config(path)
+        for entry in loaded.models:
+            if entry.kind == SVM:
+                resolve_kernel_config(entry.kernel, N_FEATURES)
+    except ValueError:
+        pass
