@@ -33,13 +33,11 @@ from .pipeline import (
     split_indices,
 )
 from .preprocess import (
-    DescriptorRow,
+    DescriptorTable,
     PcaModel,
     ScalerModel,
     label_from_activity,
-    lipinski_pass,
     minmax_fit,
-    minmax_fit_transform,
     minmax_inverse,
     minmax_transform,
     pca_fit,
@@ -54,8 +52,6 @@ from .regression import (
     fit_annealing,
     fit_least_squares,
     load_reg_model,
-    predict_label,
-    predict_value,
     save_reg_model,
 )
 from .statevector import (

@@ -3,13 +3,15 @@
 Subcommands mirror the pipeline stages: `preprocess` normalizes a raw
 descriptor CSV, `gram` materializes a kernel matrix, `train` fits one
 configured model, `eval` scores a saved model, and `run` executes the
-whole experiment and writes the comparison report. `gram` and `train`
-prepare the whole input with the pipeline's `prepare_features` (no
-train/test split) and `train` fits through `fit_entry`, so a saved model
-is fitted exactly as its row in the report is. Gram matrices and models
-are files in the one JSON format of `qsarq.artifact`; `eval` reads either
-model type through `pipeline.load_model`. Exit codes: 0 on success, 2 on
-invalid input or config, 3 on internal consistency failures.
+whole experiment and writes the comparison report. Each reads its CSV
+into one `preprocess.DescriptorTable` of columns; `gram` and `train` do
+so through the pipeline's `prepare_features` (no train/test split), and
+`train` fits through `fit_entry` with the table's activity column, so a
+saved model is fitted exactly as its row in the report is. Gram
+matrices and models are files in the one JSON format of
+`qsarq.artifact`; `eval` reads either model type through
+`pipeline.load_model`. Exit codes: 0 on success, 2 on invalid input or
+config, 3 on internal consistency failures.
 """
 
 from __future__ import annotations
@@ -73,24 +75,24 @@ def _select_entry(config: ExperimentConfig, name: str | None):
 
 
 def cmd_preprocess(args) -> None:
-    rows = read_descriptor_csv(args.input)
+    table = read_descriptor_csv(args.input)
     if args.lipinski:
-        rows = apply_lipinski_filter(rows)
-        if not rows:
+        table = apply_lipinski_filter(table)
+        if not len(table):
             raise ValueError("no rows survive the rule-of-five filter")
     try:
-        labels = resolve_labels(rows, args.cutoff)
+        labels = resolve_labels(table, args.cutoff)
     except ValueError as exc:
         _say(args, f"labels omitted: {exc}")
         labels = None
-    X, names = feature_matrix(rows)
+    X, names = feature_matrix(table)
     if not args.no_scale:
         X = minmax_transform(minmax_fit(X), X)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "normalized.csv"
-    write_feature_csv(out_path, [r.compound_id for r in rows], X, names, labels)
-    _say(args, f"wrote {out_path} ({len(rows)} rows, {len(names)} features)")
+    write_feature_csv(out_path, table.ids, X, names, labels)
+    _say(args, f"wrote {out_path} ({len(table)} rows, {len(names)} features)")
 
 
 def cmd_gram(args) -> None:
@@ -121,7 +123,7 @@ def cmd_train(args) -> None:
                 f"{args.gram}: Gram matrix digest does not match the "
                 "preprocessed input data"
             )
-    model = fit_entry(entry, X, labels, info["rows"], config.activity_cutoff, gm)
+    model = fit_entry(entry, X, labels, info["table"].activity, config.activity_cutoff, gm)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{entry.name}.model"
@@ -134,16 +136,16 @@ def cmd_train(args) -> None:
 
 def cmd_eval(args) -> None:
     model = load_model(args.model)
-    rows = read_descriptor_csv(args.data)
-    labels = resolve_labels(rows, args.cutoff)
-    X, _ = feature_matrix(rows)
+    table = read_descriptor_csv(args.data)
+    labels = resolve_labels(table, args.cutoff)
+    X, _ = feature_matrix(table)
     acc = accuracy(predict(model, X), labels)
-    _say(args, f"accuracy {acc:.4f} on {len(rows)} rows")
+    _say(args, f"accuracy {acc:.4f} on {len(table)} rows")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         metrics = out_dir / "metrics.txt"
-        metrics.write_text(f"accuracy {acc:.17g}\nn {len(rows)}\n", encoding="utf-8")
+        metrics.write_text(f"accuracy {acc:.17g}\nn {len(table)}\n", encoding="utf-8")
         _say(args, f"wrote {metrics}")
 
 

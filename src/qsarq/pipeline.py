@@ -30,7 +30,6 @@ from .kernels import (
     gram,
 )
 from .preprocess import (
-    activity,
     apply_lipinski_filter,
     feature_matrix,
     minmax_fit,
@@ -276,41 +275,30 @@ def _stage(name: str):
         raise InternalConsistencyError(f"stage {name}: {exc}") from exc
 
 
-def _activity_values(rows) -> np.ndarray:
-    values = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        value = activity(row)
-        if value is None:
-            raise ValueError(
-                f"{row.compound_id}: activity-target regression needs pEC50 or EC50"
-            )
-        values[i] = value
-    return values
-
-
 def prepare_features(config: ExperimentConfig, split: bool = True):
     """Shared preprocessing: ingest, filter, label, scale, reduce.
 
     Returns (X_train, X_test, y_train, y_test, info) with all fit steps
-    performed on the training split only. With `split=False` every row
-    is a training row and the test arrays are empty.
+    performed on the training split only; `info["table"]` holds the
+    filtered descriptor table behind X. With `split=False` every row is a
+    training row and the test arrays are empty.
     """
     with _stage("ingest"):
-        rows = read_descriptor_csv(config.input)
+        table = read_descriptor_csv(config.input)
     if config.lipinski_filter:
         with _stage("filter"):
-            rows = apply_lipinski_filter(rows)
-            if len(rows) < 2:
+            table = apply_lipinski_filter(table)
+            if len(table) < 2:
                 raise ValueError("fewer than two rows survive the rule-of-five filter")
     with _stage("labels"):
-        labels = resolve_labels(rows, config.activity_cutoff)
+        labels = resolve_labels(table, config.activity_cutoff)
     with _stage("features"):
-        X, names = feature_matrix(rows)
+        X, names = feature_matrix(table)
     with _stage("split"):
         if split:
-            train_idx, test_idx = split_indices(len(rows), config.split, config.seed)
+            train_idx, test_idx = split_indices(len(table), config.split, config.seed)
         else:
-            train_idx, test_idx = np.arange(len(rows)), np.arange(0)
+            train_idx, test_idx = np.arange(len(table)), np.arange(0)
         y_train, y_test = labels[train_idx], labels[test_idx]
         if split and np.all(y_train == y_train[0]):
             raise ValueError("training split contains a single class; change the seed")
@@ -331,7 +319,7 @@ def prepare_features(config: ExperimentConfig, split: bool = True):
                 X_train = minmax_transform(rescaler, X_train)
                 X_test = minmax_transform(rescaler, X_test)
     info = {
-        "rows": rows,
+        "table": table,
         "names": names,
         "train_idx": train_idx,
         "test_idx": test_idx,
@@ -346,13 +334,13 @@ def entry_gram(entry: ModelEntry, X) -> GramMatrix:
     return gram(kcfg, X, jitter=entry.jitter)
 
 
-def fit_entry(entry: ModelEntry, X, y, rows, cutoff, gm: GramMatrix | None = None):
+def fit_entry(entry: ModelEntry, X, y, activity, cutoff, gm: GramMatrix | None = None):
     """Fit one configured model on the rows of X with class labels y.
 
-    `rows` are the descriptor rows behind X, read for activity targets;
-    `cutoff` is the config's activity_cutoff. An svm row trains on `gm`
-    when given (its Gram matrix over X, which must hold the row's kernel),
-    else on a freshly built one.
+    `activity` is the pEC50 of the same rows (NaN where a row has none),
+    read for activity targets; `cutoff` is the config's activity_cutoff.
+    An svm row trains on `gm` when given (its Gram matrix over X, which
+    must hold the row's kernel), else on a freshly built one.
     """
     if entry.kind == SVM:
         if gm is None:
@@ -376,7 +364,10 @@ def fit_entry(entry: ModelEntry, X, y, rows, cutoff, gm: GramMatrix | None = Non
             raise ValueError(
                 f"model {entry.name!r}: activity target needs activity_cutoff"
             )
-        targets, threshold = _activity_values(rows), float(cutoff)
+        if np.isnan(activity).any():
+            raise ValueError(f"model {entry.name!r}: activity-target regression needs "
+                             "pEC50 or EC50 on every training row")
+        targets, threshold = activity, float(cutoff)
     else:
         targets, threshold = y.astype(np.float64), 0.0
     if entry.kind == REG_LS:
@@ -405,9 +396,9 @@ def load_model(path):
     return artifact.load(path, {artifact.SVM: svm_from_fields, artifact.REG: reg_from_fields})
 
 
-def _run_row(entry, train_rows, cutoff, X_train, X_test, y_train, y_test):
+def _run_row(entry, train_activity, cutoff, X_train, X_test, y_train, y_test):
     """Fit one row on the training split, then score it on the test split."""
-    model = fit_entry(entry, X_train, y_train, train_rows, cutoff)
+    model = fit_entry(entry, X_train, y_train, train_activity, cutoff)
     acc = accuracy(predict(model, X_test), y_test)
     if entry.kind == SVM:
         kcfg = model.kernel_config
@@ -434,14 +425,13 @@ def _run_row(entry, train_rows, cutoff, X_train, X_test, y_train, y_test):
 def run_experiment(config: ExperimentConfig) -> EvalReport:
     """Execute every configured model row and assemble the report."""
     X_train, X_test, y_train, y_test, info = prepare_features(config)
-    rows, train_idx, test_idx = info["rows"], info["train_idx"], info["test_idx"]
-    train_rows = [rows[i] for i in train_idx]
+    table, train_idx, test_idx = info["table"], info["train_idx"], info["test_idx"]
 
     results = []
     for entry in config.models:
         with _stage(f"model {entry.name}"):
             acc, execution, kdesc, detail = _run_row(
-                entry, train_rows, config.activity_cutoff,
+                entry, table.activity[train_idx], config.activity_cutoff,
                 X_train, X_test, y_train, y_test,
             )
         results.append(ModelResult(
@@ -450,7 +440,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         ))
 
     dataset = {
-        "n_rows": len(rows),
+        "n_rows": len(table),
         "n_train": int(train_idx.size),
         "n_test": int(test_idx.size),
         "train_pos": int(np.sum(y_train == 1)),

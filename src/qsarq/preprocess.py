@@ -1,15 +1,18 @@
 """Descriptor ingestion and preprocessing.
 
-Raw compound records arrive as CSV rows of precomputed molecular
-descriptors. This module turns them into model-ready arrays: the
-activity transform pEC50 = -log10(EC50 in molar), rule-of-five
-filtering, min-max scaling fitted on training data only, and PCA
-via eigendecomposition of the sample covariance.
+A descriptor CSV holds one compound per row: an id, precomputed
+molecular descriptors, and optionally a +-1 label and an activity
+measurement. `read_descriptor_csv` reads it into one `DescriptorTable`
+of columns, and every later step works on whole columns: the activity
+transform pEC50 = -log10(EC50 in molar), the rule-of-five mask, label
+resolution, the feature matrix, min-max scaling fitted on training
+data only, and PCA via eigendecomposition of the sample covariance.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 import warnings
@@ -19,48 +22,33 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-# descriptor columns recognized by name (case-insensitive); anything else
-# numeric is carried along as an extra descriptor
-_CANONICAL = {
-    "compound_id": "compound_id",
-    "ec50_nm": "ec50_nM",
-    "pec50": "pec50",
-    "label": "label",
-    "n_donors": "n_donors",
-    "n_acceptors": "n_acceptors",
-    "rotatable_bonds": "rotatable_bonds",
-    "mol_weight": "mol_weight",
-    "logp": "logp",
-}
-
 # feature assembly order for the canonical descriptors
 FEATURE_ORDER = ("n_donors", "n_acceptors", "rotatable_bonds", "mol_weight", "logp")
+# columns recognized by name, case-insensitive, keyed by lower case; any
+# other column is an extra descriptor
+_CANONICAL = {name.lower(): name
+              for name in ("compound_id", "ec50_nM", "pec50", "label", *FEATURE_ORDER)}
+_RULE_OF_FIVE = {"mol_weight": 500.0, "n_donors": 5.0, "n_acceptors": 10.0, "logp": 5.0}
 
 
-@dataclass
-class DescriptorRow:
-    """One compound: descriptors plus optional activity and label."""
+@dataclass(frozen=True)
+class DescriptorTable:
+    """A descriptor CSV as columns, one entry per compound.
 
-    compound_id: str
-    ec50_nM: float | None = None
-    pec50: float | None = None
-    n_donors: float | None = None
-    n_acceptors: float | None = None
-    rotatable_bonds: float | None = None
-    mol_weight: float | None = None
-    logp: float | None = None
-    extras: dict[str, float] = field(default_factory=dict)
-    label: int | None = None
+    `descriptors` maps each descriptor column of the file, in header
+    order, to a float64 column, and holds an all-NaN column for each name
+    of FEATURE_ORDER the file lacks. `label` holds +1, -1 or NaN, and
+    `activity` the pEC50: the stored value, else one derived from EC50,
+    else NaN. A present value is always finite, so NaN means blank.
+    """
 
-    def __post_init__(self):
-        if self.ec50_nM is not None and not (
-            math.isfinite(self.ec50_nM) and self.ec50_nM > 0
-        ):
-            raise ValueError(
-                f"{self.compound_id}: ec50_nM must be positive, got {self.ec50_nM}"
-            )
-        if self.label is not None and self.label not in (-1, 1):
-            raise ValueError(f"{self.compound_id}: label must be +1 or -1")
+    ids: np.ndarray = field(repr=False)  # str objects
+    descriptors: dict[str, np.ndarray] = field(repr=False)
+    label: np.ndarray = field(repr=False)
+    activity: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 def pec50(ec50_nM: float) -> float:
@@ -70,23 +58,9 @@ def pec50(ec50_nM: float) -> float:
     return 9.0 - math.log10(ec50_nM)
 
 
-def lipinski_pass(row: DescriptorRow) -> bool:
-    """Rule of five: at least 3 of weight<=500, donors<=5, acceptors<=10, logP<=5."""
-    for name in ("mol_weight", "n_donors", "n_acceptors", "logp"):
-        if getattr(row, name) is None:
-            raise ValueError(f"{row.compound_id}: missing {name} for rule-of-five check")
-    met = (
-        int(row.mol_weight <= 500.0)
-        + int(row.n_donors <= 5)
-        + int(row.n_acceptors <= 10)
-        + int(row.logp <= 5.0)
-    )
-    return met >= 3
-
-
-def label_from_activity(p: float, cutoff: float) -> int:
-    """+1 (active) when pEC50 reaches the cutoff, else -1."""
-    return 1 if p >= cutoff else -1
+def label_from_activity(p, cutoff: float) -> np.ndarray:
+    """+1 (active) where pEC50 reaches the cutoff, else -1; elementwise on arrays."""
+    return np.where(np.asarray(p) >= cutoff, 1, -1)
 
 
 @dataclass
@@ -120,11 +94,6 @@ def minmax_transform(model: ScalerModel, X) -> np.ndarray:
     scaled = (arr - model.mins) / safe
     scaled = np.where(span == 0.0, 0.0, scaled)
     return np.clip(scaled, 0.0, 1.0)
-
-
-def minmax_fit_transform(X) -> tuple[ScalerModel, np.ndarray]:
-    model = minmax_fit(X)
-    return model, minmax_transform(model, X)
 
 
 def minmax_inverse(model: ScalerModel, V) -> np.ndarray:
@@ -173,132 +142,136 @@ def pca_transform(model: PcaModel, X) -> np.ndarray:
     return (arr - model.mean) @ model.components.T
 
 
-def _parse_float(raw: str, column: str, where: str) -> float:
+def _parse_float(raw: str, column: str, path, row: int) -> float:
+    """One cell: NaN when blank, else a finite number (+1 or -1 for a label)."""
+    if not raw.strip():
+        return math.nan
     try:
         value = float(raw)
     except ValueError as exc:
-        raise ValueError(f"{where}: column {column!r} has non-numeric value {raw!r}") from exc
+        raise ValueError(f"{path}: line {row + 2}: column {column!r} has "
+                         f"non-numeric value {raw!r}") from exc
     if not math.isfinite(value):
-        raise ValueError(f"{where}: column {column!r} has non-finite value {raw!r}")
+        raise ValueError(f"{path}: line {row + 2}: column {column!r} has "
+                         f"non-finite value {raw!r}")
+    if column == "label" and value not in (-1.0, 1.0):
+        raise ValueError(f"{path}: line {row + 2} has label {raw.strip()!r}; "
+                         "labels must be +1 or -1")
     return value
 
 
-def read_descriptor_csv(path) -> list[DescriptorRow]:
-    """Parse a descriptor CSV (comma separator, decimal point, UTF-8)."""
+def read_descriptor_csv(path) -> DescriptorTable:
+    """Read a descriptor CSV (comma separator, decimal point, UTF-8) into a table.
+
+    Line numbers count the header as line 1 and skip blank lines. Rows
+    are checked for surplus fields, then the cells column by column in
+    header order, then the compound ids and EC50 values; the first
+    fault found is raised.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: missing header row")
-        header_map = {}
-        for name in reader.fieldnames:
-            canonical = _CANONICAL.get(name.strip().lower())
-            header_map[name] = canonical if canonical else name.strip()
-        if "compound_id" not in header_map.values():
-            raise ValueError(f"{path}: required column compound_id not found")
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            if None in record:  # DictReader files surplus fields under the key None
-                n_fields = len(reader.fieldnames) + len(record[None])
-                raise ValueError(f"{path}: line {lineno} has {n_fields} fields, "
-                                 f"the header has {len(reader.fieldnames)}")
-            known: dict = {}
-            extras: dict[str, float] = {}
-            where = f"{path}: line {lineno}"
-            for raw_name, value in record.items():
-                if value is None or value.strip() == "":
-                    continue
-                name = header_map[raw_name]
-                if name == "compound_id":
-                    known[name] = value.strip()
-                elif name == "label":
-                    label = _parse_float(value, name, where)
-                    if label not in (-1.0, 1.0):
-                        raise ValueError(
-                            f"{path}: line {lineno} has label {value.strip()!r}; "
-                            "labels must be +1 or -1"
-                        )
-                    known[name] = int(label)
-                elif name in _CANONICAL.values():
-                    known[name] = _parse_float(value, name, where)
-                else:
-                    extras[name] = _parse_float(value, name, where)
-            if "compound_id" not in known:
-                raise ValueError(f"{path}: line {lineno} is missing compound_id")
-            rows.append(DescriptorRow(extras=extras, **known))
-    if not rows:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            records = [r for r in reader if r]  # a blank line holds no record
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+    if header is None:
+        raise ValueError(f"{path}: missing header row")
+    names: dict[str, str] = {}  # canonical name -> header
+    for raw in header:
+        name = _CANONICAL.get(raw.strip().lower(), raw.strip())
+        if name in names:
+            raise ValueError(f"{path}: columns {names[name]!r} and {raw!r} "
+                             f"both read as {name!r}")
+        names[name] = raw
+    if "compound_id" not in names:
+        raise ValueError(f"{path}: required column compound_id not found")
+    if not records:
         raise ValueError(f"{path}: no data rows")
-    return rows
+    for row, record in enumerate(records):
+        if len(record) > len(header):
+            raise ValueError(f"{path}: line {row + 2} has {len(record)} fields, "
+                             f"the header has {len(header)}")
+    cells = list(itertools.zip_longest(*records, fillvalue=""))
+    cells += [("",) * len(records)] * (len(header) - len(cells))
+    columns = {name: np.array([_parse_float(raw, name, path, row)
+                               for row, raw in enumerate(column)])
+               for name, column in zip(names, cells) if name != "compound_id"}
+    ids = np.array([raw.strip() for raw in cells[list(names).index("compound_id")]],
+                   dtype=object)
+    if (ids == "").any():
+        raise ValueError(f"{path}: line {(ids == '').argmax() + 2} is missing compound_id")
+    for name in (*FEATURE_ORDER, "label", "pec50", "ec50_nM"):
+        columns.setdefault(name, np.full(len(records), np.nan))
+    ec50 = columns["ec50_nM"]
+    if (ec50 <= 0.0).any():
+        row = (ec50 <= 0.0).argmax()
+        raise ValueError(f"{path}: line {row + 2}: {ids[row]}: ec50_nM must be "
+                         f"positive, got {float(ec50[row])}")
+    activity = columns["pec50"].copy()
+    derive = np.isnan(activity) & ~np.isnan(ec50)
+    # pec50's math.log10, one value at a time: numpy's SIMD log10 may round differently
+    activity[derive] = [pec50(v) for v in ec50[derive].tolist()]
+    descriptors = {name: c for name, c in columns.items()
+                   if name in FEATURE_ORDER or name not in _CANONICAL.values()}
+    return DescriptorTable(ids, descriptors, columns["label"], activity)
 
 
-def apply_lipinski_filter(rows: list[DescriptorRow]) -> list[DescriptorRow]:
-    """Drop rows failing the rule of five, logging each dropped compound."""
-    kept = []
-    for row in rows:
-        if lipinski_pass(row):
-            kept.append(row)
-        else:
-            logger.info("rule-of-five filter dropped compound %s", row.compound_id)
-    return kept
+def apply_lipinski_filter(table: DescriptorTable) -> DescriptorTable:
+    """Drop compounds failing the rule of five, logging each dropped compound.
+
+    A compound passes when it meets at least 3 of weight <= 500,
+    donors <= 5, acceptors <= 10 and logP <= 5.
+    """
+    values = np.column_stack([table.descriptors[name] for name in _RULE_OF_FIVE])
+    missing = np.isnan(values)
+    if missing.any():
+        row, col = np.argwhere(missing)[0]
+        raise ValueError(f"{table.ids[row]}: missing {list(_RULE_OF_FIVE)[col]} "
+                         "for rule-of-five check")
+    keep = (values <= np.array(list(_RULE_OF_FIVE.values()))).sum(axis=1) >= 3
+    for compound_id in table.ids[~keep]:
+        logger.info("rule-of-five filter dropped compound %s", compound_id)
+    return DescriptorTable(table.ids[keep], {n: c[keep] for n, c in table.descriptors.items()},
+                           table.label[keep], table.activity[keep])
 
 
-def feature_matrix(rows: list[DescriptorRow]) -> tuple[np.ndarray, list[str]]:
+def feature_matrix(table: DescriptorTable) -> tuple[np.ndarray, list[str]]:
     """Assemble the descriptor matrix and column names.
 
     Canonical descriptors present on every row come first, in a fixed
-    order, followed by extra columns in their order of first appearance.
+    order, followed by the extra columns present on some row, in header
+    order; such an extra column must be present on every row.
     """
-    if not rows:
+    if not len(table):
         raise ValueError("no rows to assemble")
-    names = [
-        name for name in FEATURE_ORDER
-        if all(getattr(r, name) is not None for r in rows)
-    ]
-    extra_names: list[str] = []
-    for row in rows:
-        for name in row.extras:
-            if name not in extra_names:
-                extra_names.append(name)
+    blank = {name: np.isnan(c) for name, c in table.descriptors.items()}
+    names = [name for name in FEATURE_ORDER if not blank[name].any()]
+    extra_names = [name for name in table.descriptors
+                   if name not in FEATURE_ORDER and not blank[name].all()]
     for name in extra_names:
-        missing = [r.compound_id for r in rows if name not in r.extras]
-        if missing:
-            raise ValueError(
-                f"extra descriptor {name!r} missing for compound(s) {missing[:3]}"
-            )
+        if blank[name].any():
+            raise ValueError(f"extra descriptor {name!r} missing for compound(s) "
+                             f"{table.ids[blank[name]][:3].tolist()}")
     if not names and not extra_names:
         raise ValueError("rows carry no descriptor columns usable as features")
-    data = np.empty((len(rows), len(names) + len(extra_names)))
-    for i, row in enumerate(rows):
-        data[i, :len(names)] = [getattr(row, n) for n in names]
-        data[i, len(names):] = [row.extras[n] for n in extra_names]
-    return data, names + extra_names
+    names += extra_names
+    return np.column_stack([table.descriptors[name] for name in names]), names
 
 
-def activity(row: DescriptorRow) -> float | None:
-    """The row's pEC50: the stored value, else one derived from EC50, else None."""
-    if row.pec50 is not None:
-        return row.pec50
-    return pec50(row.ec50_nM) if row.ec50_nM is not None else None
-
-
-def resolve_labels(rows: list[DescriptorRow], cutoff: float | None = None) -> np.ndarray:
-    """Class labels per row: stored label, else thresholded pEC50 activity."""
-    labels = np.empty(len(rows), dtype=np.int64)
-    for i, row in enumerate(rows):
-        if row.label is not None:
-            labels[i] = row.label
-            continue
-        p = activity(row)
-        if p is None:
-            raise ValueError(
-                f"{row.compound_id}: no label and no activity measurement"
-            )
-        if cutoff is None:
-            raise ValueError(
-                "activity_cutoff is required to derive labels from pEC50 "
-                f"(compound {row.compound_id})"
-            )
-        labels[i] = label_from_activity(p, cutoff)
-    return labels
+def resolve_labels(table: DescriptorTable, cutoff: float | None = None) -> np.ndarray:
+    """Class labels per compound: stored label, else thresholded pEC50 activity."""
+    unlabelled = np.isnan(table.label)
+    bare = unlabelled & np.isnan(table.activity)
+    first = unlabelled.argmax()  # of several faults, this compound's is named
+    if cutoff is None and unlabelled.any() and not bare[first]:
+        raise ValueError("activity_cutoff is required to derive labels from pEC50 "
+                         f"(compound {table.ids[first]})")
+    if bare.any():
+        raise ValueError(f"{table.ids[bare.argmax()]}: no label and no activity measurement")
+    # without a cutoff, every compound is labelled by now
+    derived = 0 if cutoff is None else label_from_activity(table.activity, cutoff)
+    return np.where(unlabelled, derived, table.label).astype(np.int64)
 
 
 def write_feature_csv(path, compound_ids, X, names, labels=None) -> None:

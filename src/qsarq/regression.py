@@ -17,6 +17,9 @@ from . import artifact
 AFFINE = "affine"
 POLY2 = "poly2"
 BASIS_KINDS = frozenset({AFFINE, POLY2})
+# annealing takes one Python-level step per iteration and keeps each step's
+# loss, so a million iterations take 5-10 s and 8 MB
+MAX_ANNEAL_ITERS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,9 @@ class AnnealSchedule:
             raise ValueError("initial temperature must be > 0")
         if not 0.0 < self.cooling < 1.0:
             raise ValueError("cooling factor must lie in (0, 1)")
-        if self.n_iters < 1:
-            raise ValueError("iteration count must be >= 1")
+        if not 1 <= self.n_iters <= MAX_ANNEAL_ITERS:
+            raise ValueError(f"iteration count must be between 1 and {MAX_ANNEAL_ITERS}, "
+                             f"got {self.n_iters}")
 
 
 @dataclass
@@ -166,16 +170,8 @@ def fit_annealing(X, y, basis: BasisSpec, schedule: AnnealSchedule, seed: int,
     )
 
 
-def predict_value(model: RegModel, x) -> float:
-    return float(expand(model.basis, x) @ model.coefficients)
-
-
-def predict_label(model: RegModel, x) -> int:
-    """+1 when the fitted value reaches the threshold, else -1."""
-    return 1 if predict_value(model, x) >= model.threshold else -1
-
-
 def predict_labels(model: RegModel, X) -> np.ndarray:
+    """+1 for each row whose fitted value reaches the threshold, else -1."""
     values = expand(model.basis, X) @ model.coefficients
     return np.where(values >= model.threshold, 1, -1).astype(np.int64)
 

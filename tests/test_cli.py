@@ -9,7 +9,7 @@ import yaml
 from qsarq.cli import main
 from qsarq.errors import InternalConsistencyError
 from qsarq.pipeline import fit_entry, load_experiment_config, prepare_features
-from qsarq.regression import load_reg_model
+from qsarq.regression import MAX_ANNEAL_ITERS, load_reg_model
 
 CUTOFF = 6.0
 COLUMNS = ("n_donors", "n_acceptors", "rotatable_bonds", "mol_weight", "logp")
@@ -91,11 +91,11 @@ def test_train_activity_target_fits_pec50_at_the_cutoff(tmp_path, config, qsarq)
     X, X_test, y, _, info = prepare_features(cfg, split=False)
     assert X_test.shape == (0, X.shape[1]) and len(y) == 30
     entry = next(e for e in cfg.models if e.name == "ls_activity")
-    model = fit_entry(entry, X, y, info["rows"], cfg.activity_cutoff)
+    model = fit_entry(entry, X, y, info["table"].activity, cfg.activity_cutoff)
     np.testing.assert_array_equal(saved.coefficients, model.coefficients)
     # independently: ridge least squares of pEC50 on [1, x]
     phi = np.hstack([np.ones((len(X), 1)), X])
-    pec50 = np.array([row.pec50 for row in info["rows"]])
+    pec50 = info["table"].activity
     a = np.vstack([phi, np.sqrt(entry.ridge) * np.eye(phi.shape[1])])
     q = np.linalg.lstsq(a, np.concatenate([pec50, np.zeros(phi.shape[1])]), rcond=None)[0]
     np.testing.assert_allclose(saved.coefficients, q, rtol=1e-9, atol=1e-9)
@@ -209,6 +209,15 @@ def test_csv_row_with_surplus_fields_exits_2(tmp_path, config, qsarq, command):
     path.write_text(path.read_text() + "extra,1,2,3,300,1,6.5,99\n", encoding="utf-8")
     code, _, err = qsarq(command, "--config", config, "--out", tmp_path, "--quiet")
     assert code == 2 and "line 32 has 8 fields" in err
+
+
+@pytest.mark.parametrize("iterations", [MAX_ANNEAL_ITERS + 1, 10**30])
+def test_oversized_anneal_iterations_exit_2(tmp_path, qsarq, iterations):
+    write_csv(tmp_path / "data.csv")
+    entry = {"name": "anneal", "kind": "reg_anneal", "iterations": iterations}
+    config = write_config(tmp_path / "exp.yaml", models=[entry])
+    code, _, err = qsarq("run", "--config", config, "--out", tmp_path, "--quiet")
+    assert code == 2 and f"iteration count must be between 1 and {MAX_ANNEAL_ITERS}" in err
 
 
 def test_internal_consistency_error_exits_3(tmp_path, config, qsarq, monkeypatch):

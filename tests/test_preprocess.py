@@ -1,17 +1,18 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from oracles import jacobi_eigh
 from qsarq.cli import main as cli_main
 from qsarq.preprocess import (
-    DescriptorRow,
+    apply_lipinski_filter,
     feature_matrix,
     label_from_activity,
-    lipinski_pass,
     minmax_fit,
-    minmax_fit_transform,
     minmax_inverse,
     minmax_transform,
     pca_fit,
@@ -27,7 +28,22 @@ def make_row(**overrides):
     base = dict(compound_id="c1", n_donors=2, n_acceptors=5,
                 mol_weight=300.0, logp=3.0)
     base.update(overrides)
-    return DescriptorRow(**base)
+    return base
+
+
+def make_table(*rows):
+    """The descriptor table read from a CSV of `rows`, dicts of column values."""
+    names = list(dict.fromkeys(name for row in rows for name in row))
+    lines = [",".join(names)]
+    lines += [",".join(str(row.get(name, "")) for name in names) for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return read_descriptor_csv(path)
+
+
+def lipinski_pass(row) -> bool:
+    return len(apply_lipinski_filter(make_table(row))) == 1
 
 
 class TestPec50:
@@ -66,7 +82,7 @@ class TestLipinski:
 
     def test_missing_field_is_an_error(self):
         with pytest.raises(ValueError):
-            lipinski_pass(DescriptorRow(compound_id="x", n_donors=1))
+            lipinski_pass(dict(compound_id="x", n_donors=1))
 
     @given(st.floats(100, 900), st.integers(0, 12), st.integers(0, 20),
            st.floats(-2, 9))
@@ -85,12 +101,14 @@ class TestLipinski:
 
 class TestMinMax:
     def test_simple_column(self):
-        _, scaled = minmax_fit_transform(np.array([[1.0], [2.0], [3.0]]))
+        X = np.array([[1.0], [2.0], [3.0]])
+        scaled = minmax_transform(minmax_fit(X), X)
         assert np.array_equal(scaled.ravel(), [0.0, 0.5, 1.0])
 
     def test_constant_column_warns_and_maps_to_zero(self):
         with pytest.warns(UserWarning):
-            _, scaled = minmax_fit_transform(np.array([[4.0], [4.0], [4.0]]))
+            X = np.array([[4.0], [4.0], [4.0]])
+            scaled = minmax_transform(minmax_fit(X), X)
         assert np.array_equal(scaled.ravel(), [0.0, 0.0, 0.0])
 
     def test_unseen_data_is_clamped(self):
@@ -101,14 +119,15 @@ class TestMinMax:
     def test_fitted_extremes_map_to_unit_interval_exactly(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((20, 4)) * 10
-        model, scaled = minmax_fit_transform(X)
+        scaled = minmax_transform(minmax_fit(X), X)
         assert np.all(scaled.min(axis=0) == 0.0)
         assert np.all(scaled.max(axis=0) == 1.0)
 
     def test_round_trip_inverse(self):
         rng = np.random.default_rng(9)
         X = rng.uniform(-50, 50, size=(30, 3))
-        model, scaled = minmax_fit_transform(X)
+        model = minmax_fit(X)
+        scaled = minmax_transform(model, X)
         back = minmax_inverse(model, scaled)
         assert np.max(np.abs(back - X)) <= 1e-12
 
@@ -181,13 +200,6 @@ def test_label_from_activity_rules():
     assert label_from_activity(6.0, 6.0) == 1  # cutoff itself counts active
 
 
-def test_descriptor_row_validation():
-    with pytest.raises(ValueError):
-        DescriptorRow(compound_id="bad", ec50_nM=-5.0)
-    with pytest.raises(ValueError):
-        DescriptorRow(compound_id="bad", label=2)
-
-
 class TestCsv:
     def write(self, tmp_path, text):
         path = tmp_path / "rows.csv"
@@ -201,11 +213,11 @@ class TestCsv:
             "m1,10,1,4,3,250,2.1,2\n"
             "m2,,2,6,5,410,4.0,1\n"
         ))
-        rows = read_descriptor_csv(path)
-        assert rows[0].ec50_nM == 10.0
-        assert rows[1].ec50_nM is None
-        assert rows[0].extras == {"ringcount": 2.0}
-        X, names = feature_matrix(rows)
+        table = read_descriptor_csv(path)
+        assert table.activity[0] == pec50(10.0)
+        assert np.isnan(table.activity[1])
+        assert table.descriptors["ringcount"][0] == 2.0
+        X, names = feature_matrix(table)
         assert names == ["n_donors", "n_acceptors", "rotatable_bonds",
                          "mol_weight", "logp", "ringcount"]
         assert X.shape == (2, 6)
@@ -227,14 +239,13 @@ class TestCsv:
 
     def test_label_column_round_trip(self, tmp_path):
         path = self.write(tmp_path, "compound_id,mol_weight,label\nm1,300,1\nm2,400,-1\n")
-        rows = read_descriptor_csv(path)
-        assert [r.label for r in rows] == [1, -1]
+        table = read_descriptor_csv(path)
+        assert table.label.tolist() == [1, -1]
         out = tmp_path / "echo.csv"
-        X, names = feature_matrix(rows)
-        write_feature_csv(out, [r.compound_id for r in rows], X, names,
-                          resolve_labels(rows))
+        X, names = feature_matrix(table)
+        write_feature_csv(out, table.ids, X, names, resolve_labels(table))
         again = read_descriptor_csv(out)
-        assert [r.label for r in again] == [1, -1]
+        assert again.label.tolist() == [1, -1]
         X2, _ = feature_matrix(again)
         assert np.array_equal(X, X2)
 
@@ -260,32 +271,93 @@ class TestCsv:
 
     def test_labels_written_as_floats_accepted(self, tmp_path):
         path = self.write(tmp_path, "compound_id,mol_weight,label\nm1,300,1.0\nm2,400,-1e0\n")
-        assert [r.label for r in read_descriptor_csv(path)] == [1, -1]
+        assert read_descriptor_csv(path).label.tolist() == [1, -1]
 
     def test_inconsistent_extras_rejected(self, tmp_path):
         path = self.write(tmp_path, "compound_id,mol_weight,fp1\nm1,300,1\nm2,400,\n")
-        rows = read_descriptor_csv(path)
+        table = read_descriptor_csv(path)
         with pytest.raises(ValueError):
-            feature_matrix(rows)
+            feature_matrix(table)
+
+    @pytest.mark.parametrize("ec50", ["0", "-5"])
+    def test_nonpositive_ec50_rejected(self, tmp_path, ec50):
+        path = self.write(tmp_path, f"compound_id,mol_weight,ec50_nM\nm1,300,10\n"
+                                    f"bad,310,{ec50}\n")
+        with pytest.raises(ValueError, match=r"line 3: bad: ec50_nM must be positive"):
+            read_descriptor_csv(path)
+        assert cli_main(["preprocess", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+
+    def test_oversized_field_exits_2_naming_path_and_line(self, tmp_path, capsys):
+        path = self.write(tmp_path, "compound_id,mol_weight\nm1,300\n"
+                                    f"m2,{'9' * 200_000}\n")
+        with pytest.raises(ValueError, match=r"rows\.csv: line 3: field larger"):
+            read_descriptor_csv(path)
+        assert cli_main(["preprocess", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["logp,LogP", "logp,logp", "fp1, fp1 "])
+    def test_duplicate_columns_exit_2_naming_both(self, tmp_path, capsys, header):
+        path = self.write(tmp_path, f"compound_id,mol_weight,{header}\nm1,300,1,2\n")
+        first, second = header.split(",")
+        with pytest.raises(ValueError, match="both read as") as info:
+            read_descriptor_csv(path)
+        assert repr(first) in str(info.value) and repr(second) in str(info.value)
+        assert cli_main(["preprocess", str(path), "--out", str(tmp_path), "--quiet",
+                         "--no-scale"]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_cells_are_checked_before_ids_and_ec50(self, tmp_path):
+        path = self.write(tmp_path, "compound_id,ec50_nM,logp\n,-1,1\nb,10,x\n")
+        with pytest.raises(ValueError, match="line 3: column 'logp' has non-numeric"):
+            read_descriptor_csv(path)
 
 
 class TestResolveLabels:
     def test_prefers_stored_label(self):
-        rows = [make_row(label=-1, ec50_nM=1.0)]
-        assert resolve_labels(rows, cutoff=6.0).tolist() == [-1]
+        table = make_table(make_row(label=-1, ec50_nM=1.0))
+        assert resolve_labels(table, cutoff=6.0).tolist() == [-1]
 
     def test_derives_from_ec50(self):
-        rows = [make_row(ec50_nM=1.0), make_row(ec50_nM=1e5)]
-        assert resolve_labels(rows, cutoff=6.0).tolist() == [1, -1]
+        table = make_table(make_row(ec50_nM=1.0), make_row(ec50_nM=1e5))
+        assert resolve_labels(table, cutoff=6.0).tolist() == [1, -1]
 
     def test_derives_from_pec50(self):
-        rows = [make_row(pec50=7.5)]
-        assert resolve_labels(rows, cutoff=6.0).tolist() == [1]
+        table = make_table(make_row(pec50=7.5))
+        assert resolve_labels(table, cutoff=6.0).tolist() == [1]
 
     def test_requires_cutoff_for_activity(self):
         with pytest.raises(ValueError):
-            resolve_labels([make_row(ec50_nM=1.0)], cutoff=None)
+            resolve_labels(make_table(make_row(ec50_nM=1.0)), cutoff=None)
 
     def test_requires_some_supervision(self):
         with pytest.raises(ValueError):
-            resolve_labels([make_row()], cutoff=6.0)
+            resolve_labels(make_table(make_row()), cutoff=6.0)
+
+
+# header names a descriptor CSV may use, in any case, plus free text
+HEADERS = st.sampled_from(["compound_id", "Compound_ID", "ec50_nM", "pec50", "label",
+                           "n_donors", "n_acceptors", "rotatable_bonds", "mol_weight",
+                           "logp", " LogP ", "fp1", ""]) | st.text(max_size=6)
+CELLS = (st.sampled_from(["", " ", "1", "-1", "1.0", "0", "-5", "2", "300", "nan", "NaN",
+                          "inf", "-Infinity", "1e400", "-1e400", "1e308", "1_0"])
+         | st.integers(-10**30, 10**30).map(str) | st.floats().map(repr)
+         | st.text(max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(HEADERS, min_size=1, max_size=7),
+       st.lists(st.lists(CELLS, max_size=8), max_size=6),
+       st.sampled_from(["\n", "\r\n"]))
+def test_csv_ingestion_raises_only_value_errors(tmp_path_factory, header, rows, newline):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_text(newline.join(",".join(cells) for cells in [header, *rows]),
+                    encoding="utf-8")
+    try:
+        table = read_descriptor_csv(path)
+    except ValueError:
+        return
+    for step in (apply_lipinski_filter, feature_matrix, lambda t: resolve_labels(t, 6.0)):
+        try:
+            step(table)
+        except ValueError:
+            pass

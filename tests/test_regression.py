@@ -5,14 +5,14 @@ from oracles import gaussian_solve
 from qsarq.regression import (
     AFFINE,
     POLY2,
+    MAX_ANNEAL_ITERS,
     AnnealSchedule,
     BasisSpec,
     expand,
     fit_annealing,
     fit_least_squares,
     load_reg_model,
-    predict_label,
-    predict_value,
+    predict_labels,
     save_reg_model,
 )
 
@@ -162,6 +162,14 @@ def test_invalid_schedules_rejected():
         AnnealSchedule(t0=1.0, cooling=0.9, n_iters=0)
 
 
+def test_annealing_refuses_more_than_the_iteration_cap():
+    assert MAX_ANNEAL_ITERS >= 100 * 10_000  # the default ModelEntry.iterations
+    for n_iters in (MAX_ANNEAL_ITERS + 1, 10**30):
+        with pytest.raises(ValueError, match="iteration count must be between"):
+            fit_annealing(LINE_X, LINE_Y, BasisSpec(AFFINE, 1),
+                          AnnealSchedule(t0=1.0, cooling=0.9, n_iters=n_iters), seed=0)
+
+
 def test_fit_input_validation():
     with pytest.raises(ValueError):
         fit_least_squares(LINE_X, LINE_Y, BasisSpec(AFFINE, 1), ridge=-0.1)
@@ -171,9 +179,9 @@ def test_fit_input_validation():
 
 def test_predict_label_threshold_rules():
     model = fit_least_squares(LINE_X, LINE_Y, BasisSpec(AFFINE, 1), threshold=0.5)
-    assert predict_label(model, [0.9]) == 1
-    assert predict_label(model, [0.1]) == -1
-    assert predict_label(model, [0.5]) == 1  # exact threshold counts positive
+    assert predict_labels(model, [[0.9]]).tolist() == [1]
+    assert predict_labels(model, [[0.1]]).tolist() == [-1]
+    assert predict_labels(model, [[0.5]]).tolist() == [1]  # exact threshold counts positive
 
 
 def test_model_round_trip(tmp_path):
@@ -187,4 +195,5 @@ def test_model_round_trip(tmp_path):
     assert loaded.basis == model.basis
     assert loaded.threshold == model.threshold
     for q in rng.standard_normal((4, 3)):
-        assert predict_value(loaded, q) == predict_value(model, q)
+        assert expand(loaded.basis, q) @ loaded.coefficients == (
+            expand(model.basis, q) @ model.coefficients)
