@@ -10,7 +10,6 @@ from .feature_maps import (
     FeatureMapSpec,
     encode,
     encode_batch,
-    encoding_circuit,
     entanglement_pairs,
 )
 from .kernels import (
@@ -21,7 +20,6 @@ from .kernels import (
     kernel_value,
     load_gram,
     save_gram,
-    shot_estimate,
 )
 from .pipeline import (
     EvalReport,
@@ -38,7 +36,6 @@ from .preprocess import (
     ScalerModel,
     label_from_activity,
     minmax_fit,
-    minmax_inverse,
     minmax_transform,
     pca_fit,
     pca_transform,
@@ -54,21 +51,12 @@ from .regression import (
     load_reg_model,
     save_reg_model,
 )
-from .statevector import (
-    GateOp,
-    StateVector,
-    apply_circuit,
-    apply_gate,
-    inner_product,
-    new_zero_state,
-)
 from .svm import (
     SvmConfig,
     SvmModel,
     decision_value,
     decision_values,
     load_svm_model,
-    predict,
     save_svm_model,
     train,
 )

@@ -5,12 +5,15 @@ Hadamard + phase + pairwise-phase construction with angles 2*x_j on single
 qubits and 2*(pi - x_j)*(pi - x_k) on entangled pairs. The ``custom``
 family rotates each qubit by RY(2*x_j) and entangles pairs with a parity
 phase of pi*x_j*x_k. One qubit per feature; the block repeats `reps` times.
+States live in the computational basis with qubit 0 on the least
+significant bit of the amplitude index, so ``|q1 q0> = |binary index>``.
 
-`encode` runs the gate list of one vector and is the reference.
 `encode_batch` prepares many states at once: each H or RY layer is one
 butterfly per qubit axis over all rows, with per-row angles, and all phase
 gates of one repetition are one diagonal exp(i * phase), the phases being a
 product of per-row angles with a table of amplitude bits and pair parities.
+The tests check it against a gate-by-gate simulator of the same circuits
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -21,19 +24,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .fields import check_fields, from_mapping
-from .statevector import (
-    BLOCK_BYTES,
-    H,
-    PARITY_PHASE,
-    PHASE,
-    RY,
-    GateOp,
-    StateVector,
-    apply_circuit,
-    check_state_stack,
-    new_zero_state,
-)
 
 ZZ = "zz"
 CUSTOM = "custom"
@@ -42,6 +34,13 @@ FAMILIES = frozenset({ZZ, CUSTOM})
 LINEAR = "linear"
 FULL = "full"
 ENTANGLEMENTS = frozenset({LINEAR, FULL})
+
+DEFAULT_QUBIT_CAP = 24
+# largest stack of statevectors (rows x 2^n complex128 amplitudes) built at once
+DEFAULT_STACK_BYTES = 1 << 30
+# working set of one block of batched work: rows are encoded and multiplied
+# a block at a time so temporaries stay near this size
+BLOCK_BYTES = 1 << 18
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 # amplitudes per chunk of the phase table (chunk x terms float64)
@@ -91,6 +90,24 @@ def entanglement_pairs(scheme: str, n_qubits: int) -> list[tuple[int, int]]:
     raise ValueError(f"unknown entanglement scheme {scheme!r}")
 
 
+def check_state_stack(n_states: int, n_qubits: int) -> None:
+    """Raise ResourceLimitError unless `n_states` states on `n_qubits` fit the caps.
+
+    Called before a stack is allocated, so an oversized request costs nothing.
+    """
+    if n_qubits > DEFAULT_QUBIT_CAP:
+        raise ResourceLimitError(
+            f"n_qubits={n_qubits} exceeds the cap of {DEFAULT_QUBIT_CAP} "
+            f"({2 ** DEFAULT_QUBIT_CAP} amplitudes)"
+        )
+    n_bytes = n_states * (16 << n_qubits)
+    if n_bytes > DEFAULT_STACK_BYTES:
+        raise ResourceLimitError(
+            f"{n_states} states on {n_qubits} qubits need {n_bytes} bytes, "
+            f"over the state-stack budget of {DEFAULT_STACK_BYTES} bytes"
+        )
+
+
 def _validated_features(spec: FeatureMapSpec, x, ndim: int = 1) -> np.ndarray:
     """One feature vector (ndim=1) or a matrix of them, one per row (ndim=2)."""
     arr = np.asarray(x, dtype=np.float64)
@@ -109,34 +126,6 @@ def _validated_features(spec: FeatureMapSpec, x, ndim: int = 1) -> np.ndarray:
             stacklevel=3,
         )
     return arr
-
-
-def encoding_circuit(spec: FeatureMapSpec, x) -> list[GateOp]:
-    """The gate list realizing the encoding unitary for `x`."""
-    vec = _validated_features(spec, x)
-    pairs = entanglement_pairs(spec.entanglement, spec.n_qubits)
-    gates: list[GateOp] = []
-    for _ in range(spec.reps):
-        if spec.family == ZZ:
-            for q in range(spec.n_qubits):
-                gates.append(GateOp(H, (q,)))
-            for q in range(spec.n_qubits):
-                gates.append(GateOp(PHASE, (q,), 2.0 * vec[q]))
-            for j, k in pairs:
-                angle = 2.0 * (math.pi - vec[j]) * (math.pi - vec[k])
-                gates.append(GateOp(PARITY_PHASE, (j, k), angle))
-        else:
-            for q in range(spec.n_qubits):
-                gates.append(GateOp(RY, (q,), 2.0 * vec[q]))
-            for j, k in pairs:
-                gates.append(GateOp(PARITY_PHASE, (j, k), math.pi * vec[j] * vec[k]))
-    return gates
-
-
-def encode(spec: FeatureMapSpec, x) -> StateVector:
-    """Prepare the encoded state by running the circuit on |0...0>."""
-    gates = encoding_circuit(spec, x)
-    return apply_circuit(new_zero_state(spec.n_qubits), gates)
 
 
 def _phase_diagonal(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
@@ -220,9 +209,10 @@ def encode_blocks(spec: FeatureMapSpec, X):
 def encode_batch(spec: FeatureMapSpec, X) -> np.ndarray:
     """Encoded states of every row of X as an (N, 2^n) complex array.
 
-    Row i equals ``encode(spec, X[i]).amplitudes`` up to rounding. The
-    whole stack must fit the state-stack budget, which is checked before
-    anything is allocated.
+    Row i equals the state the gate list of X[i] prepares from |0...0>,
+    up to rounding (checked against a gate-by-gate simulator in
+    ``tests/oracles.py``). The whole stack must fit the state-stack budget,
+    which is checked before anything is allocated.
     """
     feats = _validated_features(spec, X, ndim=2)
     check_state_stack(feats.shape[0], spec.n_qubits)
@@ -230,3 +220,12 @@ def encode_batch(spec: FeatureMapSpec, X) -> np.ndarray:
     for rows, states in _blocks(spec, feats):
         out[rows] = states
     return out
+
+
+def encode(spec: FeatureMapSpec, x) -> np.ndarray:
+    """The encoded state of one feature vector: ``encode_batch(spec, [x])[0]``.
+
+    Kept only because the benchmark's tracer wraps this name; it goes when
+    the package records its own stages (ROADMAP item 3).
+    """
+    return encode_batch(spec, [x])[0]

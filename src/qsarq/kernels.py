@@ -20,8 +20,8 @@ operands once (quantum kinds: the real and imaginary planes of the encoded
 states; classical kinds: the feature rows), and one block evaluator gives
 the exact kernel values between two operand blocks: |S S^H|^2 from four
 real matrix products, the column-wise RBF sum, or the dot products.
-`kernel_value` and `shot_estimate` evaluate one entry, from the gate-list
-encoder for quantum kinds, and are the reference for both.
+The tests check both against a per-entry reference that encodes quantum
+rows gate by gate (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ import numpy as np
 
 from . import artifact
 from .errors import InternalConsistencyError
-from .feature_maps import FeatureMapSpec, encode, encode_blocks
+from .feature_maps import BLOCK_BYTES, FeatureMapSpec, check_state_stack, encode_blocks
 from .fields import check_fields, from_mapping
-from .statevector import BLOCK_BYTES, StateVector, check_state_stack
 
 QUANTUM_EXACT = "quantum_exact"
 QUANTUM_SHOTS = "quantum_shots"
@@ -142,42 +141,15 @@ def dataset_digest(X: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _as_pair(x, x2) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(x2, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
-        raise ValueError("kernel arguments must be 1-D vectors of equal length")
-    return a, b
-
-
 def _clamp_unit(value):
-    """Clip fidelities into [0, 1]; larger excursions than rounding are errors.
-
-    Takes one value (returns a float) or an array (returns an array).
-    """
+    """Clip fidelities into [0, 1]; larger excursions than rounding are errors."""
     arr = np.asarray(value, dtype=np.float64)
     if np.any(arr < -_CLAMP_SLACK) or np.any(arr > 1.0 + _CLAMP_SLACK):
         worst = float(arr.flat[np.argmax(np.abs(arr - 0.5))])
         raise InternalConsistencyError(
             f"quantum kernel value {worst!r} outside [0, 1] beyond rounding slack"
         )
-    if arr.ndim == 0:
-        return min(max(float(arr), 0.0), 1.0)
     return np.clip(arr, 0.0, 1.0)
-
-
-def _fidelity(a: StateVector, b: StateVector) -> float:
-    ip = np.vdot(a.amplitudes, b.amplitudes)
-    return _clamp_unit(float(abs(ip)) ** 2)
-
-
-def _exact_quantum(cfg: KernelConfig, x: np.ndarray, x2: np.ndarray) -> float:
-    if x.size != cfg.feature_map.n_qubits:
-        raise ValueError(
-            f"feature length {x.size} does not match the map's "
-            f"n_qubits={cfg.feature_map.n_qubits}"
-        )
-    return _fidelity(encode(cfg.feature_map, x), encode(cfg.feature_map, x2))
 
 
 def _row_digest(x: np.ndarray) -> bytes:
@@ -189,35 +161,6 @@ def _shot_draws(cfg: KernelConfig, x: np.ndarray, p):
     words = np.frombuffer(_row_digest(x)[:16], dtype="<u4")
     rng = np.random.default_rng([cfg.rng_seed, *words])
     return rng.binomial(cfg.shots, p) / cfg.shots
-
-
-def shot_estimate(cfg: KernelConfig, x, x2) -> float:
-    """Finite-shot fidelity estimate: binomial draw around the exact value.
-
-    This models the compute-uncompute test, where the fidelity equals the
-    probability of the all-zeros outcome, estimated from `shots` repetitions.
-    The estimate is the first draw of x's shot stream (see the module
-    docstring), so it is not symmetric in x and x2.
-    """
-    if cfg.kind != QUANTUM_SHOTS:
-        raise ValueError("shot_estimate requires a quantum_shots kernel config")
-    a, b = _as_pair(x, x2)
-    return float(_shot_draws(cfg, a, _exact_quantum(cfg, a, b)))
-
-
-def kernel_value(cfg: KernelConfig, x, x2) -> float:
-    """Evaluate one kernel entry K(x, x2)."""
-    a, b = _as_pair(x, x2)
-    if cfg.kind == QUANTUM_EXACT:
-        return _exact_quantum(cfg, a, b)
-    if cfg.kind == QUANTUM_SHOTS:
-        return shot_estimate(cfg, a, b)
-    if cfg.kind == LINEAR:
-        return float(np.dot(a, b))
-    if cfg.kind == POLY:
-        return float((np.dot(a, b) + cfg.offset) ** cfg.degree)
-    diff = a - b
-    return float(np.exp(-cfg.gamma * np.dot(diff, diff)))
 
 
 def _operands(cfg: KernelConfig, X: np.ndarray) -> np.ndarray:
@@ -267,12 +210,13 @@ def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
 
     X becomes one operand stack; each block of its rows is evaluated against
     the columns from the block's first row on, and the upper triangle is
-    mirrored. Entries equal ``kernel_value``'s up to rounding. A shot-sampled
-    entry (i, j), i < j, is then the j-th draw of X[i]'s shot stream, drawn
-    in place and mirrored: the upper triangle is ``cross_gram(cfg, X, X)``'s,
-    ``gram(X[:m])`` is the leading m x m block of ``gram(X)``, and the
-    diagonal is 1. `jitter` adds a diagonal constant to shot-sampled
-    matrices, which are not guaranteed positive semidefinite.
+    mirrored. Entries equal the per-entry reference's (``tests/oracles.py``)
+    up to rounding. A shot-sampled entry (i, j), i < j, is then the j-th
+    draw of X[i]'s shot stream, drawn in place and mirrored: the upper
+    triangle is ``cross_gram(cfg, X, X)``'s, ``gram(X[:m])`` is the leading
+    m x m block of ``gram(X)``, and the diagonal is 1. `jitter` adds a
+    diagonal constant to shot-sampled matrices, which are not guaranteed
+    positive semidefinite.
     """
     feats = np.asarray(X, dtype=np.float64)
     if feats.ndim == 1:
@@ -308,10 +252,10 @@ def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
 def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
     """Kernel values K(A_i, B_j) for every row of A and every row of B.
 
-    Exact and classical entry (i, j) equals ``kernel_value(cfg, A[i], B[j])``
-    up to rounding. A shot-sampled row i is the draws of A[i]'s shot stream
-    over the rows of B in order: it does not depend on the other rows of A,
-    and column j = 0 is ``shot_estimate(cfg, A[i], B[0])``. The result is not
+    Exact and classical entry (i, j) equals the per-entry reference's
+    K(A[i], B[j]) (``tests/oracles.py``) up to rounding. A shot-sampled row i is the draws of A[i]'s
+    shot stream over the rows of B in order: it does not depend on the other
+    rows of A, and column j = 0 is the stream's first draw. The result is not
     symmetric in A and B. B becomes one operand stack; rows of A become
     operands a block at a time, each block's output and encoded rows taking
     about BLOCK_BYTES, and are evaluated against it.
@@ -332,6 +276,15 @@ def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
         for i, row in enumerate(a):
             out[i] = _shot_draws(cfg, row, out[i])
     return out
+
+
+def kernel_value(cfg: KernelConfig, x, x2) -> float:
+    """One kernel entry K(x, x2): ``cross_gram(cfg, [x], [x2])[0, 0]``.
+
+    Kept only because the benchmark's tracer wraps this name; it goes when
+    the package records its own stages (ROADMAP item 3).
+    """
+    return float(cross_gram(cfg, [x], [x2])[0, 0])
 
 
 def save_gram(gm: GramMatrix, path) -> None:

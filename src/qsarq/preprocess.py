@@ -96,12 +96,6 @@ def minmax_transform(model: ScalerModel, X) -> np.ndarray:
     return np.clip(scaled, 0.0, 1.0)
 
 
-def minmax_inverse(model: ScalerModel, V) -> np.ndarray:
-    """min + v * (max - min); inverse of the transform on the fitted range."""
-    arr = np.asarray(V, dtype=np.float64)
-    return model.mins + arr * (model.maxs - model.mins)
-
-
 @dataclass
 class PcaModel:
     mean: np.ndarray = field(repr=False)
@@ -142,20 +136,20 @@ def pca_transform(model: PcaModel, X) -> np.ndarray:
     return (arr - model.mean) @ model.components.T
 
 
-def _parse_float(raw: str, column: str, path, row: int) -> float:
+def _parse_float(raw: str, column: str, path, line: int) -> float:
     """One cell: NaN when blank, else a finite number (+1 or -1 for a label)."""
     if not raw.strip():
         return math.nan
     try:
         value = float(raw)
     except ValueError as exc:
-        raise ValueError(f"{path}: line {row + 2}: column {column!r} has "
+        raise ValueError(f"{path}: line {line}: column {column!r} has "
                          f"non-numeric value {raw!r}") from exc
     if not math.isfinite(value):
-        raise ValueError(f"{path}: line {row + 2}: column {column!r} has "
+        raise ValueError(f"{path}: line {line}: column {column!r} has "
                          f"non-finite value {raw!r}")
     if column == "label" and value not in (-1.0, 1.0):
-        raise ValueError(f"{path}: line {row + 2} has label {raw.strip()!r}; "
+        raise ValueError(f"{path}: line {line} has label {raw.strip()!r}; "
                          "labels must be +1 or -1")
     return value
 
@@ -163,7 +157,9 @@ def _parse_float(raw: str, column: str, path, row: int) -> float:
 def read_descriptor_csv(path) -> DescriptorTable:
     """Read a descriptor CSV (comma separator, decimal point, UTF-8) into a table.
 
-    Line numbers count the header as line 1 and skip blank lines. Rows
+    Line numbers are physical lines of the file, the header being line 1;
+    a record's number is the line it starts on, so blank lines and the
+    continuation lines of a quoted multi-line field are counted. Rows
     are checked for surplus fields, then the cells column by column in
     header order, then the compound ids and EC50 values; the first
     fault found is raised.
@@ -172,7 +168,13 @@ def read_descriptor_csv(path) -> DescriptorTable:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            records = [r for r in reader if r]  # a blank line holds no record
+            records, lines = [], []  # each record and the line it starts on
+            start = reader.line_num + 1
+            for record in reader:
+                if record:  # a blank line holds no record
+                    records.append(record)
+                    lines.append(start)
+                start = reader.line_num + 1
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     if header is None:
@@ -188,25 +190,25 @@ def read_descriptor_csv(path) -> DescriptorTable:
         raise ValueError(f"{path}: required column compound_id not found")
     if not records:
         raise ValueError(f"{path}: no data rows")
-    for row, record in enumerate(records):
+    for line, record in zip(lines, records):
         if len(record) > len(header):
-            raise ValueError(f"{path}: line {row + 2} has {len(record)} fields, "
+            raise ValueError(f"{path}: line {line} has {len(record)} fields, "
                              f"the header has {len(header)}")
     cells = list(itertools.zip_longest(*records, fillvalue=""))
     cells += [("",) * len(records)] * (len(header) - len(cells))
-    columns = {name: np.array([_parse_float(raw, name, path, row)
-                               for row, raw in enumerate(column)])
+    columns = {name: np.array([_parse_float(raw, name, path, line)
+                               for line, raw in zip(lines, column)])
                for name, column in zip(names, cells) if name != "compound_id"}
     ids = np.array([raw.strip() for raw in cells[list(names).index("compound_id")]],
                    dtype=object)
     if (ids == "").any():
-        raise ValueError(f"{path}: line {(ids == '').argmax() + 2} is missing compound_id")
+        raise ValueError(f"{path}: line {lines[(ids == '').argmax()]} is missing compound_id")
     for name in (*FEATURE_ORDER, "label", "pec50", "ec50_nM"):
         columns.setdefault(name, np.full(len(records), np.nan))
     ec50 = columns["ec50_nM"]
     if (ec50 <= 0.0).any():
         row = (ec50 <= 0.0).argmax()
-        raise ValueError(f"{path}: line {row + 2}: {ids[row]}: ec50_nM must be "
+        raise ValueError(f"{path}: line {lines[row]}: {ids[row]}: ec50_nM must be "
                          f"positive, got {float(ec50[row])}")
     activity = columns["pec50"].copy()
     derive = np.isnan(activity) & ~np.isnan(ec50)

@@ -13,12 +13,12 @@ conditions, is at most `tol`, or after `max_iters` updates. Ties go to
 the lowest index, so training is deterministic.
 
 `decision_values` scores many points with one cross-kernel matrix against
-the support vectors; `decision_value` scores one point entry by entry and
-is its reference. With a shot-sampled kernel, a query's kernel row is the
-draws of the query's own shot stream over the support vectors in ascending
-order (see `qsarq.kernels`), so its score does not depend on the other
-queries it is scored with. A model is saved as an `svm` artifact
-(`qsarq.artifact`), training rows included.
+the support vectors; the tests check it against a reference that scores
+one point entry by entry (``tests/oracles.py``). With a shot-sampled
+kernel, a query's kernel row is the draws of the query's own shot stream
+over the support vectors in ascending order (see `qsarq.kernels`), so its
+score does not depend on the other queries it is scored with. A model is
+saved as an `svm` artifact (`qsarq.artifact`), training rows included.
 """
 
 from __future__ import annotations
@@ -28,16 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifact
-from .kernels import (
-    QUANTUM_EXACT,
-    QUANTUM_SHOTS,
-    GramMatrix,
-    KernelConfig,
-    _shot_draws,
-    cross_gram,
-    dataset_digest,
-    kernel_value,
-)
+from .kernels import GramMatrix, KernelConfig, cross_gram, dataset_digest
 
 TAU = 1e-12  # curvature used when a pair's is not positive, as in LIBSVM
 
@@ -195,33 +186,13 @@ def _retained_features(model: SvmModel, queries: np.ndarray, ndim: int) -> np.nd
     return model.training_features
 
 
-def decision_value(model: SvmModel, x) -> float:
-    """sum_i alpha_i y_i K(x_i, x) + b, one kernel entry per support vector.
-
-    A shot-sampled K draws x's shot stream at the exact fidelities of the
-    gate-list encoder, over the support vectors in ascending order.
-    """
-    vec = np.asarray(x, dtype=np.float64)
-    feats = _retained_features(model, vec, ndim=1)
-    cfg = model.kernel_config
-    sv = model.support_indices  # ascending index order, deterministic sum
-    if cfg.kind == QUANTUM_SHOTS:
-        exact = KernelConfig(kind=QUANTUM_EXACT, feature_map=cfg.feature_map)
-        ks = _shot_draws(cfg, vec, [kernel_value(exact, feats[i], vec) for i in sv])
-    else:
-        ks = [kernel_value(cfg, feats[i], vec) for i in sv]
-    total = 0.0
-    for i, k in zip(sv, ks):
-        total += float(model.alphas[i]) * float(model.labels[i]) * float(k)
-    return total + model.bias
-
-
 def decision_values(model: SvmModel, X) -> np.ndarray:
     """Decision values of every row of X, from one cross-kernel matrix.
 
-    Equals ``decision_value`` row by row up to rounding; shot-sampled
-    kernel entries are the same draws, each query's own shot stream over
-    the support vectors, so a row's value does not depend on the others.
+    Equals the per-entry reference's (``tests/oracles.py``) row by row up
+    to rounding; shot-sampled kernel entries are the same draws, each
+    query's own shot stream over the support vectors, so a row's value does
+    not depend on the others.
     """
     queries = np.asarray(X, dtype=np.float64)
     feats = _retained_features(model, queries, ndim=2)
@@ -230,9 +201,13 @@ def decision_values(model: SvmModel, X) -> np.ndarray:
     return K @ (model.alphas[sv] * model.labels[sv]) + model.bias
 
 
-def predict(model: SvmModel, x) -> int:
-    """Sign of the decision value; an exact zero counts as +1."""
-    return 1 if decision_value(model, x) >= 0.0 else -1
+def decision_value(model: SvmModel, x) -> float:
+    """The decision value of one point: ``decision_values(model, [x])[0]``.
+
+    Kept only because the benchmark's tracer wraps this name; it goes when
+    the package records its own stages (ROADMAP item 3).
+    """
+    return float(decision_values(model, [x])[0])
 
 
 def save_svm_model(model: SvmModel, path) -> None:

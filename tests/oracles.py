@@ -1,22 +1,299 @@
 """Independent reference implementations used only by the tests.
 
-Everything here deliberately avoids the code paths it is used to check:
-gates become explicit Kronecker-product matrices, eigenproblems go
-through hand-rolled Jacobi rotations, the SVM dual is solved by
-projected gradient ascent, linear systems by Gaussian elimination, and
-shot draws one entry at a time from the gate-list fidelities.
+Everything here deliberately avoids the code paths it is used to check.
+
+The gate-list simulator is the package's original evaluation path, kept
+as the reference for the batched one: `encoding_circuit` writes a feature
+vector's encoding as a list of `GateOp`s, `apply_circuit` runs the list
+on a `StateVector` gate by gate, `kernel_value` and `shot_estimate`
+evaluate one kernel entry from two such states, and `decision_value` and
+`predict` score one point entry by entry. Its states use the package's
+layout (qubit 0 on the least significant bit of the amplitude index), and
+it calls the package's input validation (`_validated_features`,
+`_retained_features`), clamp (`_clamp_unit`) and shot-stream rule
+(`_shot_draws`), so error paths exercise production checks.
+
+The other oracles check the simulator and the package in turn: gates
+become explicit Kronecker-product matrices, eigenproblems go through
+hand-rolled Jacobi rotations, the SVM dual is solved by projected
+gradient ascent, linear systems by Gaussian elimination, and shot draws
+one entry at a time from the gate-list fidelities.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from qsarq.feature_maps import ZZ, FeatureMapSpec, _phase_diagonal
-from qsarq.kernels import QUANTUM_EXACT, KernelConfig, kernel_value
-from qsarq.statevector import H, PARITY_PHASE, PHASE, RY, GateOp
+from qsarq.errors import ResourceLimitError
+from qsarq.feature_maps import (
+    DEFAULT_QUBIT_CAP,
+    ZZ,
+    FeatureMapSpec,
+    _phase_diagonal,
+    _validated_features,
+    entanglement_pairs,
+)
+from qsarq.kernels import (
+    LINEAR,
+    POLY,
+    QUANTUM_EXACT,
+    QUANTUM_SHOTS,
+    KernelConfig,
+    _clamp_unit,
+    _shot_draws,
+)
+from qsarq.preprocess import ScalerModel
+from qsarq.svm import SvmModel, _retained_features
+
+RY = "ry"
+H = "h"
+PHASE = "phase"
+PARITY_PHASE = "parity_phase"
+
+_ONE_QUBIT_KINDS = frozenset({RY, H, PHASE})
+_TWO_QUBIT_KINDS = frozenset({PARITY_PHASE})
+
+_SQRT2_INV = 1.0 / math.sqrt(2.0)
+
+
+@dataclass(frozen=True)
+class GateOp:
+    """One gate application: kind, ordered target qubits, rotation/phase angle.
+
+    The angle is ignored for H. Targets must be distinct; validity against
+    a concrete qubit count is checked at application time.
+    """
+
+    kind: str
+    targets: tuple[int, ...]
+    angle: float = 0.0
+
+    def __post_init__(self):
+        if self.kind in _ONE_QUBIT_KINDS:
+            arity = 1
+        elif self.kind in _TWO_QUBIT_KINDS:
+            arity = 2
+        else:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        targets = tuple(int(t) for t in self.targets)
+        object.__setattr__(self, "targets", targets)
+        if len(targets) != arity:
+            raise ValueError(f"{self.kind} takes {arity} target(s), got {targets}")
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"duplicate target qubits in {targets}")
+        if any(t < 0 for t in targets):
+            raise ValueError(f"negative qubit index in {targets}")
+        if not math.isfinite(self.angle):
+            raise ValueError("gate angle must be finite")
+
+
+@dataclass
+class StateVector:
+    """2^n complex amplitudes; unit norm is preserved by every gate."""
+
+    n_qubits: int
+    amplitudes: np.ndarray = field(repr=False)
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amplitudes))
+
+    def copy(self) -> "StateVector":
+        return StateVector(self.n_qubits, self.amplitudes.copy())
+
+
+def new_zero_state(n_qubits: int, qubit_cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+    """Allocate |0...0> on `n_qubits` qubits."""
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    if n_qubits > qubit_cap:
+        raise ResourceLimitError(
+            f"n_qubits={n_qubits} exceeds the cap of {qubit_cap} "
+            f"({2 ** qubit_cap} amplitudes)"
+        )
+    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    amps[0] = 1.0
+    return StateVector(n_qubits, amps)
+
+
+def _check_targets(gate: GateOp, n_qubits: int) -> None:
+    for t in gate.targets:
+        if t >= n_qubits:
+            raise ValueError(
+                f"gate targets qubit {t} but the state has {n_qubits} qubit(s)"
+            )
+
+
+def _apply_inplace(amps: np.ndarray, n_qubits: int, gate: GateOp) -> None:
+    """Apply `gate` to the amplitude buffer in place."""
+    if gate.kind == RY:
+        q = gate.targets[0]
+        c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
+        view = amps.reshape(-1, 2, 1 << q)
+        a = view[:, 0, :].copy()
+        b = view[:, 1, :]
+        view[:, 0, :] = c * a - s * b
+        view[:, 1, :] = s * a + c * b
+    elif gate.kind == H:
+        q = gate.targets[0]
+        view = amps.reshape(-1, 2, 1 << q)
+        a = view[:, 0, :].copy()
+        b = view[:, 1, :]
+        view[:, 0, :] = (a + b) * _SQRT2_INV
+        view[:, 1, :] = (a - b) * _SQRT2_INV
+    elif gate.kind == PHASE:
+        q = gate.targets[0]
+        view = amps.reshape(-1, 2, 1 << q)
+        view[:, 1, :] *= complex(math.cos(gate.angle), math.sin(gate.angle))
+    elif gate.kind == PARITY_PHASE:
+        j, k = gate.targets
+        idx = np.arange(amps.size)
+        odd = (((idx >> j) ^ (idx >> k)) & 1).astype(bool)
+        amps[odd] *= complex(math.cos(gate.angle), math.sin(gate.angle))
+    else:  # pragma: no cover - GateOp validates kinds
+        raise ValueError(f"unknown gate kind {gate.kind!r}")
+
+
+def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
+    """Return `gate` applied to `state`; the input state is not modified."""
+    _check_targets(gate, state.n_qubits)
+    out = state.amplitudes.copy()
+    _apply_inplace(out, state.n_qubits, gate)
+    return StateVector(state.n_qubits, out)
+
+
+def apply_circuit(state: StateVector, gates: list[GateOp]) -> StateVector:
+    """Apply a gate sequence with a single buffer copy."""
+    for g in gates:
+        _check_targets(g, state.n_qubits)
+    out = state.amplitudes.copy()
+    for g in gates:
+        _apply_inplace(out, state.n_qubits, g)
+    return StateVector(state.n_qubits, out)
+
+
+def inner_product(a: StateVector, b: StateVector) -> complex:
+    """<a|b> = sum_i conj(a_i) b_i."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError(
+            f"dimension mismatch: {a.n_qubits} vs {b.n_qubits} qubits"
+        )
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def encoding_circuit(spec: FeatureMapSpec, x) -> list[GateOp]:
+    """The gate list realizing the encoding unitary for `x`."""
+    vec = _validated_features(spec, x)
+    pairs = entanglement_pairs(spec.entanglement, spec.n_qubits)
+    gates: list[GateOp] = []
+    for _ in range(spec.reps):
+        if spec.family == ZZ:
+            for q in range(spec.n_qubits):
+                gates.append(GateOp(H, (q,)))
+            for q in range(spec.n_qubits):
+                gates.append(GateOp(PHASE, (q,), 2.0 * vec[q]))
+            for j, k in pairs:
+                angle = 2.0 * (math.pi - vec[j]) * (math.pi - vec[k])
+                gates.append(GateOp(PARITY_PHASE, (j, k), angle))
+        else:
+            for q in range(spec.n_qubits):
+                gates.append(GateOp(RY, (q,), 2.0 * vec[q]))
+            for j, k in pairs:
+                gates.append(GateOp(PARITY_PHASE, (j, k), math.pi * vec[j] * vec[k]))
+    return gates
+
+
+def encode(spec: FeatureMapSpec, x) -> StateVector:
+    """Prepare the encoded state by running the circuit on |0...0>."""
+    gates = encoding_circuit(spec, x)
+    return apply_circuit(new_zero_state(spec.n_qubits), gates)
+
+
+def _as_pair(x, x2) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(x, dtype=np.float64)
+    b = np.asarray(x2, dtype=np.float64)
+    if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
+        raise ValueError("kernel arguments must be 1-D vectors of equal length")
+    return a, b
+
+
+def _fidelity(a: StateVector, b: StateVector) -> float:
+    ip = np.vdot(a.amplitudes, b.amplitudes)
+    return _clamp_unit(float(abs(ip)) ** 2)
+
+
+def _exact_quantum(cfg: KernelConfig, x: np.ndarray, x2: np.ndarray) -> float:
+    if x.size != cfg.feature_map.n_qubits:
+        raise ValueError(
+            f"feature length {x.size} does not match the map's "
+            f"n_qubits={cfg.feature_map.n_qubits}"
+        )
+    return _fidelity(encode(cfg.feature_map, x), encode(cfg.feature_map, x2))
+
+
+def shot_estimate(cfg: KernelConfig, x, x2) -> float:
+    """Finite-shot fidelity estimate: binomial draw around the exact value.
+
+    This models the compute-uncompute test, where the fidelity equals the
+    probability of the all-zeros outcome, estimated from `shots` repetitions.
+    The estimate is the first draw of x's shot stream (see `qsarq.kernels`),
+    so it is not symmetric in x and x2.
+    """
+    if cfg.kind != QUANTUM_SHOTS:
+        raise ValueError("shot_estimate requires a quantum_shots kernel config")
+    a, b = _as_pair(x, x2)
+    return float(_shot_draws(cfg, a, _exact_quantum(cfg, a, b)))
+
+
+def kernel_value(cfg: KernelConfig, x, x2) -> float:
+    """Evaluate one kernel entry K(x, x2)."""
+    a, b = _as_pair(x, x2)
+    if cfg.kind == QUANTUM_EXACT:
+        return _exact_quantum(cfg, a, b)
+    if cfg.kind == QUANTUM_SHOTS:
+        return shot_estimate(cfg, a, b)
+    if cfg.kind == LINEAR:
+        return float(np.dot(a, b))
+    if cfg.kind == POLY:
+        return float((np.dot(a, b) + cfg.offset) ** cfg.degree)
+    diff = a - b
+    return float(np.exp(-cfg.gamma * np.dot(diff, diff)))
+
+
+def decision_value(model: SvmModel, x) -> float:
+    """sum_i alpha_i y_i K(x_i, x) + b, one kernel entry per support vector.
+
+    A shot-sampled K draws x's shot stream at the exact fidelities of the
+    gate-list encoder, over the support vectors in ascending order.
+    """
+    vec = np.asarray(x, dtype=np.float64)
+    feats = _retained_features(model, vec, ndim=1)
+    cfg = model.kernel_config
+    sv = model.support_indices  # ascending index order, deterministic sum
+    if cfg.kind == QUANTUM_SHOTS:
+        exact = KernelConfig(kind=QUANTUM_EXACT, feature_map=cfg.feature_map)
+        ks = _shot_draws(cfg, vec, [kernel_value(exact, feats[i], vec) for i in sv])
+    else:
+        ks = [kernel_value(cfg, feats[i], vec) for i in sv]
+    total = 0.0
+    for i, k in zip(sv, ks):
+        total += float(model.alphas[i]) * float(model.labels[i]) * float(k)
+    return total + model.bias
+
+
+def predict(model: SvmModel, x) -> int:
+    """Sign of the decision value; an exact zero counts as +1."""
+    return 1 if decision_value(model, x) >= 0.0 else -1
+
+
+def minmax_inverse(model: ScalerModel, V) -> np.ndarray:
+    """min + v * (max - min); inverse of the transform on the fitted range."""
+    arr = np.asarray(V, dtype=np.float64)
+    return model.mins + arr * (model.maxs - model.mins)
+
 
 _I2 = np.eye(2, dtype=np.complex128)
 _Z = np.diag([1.0, -1.0]).astype(np.complex128)

@@ -4,20 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import butterfly_states, circuit_unitary
+from oracles import butterfly_states, circuit_unitary, encode, encoding_circuit
 from qsarq.errors import ResourceLimitError
 from qsarq.feature_maps import (
     CUSTOM,
+    DEFAULT_QUBIT_CAP,
+    DEFAULT_STACK_BYTES,
     FULL,
     LINEAR,
     ZZ,
     FeatureMapSpec,
-    encode,
+    check_state_stack,
     encode_batch,
-    encoding_circuit,
     entanglement_pairs,
 )
-from qsarq.statevector import DEFAULT_QUBIT_CAP, DEFAULT_STACK_BYTES, check_state_stack
 
 
 def test_linear_pairs_three_qubits():
@@ -106,7 +106,7 @@ def test_reps_compose():
     for family in (ZZ, CUSTOM):
         one = FeatureMapSpec(family, 3, reps=1, entanglement=LINEAR)
         two = FeatureMapSpec(family, 3, reps=2, entanglement=LINEAR)
-        from qsarq.statevector import apply_circuit
+        from oracles import apply_circuit
 
         stacked = apply_circuit(encode(one, x), encoding_circuit(one, x))
         direct = encode(two, x)
@@ -133,7 +133,7 @@ def test_out_of_range_features_warn_but_encode():
 @pytest.mark.parametrize("entanglement", [LINEAR, FULL])
 @pytest.mark.parametrize("reps", [1, 2, 3])
 def test_encode_batch_matches_gate_list_and_dense_oracle(family, entanglement, reps):
-    from qsarq.statevector import apply_circuit, new_zero_state
+    from oracles import apply_circuit, new_zero_state
 
     rng = np.random.default_rng(reps)
     for n in (1, 2, 3, 4):

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import circuit_unitary, jacobi_eigh, reference_shot_rows
+from oracles import (
+    circuit_unitary,
+    encoding_circuit,
+    jacobi_eigh,
+    kernel_value,
+    reference_shot_rows,
+    shot_estimate,
+)
 from qsarq.errors import InternalConsistencyError, ResourceLimitError
-from qsarq.feature_maps import FeatureMapSpec, encoding_circuit
+from qsarq.feature_maps import FeatureMapSpec
 from qsarq.kernels import (
     LINEAR,
     POLY,
@@ -20,10 +27,8 @@ from qsarq.kernels import (
     _clamp_unit,
     cross_gram,
     gram,
-    kernel_value,
     load_gram,
     save_gram,
-    shot_estimate,
 )
 
 ZZ2 = FeatureMapSpec("zz", 2, reps=1, entanglement="linear")

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from oracles import jacobi_eigh
+from oracles import jacobi_eigh, minmax_inverse
 from qsarq.cli import main as cli_main
 from qsarq.preprocess import (
     apply_lipinski_filter,
     feature_matrix,
     label_from_activity,
     minmax_fit,
-    minmax_inverse,
     minmax_transform,
     pca_fit,
     pca_transform,
@@ -309,6 +308,21 @@ class TestCsv:
     def test_cells_are_checked_before_ids_and_ec50(self, tmp_path):
         path = self.write(tmp_path, "compound_id,ec50_nM,logp\n,-1,1\nb,10,x\n")
         with pytest.raises(ValueError, match="line 3: column 'logp' has non-numeric"):
+            read_descriptor_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("compound_id,logp\n\nA,1\n\nB,x\n", "line 5: column 'logp' has non-numeric"),
+        ('compound_id,logp\n"A\nA",1\nB,x\n', "line 4: column 'logp' has non-numeric"),
+        ("compound_id,logp\n\nA,1,2\n", "line 3 has 3 fields"),
+        ("compound_id,logp\n\nA,1\n\n,2\n", "line 5 is missing compound_id"),
+        ('compound_id,ec50_nM\n"A\nA",1\n\nB,-1\n', "line 5: B: ec50_nM must be positive"),
+        ("compound_id,label\nA,1\n\nB,3\n", "line 4 has label '3'"),
+    ], ids=["blank-cell", "multiline-cell", "blank-fields", "blank-id", "multiline-ec50",
+            "blank-label"])
+    def test_messages_name_the_physical_line(self, tmp_path, text, message):
+        # blank lines and a quoted field's continuation lines are counted
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError, match=message):
             read_descriptor_csv(path)
 
 

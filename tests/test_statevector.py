@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import circuit_unitary, random_gate, random_state
-from qsarq.errors import ResourceLimitError
-from qsarq.statevector import (
+from oracles import (
     H,
     PARITY_PHASE,
     PHASE,
@@ -14,9 +12,13 @@ from qsarq.statevector import (
     StateVector,
     apply_circuit,
     apply_gate,
+    circuit_unitary,
     inner_product,
     new_zero_state,
+    random_gate,
+    random_state,
 )
+from qsarq.errors import ResourceLimitError
 
 
 def test_zero_state_one_qubit():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import reference_bias, reference_dual_solve
+import oracles
+from oracles import decision_value, predict, reference_bias, reference_dual_solve
+from qsarq import feature_maps, kernels, svm
 from qsarq.feature_maps import FeatureMapSpec
 from qsarq.kernels import (
     KernelConfig,
@@ -17,10 +19,8 @@ from qsarq.kernels import (
 from qsarq.svm import (
     SvmConfig,
     SvmModel,
-    decision_value,
     decision_values,
     load_svm_model,
-    predict,
     save_svm_model,
     train,
 )
@@ -239,6 +239,44 @@ def test_decision_values_match_decision_value(cfg):
     assert np.max(np.abs(batched - reference)) <= 1e-12
     with pytest.raises(ValueError):
         decision_values(model, queries[:, :2])
+
+
+@pytest.mark.parametrize("cfg", [
+    KernelConfig(kind=QUANTUM_EXACT, feature_map=FeatureMapSpec("zz", 3, reps=2)),
+    KernelConfig(kind=QUANTUM_EXACT, feature_map=FeatureMapSpec("custom", 3, reps=2,
+                                                                entanglement="full")),
+    KernelConfig(kind=QUANTUM_SHOTS, feature_map=FeatureMapSpec("zz", 3, reps=2),
+                 shots=200, rng_seed=11),
+    KernelConfig(kind=QUANTUM_SHOTS, feature_map=FeatureMapSpec("custom", 3, reps=2,
+                                                                entanglement="full"),
+                 shots=200, rng_seed=11),
+    KernelConfig(kind=LINEAR),
+    KernelConfig(kind=RBF, gamma=0.7),
+], ids=["zz-exact", "custom-exact", "zz-shots", "custom-shots", "linear", "rbf"])
+def test_single_point_wrappers_match_the_gate_list_oracles(cfg):
+    # feature_maps.encode, kernels.kernel_value and svm.decision_value run
+    # the batched path on one point; the oracles run the gate list
+    rng = np.random.default_rng(21)
+    A, B = rng.random((6, 3)), rng.random((4, 3))
+    B[1] = A[2]
+    if cfg.feature_map is not None:
+        for a in A:
+            state = feature_maps.encode(cfg.feature_map, a)
+            ref = oracles.encode(cfg.feature_map, a).amplitudes
+            assert np.max(np.abs(state - ref)) <= 1e-12
+    for a in A:
+        for b in B:
+            value, ref = kernels.kernel_value(cfg, a, b), oracles.kernel_value(cfg, a, b)
+            if cfg.kind == QUANTUM_SHOTS:
+                assert value == ref
+            else:
+                assert abs(value - ref) <= 1e-12
+    X = rng.random((24, 3))
+    y = np.where(X[:, 0] + X[:, 1] > 1.0, 1, -1)
+    jitter = 0.05 if cfg.kind == QUANTUM_SHOTS else 0.0
+    model = train(gram(cfg, X, jitter=jitter), y, SvmConfig(C=1.0), features=X)
+    for a in A:
+        assert abs(svm.decision_value(model, a) - decision_value(model, a)) <= 1e-12
 
 
 def test_indefinite_pair_moves_to_the_box_corner():
