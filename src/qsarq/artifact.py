@@ -20,15 +20,17 @@ subnormals included) and are written and parsed several times faster
 than 17-digit decimal text, which version 1 used; version 1 files are
 refused and are rewritten by rerunning the command that made them.
 Scalars stay JSON, keys are sorted, and non-finite numbers are refused
-on writing and, after decoding, on reading. Reading checks the format,
-version, type, key set, value types, payload lengths and array shapes,
-and any violation raises a ValueError that names the file.
+on writing and, after decoding, on reading, as is a number too large for
+a float. Reading checks the format, version, type, key set, value types,
+payload lengths and array shapes, and any violation raises a ValueError
+that names the file.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import sys
 from functools import partial
 from numbers import Integral, Real
 
@@ -112,6 +114,8 @@ def _checked(key: str, value, kind, lengths: dict):
     if not isinstance(kind, tuple):
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
             raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
+        if kind is Real and not abs(value) <= sys.float_info.max:  # 1e400 parses as inf
+            raise ValueError(f"{key} is too large for a float")
         return value
     arr = _decoded(key, value, len(kind))
     expected = tuple(lengths.setdefault(name, length) for name, length in zip(kind, arr.shape))

@@ -194,18 +194,6 @@ def _blocks(spec: FeatureMapSpec, feats: np.ndarray):
         yield slice(start, start + step), _encode_rows(spec, feats[start:start + step])
 
 
-def encode_blocks(spec: FeatureMapSpec, X):
-    """Validate X, then return an iterator of (row slice, states of those rows).
-
-    Rows are encoded a block at a time, each block about BLOCK_BYTES of
-    amplitudes (at least one row), so callers can consume states without
-    holding all of them.
-    """
-    feats = _validated_features(spec, X, ndim=2)
-    check_state_stack(1, spec.n_qubits)  # the qubit cap; blocks stay near BLOCK_BYTES
-    return _blocks(spec, feats)
-
-
 def encode_batch(spec: FeatureMapSpec, X) -> np.ndarray:
     """Encoded states of every row of X as an (N, 2^n) complex array.
 

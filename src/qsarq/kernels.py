@@ -16,10 +16,10 @@ column order. A query's draws never depend on the rest of its batch, but
 triangle of ``cross_gram(X, X)``, so appending rows changes no earlier entry.
 
 `gram` and `cross_gram` take one path for every kind. Rows become
-operands once (quantum kinds: the real and imaginary planes of the encoded
-states; classical kinds: the feature rows), and one block evaluator gives
-the exact kernel values between two operand blocks: |S S^H|^2 from four
-real matrix products, the column-wise RBF sum, or the dot products.
+operands once (quantum kinds: `encode_batch`'s complex stack of states;
+classical kinds: the feature rows), and one block evaluator gives the exact
+kernel values between two operand blocks: |conj(A) B^T|^2 from one complex
+matrix product, the column-wise RBF sum, or the dot products.
 The tests check both against a per-entry reference that encodes quantum
 rows gate by gate (``tests/oracles.py``).
 """
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import artifact
 from .errors import InternalConsistencyError
-from .feature_maps import BLOCK_BYTES, FeatureMapSpec, check_state_stack, encode_blocks
+from .feature_maps import BLOCK_BYTES, FeatureMapSpec, encode_batch
 from .fields import check_fields, from_mapping
 
 QUANTUM_EXACT = "quantum_exact"
@@ -164,35 +164,18 @@ def _shot_draws(cfg: KernelConfig, x: np.ndarray, p):
 
 
 def _operands(cfg: KernelConfig, X: np.ndarray) -> np.ndarray:
-    """The rows of X as `_kernel_block` takes them; ``[..., rows, :]`` slices rows.
-
-    Quantum kinds: the (2, rows, 2^n) stack of the encoded rows' real and
-    imaginary planes. Classical kinds: X itself.
-    """
-    if cfg.kind not in QUANTUM_KINDS:
-        return X
-    spec = cfg.feature_map
-    blocks = encode_blocks(spec, X)  # validates X before anything is allocated
-    check_state_stack(X.shape[0], spec.n_qubits)
-    planes = np.empty((2, X.shape[0], 1 << spec.n_qubits))
-    for rows, states in blocks:
-        planes[0, rows] = states.real
-        planes[1, rows] = states.imag
-    return planes
+    """The rows of X as `_kernel_block` takes them: for quantum kinds the
+    (rows, 2^n) complex stack of encoded states, for classical kinds X."""
+    if cfg.kind in QUANTUM_KINDS:
+        return encode_batch(cfg.feature_map, X)
+    return X
 
 
 def _kernel_block(cfg: KernelConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact kernel values between every operand row of `a` and every one of `b`."""
-    if cfg.kind in QUANTUM_KINDS:  # |<a|b>|^2 from four real matrix products
-        (re_a, im_a), (re_b, im_b) = a, b
-        real = re_a @ re_b.T
-        real += im_a @ im_b.T
-        imag = re_a @ im_b.T
-        imag -= im_a @ re_b.T
-        real *= real
-        imag *= imag
-        real += imag
-        return _clamp_unit(real)
+    if cfg.kind in QUANTUM_KINDS:  # |<a|b>|^2: conj copies a; BLAS reads the view b.T
+        z = np.conj(a) @ b.T
+        return _clamp_unit(z.real * z.real + z.imag * z.imag)
     if cfg.kind == RBF:
         sq = np.zeros((a.shape[0], b.shape[0]))
         for col in range(a.shape[1]):
@@ -203,6 +186,12 @@ def _kernel_block(cfg: KernelConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray
     if cfg.kind == LINEAR:
         return dots
     return (dots + cfg.offset) ** cfg.degree
+
+
+def _block_rows(cfg: KernelConfig, columns: int) -> int:
+    """Rows per block: their outputs and (quantum kinds) states take ~BLOCK_BYTES."""
+    encoded = 16 << cfg.feature_map.n_qubits if cfg.kind in QUANTUM_KINDS else 0
+    return max(1, BLOCK_BYTES // max(1, 8 * columns + encoded))
 
 
 def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
@@ -230,10 +219,9 @@ def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
     n = feats.shape[0]
     ops = _operands(cfg, feats)
     entries = np.empty((n, n))
-    step = max(1, BLOCK_BYTES // (8 * n))
+    step = _block_rows(cfg, n)
     for r0 in range(0, n, step):
-        entries[r0:r0 + step, r0:] = _kernel_block(cfg, ops[..., r0:r0 + step, :],
-                                                   ops[..., r0:, :])
+        entries[r0:r0 + step, r0:] = _kernel_block(cfg, ops[r0:r0 + step], ops[r0:])
     del ops  # free the stack before the shot draws, as it raises their peak RSS
     for i in range(n):
         entries[i + 1:, i] = entries[i, i + 1:]
@@ -253,12 +241,12 @@ def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
     """Kernel values K(A_i, B_j) for every row of A and every row of B.
 
     Exact and classical entry (i, j) equals the per-entry reference's
-    K(A[i], B[j]) (``tests/oracles.py``) up to rounding. A shot-sampled row i is the draws of A[i]'s
-    shot stream over the rows of B in order: it does not depend on the other
-    rows of A, and column j = 0 is the stream's first draw. The result is not
-    symmetric in A and B. B becomes one operand stack; rows of A become
-    operands a block at a time, each block's output and encoded rows taking
-    about BLOCK_BYTES, and are evaluated against it.
+    K(A[i], B[j]) (``tests/oracles.py``) up to rounding. A shot-sampled row i
+    is the draws of A[i]'s shot stream over the rows of B in order: it does not
+    depend on the other rows of A, and column j = 0 is the stream's first draw.
+    The result is not symmetric in A and B. B becomes one operand stack; rows
+    of A become operands a block at a time (`_block_rows`, `gram`'s rule too)
+    and are evaluated against it.
     """
     a = np.asarray(A, dtype=np.float64)
     b = np.asarray(B, dtype=np.float64)
@@ -268,8 +256,7 @@ def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
         )
     ops_b = _operands(cfg, b)
     out = np.empty((a.shape[0], b.shape[0]))
-    encoded = 16 << cfg.feature_map.n_qubits if cfg.kind in QUANTUM_KINDS else 0
-    step = max(1, BLOCK_BYTES // max(1, 8 * b.shape[0] + encoded))
+    step = _block_rows(cfg, b.shape[0])
     for r0 in range(0, a.shape[0], step):
         out[r0:r0 + step] = _kernel_block(cfg, _operands(cfg, a[r0:r0 + step]), ops_b)
     if cfg.kind == QUANTUM_SHOTS:

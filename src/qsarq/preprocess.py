@@ -157,19 +157,19 @@ def _parse_float(raw: str, column: str, path, line: int) -> float:
 def read_descriptor_csv(path) -> DescriptorTable:
     """Read a descriptor CSV (comma separator, decimal point, UTF-8) into a table.
 
-    Line numbers are physical lines of the file, the header being line 1;
+    A leading byte-order mark is skipped, and the first record that is not
+    a blank line is the header. Line numbers are physical lines of the file:
     a record's number is the line it starts on, so blank lines and the
     continuation lines of a quoted multi-line field are counted. Rows
     are checked for surplus fields, then the cells column by column in
     header order, then the compound ids and EC50 values; the first
     fault found is raised.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
             records, lines = [], []  # each record and the line it starts on
-            start = reader.line_num + 1
+            start = 1
             for record in reader:
                 if record:  # a blank line holds no record
                     records.append(record)
@@ -177,8 +177,9 @@ def read_descriptor_csv(path) -> DescriptorTable:
                 start = reader.line_num + 1
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
-    if header is None:
+    if not records:
         raise ValueError(f"{path}: missing header row")
+    header, records, lines = records[0], records[1:], lines[1:]
     names: dict[str, str] = {}  # canonical name -> header
     for raw in header:
         name = _CANONICAL.get(raw.strip().lower(), raw.strip())

@@ -44,6 +44,8 @@ class SvmConfig:
             raise ValueError("C must be > 0")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass

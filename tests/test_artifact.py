@@ -168,13 +168,19 @@ def one_byte_short(text):
     return base64.b64encode(base64.b64decode(text)[:-1]).decode("ascii")
 
 
+# a string value that `spoiled` writes as the bare JSON number 1e400, which
+# Python's json module reads as inf
+RAW_1E400 = "<raw 1e400>"
+
+
 def spoiled(tmp_path, type_, fault):
     """Path of a saved artifact of `type_` after `fault` changed its record."""
     path = tmp_path / "artifact"
     TYPES[type_][1](TYPES[type_][0](), path)
     record = json.loads(path.read_text())
     fault(record)
-    path.write_text(json.dumps(record), encoding="utf-8")
+    text = json.dumps(record).replace(json.dumps(RAW_1E400), "1e400")
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -192,6 +198,10 @@ FAULTS = [
         ARRAY_OF[rec["type"]], decoded(rec[ARRAY_OF[rec["type"]]]).tolist()), "base64"),
     ("non-finite number", lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], float("nan")),
      "not a finite number"),
+    ("overflowing number", lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], RAW_1E400),
+     "too large for a float"),
+    ("huge integer", lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], 10**400),
+     "too large for a float"),
     ("number as a string", lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], "0.5"),
      "must be of type"),
     ("non-base64 character", first_row(lambda text: "!" + text[1:]), "not base64"),

@@ -1,6 +1,7 @@
 """End-to-end tests of the `qsarq` subcommands, driven through `cli.main`."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,22 @@ def test_version_1_artifact_exits_2_naming_it(tmp_path, config, qsarq, command):
     assert code == 2 and f"error: {path}: artifact version 1, not 2" in err
 
 
+@pytest.mark.parametrize("model, key, number", [("qsvm", "bias", "1e400"),
+                                                ("ls", "threshold", str(10**400))],
+                         ids=["svm bias 1e400", "reg threshold 10**400"])
+def test_model_number_too_large_for_a_float_exits_2_naming_it(tmp_path, config, qsarq,
+                                                              model, key, number):
+    assert qsarq("train", "--config", config, "--model", model, "--out", tmp_path,
+                 "--quiet")[0] == 0
+    path = tmp_path / "huge.model"
+    text = (tmp_path / f"{model}.model").read_text(encoding="utf-8")
+    path.write_text(re.sub(f'"{key}": [^,\\n]+', f'"{key}": {number}', text),
+                    encoding="utf-8")
+    code, _, err = qsarq("eval", path, tmp_path / "data.csv", "--cutoff", CUTOFF,
+                         "--out", tmp_path / "out", "--quiet")
+    assert code == 2 and f"error: {path}: {key} is too large for a float" in err
+
+
 def test_gram_on_a_regression_row_exits_2(tmp_path, config, qsarq):
     assert qsarq("gram", "--config", config, "--model", "qsvm", "--out", tmp_path,
                  "--quiet")[0] == 0
@@ -209,6 +226,15 @@ def test_csv_row_with_surplus_fields_exits_2(tmp_path, config, qsarq, command):
     path.write_text(path.read_text() + "extra,1,2,3,300,1,6.5,99\n", encoding="utf-8")
     code, _, err = qsarq(command, "--config", config, "--out", tmp_path, "--quiet")
     assert code == 2 and "line 32 has 8 fields" in err
+
+
+def test_svm_iteration_budget_below_one_exits_2(tmp_path, qsarq):
+    write_csv(tmp_path / "data.csv")
+    entry = {"name": "rbf", "kind": "svm", "max_iters": -5,
+             "kernel": {"kind": "rbf", "gamma": 1.5}}
+    config = write_config(tmp_path / "exp.yaml", models=[entry])
+    code, _, err = qsarq("run", "--config", config, "--out", tmp_path, "--quiet")
+    assert code == 2 and "max_iters must be >= 1, got -5" in err
 
 
 @pytest.mark.parametrize("iterations", [MAX_ANNEAL_ITERS + 1, 10**30])

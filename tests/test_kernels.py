@@ -345,6 +345,23 @@ def test_cross_gram_blocks_stay_small_for_many_query_rows():
     assert peak <= 4 << 20
 
 
+def test_gram_blocks_stay_small_beside_the_state_stack():
+    # each block of rows is sized by its output and its states' conjugate;
+    # sized by the output alone, a block's conjugate is 102 states (1.6 MiB)
+    cfg = KernelConfig(kind=QUANTUM_EXACT,
+                       feature_map=FeatureMapSpec("zz", 10, reps=2, entanglement="linear"))
+    n = 320
+    X = np.random.default_rng(9).random((n, 10))
+    tracemalloc.start()
+    try:
+        gm = gram(cfg, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gm.size == n
+    assert peak <= n * (16 << 10) + n * n * 8 + (1 << 20)  # the stack, the output, 1 MiB
+
+
 def test_gram_input_validation():
     with pytest.raises(ValueError):
         gram(KernelConfig(kind=LINEAR), [])

@@ -310,6 +310,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 3: column 'logp' has non-numeric"):
             read_descriptor_csv(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfcompound_id,logp\nA,1\nB,2\n")
+        table = read_descriptor_csv(path)
+        assert table.ids.tolist() == ["A", "B"]
+        assert table.descriptors["logp"].tolist() == [1.0, 2.0]
+
     @pytest.mark.parametrize("text, message", [
         ("compound_id,logp\n\nA,1\n\nB,x\n", "line 5: column 'logp' has non-numeric"),
         ('compound_id,logp\n"A\nA",1\nB,x\n', "line 4: column 'logp' has non-numeric"),
@@ -317,8 +324,9 @@ class TestCsv:
         ("compound_id,logp\n\nA,1\n\n,2\n", "line 5 is missing compound_id"),
         ('compound_id,ec50_nM\n"A\nA",1\n\nB,-1\n', "line 5: B: ec50_nM must be positive"),
         ("compound_id,label\nA,1\n\nB,3\n", "line 4 has label '3'"),
+        ("\ncompound_id,logp\nA,1\nB,x\n", "line 4: column 'logp' has non-numeric"),
     ], ids=["blank-cell", "multiline-cell", "blank-fields", "blank-id", "multiline-ec50",
-            "blank-label"])
+            "blank-label", "leading-blank"])
     def test_messages_name_the_physical_line(self, tmp_path, text, message):
         # blank lines and a quoted field's continuation lines are counted
         path = self.write(tmp_path, text)

@@ -193,6 +193,12 @@ def test_iteration_budget_flags_nonconverged():
     assert not model.converged
 
 
+@pytest.mark.parametrize("max_iters", [0, -5])
+def test_iteration_budget_below_one_is_refused(max_iters):
+    with pytest.raises(ValueError, match=f"max_iters must be >= 1, got {max_iters}"):
+        SvmConfig(max_iters=max_iters)
+
+
 def test_model_round_trip_preserves_decision_values(tmp_path):
     rng = np.random.default_rng(2)
     spec = FeatureMapSpec("zz", 2, reps=1)
