@@ -12,6 +12,8 @@ significant bit of the amplitude index, so ``|q1 q0> = |binary index>``.
 butterfly per qubit axis over all rows, with per-row angles, and all phase
 gates of one repetition are one diagonal exp(i * phase), the phases being a
 product of per-row angles with a table of amplitude bits and pair parities.
+Each chunk of that table is built once per batch, and every row's diagonal
+is written into the output stack before its rows are turned into states.
 The tests check it against a gate-by-gate simulator of the same circuits
 (``tests/oracles.py``).
 """
@@ -36,6 +38,8 @@ FULL = "full"
 ENTANGLEMENTS = frozenset({LINEAR, FULL})
 
 DEFAULT_QUBIT_CAP = 24
+# most repetitions of the encoding block; encode time grows with each one
+MAX_REPS = 100
 # largest stack of statevectors (rows x 2^n complex128 amplitudes) built at once
 DEFAULT_STACK_BYTES = 1 << 30
 # working set of one block of batched work: rows are encoded and multiplied
@@ -64,8 +68,8 @@ class FeatureMapSpec:
             raise ValueError(f"unknown entanglement scheme {self.entanglement!r}")
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        if not 1 <= self.reps <= MAX_REPS:
+            raise ValueError(f"reps must be between 1 and {MAX_REPS}, got {self.reps}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -128,12 +132,13 @@ def _validated_features(spec: FeatureMapSpec, x, ndim: int = 1) -> np.ndarray:
     return arr
 
 
-def _phase_diagonal(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
-    """exp(i * phase) per row and amplitude: all phase gates of one repetition.
+def _phase_diagonals(spec: FeatureMapSpec, X: np.ndarray, out: np.ndarray, blocks) -> None:
+    """Write exp(i * phase) per row of X and amplitude into `out`: one repetition's phase gates.
 
     The phase of amplitude a is angles @ table[a], where table[a] holds
     the bits of a (ZZ family only) and the parity of each entangled pair's
-    two bits; the table is built a chunk of amplitudes at a time.
+    two bits. Each chunk of the table is built once and multiplied with the
+    angles of one block of rows (a slice of `blocks`) at a time.
     """
     n = spec.n_qubits
     pairs = np.array(entanglement_pairs(spec.entanglement, n), dtype=np.intp).reshape(-1, 2)
@@ -142,28 +147,27 @@ def _phase_diagonal(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
         angles = np.hstack([2.0 * X, 2.0 * (math.pi - X[:, j]) * (math.pi - X[:, k])])
     else:
         angles = math.pi * X[:, j] * X[:, k]
-    diag = np.empty((X.shape[0], 1 << n), dtype=np.complex128)
     for start in range(0, 1 << n, _PHASE_CHUNK):
         stop = min(start + _PHASE_CHUNK, 1 << n)
         bits = ((np.arange(start, stop)[:, None] >> np.arange(n)) & 1).astype(np.float64)
         table = np.abs(bits[:, j] - bits[:, k])
         if spec.family == ZZ:
             table = np.hstack([bits, table])
-        diag[:, start:stop] = np.exp(1j * (angles @ table.T))
-    return diag
+        for rows in blocks:
+            out[rows, start:stop] = np.exp(1j * (angles[rows] @ table.T))
 
 
-def _encode_rows(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
-    """States of the (validated) rows of X, every gate layer applied to all rows.
+def _encode_rows(spec: FeatureMapSpec, X: np.ndarray, states: np.ndarray) -> None:
+    """Turn the phase diagonals in `states` into the states of the (validated) rows of X.
 
-    Repetition 1's H or RY layer acts on |0...0>, whose state stays a
-    product: qubit q doubles the 2^q leading amplitudes into c * a and
-    s * a, the butterfly's products with the other half's zeros left out.
+    Every gate layer is applied to all rows. Repetition 1's H or RY layer
+    acts on |0...0>, whose state stays a product: qubit q doubles the 2^q
+    leading amplitudes into c * a and s * a, the butterfly's products with
+    the other half's zeros left out.
     """
     rows, n = X.shape
-    states = np.empty((rows, 1 << n), dtype=np.complex128)
+    diag = states.copy()  # the same in every repetition
     states[:, 0] = 1.0
-    diag = _phase_diagonal(spec, X)  # the same in every repetition
     cos, sin = np.cos(X)[:, :, None, None], np.sin(X)[:, :, None, None]
     for q in range(n):
         lead = states[:, :1 << q]
@@ -184,14 +188,6 @@ def _encode_rows(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
                 view[:, :, 0, :] = c * a - s * b
                 view[:, :, 1, :] = s * a + c * b
         states *= diag
-    return states
-
-
-def _blocks(spec: FeatureMapSpec, feats: np.ndarray):
-    """(row slice, states) per block of about BLOCK_BYTES of amplitudes."""
-    step = max(1, BLOCK_BYTES // (16 << spec.n_qubits))
-    for start in range(0, feats.shape[0], step):
-        yield slice(start, start + step), _encode_rows(spec, feats[start:start + step])
 
 
 def encode_batch(spec: FeatureMapSpec, X) -> np.ndarray:
@@ -200,13 +196,17 @@ def encode_batch(spec: FeatureMapSpec, X) -> np.ndarray:
     Row i equals the state the gate list of X[i] prepares from |0...0>,
     up to rounding (checked against a gate-by-gate simulator in
     ``tests/oracles.py``). The whole stack must fit the state-stack budget,
-    which is checked before anything is allocated.
+    which is checked before anything is allocated. Rows are encoded a
+    block of about BLOCK_BYTES of amplitudes at a time, in place.
     """
     feats = _validated_features(spec, X, ndim=2)
     check_state_stack(feats.shape[0], spec.n_qubits)
     out = np.empty((feats.shape[0], 1 << spec.n_qubits), dtype=np.complex128)
-    for rows, states in _blocks(spec, feats):
-        out[rows] = states
+    step = max(1, BLOCK_BYTES // (16 << spec.n_qubits))
+    blocks = [slice(start, start + step) for start in range(0, feats.shape[0], step)]
+    _phase_diagonals(spec, feats, out, blocks)
+    for rows in blocks:
+        _encode_rows(spec, feats[rows], out[rows])
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -137,14 +137,14 @@ def load_experiment_config(path) -> ExperimentConfig:
     The input path is resolved relative to the config file's directory.
     """
     cfg_path = Path(path)
-    with open(cfg_path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
     try:
+        with open(cfg_path, "r", encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
         if isinstance(raw, dict) and isinstance(raw.get("models"), list):
             raw = {**raw, "models": [from_mapping(ModelEntry, m, "model entry")
                                      for m in raw["models"]]}
         config = from_mapping(ExperimentConfig, raw, "config")
-    except ValueError as exc:
+    except ValueError as exc:  # UTF-8 decoding errors included
         raise ValueError(f"{path}: {exc}") from exc
     input_path = Path(config.input)
     if not input_path.is_absolute():
@@ -197,26 +197,21 @@ def resolve_kernel_config(raw: dict, n_features: int) -> KernelConfig:
 
 
 @dataclass
-class ModelResult:
-    name: str
-    tag: str
-    accuracy: float
-    execution: str
-    kernel: str
-    note: str | None = None
-    detail: dict = field(default_factory=dict)
-
-
-@dataclass
 class EvalReport:
-    results: list[ModelResult]
+    """A comparison report; `results` holds the rows `report.json` stores.
+
+    Each row is a dict with the keys name, type, accuracy, execution,
+    kernel, note and detail, in config order.
+    """
+
+    results: list[dict]
     dataset: dict
     config_echo: dict
 
     def to_text(self) -> str:
         headers = ("model", "type", "acc", "execution", "kernel")
         rows = [
-            (r.name, r.tag, f"{r.accuracy:.4f}", r.execution, r.kernel)
+            (r["name"], r["type"], f"{r['accuracy']:.4f}", r["execution"], r["kernel"])
             for r in self.results
         ]
         widths = [
@@ -241,27 +236,12 @@ class EvalReport:
         lines.append(f"features: {', '.join(ds['feature_names'])}")
         lines.append(f"input digest: {ds['digest']}")
         for r in self.results:
-            if r.note:
-                lines.append(f"note {r.name}: {r.note}")
+            if r["note"]:
+                lines.append(f"note {r['name']}: {r['note']}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "rows": [
-                {
-                    "name": r.name,
-                    "type": r.tag,
-                    "accuracy": r.accuracy,
-                    "execution": r.execution,
-                    "kernel": r.kernel,
-                    "note": r.note,
-                    "detail": r.detail,
-                }
-                for r in self.results
-            ],
-            "dataset": self.dataset,
-            "config": self.config_echo,
-        }
+        payload = {"rows": self.results, "dataset": self.dataset, "config": self.config_echo}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -396,20 +376,20 @@ def load_model(path):
     return artifact.load(path, {artifact.SVM: svm_from_fields, artifact.REG: reg_from_fields})
 
 
-def _run_row(entry, train_activity, cutoff, X_train, X_test, y_train, y_test):
-    """Fit one row on the training split, then score it on the test split."""
+def _run_row(entry, train_activity, cutoff, X_train, X_test, y_train, y_test) -> dict:
+    """Fit one row on the training split, score it on the test split: its report row."""
     model = fit_entry(entry, X_train, y_train, train_activity, cutoff)
-    acc = accuracy(predict(model, X_test), y_test)
+    row = {"name": entry.name, "type": entry.tag, "note": entry.note,
+           "accuracy": accuracy(predict(model, X_test), y_test)}
     if entry.kind == SVM:
         kcfg = model.kernel_config
-        execution = EXEC_SHOTS if kcfg.kind == QUANTUM_SHOTS else EXEC_CPU
-        detail = {
-            "C": entry.C,
-            "converged": model.converged,
-            "n_support": int(model.support_indices.size),
-            "kernel_config": kcfg.to_dict(),
-        }
-        return acc, execution, kcfg.describe(), detail
+        return {**row, "execution": EXEC_SHOTS if kcfg.kind == QUANTUM_SHOTS else EXEC_CPU,
+                "kernel": kcfg.describe(), "detail": {
+                    "C": entry.C,
+                    "converged": model.converged,
+                    "n_support": int(model.support_indices.size),
+                    "kernel_config": kcfg.to_dict(),
+                }}
     detail = {
         "basis": entry.basis,
         "target": entry.target,
@@ -419,7 +399,7 @@ def _run_row(entry, train_activity, cutoff, X_train, X_test, y_train, y_test):
     if entry.kind == REG_ANNEAL:
         detail.update(t0=entry.t0, cooling=entry.cooling,
                       iterations=entry.iterations, anneal_seed=entry.anneal_seed)
-    return acc, EXEC_CPU, "-", detail
+    return {**row, "execution": EXEC_CPU, "kernel": "-", "detail": detail}
 
 
 def run_experiment(config: ExperimentConfig) -> EvalReport:
@@ -430,14 +410,8 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     results = []
     for entry in config.models:
         with _stage(f"model {entry.name}"):
-            acc, execution, kdesc, detail = _run_row(
-                entry, table.activity[train_idx], config.activity_cutoff,
-                X_train, X_test, y_train, y_test,
-            )
-        results.append(ModelResult(
-            name=entry.name, tag=entry.tag, accuracy=acc,
-            execution=execution, kernel=kdesc, note=entry.note, detail=detail,
-        ))
+            results.append(_run_row(entry, table.activity[train_idx], config.activity_cutoff,
+                                    X_train, X_test, y_train, y_test))
 
     dataset = {
         "n_rows": len(table),

@@ -177,6 +177,8 @@ def read_descriptor_csv(path) -> DescriptorTable:
                 start = reader.line_num + 1
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if not records:
         raise ValueError(f"{path}: missing header row")
     header, records, lines = records[0], records[1:], lines[1:]

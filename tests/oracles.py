@@ -33,7 +33,7 @@ from qsarq.feature_maps import (
     DEFAULT_QUBIT_CAP,
     ZZ,
     FeatureMapSpec,
-    _phase_diagonal,
+    _phase_diagonals,
     _validated_features,
     entanglement_pairs,
 )
@@ -347,6 +347,8 @@ def butterfly_states(spec: FeatureMapSpec, X) -> np.ndarray:
     states = np.zeros((rows, 1 << n), dtype=np.complex128)
     states[:, 0] = 1.0
     cos, sin = np.cos(X)[:, :, None, None], np.sin(X)[:, :, None, None]
+    diag = np.empty_like(states)
+    _phase_diagonals(spec, X, diag, [slice(None)])
     for _ in range(spec.reps):
         for q in range(n):
             view = states.reshape(rows, -1, 2, 1 << q)
@@ -358,7 +360,7 @@ def butterfly_states(spec: FeatureMapSpec, X) -> np.ndarray:
                 c, s = cos[:, q], sin[:, q]
                 view[:, :, 0, :] = c * a - s * b
                 view[:, :, 1, :] = s * a + c * b
-        states *= _phase_diagonal(spec, X)
+        states *= diag
     return states
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the `qsarq` subcommands, driven through `cli.main`."""
 
+import json
 import math
 import re
 
@@ -9,6 +10,7 @@ import yaml
 
 from qsarq.cli import main
 from qsarq.errors import InternalConsistencyError
+from qsarq.feature_maps import MAX_REPS
 from qsarq.pipeline import fit_entry, load_experiment_config, prepare_features
 from qsarq.regression import MAX_ANNEAL_ITERS, load_reg_model
 
@@ -62,6 +64,43 @@ def test_run_twice_is_byte_identical(tmp_path, config, qsarq):
         assert qsarq("run", "--config", config, "--out", tmp_path / out, "--quiet")[0] == 0
     for name in ("report.txt", "report.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_report_rows_share_one_form(tmp_path, qsarq):
+    write_csv(tmp_path / "data.csv")
+    models = [{**m, "note": "the paper's kernel"} if m["name"] == "qsvm"
+              else {**m, "tag": "q/sa"} if m["name"] == "anneal" else m for m in MODELS]
+    config = write_config(tmp_path / "exp.yaml", models=models)
+    assert qsarq("run", "--config", config, "--out", tmp_path / "out", "--quiet")[0] == 0
+    lines = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8").splitlines()
+    rows = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["rows"]
+    assert [row["name"] for row in rows] == [m["name"] for m in MODELS]
+
+    columns = ("model", "type", "acc", "execution", "kernel")
+    offsets = [lines[0].index(h) for h in columns]
+    assert lines[0].split() == list(columns) and offsets[0] == 0
+    for line, row in zip(lines[2:2 + len(rows)], rows):
+        for offset in offsets[1:]:  # each column starts at its header's offset
+            assert line[offset - 2:offset] == "  " and line[offset] != " "
+        cells = [line[a:b].strip() for a, b in zip(offsets, offsets[1:] + [None])]
+        assert cells == [row["name"], row["type"], f"{row['accuracy']:.4f}",
+                         row["execution"], row["kernel"]]
+    assert lines[2 + len(rows)] == ""
+    assert [row["type"] for row in rows] == ["c/q", "c", "c", "c", "q/sa"]
+    assert [line for line in lines if line.startswith("note ")] == [
+        "note qsvm: the paper's kernel"]
+
+    regression = {"basis", "target", "ridge", "train_loss"}
+    anneal = {"t0": 1.0, "cooling": 0.999, "iterations": 300, "anneal_seed": 2}
+    for row in rows:
+        assert set(row) == {"name", "type", "accuracy", "execution", "kernel", "note",
+                            "detail"}
+        assert row["note"] == ("the paper's kernel" if row["name"] == "qsvm" else None)
+    assert set(rows[0]["detail"]) == set(rows[1]["detail"]) == {
+        "C", "converged", "n_support", "kernel_config"}
+    assert set(rows[2]["detail"]) == set(rows[3]["detail"]) == regression
+    assert set(rows[4]["detail"]) == regression | set(anneal)
+    assert {k: rows[4]["detail"][k] for k in anneal} == anneal
 
 
 @pytest.mark.parametrize("model", ["qsvm", "ls"])
@@ -244,6 +283,29 @@ def test_oversized_anneal_iterations_exit_2(tmp_path, qsarq, iterations):
     config = write_config(tmp_path / "exp.yaml", models=[entry])
     code, _, err = qsarq("run", "--config", config, "--out", tmp_path, "--quiet")
     assert code == 2 and f"iteration count must be between 1 and {MAX_ANNEAL_ITERS}" in err
+
+
+@pytest.mark.parametrize("reps", [MAX_REPS + 1, 10**30])
+def test_oversized_feature_map_reps_exit_2(tmp_path, qsarq, reps):
+    write_csv(tmp_path / "data.csv")
+    kernel = {"kind": "quantum_exact", "feature_map": {"family": "zz", "reps": reps}}
+    config = write_config(tmp_path / "exp.yaml",
+                          models=[{"name": "q", "kind": "svm", "kernel": kernel}])
+    code, _, err = qsarq("run", "--config", config, "--out", tmp_path / "out", "--quiet")
+    assert code == 2 and f"reps must be between 1 and {MAX_REPS}, got {reps}" in err
+
+
+@pytest.mark.parametrize("command, latin", [("preprocess", "data.csv"), ("eval", "data.csv"),
+                                            ("run", "data.csv"), ("run", "exp.yaml")])
+def test_input_that_is_not_utf8_exits_2_naming_it(tmp_path, config, qsarq, command, latin):
+    assert qsarq("train", "--config", config, "--model", "ls", "--out", tmp_path,
+                 "--quiet")[0] == 0
+    path = tmp_path / latin
+    path.write_bytes(path.read_bytes() + b"# caf\xe9\n")  # a Latin-1 e-acute
+    args = {"preprocess": (path,), "eval": (tmp_path / "ls.model", path, "--cutoff", CUTOFF),
+            "run": ("--config", config)}[command]
+    code, _, err = qsarq(command, *args, "--out", tmp_path / "out", "--quiet")
+    assert code == 2 and f"{path}: 'utf-8' codec can't decode byte 0xe9" in err
 
 
 def test_internal_consistency_error_exits_3(tmp_path, config, qsarq, monkeypatch):

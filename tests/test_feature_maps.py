@@ -12,6 +12,7 @@ from qsarq.feature_maps import (
     DEFAULT_STACK_BYTES,
     FULL,
     LINEAR,
+    MAX_REPS,
     ZZ,
     FeatureMapSpec,
     check_state_stack,
@@ -48,6 +49,10 @@ def test_spec_validation():
         FeatureMapSpec(ZZ, 2, reps=0)
     with pytest.raises(ValueError):
         FeatureMapSpec(ZZ, 2, entanglement="ring")
+    for reps in (MAX_REPS + 1, 10**30):
+        with pytest.raises(ValueError, match=f"reps must be between 1 and {MAX_REPS}"):
+            FeatureMapSpec(ZZ, 2, reps=reps)
+    assert FeatureMapSpec(ZZ, 2, reps=MAX_REPS).reps == MAX_REPS
 
 
 def test_spec_dict_round_trip():
@@ -171,6 +176,20 @@ def test_encode_batch_validation():
         states = encode_batch(FeatureMapSpec(CUSTOM, 2, reps=1), [[1.5, -0.2]])
     assert abs(np.linalg.norm(states[0]) - 1.0) <= 1e-10
     assert encode_batch(spec, np.empty((0, 2))).shape == (0, 4)
+
+
+def test_encode_batch_phase_table_is_built_once_beside_the_stack():
+    # each chunk of the phase table (2^10 x 55 float64 for ZZ/full, 450 KB)
+    # is built once per batch, not once per block of rows
+    spec = FeatureMapSpec(ZZ, 10, reps=2, entanglement=FULL)
+    X = np.random.default_rng(4).random((300, 10))
+    tracemalloc.start()
+    try:
+        states = encode_batch(spec, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - states.nbytes <= 1.5 * (1 << 20)
 
 
 def test_encode_batch_budget_checked_before_allocating():
