@@ -61,8 +61,8 @@ def save(path, type_: str, fields: dict) -> None:
             value = record[key]
             fh.write(("{\n" if n == 0 else ",\n") + _dumps(key) + ": ")
             if isinstance(value, np.ndarray) and value.ndim == 2:
-                for i, row in enumerate(value):  # one row's payload at a time
-                    fh.write(("[\n" if i == 0 else ",\n") + _dumps(_payload(row)))
+                for i, row in enumerate(value):  # base64 needs no JSON escaping
+                    fh.write(("[\n" if i == 0 else ",\n") + f'"{_payload(row)}"')
                 fh.write("\n]" if len(value) else "[]")
             else:
                 fh.write(_dumps(_payload(value) if isinstance(value, np.ndarray) else value))

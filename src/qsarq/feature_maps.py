@@ -8,14 +8,14 @@ phase of pi*x_j*x_k. One qubit per feature; the block repeats `reps` times.
 States live in the computational basis with qubit 0 on the least
 significant bit of the amplitude index, so ``|q1 q0> = |binary index>``.
 
-`encode_batch` prepares many states at once: each H or RY layer is one
-butterfly per qubit axis over all rows, with per-row angles, and all phase
-gates of one repetition are one diagonal exp(i * phase), the phases being a
-product of per-row angles with a table of amplitude bits and pair parities.
-Each chunk of that table is built once per batch, and every row's diagonal
-is written into the output stack before its rows are turned into states.
-The tests check it against a gate-by-gate simulator of the same circuits
-(``tests/oracles.py``).
+`encode_batch` prepares many states at once. All phase gates of one
+repetition are one diagonal exp(i * phase), per-row angles times a table of
+amplitude bits and pair parities; the table is built once per batch, for the
+amplitudes whose top bit is 0, and the other half follows by flipping every
+bit. H on every qubit is one real matrix product per group of at most 5
+qubits, and an RY layer (per-row angles) one butterfly per qubit axis. The
+tests check it against a gate-by-gate simulator of the same circuits and
+against the full phase table (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -137,36 +138,50 @@ def _phase_diagonals(spec: FeatureMapSpec, X: np.ndarray, out: np.ndarray, block
 
     The phase of amplitude a is angles @ table[a], where table[a] holds
     the bits of a (ZZ family only) and the parity of each entangled pair's
-    two bits. Each chunk of the table is built once and multiplied with the
-    angles of one block of rows (a slice of `blocks`) at a time.
+    two bits. Each chunk of the table's top-bit-0 half is built once and multiplied with
+    the angles of one block of rows (a slice of `blocks`) at a time. With alpha the bits'
+    angles (2x for ZZ, 0 for custom), D(~a) = exp(i sum alpha) D(a) prod_j exp(-2i alpha_j a_j).
     """
-    n = spec.n_qubits
+    n, half = spec.n_qubits, 1 << (spec.n_qubits - 1)
     pairs = np.array(entanglement_pairs(spec.entanglement, n), dtype=np.intp).reshape(-1, 2)
     j, k = pairs[:, 0], pairs[:, 1]
     if spec.family == ZZ:
         angles = np.hstack([2.0 * X, 2.0 * (math.pi - X[:, j]) * (math.pi - X[:, k])])
     else:
         angles = math.pi * X[:, j] * X[:, k]
-    for start in range(0, 1 << n, _PHASE_CHUNK):
-        stop = min(start + _PHASE_CHUNK, 1 << n)
+    for start in range(0, half, _PHASE_CHUNK):
+        stop = min(start + _PHASE_CHUNK, half)
         bits = ((np.arange(start, stop)[:, None] >> np.arange(n)) & 1).astype(np.float64)
         table = np.abs(bits[:, j] - bits[:, k])
         if spec.family == ZZ:
             table = np.hstack([bits, table])
-        for rows in blocks:
-            out[rows, start:stop] = np.exp(1j * (angles[rows] @ table.T))
+        for rows in blocks:  # cos and sin are exp(i * phase)'s parts, bit for bit
+            phase = angles[rows] @ table.T
+            np.cos(phase, out=out.real[rows, start:stop])
+            np.sin(phase, out=out.imag[rows, start:stop])
+    alpha = angles[:, :n] if spec.family == ZZ else np.zeros_like(X)
+    for rows in blocks:  # lift[a] = D(~a) / D(a), apart from `out`: numpy copies overlaps
+        lift = np.empty((half, len(alpha[rows])), dtype=np.complex128)
+        lift[0] = np.exp(1j * alpha[rows].sum(axis=1))
+        turn = np.exp(-2j * alpha[rows, :n - 1])
+        for q in range(n - 1):  # doubling: lift[a + 2^q] = lift[a] * turn_q
+            np.multiply(lift[:1 << q], turn[:, q], out=lift[1 << q:2 << q])
+        lift *= out[rows, :half].T
+        out[rows, half:] = lift.T[:, ::-1]  # ~a is amplitude 2^n - 1 - a
 
 
-def _encode_rows(spec: FeatureMapSpec, X: np.ndarray, states: np.ndarray) -> None:
+def _encode_rows(spec: FeatureMapSpec, X: np.ndarray, states: np.ndarray,
+                 diag: np.ndarray, buf: np.ndarray, factors) -> None:
     """Turn the phase diagonals in `states` into the states of the (validated) rows of X.
 
     Every gate layer is applied to all rows. Repetition 1's H or RY layer
     acts on |0...0>, whose state stays a product: qubit q doubles the 2^q
     leading amplitudes into c * a and s * a, the butterfly's products with
-    the other half's zeros left out.
+    the other half's zeros left out. Later H layers apply `factors` (lowest qubit,
+    H on a group) to the re/im pairs, `states` to `buf` and back; `diag` keeps the diagonals.
     """
     rows, n = X.shape
-    diag = states.copy()  # the same in every repetition
+    diag[...] = states  # the same in every repetition
     states[:, 0] = 1.0
     cos, sin = np.cos(X)[:, :, None, None], np.sin(X)[:, :, None, None]
     for q in range(n):
@@ -176,18 +191,19 @@ def _encode_rows(spec: FeatureMapSpec, X: np.ndarray, states: np.ndarray) -> Non
         lead *= c
     states *= diag
     for _ in range(spec.reps - 1):
-        for q in range(n):
-            view = states.reshape(rows, -1, 2, 1 << q)
-            a = view[:, :, 0, :].copy()
-            b = view[:, :, 1, :]
-            if spec.family == ZZ:  # H on qubit q
-                view[:, :, 0, :] = (a + b) * _SQRT2_INV
-                view[:, :, 1, :] = (a - b) * _SQRT2_INV
-            else:  # RY(2 x_q): half-angle x_q
-                c, s = cos[:, q], sin[:, q]
+        src, dst = states.view(np.float64), buf.view(np.float64)
+        if spec.family == ZZ:  # H on every qubit
+            for low, h in factors:
+                shape = (rows, -1, h.shape[0], 2 << low)  # 2 << low: re/im of 2^low amplitudes
+                np.matmul(h, src.reshape(shape), out=dst.reshape(shape))
+                src, dst = dst, src
+        else:  # RY(2 x_q): half-angle x_q
+            for q in range(n):
+                view = states.reshape(rows, -1, 2, 1 << q)
+                a, b, c, s = view[:, :, 0, :].copy(), view[:, :, 1, :], cos[:, q], sin[:, q]
                 view[:, :, 0, :] = c * a - s * b
                 view[:, :, 1, :] = s * a + c * b
-        states *= diag
+        np.multiply(src.view(np.complex128), diag, out=states)
 
 
 def encode_batch(spec: FeatureMapSpec, X) -> np.ndarray:
@@ -197,7 +213,9 @@ def encode_batch(spec: FeatureMapSpec, X) -> np.ndarray:
     up to rounding (checked against a gate-by-gate simulator in
     ``tests/oracles.py``). The whole stack must fit the state-stack budget,
     which is checked before anything is allocated. Rows are encoded a
-    block of about BLOCK_BYTES of amplitudes at a time, in place.
+    block of about BLOCK_BYTES of amplitudes at a time, in place: the phase
+    diagonals from half the phase table and the complement rule, and each
+    H layer as one matrix product per group of at most 5 qubits.
     """
     feats = _validated_features(spec, X, ndim=2)
     check_state_stack(feats.shape[0], spec.n_qubits)
@@ -205,8 +223,12 @@ def encode_batch(spec: FeatureMapSpec, X) -> np.ndarray:
     step = max(1, BLOCK_BYTES // (16 << spec.n_qubits))
     blocks = [slice(start, start + step) for start in range(0, feats.shape[0], step)]
     _phase_diagonals(spec, feats, out, blocks)
+    work = np.empty((2, min(step, len(out)), out.shape[1]), dtype=np.complex128)
+    # H on each group of <= 5 qubits; symmetric, and its F-order .T takes the faster BLAS path
+    factors = [(g[0], reduce(np.kron, [[[1, 1], [1, -1]]] * len(g), 2.0 ** (-len(g) / 2)).T)
+               for g in np.array_split(np.arange(spec.n_qubits), -(-spec.n_qubits // 5))]
     for rows in blocks:
-        _encode_rows(spec, feats[rows], out[rows])
+        _encode_rows(spec, feats[rows], out[rows], *work[:, :len(out[rows])], factors)
     return out
 
 

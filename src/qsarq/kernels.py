@@ -33,8 +33,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import artifact
-from .errors import InternalConsistencyError
-from .feature_maps import BLOCK_BYTES, FeatureMapSpec, encode_batch
+from .errors import InternalConsistencyError, ResourceLimitError
+from .feature_maps import BLOCK_BYTES, DEFAULT_STACK_BYTES, FeatureMapSpec, encode_batch
 from .fields import check_fields, from_mapping
 
 QUANTUM_EXACT = "quantum_exact"
@@ -188,8 +188,12 @@ def _kernel_block(cfg: KernelConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return (dots + cfg.offset) ** cfg.degree
 
 
-def _block_rows(cfg: KernelConfig, columns: int) -> int:
-    """Rows per block: their outputs and (quantum kinds) states take ~BLOCK_BYTES."""
+def _block_rows(cfg: KernelConfig, rows: int, columns: int) -> int:
+    """Rows per block of a rows x columns kernel matrix: their outputs and (quantum
+    kinds) states take ~BLOCK_BYTES. The matrix must fit the state-stack budget."""
+    if 8 * rows * columns > DEFAULT_STACK_BYTES:
+        raise ResourceLimitError(f"a {rows} x {columns} kernel matrix needs {8 * rows * columns}"
+                                 f" bytes, over the budget of {DEFAULT_STACK_BYTES} bytes")
     encoded = 16 << cfg.feature_map.n_qubits if cfg.kind in QUANTUM_KINDS else 0
     return max(1, BLOCK_BYTES // max(1, 8 * columns + encoded))
 
@@ -197,15 +201,15 @@ def _block_rows(cfg: KernelConfig, columns: int) -> int:
 def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
     """Kernel matrix over the rows of X, exactly symmetric.
 
-    X becomes one operand stack; each block of its rows is evaluated against
-    the columns from the block's first row on, and the upper triangle is
-    mirrored. Entries equal the per-entry reference's (``tests/oracles.py``)
-    up to rounding. A shot-sampled entry (i, j), i < j, is then the j-th
-    draw of X[i]'s shot stream, drawn in place and mirrored: the upper
-    triangle is ``cross_gram(cfg, X, X)``'s, ``gram(X[:m])`` is the leading
-    m x m block of ``gram(X)``, and the diagonal is 1. `jitter` adds a
-    diagonal constant to shot-sampled matrices, which are not guaranteed
-    positive semidefinite.
+    The matrix must fit the state-stack budget (n <= 11 585). X becomes one
+    operand stack; each block of its rows is evaluated against the columns
+    from the block's first row on, and mirrored as it is made. Entries equal
+    the per-entry reference's (``tests/oracles.py``) up to rounding. A
+    shot-sampled entry (i, j), i < j, is then the j-th draw of X[i]'s shot
+    stream, drawn in place and mirrored: the upper triangle is
+    ``cross_gram(cfg, X, X)``'s, ``gram(X[:m])`` is the leading m x m block
+    of ``gram(X)``, and the diagonal is 1. `jitter` adds a diagonal constant
+    to shot-sampled matrices, which are not guaranteed positive semidefinite.
     """
     feats = np.asarray(X, dtype=np.float64)
     if feats.ndim == 1:
@@ -217,14 +221,18 @@ def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
     if jitter > 0 and cfg.kind != QUANTUM_SHOTS:
         raise ValueError("diagonal jitter only applies to shot-sampled kernels")
     n = feats.shape[0]
+    step = _block_rows(cfg, n, n)
     ops = _operands(cfg, feats)
     entries = np.empty((n, n))
-    step = _block_rows(cfg, n)
+    m = np.arange(min(step, n))
+    below = m[:, None] > m  # np.tri's int8 comparison would page in more numpy code
     for r0 in range(0, n, step):
-        entries[r0:r0 + step, r0:] = _kernel_block(cfg, ops[r0:r0 + step], ops[r0:])
+        block = _kernel_block(cfg, ops[r0:r0 + step], ops[r0:])
+        b = len(block)  # mirror right of the block's diagonal square, then the square
+        entries[r0:r0 + b, r0:] = block
+        entries[r0 + b:, r0:r0 + b] = block[:, b:].T
+        np.copyto(entries[r0:r0 + b, r0:r0 + b], block[:, :b].T, where=below[:b, :b])
     del ops  # free the stack before the shot draws, as it raises their peak RSS
-    for i in range(n):
-        entries[i + 1:, i] = entries[i, i + 1:]
     if cfg.kind == QUANTUM_SHOTS:
         for i in reversed(range(n)):  # rows below i are drawn; row i is still exact
             drawn = _shot_draws(cfg, feats[i], entries[i])[i + 1:]
@@ -245,8 +253,8 @@ def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
     is the draws of A[i]'s shot stream over the rows of B in order: it does not
     depend on the other rows of A, and column j = 0 is the stream's first draw.
     The result is not symmetric in A and B. B becomes one operand stack; rows
-    of A become operands a block at a time (`_block_rows`, `gram`'s rule too)
-    and are evaluated against it.
+    of A become operands a block at a time (`_block_rows`, `gram`'s rule and
+    budget too) and are evaluated against it.
     """
     a = np.asarray(A, dtype=np.float64)
     b = np.asarray(B, dtype=np.float64)
@@ -254,9 +262,9 @@ def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
         raise ValueError(
             "A and B must be 2-D feature matrices with the same number of columns"
         )
+    step = _block_rows(cfg, a.shape[0], b.shape[0])
     ops_b = _operands(cfg, b)
     out = np.empty((a.shape[0], b.shape[0]))
-    step = _block_rows(cfg, b.shape[0])
     for r0 in range(0, a.shape[0], step):
         out[r0:r0 + step] = _kernel_block(cfg, _operands(cfg, a[r0:r0 + step]), ops_b)
     if cfg.kind == QUANTUM_SHOTS:

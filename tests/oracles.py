@@ -14,7 +14,8 @@ it calls the package's input validation (`_validated_features`,
 (`_shot_draws`), so error paths exercise production checks.
 
 The other oracles check the simulator and the package in turn: gates
-become explicit Kronecker-product matrices, eigenproblems go through
+become explicit Kronecker-product matrices, phase diagonals come from the
+full phase table (`phase_diagonals`), eigenproblems go through
 hand-rolled Jacobi rotations, the SVM dual is solved by projected
 gradient ascent, linear systems by Gaussian elimination, and shot draws
 one entry at a time from the gate-list fidelities.
@@ -33,7 +34,6 @@ from qsarq.feature_maps import (
     DEFAULT_QUBIT_CAP,
     ZZ,
     FeatureMapSpec,
-    _phase_diagonals,
     _validated_features,
     entanglement_pairs,
 )
@@ -335,20 +335,42 @@ def circuit_unitary(gates: list[GateOp], n_qubits: int) -> np.ndarray:
     return total
 
 
+def phase_diagonals(spec: FeatureMapSpec, X) -> np.ndarray:
+    """exp(i * phase) per row of X and amplitude: one repetition's phase gates.
+
+    The full phase table: the phase of every amplitude a is angles @ table[a],
+    where table[a] holds the bits of a (ZZ family only) and the parity of each
+    entangled pair's two bits. The package builds only the half of this table
+    whose top bit is 0 and derives the rest (``qsarq.feature_maps._phase_diagonals``).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n = spec.n_qubits
+    pairs = np.array(entanglement_pairs(spec.entanglement, n), dtype=np.intp).reshape(-1, 2)
+    j, k = pairs[:, 0], pairs[:, 1]
+    if spec.family == ZZ:
+        angles = np.hstack([2.0 * X, 2.0 * (math.pi - X[:, j]) * (math.pi - X[:, k])])
+    else:
+        angles = math.pi * X[:, j] * X[:, k]
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    table = np.abs(bits[:, j] - bits[:, k])
+    if spec.family == ZZ:
+        table = np.hstack([bits, table])
+    return np.exp(1j * (angles @ table.T))
+
+
 def butterfly_states(spec: FeatureMapSpec, X) -> np.ndarray:
     """Encoded rows of X, every H or RY layer run as butterflies from |0...0>.
 
     Each repetition applies, for every qubit, one butterfly over the pairs
     of amplitudes that differ in that qubit's bit, then the repetition's
-    phase diagonal (taken from the encoder, which this does not check).
+    phase diagonal from the full table (`phase_diagonals`).
     """
     X = np.asarray(X, dtype=np.float64)
     rows, n = X.shape
     states = np.zeros((rows, 1 << n), dtype=np.complex128)
     states[:, 0] = 1.0
     cos, sin = np.cos(X)[:, :, None, None], np.sin(X)[:, :, None, None]
-    diag = np.empty_like(states)
-    _phase_diagonals(spec, X, diag, [slice(None)])
+    diag = phase_diagonals(spec, X)
     for _ in range(spec.reps):
         for q in range(n):
             view = states.reshape(rows, -1, 2, 1 << q)

@@ -131,6 +131,39 @@ def encoded(array):
     return [encoded(row) for row in array]
 
 
+def rendered(type_, fields):
+    """The text of an artifact, rendered with `json.dumps` field by field and row by row."""
+    record = {**fields, "format": "qsarq", "type": type_, "version": 2}
+    lines = []
+    for key in sorted(record):
+        value = record[key]
+        if isinstance(value, np.ndarray) and value.ndim == 2:
+            rows = ",\n".join(json.dumps(row) for row in encoded(value))
+            text = "[\n" + rows + "\n]" if len(value) else "[]"
+        elif isinstance(value, np.ndarray):
+            text = json.dumps(encoded(value))
+        else:
+            text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        lines.append(json.dumps(key) + ": " + text)
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+@pytest.mark.parametrize("type_, fields", [
+    ("gram", {"entries": np.array([[1.0, -0.0, 5e-324], [0.25, 1.0, 1 / 3], [7.0, 2.0, 1.0]]),
+              "kernel_config": {"kind": "rbf", "gamma": 1.5}, "dataset_digest": "ab",
+              "jitter": 0.125}),
+    ("svm", {"alphas": np.array([0.5, 2.0]), "bias": -0.25, "converged": False,
+             "kernel_config": {"kind": "linear"}, "labels": np.array([1.0, -1.0]),
+             "training_features": np.array([[0.1, 0.2, 0.3], [-1e300, 0.0, 2.5]])}),
+    ("svm", {"alphas": np.empty(0), "bias": 0.0, "converged": True,
+             "kernel_config": {"kind": "linear"}, "labels": np.empty(0),
+             "training_features": np.empty((0, 3))}),
+], ids=["gram", "svm", "svm without rows"])
+def test_save_writes_each_row_payload_as_a_json_string(tmp_path, type_, fields):
+    artifact.save(tmp_path / "artifact", type_, fields)
+    assert (tmp_path / "artifact").read_text(encoding="utf-8") == rendered(type_, fields)
+
+
 def respoiled(change, field=None):
     """A record fault re-encoding array `field` (default: the type's) after `change`."""
     def fault(rec):

@@ -295,6 +295,16 @@ def test_oversized_feature_map_reps_exit_2(tmp_path, qsarq, reps):
     assert code == 2 and f"reps must be between 1 and {MAX_REPS}, got {reps}" in err
 
 
+def test_oversized_kernel_matrix_exits_2(tmp_path, qsarq):
+    rows = ["compound_id,logp,pec50"] + [f"c{i},{i % 7},{5 + i % 3}" for i in range(12_000)]
+    (tmp_path / "data.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    kernel = {"kind": "quantum_exact", "feature_map": {"family": "zz", "n_qubits": 1}}
+    config = write_config(tmp_path / "exp.yaml",
+                          models=[{"name": "q", "kind": "svm", "kernel": kernel}])
+    code, _, err = qsarq("gram", "--config", config, "--out", tmp_path / "out", "--quiet")
+    assert code == 2 and "12000 x 12000 kernel matrix" in err and "budget" in err
+
+
 @pytest.mark.parametrize("command, latin", [("preprocess", "data.csv"), ("eval", "data.csv"),
                                             ("run", "data.csv"), ("run", "exp.yaml")])
 def test_input_that_is_not_utf8_exits_2_naming_it(tmp_path, config, qsarq, command, latin):

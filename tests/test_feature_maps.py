@@ -4,7 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import butterfly_states, circuit_unitary, encode, encoding_circuit
+from oracles import (
+    butterfly_states,
+    circuit_unitary,
+    encode,
+    encoding_circuit,
+    phase_diagonals,
+)
 from qsarq.errors import ResourceLimitError
 from qsarq.feature_maps import (
     CUSTOM,
@@ -15,6 +21,7 @@ from qsarq.feature_maps import (
     MAX_REPS,
     ZZ,
     FeatureMapSpec,
+    _phase_diagonals,
     check_state_stack,
     encode_batch,
     entanglement_pairs,
@@ -158,10 +165,40 @@ def test_encode_batch_matches_gate_list_and_dense_oracle(family, entanglement, r
 @pytest.mark.parametrize("entanglement", [LINEAR, FULL])
 @pytest.mark.parametrize("reps", [1, 2])
 def test_encode_batch_equals_butterflies_from_the_zero_state(family, entanglement, reps):
+    # custom: the same arithmetic, bit for bit. ZZ: the H layers are matrix
+    # products, and half the phases come from the complement rule, whose
+    # rounding differs from the full table's (up to 7.5e-15 on these rows)
     X = np.random.default_rng(11).random((40, 6))
     for n in range(1, 7):
         spec = FeatureMapSpec(family, n, reps=reps, entanglement=entanglement)
-        assert np.array_equal(encode_batch(spec, X[:, :n]), butterfly_states(spec, X[:, :n]))
+        states, ref = encode_batch(spec, X[:, :n]), butterfly_states(spec, X[:, :n])
+        if family == CUSTOM:
+            assert np.array_equal(states, ref)
+        else:
+            assert np.max(np.abs(states - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("family", [ZZ, CUSTOM])
+@pytest.mark.parametrize("entanglement", [LINEAR, FULL])
+def test_phase_diagonals_match_the_full_table(family, entanglement):
+    for n in range(1, 11):
+        spec = FeatureMapSpec(family, n, entanglement=entanglement)
+        X = np.random.default_rng(n).random((7, n))
+        diag = np.empty((7, 1 << n), dtype=np.complex128)
+        _phase_diagonals(spec, X, diag, [slice(0, 4), slice(4, None)])
+        assert np.max(np.abs(diag - phase_diagonals(spec, X))) <= 1e-12
+
+
+@pytest.mark.parametrize("entanglement", [LINEAR, FULL])
+@pytest.mark.parametrize("reps", [1, 2, 3])
+def test_encode_batch_matches_gate_list_at_ten_qubits(entanglement, reps):
+    from oracles import apply_circuit, new_zero_state
+
+    spec = FeatureMapSpec(ZZ, 10, reps=reps, entanglement=entanglement)
+    X = np.random.default_rng(10 + reps).random((3, 10))
+    for x, state in zip(X, encode_batch(spec, X)):
+        ref = apply_circuit(new_zero_state(10), encoding_circuit(spec, x)).amplitudes
+        assert np.max(np.abs(state - ref)) <= 1e-12
 
 
 def test_encode_batch_validation():

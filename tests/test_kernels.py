@@ -328,6 +328,22 @@ def test_state_stack_budget_checked_before_allocating():
     assert peak < 1 << 20
 
 
+def test_kernel_matrix_budget_checked_before_encoding():
+    # 12 000^2 float64 entries take 1.07 GiB, over the 1 GiB budget
+    cfg = KernelConfig(kind=QUANTUM_EXACT, feature_map=FeatureMapSpec("zz", 1, reps=1))
+    X = np.full((12_000, 1), 0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="12000 x 12000 kernel matrix"):
+            gram(cfg, X)
+        with pytest.raises(ResourceLimitError, match="12000 x 12000 kernel matrix"):
+            cross_gram(cfg, X, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_cross_gram_blocks_stay_small_for_many_query_rows():
     # each block of query rows is sized by its output and its encoded rows;
     # sized by the output alone, all 2000 rows are encoded at once (32 MiB)
