@@ -6,9 +6,12 @@ type (n, d and m are lengths shared within a file):
 
 - ``gram``: ``entries`` (n x n), ``kernel_config`` (as `KernelConfig.to_dict`),
   ``dataset_digest`` (of the n feature rows) and ``jitter`` (on the diagonal).
-- ``svm``: ``alphas`` (n), ``labels`` (n, each +1 or -1), ``bias``,
-  ``converged``, ``kernel_config`` and ``training_features`` (n x d; d = 0
-  when the model keeps no rows).
+- ``svm``: ``support_vectors`` (m x d, the training rows with a nonzero
+  multiplier, in training order), ``dual_coef`` (m, multiplier times
+  label), ``bias``, ``converged`` and ``kernel_config``. Svm files that
+  hold every training row (``alphas``, ``labels``, ``training_features``)
+  are refused by the key-set check and are rewritten by rerunning
+  ``qsarq train``.
 - ``reg``: ``basis`` and ``n_features`` (the `BasisSpec`), ``coefficients``
   (m, the basis size) and ``threshold``.
 
@@ -42,8 +45,8 @@ VERSION = 2
 SCHEMAS = {
     GRAM: {"dataset_digest": str, "entries": ("n", "n"), "jitter": Real,
            "kernel_config": dict},
-    SVM: {"alphas": ("n",), "bias": Real, "converged": bool, "kernel_config": dict,
-          "labels": ("n",), "training_features": ("n", "d")},
+    SVM: {"bias": Real, "converged": bool, "dual_coef": ("m",), "kernel_config": dict,
+          "support_vectors": ("m", "d")},
     REG: {"basis": str, "coefficients": ("m",), "n_features": Integral, "threshold": Real},
 }
 _dumps = partial(json.dumps, allow_nan=False, sort_keys=True, separators=(",", ":"))
@@ -52,8 +55,9 @@ _dumps = partial(json.dumps, allow_nan=False, sort_keys=True, separators=(",", "
 def save(path, type_: str, fields: dict) -> None:
     """Write the fields of a `type_` artifact; numpy arrays become base64 payloads."""
     for key, value in fields.items():
-        rows = np.atleast_2d(value) if isinstance(value, (Real, np.ndarray)) else []
-        if not all(np.all(np.isfinite(row)) for row in rows):  # a row at a time
+        # NaN and +-inf carry through min and max, which allocate no temporary
+        if isinstance(value, (Real, np.ndarray)) and not all(
+                np.isfinite(extreme(value, initial=0.0)) for extreme in (np.min, np.max)):
             raise ValueError(f"{path}: {key} holds non-finite values")
     record = {**fields, "format": "qsarq", "type": type_, "version": VERSION}
     with open(path, "w", encoding="utf-8") as fh:

@@ -175,21 +175,25 @@ def _encode_rows(spec: FeatureMapSpec, X: np.ndarray, states: np.ndarray,
     """Turn the phase diagonals in `states` into the states of the (validated) rows of X.
 
     Every gate layer is applied to all rows. Repetition 1's H or RY layer
-    acts on |0...0>, whose state stays a product: qubit q doubles the 2^q
-    leading amplitudes into c * a and s * a, the butterfly's products with
-    the other half's zeros left out. Later H layers apply `factors` (lowest qubit,
-    H on a group) to the re/im pairs, `states` to `buf` and back; `diag` keeps the diagonals.
+    acts on |0...0>, whose state stays a product. For H every amplitude is
+    2^(-n/2), the n factors 1/sqrt(2) multiplied in turn as the butterflies
+    would; for RY qubit q doubles the 2^q leading amplitudes into c * a and
+    s * a, the butterfly's products with the other half's zeros left out.
+    Later H layers apply `factors` (lowest qubit, H on a group) to the re/im
+    pairs, `states` to `buf` and back; `diag` keeps the diagonals.
     """
     rows, n = X.shape
     diag[...] = states  # the same in every repetition
-    states[:, 0] = 1.0
-    cos, sin = np.cos(X)[:, :, None, None], np.sin(X)[:, :, None, None]
-    for q in range(n):
-        lead = states[:, :1 << q]
-        c, s = (_SQRT2_INV, _SQRT2_INV) if spec.family == ZZ else (cos[:, q, 0], sin[:, q, 0])
-        np.multiply(s, lead, out=states[:, 1 << q:2 << q])
-        lead *= c
-    states *= diag
+    if spec.family == ZZ:
+        np.multiply(diag, math.prod([_SQRT2_INV] * n), out=states)
+    else:
+        cos, sin = np.cos(X)[:, :, None, None], np.sin(X)[:, :, None, None]
+        states[:, 0] = 1.0
+        for q in range(n):
+            lead = states[:, :1 << q]
+            np.multiply(sin[:, q, 0], lead, out=states[:, 1 << q:2 << q])
+            lead *= cos[:, q, 0]
+        states *= diag
     for _ in range(spec.reps - 1):
         src, dst = states.view(np.float64), buf.view(np.float64)
         if spec.family == ZZ:  # H on every qubit

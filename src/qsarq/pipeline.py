@@ -387,7 +387,7 @@ def _run_row(entry, train_activity, cutoff, X_train, X_test, y_train, y_test) ->
                 "kernel": kcfg.describe(), "detail": {
                     "C": entry.C,
                     "converged": model.converged,
-                    "n_support": int(model.support_indices.size),
+                    "n_support": int(model.dual_coef.size),
                     "kernel_config": kcfg.to_dict(),
                 }}
     detail = {

@@ -12,13 +12,17 @@ Training stops when m(a) - M(a), the largest violation of the optimality
 conditions, is at most `tol`, or after `max_iters` updates. Ties go to
 the lowest index, so training is deterministic.
 
-`decision_values` scores many points with one cross-kernel matrix against
-the support vectors; the tests check it against a reference that scores
-one point entry by entry (``tests/oracles.py``). With a shot-sampled
-kernel, a query's kernel row is the draws of the query's own shot stream
-over the support vectors in ascending order (see `qsarq.kernels`), so its
-score does not depend on the other queries it is scored with. A model is
-saved as an `svm` artifact (`qsarq.artifact`), training rows included.
+`solve_dual` runs SMO on a Gram matrix; `train` keeps what the decision
+function f(x) = sum_i a_i y_i K(x_i, x) + b reads: the support vectors
+(the training rows with a_i > 0, in training order) and their dual
+coefficients a_i y_i. `decision_values` scores many points with one
+cross-kernel matrix against the support vectors; the tests check it
+against a reference that scores one point entry by entry
+(``tests/oracles.py``). With a shot-sampled kernel, a query's kernel row
+is the draws of the query's own shot stream over the support vectors in
+order (see `qsarq.kernels`), so its score does not depend on the other
+queries it is scored with. A model is saved as an `svm` artifact
+(`qsarq.artifact`).
 """
 
 from __future__ import annotations
@@ -50,17 +54,12 @@ class SvmConfig:
 
 @dataclass
 class SvmModel:
-    alphas: np.ndarray = field(repr=False)
+    support_vectors: np.ndarray = field(repr=False)  # m x d
+    dual_coef: np.ndarray = field(repr=False)  # m values a_i y_i
     bias: float
-    labels: np.ndarray = field(repr=False)
     kernel_config: KernelConfig
-    training_features: np.ndarray | None = field(repr=False, default=None)
     converged: bool = True
     objective_trace: list[float] = field(default_factory=list, repr=False)
-
-    @property
-    def support_indices(self) -> np.ndarray:
-        return np.nonzero(self.alphas > 0.0)[0]
 
 
 def _validate_training_input(gm: GramMatrix, y) -> np.ndarray:
@@ -102,25 +101,13 @@ def _final_bias(K: np.ndarray, y: np.ndarray, alphas: np.ndarray, C: float) -> f
     return float(0.5 * (residual[lower].max() + residual[upper].min()))
 
 
-def train(gm: GramMatrix, y, cfg: SvmConfig = SvmConfig(),
-          features=None) -> SvmModel:
-    """Solve the dual over `gm` and return a model with the recomputed bias.
+def solve_dual(gm: GramMatrix, y, cfg: SvmConfig) -> tuple[np.ndarray, float, bool, list]:
+    """SMO over `gm`: (multipliers, recomputed bias, converged, objective trace).
 
-    `features` are the training rows behind the Gram matrix; they are
-    retained on the model so the decision function can evaluate kernel
-    values against new points. When given, they are checked against the
-    Gram matrix's dataset digest. A model that exhausted the iteration
-    budget is returned with `converged=False` rather than raising.
+    Exhausting the iteration budget gives `converged=False` rather than
+    raising.
     """
     labels = _validate_training_input(gm, y)
-    feats = None
-    if features is not None:
-        feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] != gm.size:
-            raise ValueError("features must be one row per Gram matrix row")
-        if dataset_digest(feats) != gm.dataset_digest:
-            raise ValueError("features do not match the Gram matrix's dataset digest")
-
     K = gm.entries
     C = cfg.C
     alphas = np.zeros(gm.size)
@@ -164,28 +151,25 @@ def train(gm: GramMatrix, y, cfg: SvmConfig = SvmConfig(),
     alphas[_bound_masks(alphas, C)[0]] = 0.0
     bias = _final_bias(K, labels, alphas, C)
     trace.append(_dual_objective(K, labels, alphas))
-    return SvmModel(
-        alphas=alphas,
-        bias=bias,
-        labels=labels.astype(np.int64),
-        kernel_config=gm.kernel_config,
-        training_features=feats,
-        converged=converged,
-        objective_trace=trace,
-    )
+    return alphas, bias, converged, trace
 
 
-def _retained_features(model: SvmModel, queries: np.ndarray, ndim: int) -> np.ndarray:
-    """The model's training rows, once `queries` are checked against them."""
-    if model.training_features is None:
-        raise ValueError("model was trained from a bare Gram matrix and retains "
-                         "no feature vectors; cannot evaluate new points")
-    width = model.training_features.shape[1]
-    if queries.ndim != ndim or queries.shape[-1:] != (width,):
-        raise ValueError(
-            f"query of shape {queries.shape} does not match training dimension {width}"
-        )
-    return model.training_features
+def train(gm: GramMatrix, y, cfg: SvmConfig, features) -> SvmModel:
+    """Solve the dual over `gm` and keep the support set of the solution.
+
+    `features` are the training rows behind the Gram matrix, checked
+    against its dataset digest; the rows with a nonzero multiplier become
+    the model's support vectors.
+    """
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] != gm.size:
+        raise ValueError("features must be one row per Gram matrix row")
+    if dataset_digest(feats) != gm.dataset_digest:
+        raise ValueError("features do not match the Gram matrix's dataset digest")
+    alphas, bias, converged, trace = solve_dual(gm, y, cfg)
+    sv = alphas > 0.0
+    return SvmModel(feats[sv], alphas[sv] * np.asarray(y, dtype=np.float64)[sv], bias,
+                    gm.kernel_config, converged, trace)
 
 
 def decision_values(model: SvmModel, X) -> np.ndarray:
@@ -197,10 +181,10 @@ def decision_values(model: SvmModel, X) -> np.ndarray:
     not depend on the others.
     """
     queries = np.asarray(X, dtype=np.float64)
-    feats = _retained_features(model, queries, ndim=2)
-    sv = model.support_indices
-    K = cross_gram(model.kernel_config, queries, feats[sv])
-    return K @ (model.alphas[sv] * model.labels[sv]) + model.bias
+    sv = model.support_vectors
+    if not len(sv):  # f(x) = b; a saved model without support vectors keeps no width
+        sv = np.empty((0, *queries.shape[-1:]))
+    return cross_gram(model.kernel_config, queries, sv) @ model.dual_coef + model.bias
 
 
 def decision_value(model: SvmModel, x) -> float:
@@ -214,21 +198,16 @@ def decision_value(model: SvmModel, x) -> float:
 
 def save_svm_model(model: SvmModel, path) -> None:
     """Write `model` as an `svm` artifact (see `qsarq.artifact`)."""
-    feats = model.training_features
     artifact.save(path, artifact.SVM, {
-        "alphas": model.alphas, "bias": model.bias, "converged": model.converged,
-        "kernel_config": model.kernel_config.to_dict(), "labels": model.labels,
-        "training_features": np.zeros((model.alphas.size, 0)) if feats is None else feats})
+        "bias": model.bias, "converged": model.converged, "dual_coef": model.dual_coef,
+        "kernel_config": model.kernel_config.to_dict(),
+        "support_vectors": model.support_vectors})
 
 
 def svm_from_fields(f: dict) -> SvmModel:
     """The model in the checked fields of an `svm` artifact."""
-    if not np.all(np.isin(f["labels"], (-1, 1))):
-        raise ValueError("labels must be +1 or -1")
-    feats = f["training_features"]
-    return SvmModel(f["alphas"], float(f["bias"]), f["labels"].astype(np.int64),
-                    KernelConfig.from_dict(f["kernel_config"]),
-                    feats if feats.shape[1] else None, f["converged"])
+    return SvmModel(f["support_vectors"], f["dual_coef"], float(f["bias"]),
+                    KernelConfig.from_dict(f["kernel_config"]), f["converged"])
 
 
 def load_svm_model(path) -> SvmModel:

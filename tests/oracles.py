@@ -9,9 +9,9 @@ on a `StateVector` gate by gate, `kernel_value` and `shot_estimate`
 evaluate one kernel entry from two such states, and `decision_value` and
 `predict` score one point entry by entry. Its states use the package's
 layout (qubit 0 on the least significant bit of the amplitude index), and
-it calls the package's input validation (`_validated_features`,
-`_retained_features`), clamp (`_clamp_unit`) and shot-stream rule
-(`_shot_draws`), so error paths exercise production checks.
+it calls the package's input validation (`_validated_features`), clamp
+(`_clamp_unit`) and shot-stream rule (`_shot_draws`), so error paths
+exercise production checks.
 
 The other oracles check the simulator and the package in turn: gates
 become explicit Kronecker-product matrices, phase diagonals come from the
@@ -47,7 +47,7 @@ from qsarq.kernels import (
     _shot_draws,
 )
 from qsarq.preprocess import ScalerModel
-from qsarq.svm import SvmModel, _retained_features
+from qsarq.svm import SvmModel
 
 RY = "ry"
 H = "h"
@@ -267,20 +267,19 @@ def decision_value(model: SvmModel, x) -> float:
     """sum_i alpha_i y_i K(x_i, x) + b, one kernel entry per support vector.
 
     A shot-sampled K draws x's shot stream at the exact fidelities of the
-    gate-list encoder, over the support vectors in ascending order.
+    gate-list encoder, over the support vectors in training order.
     """
     vec = np.asarray(x, dtype=np.float64)
-    feats = _retained_features(model, vec, ndim=1)
     cfg = model.kernel_config
-    sv = model.support_indices  # ascending index order, deterministic sum
+    sv = model.support_vectors  # in training order, deterministic sum
     if cfg.kind == QUANTUM_SHOTS:
         exact = KernelConfig(kind=QUANTUM_EXACT, feature_map=cfg.feature_map)
-        ks = _shot_draws(cfg, vec, [kernel_value(exact, feats[i], vec) for i in sv])
+        ks = _shot_draws(cfg, vec, [kernel_value(exact, row, vec) for row in sv])
     else:
-        ks = [kernel_value(cfg, feats[i], vec) for i in sv]
+        ks = [kernel_value(cfg, row, vec) for row in sv]
     total = 0.0
-    for i, k in zip(sv, ks):
-        total += float(model.alphas[i]) * float(model.labels[i]) * float(k)
+    for coef, k in zip(model.dual_coef, ks):
+        total += float(coef) * float(k)
     return total + model.bias
 
 

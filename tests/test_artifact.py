@@ -38,7 +38,7 @@ TYPES = {
     "reg": (lambda: fit_least_squares(X, Y, BasisSpec(POLY2, 2), ridge=0.1, threshold=0.25),
             save_reg_model, load_reg_model),
 }
-ARRAYS = ("entries", "alphas", "labels", "training_features", "coefficients")
+ARRAYS = ("entries", "support_vectors", "dual_coef", "coefficients")
 SCALARS = ("kernel_config", "dataset_digest", "jitter", "bias", "converged", "basis",
            "threshold")
 
@@ -87,9 +87,8 @@ def artifact_fields(draw):
     return type_, {
         "gram": lambda: {"entries": array(n, n), "kernel_config": {"kind": "linear"},
                          "dataset_digest": "0", "jitter": 0.0},
-        "svm": lambda: {"alphas": array(n), "bias": 0.5, "converged": True,
-                        "kernel_config": {"kind": "linear"}, "labels": array(n),
-                        "training_features": array(n, d)},
+        "svm": lambda: {"bias": 0.5, "converged": True, "dual_coef": array(n),
+                        "kernel_config": {"kind": "linear"}, "support_vectors": array(n, d)},
         "reg": lambda: {"basis": "affine", "n_features": d, "coefficients": array(n),
                         "threshold": 0.0},
     }[type_]()
@@ -112,9 +111,31 @@ def test_arrays_round_trip_bitwise_as_writable_float64(tmp_path_factory, drawn):
             assert loaded[key] == saved, key
 
 
+# (type, valid fields) that `test_save_refuses_non_finite_values_before_writing` spoils
+VALID = {
+    "gram": {"entries": np.eye(3), "kernel_config": {"kind": "linear"}, "dataset_digest": "0",
+             "jitter": 0.0},
+    "reg": {"basis": "affine", "n_features": 2, "coefficients": np.array([0.5, 1.0, -1.0]),
+            "threshold": 0.0},
+}
+
+
+@pytest.mark.parametrize("type_, key, value", [
+    ("gram", "entries", np.array([[1.0, 0.5, 0.0], [0.5, np.nan, 0.5], [0.0, 0.5, 1.0]])),
+    ("reg", "coefficients", np.array([0.5, np.inf, -1.0])),
+    ("reg", "coefficients", np.array([0.5, 1.0, -np.inf])),
+    ("gram", "jitter", float("nan")),
+], ids=["NaN in a middle row", "inf", "-inf", "NaN scalar"])
+def test_save_refuses_non_finite_values_before_writing(tmp_path, type_, key, value):
+    path = tmp_path / "artifact"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {key} holds non-finite values")):
+        artifact.save(path, type_, {**VALID[type_], key: value})
+    assert not path.exists()
+
+
 # per type, one scalar field and one array field to spoil
 SCALAR_OF = {"gram": "jitter", "svm": "bias", "reg": "threshold"}
-ARRAY_OF = {"gram": "entries", "svm": "training_features", "reg": "coefficients"}
+ARRAY_OF = {"gram": "entries", "svm": "support_vectors", "reg": "coefficients"}
 
 
 def decoded(payload):
@@ -152,12 +173,11 @@ def rendered(type_, fields):
     ("gram", {"entries": np.array([[1.0, -0.0, 5e-324], [0.25, 1.0, 1 / 3], [7.0, 2.0, 1.0]]),
               "kernel_config": {"kind": "rbf", "gamma": 1.5}, "dataset_digest": "ab",
               "jitter": 0.125}),
-    ("svm", {"alphas": np.array([0.5, 2.0]), "bias": -0.25, "converged": False,
-             "kernel_config": {"kind": "linear"}, "labels": np.array([1.0, -1.0]),
-             "training_features": np.array([[0.1, 0.2, 0.3], [-1e300, 0.0, 2.5]])}),
-    ("svm", {"alphas": np.empty(0), "bias": 0.0, "converged": True,
-             "kernel_config": {"kind": "linear"}, "labels": np.empty(0),
-             "training_features": np.empty((0, 3))}),
+    ("svm", {"bias": -0.25, "converged": False, "dual_coef": np.array([0.5, -2.0]),
+             "kernel_config": {"kind": "linear"},
+             "support_vectors": np.array([[0.1, 0.2, 0.3], [-1e300, 0.0, 2.5]])}),
+    ("svm", {"bias": 0.0, "converged": True, "dual_coef": np.empty(0),
+             "kernel_config": {"kind": "linear"}, "support_vectors": np.empty((0, 3))}),
 ], ids=["gram", "svm", "svm without rows"])
 def test_save_writes_each_row_payload_as_a_json_string(tmp_path, type_, fields):
     artifact.save(tmp_path / "artifact", type_, fields)
@@ -189,7 +209,7 @@ def wrong_shape(array):
         return array[None, :]  # coefficients with a second axis
     if array.shape[0] == array.shape[1]:
         return array[:, :-1]  # entries not square
-    return array[:-1]  # one training row fewer than alphas
+    return array[:-1]  # one support vector fewer than dual coefficients
 
 
 def nan_first(array):
@@ -265,10 +285,9 @@ def test_ragged_rows_raise_naming_the_file(tmp_path, type_):
 @pytest.mark.parametrize("type_, fault", [
     ("gram", lambda rec: rec["kernel_config"].update(gamma=1.0)),
     ("svm", lambda rec: rec["kernel_config"]["feature_map"].update(rep=1)),
-    ("svm", respoiled(lambda labels: np.r_[0.0, labels[1:]], "labels")),
     ("reg", respoiled(lambda coefficients: coefficients[:-1], "coefficients")),
     ("reg", lambda rec: rec.update(n_features=True)),
-], ids=["kernel key", "feature map key", "label 0", "coefficient count", "n_features"])
+], ids=["kernel key", "feature map key", "coefficient count", "n_features"])
 def test_fields_that_build_no_object_raise_naming_the_file(tmp_path, type_, fault):
     path = spoiled(tmp_path, type_, fault)
     with pytest.raises(ValueError, match=re.escape(str(path))):

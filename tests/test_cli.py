@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from qsarq import artifact
 from qsarq.cli import main
 from qsarq.errors import InternalConsistencyError
 from qsarq.feature_maps import MAX_REPS
@@ -233,6 +234,19 @@ def test_version_1_artifact_exits_2_naming_it(tmp_path, config, qsarq, command):
         args = ("eval", path, tmp_path / "data.csv", "--cutoff", CUTOFF)
     code, _, err = qsarq(*args, "--out", tmp_path / "out", "--quiet")
     assert code == 2 and f"error: {path}: artifact version 1, not 2" in err
+
+
+def test_svm_model_with_every_training_row_exits_2_naming_it(tmp_path, config, qsarq):
+    # the svm layout written before models kept only their support vectors
+    path = tmp_path / "rows.model"
+    artifact.save(path, artifact.SVM, {
+        "alphas": np.array([0.5, 0.0]), "bias": 0.0, "converged": True,
+        "kernel_config": {"kind": "linear"}, "labels": np.array([1.0, -1.0]),
+        "training_features": np.eye(2, 5)})
+    code, _, err = qsarq("eval", path, tmp_path / "data.csv", "--cutoff", CUTOFF,
+                         "--out", tmp_path / "out", "--quiet")
+    assert code == 2 and f"error: {path}: svm artifact" in err
+    assert "unknown key(s) ['alphas', 'labels', 'training_features']" in err
 
 
 @pytest.mark.parametrize("model, key, number", [("qsvm", "bias", "1e400"),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from qsarq.svm import (
     decision_values,
     load_svm_model,
     save_svm_model,
+    solve_dual,
     train,
 )
 
@@ -46,7 +49,8 @@ def random_problem(rng, n, d=2, gamma=1.0):
 def test_two_point_analytic_dual():
     gm, feats = identity_gram([1, -1])
     model = train(gm, [1, -1], SvmConfig(C=1.0), features=feats)
-    assert np.array_equal(model.alphas, [1.0, 1.0])
+    assert np.array_equal(model.support_vectors, feats)
+    assert np.array_equal(model.dual_coef, [1.0, -1.0])
     assert model.bias == 0.0
     assert decision_value(model, feats[0]) == 1.0
     assert decision_value(model, feats[1]) == -1.0
@@ -90,18 +94,18 @@ def test_feasibility_and_kkt_on_random_datasets():
     for _ in range(10):
         n = int(rng.integers(6, 20))
         X, y, gm = random_problem(rng, n)
-        model = train(gm, y, cfg, features=X)
-        assert np.all(model.alphas >= 0.0) and np.all(model.alphas <= cfg.C)
-        assert abs(np.sum(model.alphas * model.labels)) <= 1e-8
-        if not model.converged:
+        alphas, bias, converged, _ = solve_dual(gm, y, cfg)
+        assert np.all(alphas >= 0.0) and np.all(alphas <= cfg.C)
+        assert abs(np.sum(alphas * y)) <= 1e-8
+        if not converged:
             continue
-        f = gm.entries @ (model.alphas * model.labels) + model.bias
+        f = gm.entries @ (alphas * y) + bias
         margin = y * f
         slack = 1e-8 * cfg.C  # clipping dust near the box bounds
         for i in range(n):
-            if model.alphas[i] <= slack:
+            if alphas[i] <= slack:
                 assert margin[i] >= 1.0 - cfg.tol
-            elif model.alphas[i] >= cfg.C - slack:
+            elif alphas[i] >= cfg.C - slack:
                 assert margin[i] <= 1.0 + cfg.tol
             else:
                 assert abs(margin[i] - 1.0) <= cfg.tol
@@ -111,8 +115,7 @@ def test_dual_objective_nondecreasing():
     rng = np.random.default_rng(17)
     for _ in range(5):
         _, y, gm = random_problem(rng, 16)
-        model = train(gm, y, SvmConfig(C=1.0))
-        trace = np.array(model.objective_trace)
+        trace = np.array(solve_dual(gm, y, SvmConfig(C=1.0))[3])
         assert np.all(np.diff(trace) >= -1e-10)
 
 
@@ -132,19 +135,18 @@ def test_decision_values_match_projected_gradient_oracle():
 def test_training_is_deterministic():
     rng = np.random.default_rng(9)
     X, y, gm = random_problem(rng, 14)
-    first = train(gm, y, SvmConfig(C=0.7), features=X)
-    second = train(gm, y, SvmConfig(C=0.7), features=X)
-    assert np.array_equal(first.alphas, second.alphas)
-    assert first.bias == second.bias
+    first = solve_dual(gm, y, SvmConfig(C=0.7))
+    second = solve_dual(gm, y, SvmConfig(C=0.7))
+    assert np.array_equal(first[0], second[0])
+    assert first[1] == second[1]
 
 
 def test_degenerate_model_returns_bias():
     model = SvmModel(
-        alphas=np.zeros(3),
+        support_vectors=np.empty((0, 3)),
+        dual_coef=np.empty(0),
         bias=0.25,
-        labels=np.array([1, -1, 1]),
         kernel_config=LIN,
-        training_features=np.eye(3),
     )
     assert decision_value(model, [5.0, 1.0, -2.0]) == 0.25
 
@@ -152,45 +154,43 @@ def test_degenerate_model_returns_bias():
 def test_support_vector_query_with_orthogonal_features():
     gm, feats = identity_gram([1, 1, -1, -1])
     model = train(gm, [1, 1, -1, -1], SvmConfig(C=2.0), features=feats)
-    i = int(model.support_indices[0])
-    expected = model.alphas[i] * model.labels[i] + model.bias
-    assert abs(decision_value(model, feats[i]) - expected) <= 1e-12
+    expected = model.dual_coef[0] + model.bias
+    assert abs(decision_value(model, model.support_vectors[0]) - expected) <= 1e-12
 
 
 def test_predict_tie_goes_positive():
     model = SvmModel(
-        alphas=np.zeros(2),
+        support_vectors=np.empty((0, 2)),
+        dual_coef=np.empty(0),
         bias=0.0,
-        labels=np.array([1, -1]),
         kernel_config=LIN,
-        training_features=np.eye(2),
     )
     assert predict(model, [0.3, 0.3]) == 1
 
 
 def test_train_input_validation():
     gm, feats = identity_gram([1, -1])
+    cfg = SvmConfig()
     with pytest.raises(ValueError):
-        train(gm, [1, 1])  # single class
+        train(gm, [1, 1], cfg, features=feats)  # single class
     with pytest.raises(ValueError):
-        train(gm, [1, 0])  # bad label alphabet
+        train(gm, [1, 0], cfg, features=feats)  # bad label alphabet
     with pytest.raises(ValueError):
-        train(gm, [1])  # length mismatch
+        train(gm, [1], cfg, features=feats)  # length mismatch
     bad = GramMatrix(entries=np.array([[1.0, np.nan], [np.nan, 1.0]]),
                      kernel_config=LIN, dataset_digest=gm.dataset_digest)
     with pytest.raises(ValueError):
-        train(bad, [1, -1])
+        train(bad, [1, -1], cfg, features=feats)
     with pytest.raises(ValueError):
-        train(gm, [1, -1], features=np.eye(3))  # wrong row count
+        train(gm, [1, -1], cfg, features=np.eye(3))  # wrong row count
     with pytest.raises(ValueError):
-        train(gm, [1, -1], features=np.eye(2) * 2.0)  # digest mismatch
+        train(gm, [1, -1], cfg, features=np.eye(2) * 2.0)  # digest mismatch
 
 
 def test_iteration_budget_flags_nonconverged():
     rng = np.random.default_rng(33)
     X, y, gm = random_problem(rng, 20)
-    model = train(gm, y, SvmConfig(C=1.0, max_iters=1))
-    assert not model.converged
+    assert not solve_dual(gm, y, SvmConfig(C=1.0, max_iters=1))[2]
 
 
 @pytest.mark.parametrize("max_iters", [0, -5])
@@ -215,6 +215,43 @@ def test_model_round_trip_preserves_decision_values(tmp_path):
     queries = rng.random((5, 2))
     for q in queries:
         assert decision_value(loaded, q) == decision_value(model, q)
+
+
+@pytest.mark.parametrize("cfg", [
+    KernelConfig(kind=QUANTUM_EXACT, feature_map=FeatureMapSpec("zz", 3, reps=2)),
+    KernelConfig(kind=QUANTUM_SHOTS, feature_map=FeatureMapSpec("zz", 3, reps=1),
+                 shots=128, rng_seed=4),
+    KernelConfig(kind=RBF, gamma=2.0),
+], ids=lambda cfg: cfg.kind)
+def test_saved_model_is_the_support_set_and_scores_bit_for_bit(tmp_path, cfg):
+    rng = np.random.default_rng(8)
+    X = rng.random((30, 3))
+    y = np.where(X[:, 0] + X[:, 1] > 1.0, 1, -1)
+    gm = gram(cfg, X, jitter=0.05 if cfg.kind == QUANTUM_SHOTS else 0.0)
+    alphas = solve_dual(gm, y, SvmConfig(C=1.0))[0]
+    model = train(gm, y, SvmConfig(C=1.0), features=X)
+    path = tmp_path / "model"
+    save_svm_model(model, path)
+    sv = alphas > 0.0
+    assert 0 < len(json.loads(path.read_text())["support_vectors"]) == np.count_nonzero(sv) < 30
+    loaded = load_svm_model(path)
+    assert np.array_equal(loaded.support_vectors, X[sv])
+    assert np.array_equal(loaded.dual_coef, alphas[sv] * y[sv])
+    queries = np.vstack([rng.random((9, 3)), X])
+    assert decision_values(loaded, queries).tobytes() == decision_values(model, queries).tobytes()
+
+
+def test_model_without_support_vectors_scores_its_bias_after_loading(tmp_path):
+    # training leaves no support vector when every multiplier is within the
+    # dust slack of 0 (a cubic kernel on unscaled descriptors does); a 0 x d
+    # array is saved as an empty list, so the loaded model has no width
+    model = SvmModel(support_vectors=np.empty((0, 3)), dual_coef=np.empty(0), bias=-0.5,
+                     kernel_config=LIN)
+    save_svm_model(model, tmp_path / "model")
+    loaded = load_svm_model(tmp_path / "model")
+    queries = np.random.default_rng(1).random((4, 3))
+    assert np.array_equal(decision_values(loaded, queries), [-0.5] * 4)
+    assert np.array_equal(decision_values(model, queries), [-0.5] * 4)
 
 
 def test_loading_rejects_other_formats(tmp_path):
@@ -290,10 +327,10 @@ def test_indefinite_pair_moves_to_the_box_corner():
     # TAU, and the objective, unbounded on the line, is maximized at the box
     K = np.array([[1.0, 1.2], [1.2, 1.0]])
     gm = GramMatrix(entries=K, kernel_config=LIN, dataset_digest="indefinite")
-    model = train(gm, [1, -1], SvmConfig(C=0.5))
-    assert np.array_equal(model.alphas, [0.5, 0.5])
-    assert model.converged
-    trace = np.array(model.objective_trace)
+    alphas, _, converged, trace = solve_dual(gm, [1, -1], SvmConfig(C=0.5))
+    assert np.array_equal(alphas, [0.5, 0.5])
+    assert converged
+    trace = np.array(trace)
     assert np.all(np.diff(trace) >= 0.0) and trace[-1] > trace[0]
 
 
@@ -310,7 +347,7 @@ def test_support_set_stable_under_gram_rounding():
             noise = 1e-13 * rng.standard_normal((30, 30))
             perturbed = GramMatrix(gm.entries + (noise + noise.T) / 2, cfg,
                                    gm.dataset_digest)
-            model = train(gm, y, SvmConfig(C=1.0))
-            again = train(perturbed, y, SvmConfig(C=1.0))
-            assert model.support_indices.size == again.support_indices.size
-            assert np.all(model.alphas[model.support_indices] > 1e-8)
+            alphas = solve_dual(gm, y, SvmConfig(C=1.0))[0]
+            again = solve_dual(perturbed, y, SvmConfig(C=1.0))[0]
+            assert np.count_nonzero(alphas) == np.count_nonzero(again)
+            assert np.all(alphas[alphas > 0.0] > 1e-8)
