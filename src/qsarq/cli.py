@@ -21,8 +21,6 @@ import math
 import sys
 from pathlib import Path
 
-import yaml
-
 from .errors import InternalConsistencyError, ResourceLimitError
 from .kernels import dataset_digest, load_gram, save_gram
 from .pipeline import (
@@ -223,7 +221,7 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, ResourceLimitError, yaml.YAMLError) as exc:
+    except (ValueError, OSError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

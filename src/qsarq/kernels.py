@@ -26,7 +26,6 @@ rows gate by gate (``tests/oracles.py``).
 
 from __future__ import annotations
 
-import hashlib
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -134,6 +133,8 @@ class GramMatrix:
 
 def dataset_digest(X: np.ndarray) -> str:
     """Content hash of a feature matrix (shape plus little-endian float64 bytes)."""
+    import hashlib  # imported here so that commands that hash nothing never load OpenSSL
+
     arr = np.ascontiguousarray(X, dtype="<f8")
     h = hashlib.sha256()
     h.update(str(arr.shape).encode())
@@ -153,6 +154,8 @@ def _clamp_unit(value):
 
 
 def _row_digest(x: np.ndarray) -> bytes:
+    import hashlib  # as in dataset_digest
+
     return hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).digest()
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import artifact
 from .errors import InternalConsistencyError
@@ -136,6 +135,8 @@ def load_experiment_config(path) -> ExperimentConfig:
 
     The input path is resolved relative to the config file's directory.
     """
+    import yaml  # imported here so that commands reading no config never load it
+
     cfg_path = Path(path)
     try:
         with open(cfg_path, "r", encoding="utf-8") as fh:
@@ -144,7 +145,7 @@ def load_experiment_config(path) -> ExperimentConfig:
             raw = {**raw, "models": [from_mapping(ModelEntry, m, "model entry")
                                      for m in raw["models"]]}
         config = from_mapping(ExperimentConfig, raw, "config")
-    except ValueError as exc:  # UTF-8 decoding errors included
+    except (ValueError, yaml.YAMLError) as exc:  # UTF-8 decoding errors included
         raise ValueError(f"{path}: {exc}") from exc
     input_path = Path(config.input)
     if not input_path.is_absolute():
@@ -259,9 +260,10 @@ def prepare_features(config: ExperimentConfig, split: bool = True):
     """Shared preprocessing: ingest, filter, label, scale, reduce.
 
     Returns (X_train, X_test, y_train, y_test, info) with all fit steps
-    performed on the training split only; `info["table"]` holds the
-    filtered descriptor table behind X. With `split=False` every row is a
-    training row and the test arrays are empty.
+    performed on the training split only. `info` holds "table", the
+    filtered descriptor table behind X; "names", the feature names; and
+    "train_idx" and "test_idx", the table rows of each split. With
+    `split=False` every row is a training row and the test arrays are empty.
     """
     with _stage("ingest"):
         table = read_descriptor_csv(config.input)
@@ -303,7 +305,6 @@ def prepare_features(config: ExperimentConfig, split: bool = True):
         "names": names,
         "train_idx": train_idx,
         "test_idx": test_idx,
-        "digest": dataset_digest(X),
     }
     return X_train, X_test, y_train, y_test, info
 
@@ -422,7 +423,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         "test_pos": int(np.sum(y_test == 1)),
         "test_neg": int(np.sum(y_test == -1)),
         "feature_names": list(info["names"]),
-        "digest": info["digest"],
+        "digest": dataset_digest(feature_matrix(table)[0]),
     }
     config_echo = {**vars(config), "models": [
         {k: v for k, v in vars(entry).items() if v is not None} for entry in config.models

@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import csv
 import itertools
-import logging
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # feature assembly order for the canonical descriptors
 FEATURE_ORDER = ("n_donors", "n_acceptors", "rotatable_bonds", "mol_weight", "logp")
@@ -223,7 +220,7 @@ def read_descriptor_csv(path) -> DescriptorTable:
 
 
 def apply_lipinski_filter(table: DescriptorTable) -> DescriptorTable:
-    """Drop compounds failing the rule of five, logging each dropped compound.
+    """Drop compounds failing the rule of five.
 
     A compound passes when it meets at least 3 of weight <= 500,
     donors <= 5, acceptors <= 10 and logP <= 5.
@@ -235,8 +232,6 @@ def apply_lipinski_filter(table: DescriptorTable) -> DescriptorTable:
         raise ValueError(f"{table.ids[row]}: missing {list(_RULE_OF_FIVE)[col]} "
                          "for rule-of-five check")
     keep = (values <= np.array(list(_RULE_OF_FIVE.values()))).sum(axis=1) >= 3
-    for compound_id in table.ids[~keep]:
-        logger.info("rule-of-five filter dropped compound %s", compound_id)
     return DescriptorTable(table.ids[keep], {n: c[keep] for n, c in table.descriptors.items()},
                            table.label[keep], table.activity[keep])
 

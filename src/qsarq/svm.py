@@ -81,9 +81,9 @@ def _dual_objective(K: np.ndarray, y: np.ndarray, alphas: np.ndarray) -> float:
 
 
 def _bound_masks(alphas: np.ndarray, C: float) -> tuple[np.ndarray, np.ndarray]:
-    """At-bound classification with slack for clipping dust near 0 and C."""
-    slack = 1e-8 * C
-    return alphas <= slack, alphas >= C - slack
+    """At-bound classification with slack for clipping dust near C and near 0,
+    where it also scales with the largest multiplier (tiny for kernels with large entries)."""
+    return alphas <= 1e-8 * min(C, alphas.max(initial=0.0)), alphas >= C - 1e-8 * C
 
 
 def _final_bias(K: np.ndarray, y: np.ndarray, alphas: np.ndarray, C: float) -> float:

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +124,44 @@ def test_eval_on_preprocessed_csv_reproduces_training_accuracy(tmp_path, config,
                    .splitlines())
     assert f"{float(metrics['accuracy']):.4f}" == train_acc
     assert metrics["n"] == "30"
+
+
+# run in a fresh interpreter: the modules that qsarq's import and each command
+# (argv lists in sys.argv[1]) load beyond numpy's, among yaml, logging and hashlib
+UNUSED_MODULES = """
+import json, sys
+import numpy
+baseline = set(sys.modules)
+from qsarq import cli
+
+def loaded():
+    new = {name.split(".")[0] for name in set(sys.modules) - baseline}
+    return sorted(new & {"yaml", "logging", "hashlib"})
+
+seen = {"import": loaded()}
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    seen[argv[0]] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_commands_load_no_yaml_hashlib_or_logging_they_do_not_use(tmp_path, config, qsarq):
+    # numpy is the baseline because numpy 1.x loads hashlib through numpy.random;
+    # pytest loads logging, so the check needs its own interpreter
+    assert qsarq("train", "--config", config, "--model", "ls", "--out", tmp_path,
+                 "--quiet")[0] == 0
+    commands = [["preprocess", tmp_path / "data.csv", "--cutoff", CUTOFF,
+                 "--out", tmp_path / "pre", "--quiet"],
+                ["eval", tmp_path / "ls.model", tmp_path / "pre" / "normalized.csv",
+                 "--out", tmp_path / "ev", "--quiet"]]
+    src = str(Path(artifact.__file__).parents[1])  # the directory holding qsarq
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", UNUSED_MODULES, json.dumps([[str(a) for a in argv] for argv in commands])],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"import": [], "preprocess": [], "eval": []}
 
 
 def test_train_activity_target_fits_pec50_at_the_cutoff(tmp_path, config, qsarq):
@@ -271,6 +313,14 @@ def test_gram_on_a_regression_row_exits_2(tmp_path, config, qsarq):
     code, _, err = qsarq("train", "--config", config, "--model", "ls",
                          "--gram", tmp_path / "qsvm.gram", "--out", tmp_path, "--quiet")
     assert code == 2 and "--gram" in err
+
+
+@pytest.mark.parametrize("command", ["run", "gram", "train"])
+def test_malformed_yaml_config_exits_2_naming_it(tmp_path, config, qsarq, command):
+    config.write_text("input: data.csv\nmodels: [a, b\nseed: 1\n", encoding="utf-8")
+    code, _, err = qsarq(command, "--config", config, "--out", tmp_path / "out", "--quiet")
+    assert code == 2 and err.startswith(f"error: {config}: ")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "train", "gram"])

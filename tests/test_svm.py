@@ -351,3 +351,19 @@ def test_support_set_stable_under_gram_rounding():
             again = solve_dual(perturbed, y, SvmConfig(C=1.0))[0]
             assert np.count_nonzero(alphas) == np.count_nonzero(again)
             assert np.all(alphas[alphas > 0.0] > 1e-8)
+
+
+def test_kernel_with_large_entries_keeps_its_support_set():
+    # a cubic kernel on coordinates up to 100 has entries near 1e13, so
+    # every multiplier is far below 1e-8 * C; the dust slack at 0 follows
+    # the largest multiplier, and the solution is not snapped away
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.0, 100.0, size=(20, 3))
+    y = np.where(X[:, 0] > 50.0, 1, -1)
+    assert np.mean(y == 1) == 0.55
+    model = train(gram(KernelConfig(kind=POLY, degree=3, offset=1.0), X), y,
+                  SvmConfig(C=1.0), features=X)
+    assert model.dual_coef.size >= 2
+    assert abs(model.dual_coef.sum()) <= 1e-12 * np.abs(model.dual_coef).sum()
+    predicted = np.where(decision_values(model, X) >= 0.0, 1, -1)
+    assert np.mean(predicted == y) > 0.55
