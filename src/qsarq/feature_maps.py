@@ -240,6 +240,6 @@ def encode(spec: FeatureMapSpec, x) -> np.ndarray:
     """The encoded state of one feature vector: ``encode_batch(spec, [x])[0]``.
 
     Kept only because the benchmark's tracer wraps this name; it goes when
-    the package records its own stages (ROADMAP item 3).
+    the package records its own stages (ROADMAP item 1).
     """
     return encode_batch(spec, [x])[0]

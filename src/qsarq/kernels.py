@@ -280,7 +280,7 @@ def kernel_value(cfg: KernelConfig, x, x2) -> float:
     """One kernel entry K(x, x2): ``cross_gram(cfg, [x], [x2])[0, 0]``.
 
     Kept only because the benchmark's tracer wraps this name; it goes when
-    the package records its own stages (ROADMAP item 3).
+    the package records its own stages (ROADMAP item 1).
     """
     return float(cross_gram(cfg, [x], [x2])[0, 0])
 

@@ -4,15 +4,19 @@ A single YAML config describes the dataset, the preprocessing steps,
 and the list of model rows to train and score. Running an experiment
 produces a small comparison report (aligned text plus a JSON record)
 whose rows mirror the model/type/acc/execution/kernel layout used for
-classical-vs-quantum comparisons. Reruns with the same config and
-input are byte-identical.
+classical-vs-quantum comparisons. A model row takes only its kind's
+fields (`SvmEntry`, `RegEntry`, `AnnealEntry`): a key of another kind
+is refused at load like any unknown key. The report echoes the config
+as written, so reruns with the same config and input are byte-identical,
+wherever the two files live.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,52 +56,85 @@ from .svm import SvmConfig, SvmModel, decision_values, save_svm_model, svm_from_
 REG_LS = "reg_ls"
 REG_ANNEAL = "reg_anneal"
 SVM = "svm"
-MODEL_KINDS = frozenset({REG_LS, REG_ANNEAL, SVM})
 
 EXEC_CPU = "cpu-exact"
 EXEC_SHOTS = "sim-shots"
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ModelEntry:
-    """One report row: a model kind plus its solver/kernel parameters."""
+    """One report row: its name, model kind and report labels.
+
+    A row is an instance of its kind's subclass (`ENTRY_CLASSES`), which
+    adds the fields that kind's solver reads and no others.
+    """
 
     name: str
     kind: str
-    tag: str | None = None  # default from the kind and kernel
+    tag: str | None = None  # None: the kind's default
     note: str | None = None
-    # regression rows
-    basis: str = "affine"
-    ridge: float = 0.0
-    target: str = "label"  # "label" (+-1) or "activity" (raw pEC50)
-    t0: float = 1.0
-    cooling: float = 0.999
-    iterations: int = 10_000
-    anneal_seed: int = 0
-    # svm rows
-    kernel: dict | None = None
+
+    def __post_init__(self):
+        check_fields(self, f"model {self.name!r}")
+
+
+@dataclass(kw_only=True)
+class SvmEntry(ModelEntry):
+    """An `svm` row: an SMO kernel SVM, tagged c/q when its kernel is quantum."""
+
+    kernel: dict
     C: float = 1.0
     tol: float = 1e-3
     max_iters: int = 100_000
     jitter: float = 0.0
 
     def __post_init__(self):
-        check_fields(self, f"model {self.name!r}")
-        if self.kernel is not None and not isinstance(self.kernel.get("kind"), str):
+        super().__post_init__()
+        kind = self.kernel.get("kind")
+        if not isinstance(kind, str):
             raise ValueError(f"model {self.name!r}: kernel must be a mapping with "
                              f"a 'kind', got {self.kernel!r}")
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"model {self.name!r}: unknown kind {self.kind!r}")
-        if self.kind == SVM and self.kernel is None:
-            raise ValueError(f"model {self.name!r}: svm rows need a kernel section")
+        if self.tag is None:
+            self.tag = "c/q" if kind in QUANTUM_KINDS else "c"
+
+
+@dataclass(kw_only=True)
+class RegEntry(ModelEntry):
+    """A `reg_ls` row: a least-squares fit over a basis expansion."""
+
+    default_tag = "c"  # not a field: it has no annotation
+
+    basis: str = "affine"
+    ridge: float = 0.0
+    target: str = "label"  # "label" (+-1) or "activity" (raw pEC50)
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.target not in ("label", "activity"):
             raise ValueError(f"model {self.name!r}: unknown target {self.target!r}")
         if self.tag is None:
-            self.tag = _default_tag(self.kind, self.kernel)
+            self.tag = self.default_tag
+
+
+@dataclass(kw_only=True)
+class AnnealEntry(RegEntry):
+    """A `reg_anneal` row: the same fit by simulated annealing."""
+
+    default_tag = "q"
+
+    t0: float = 1.0
+    cooling: float = 0.999
+    iterations: int = 10_000
+    anneal_seed: int = 0
+
+
+ENTRY_CLASSES = {SVM: SvmEntry, REG_LS: RegEntry, REG_ANNEAL: AnnealEntry}
 
 
 @dataclass
 class ExperimentConfig:
+    """An experiment config; `input` as written, `input_path` where it is read."""
+
     input: str
     seed: int
     split: float
@@ -118,22 +155,23 @@ class ExperimentConfig:
             if entry.name in seen:
                 raise ValueError(f"duplicate model name {entry.name!r}")
             seen.add(entry.name)
+        self.input_path = Path(self.input)  # not a field, so neither set nor echoed
 
 
-def _default_tag(kind: str, kernel: dict | None) -> str:
-    if kind == REG_LS:
-        return "c"
-    if kind == REG_ANNEAL:
-        return "q"
-    if kernel is not None and kernel.get("kind") in QUANTUM_KINDS:
-        return "c/q"
-    return "c"
+def _model_entry(raw) -> ModelEntry:
+    """A config's model row as an instance of its kind's entry class."""
+    if not isinstance(raw, Mapping):
+        raise ValueError(f"model entry must be a mapping, got {raw!r}")
+    kind = raw.get("kind")
+    if not (isinstance(kind, str) and kind in ENTRY_CLASSES):
+        raise ValueError(f"model {raw.get('name')!r}: unknown kind {kind!r}")
+    return from_mapping(ENTRY_CLASSES[kind], raw, f"{kind} model entry")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
     """Read and validate a YAML experiment config.
 
-    The input path is resolved relative to the config file's directory.
+    A relative input path is read relative to the config file's directory.
     """
     import yaml  # imported here so that commands reading no config never load it
 
@@ -142,15 +180,12 @@ def load_experiment_config(path) -> ExperimentConfig:
         with open(cfg_path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
         if isinstance(raw, dict) and isinstance(raw.get("models"), list):
-            raw = {**raw, "models": [from_mapping(ModelEntry, m, "model entry")
-                                     for m in raw["models"]]}
+            raw = {**raw, "models": [_model_entry(m) for m in raw["models"]]}
         config = from_mapping(ExperimentConfig, raw, "config")
     except (ValueError, yaml.YAMLError) as exc:  # UTF-8 decoding errors included
         raise ValueError(f"{path}: {exc}") from exc
-    input_path = Path(config.input)
-    if not input_path.is_absolute():
-        input_path = (cfg_path.parent / input_path).resolve()
-    config.input = str(input_path)
+    if not config.input_path.is_absolute():
+        config.input_path = (cfg_path.parent / config.input_path).resolve()
     if config.activity_cutoff is not None:
         config.activity_cutoff = float(config.activity_cutoff)
     return config
@@ -266,7 +301,7 @@ def prepare_features(config: ExperimentConfig, split: bool = True):
     `split=False` every row is a training row and the test arrays are empty.
     """
     with _stage("ingest"):
-        table = read_descriptor_csv(config.input)
+        table = read_descriptor_csv(config.input_path)
     if config.lipinski_filter:
         with _stage("filter"):
             table = apply_lipinski_filter(table)
@@ -391,16 +426,10 @@ def _run_row(entry, train_activity, cutoff, X_train, X_test, y_train, y_test) ->
                     "n_support": int(model.dual_coef.size),
                     "kernel_config": kcfg.to_dict(),
                 }}
-    detail = {
-        "basis": entry.basis,
-        "target": entry.target,
-        "ridge": entry.ridge,
-        "train_loss": model.loss,
-    }
-    if entry.kind == REG_ANNEAL:
-        detail.update(t0=entry.t0, cooling=entry.cooling,
-                      iterations=entry.iterations, anneal_seed=entry.anneal_seed)
-    return {**row, "execution": EXEC_CPU, "kernel": "-", "detail": detail}
+    base = {f.name for f in fields(ModelEntry)}
+    detail = {f.name: getattr(entry, f.name) for f in fields(entry) if f.name not in base}
+    return {**row, "execution": EXEC_CPU, "kernel": "-",
+            "detail": {**detail, "train_loss": model.loss}}
 
 
 def run_experiment(config: ExperimentConfig) -> EvalReport:
@@ -425,7 +454,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         "feature_names": list(info["names"]),
         "digest": dataset_digest(feature_matrix(table)[0]),
     }
-    config_echo = {**vars(config), "models": [
-        {k: v for k, v in vars(entry).items() if v is not None} for entry in config.models
-    ]}
+    config_echo = asdict(config)
+    config_echo["models"] = [{k: v for k, v in m.items() if v is not None}
+                             for m in config_echo["models"]]
     return EvalReport(results=results, dataset=dataset, config_echo=config_echo)

@@ -59,7 +59,6 @@ class SvmModel:
     bias: float
     kernel_config: KernelConfig
     converged: bool = True
-    objective_trace: list[float] = field(default_factory=list, repr=False)
 
 
 def _validate_training_input(gm: GramMatrix, y) -> np.ndarray:
@@ -166,10 +165,10 @@ def train(gm: GramMatrix, y, cfg: SvmConfig, features) -> SvmModel:
         raise ValueError("features must be one row per Gram matrix row")
     if dataset_digest(feats) != gm.dataset_digest:
         raise ValueError("features do not match the Gram matrix's dataset digest")
-    alphas, bias, converged, trace = solve_dual(gm, y, cfg)
+    alphas, bias, converged, _ = solve_dual(gm, y, cfg)
     sv = alphas > 0.0
     return SvmModel(feats[sv], alphas[sv] * np.asarray(y, dtype=np.float64)[sv], bias,
-                    gm.kernel_config, converged, trace)
+                    gm.kernel_config, converged)
 
 
 def decision_values(model: SvmModel, X) -> np.ndarray:
@@ -191,7 +190,7 @@ def decision_value(model: SvmModel, x) -> float:
     """The decision value of one point: ``decision_values(model, [x])[0]``.
 
     Kept only because the benchmark's tracer wraps this name; it goes when
-    the package records its own stages (ROADMAP item 3).
+    the package records its own stages (ROADMAP item 1).
     """
     return float(decision_values(model, [x])[0])
 

@@ -456,7 +456,8 @@ TYPE_ERRORS = [
                          ids=[named for _, _, named in TYPE_ERRORS])
 def test_wrongly_typed_config_value_exits_2(tmp_path, qsarq, key, value, named):
     write_csv(tmp_path / "data.csv")
-    entry = {"name": "m", "kind": "svm", "kernel": {"kind": "linear"}}
+    entry = ({"name": "m", "kind": "reg_anneal"} if key in ("ridge", "t0", "cooling")
+             else {"name": "m", "kind": "svm", "kernel": {"kind": "linear"}})
     overrides = {"models": [entry]}
     if key in ("seed", "split", "pca_k", "input", "models", "activity_cutoff", "scaler",
                "lipinski_filter"):
@@ -467,6 +468,44 @@ def test_wrongly_typed_config_value_exits_2(tmp_path, qsarq, key, value, named):
     code, _, err = qsarq("run", "--config", config, "--out", tmp_path, "--quiet")
     assert code == 2
     assert err.startswith("error: ") and f"{named} must be" in err
+
+
+@pytest.mark.parametrize("command", ["run", "gram", "train"])
+@pytest.mark.parametrize("entry, key", [
+    ({"name": "m", "kind": "svm", "kernel": {"kind": "linear"}, "ridge": 5.0}, "ridge"),
+    ({"name": "m", "kind": "reg_ls", "kernel": {"kind": "linear"}}, "kernel"),
+    ({"name": "m", "kind": "reg_ls", "C": 2.0}, "C"),
+    ({"name": "m", "kind": "reg_ls", "t0": 2.0}, "t0"),
+    ({"name": "m", "kind": "reg_anneal", "jitter": 0.1}, "jitter"),
+], ids=["svm_ridge", "reg_ls_kernel", "reg_ls_C", "reg_ls_t0", "reg_anneal_jitter"])
+def test_key_of_another_model_kind_exits_2(tmp_path, qsarq, command, entry, key):
+    write_csv(tmp_path / "data.csv")
+    config = write_config(tmp_path / "exp.yaml", models=[entry])
+    code, _, err = qsarq(command, "--config", config, "--out", tmp_path / "out", "--quiet")
+    assert code == 2
+    assert err.startswith("error: ") and f"unknown key(s) [{key!r}]" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["svm", "reg_ls", "reg_anneal"])
+def test_explicit_null_tag_gets_the_kinds_default(tmp_path, kind):
+    entry = {"name": "m", "kind": kind, "tag": None}
+    if kind == "svm":
+        entry["kernel"] = {"kind": "quantum_exact", "feature_map": {"family": "zz"}}
+    config = load_experiment_config(write_config(tmp_path / "exp.yaml", models=[entry]))
+    assert config.models[0].tag == {"svm": "c/q", "reg_ls": "c", "reg_anneal": "q"}[kind]
+
+
+def test_report_does_not_depend_on_where_its_files_live(tmp_path, qsarq):
+    for place in ("a", "b/deeper"):
+        (tmp_path / place).mkdir(parents=True)
+        write_csv(tmp_path / place / "data.csv")
+        config = write_config(tmp_path / place / "exp.yaml")
+        assert qsarq("run", "--config", config, "--out", tmp_path / place / "out",
+                     "--quiet")[0] == 0
+    for name in ("report.txt", "report.json"):
+        assert ((tmp_path / "a" / "out" / name).read_bytes()
+                == (tmp_path / "b" / "deeper" / "out" / name).read_bytes())
 
 
 @pytest.mark.parametrize("key, value", [("max_passes", 10), ("eps", 1e-12)])

@@ -10,8 +10,10 @@ from qsarq.feature_maps import FeatureMapSpec
 from qsarq.kernels import KernelConfig
 from qsarq.pipeline import (
     SVM,
+    AnnealEntry,
     ExperimentConfig,
-    ModelEntry,
+    RegEntry,
+    SvmEntry,
     load_experiment_config,
     resolve_kernel_config,
 )
@@ -24,12 +26,15 @@ CONFIG = {
          "kernel": {"kind": "quantum_shots", "shots": 64, "rng_seed": 1,
                     "feature_map": {"family": "zz", "reps": 1, "entanglement": "full"}}},
         {"name": "ls", "kind": "reg_ls", "ridge": 0.01, "target": "activity"},
+        {"name": "sa", "kind": "reg_anneal", "basis": "poly2", "iterations": 50, "t0": 0.5},
     ],
 }
 # each section of CONFIG, and the dataclass whose field names may key it
 SECTIONS = {
     "config": (lambda c: c, ExperimentConfig),
-    "model entry": (lambda c: c["models"][0], ModelEntry),
+    "svm entry": (lambda c: c["models"][0], SvmEntry),
+    "reg entry": (lambda c: c["models"][1], RegEntry),
+    "anneal entry": (lambda c: c["models"][2], AnnealEntry),
     "kernel": (lambda c: c["models"][0]["kernel"], KernelConfig),
     "feature map": (lambda c: c["models"][0]["kernel"]["feature_map"], FeatureMapSpec),
 }

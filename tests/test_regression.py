@@ -163,7 +163,7 @@ def test_invalid_schedules_rejected():
 
 
 def test_annealing_refuses_more_than_the_iteration_cap():
-    assert MAX_ANNEAL_ITERS >= 100 * 10_000  # the default ModelEntry.iterations
+    assert MAX_ANNEAL_ITERS >= 100 * 10_000  # the default AnnealEntry.iterations
     for n_iters in (MAX_ANNEAL_ITERS + 1, 10**30):
         with pytest.raises(ValueError, match="iteration count must be between"):
             fit_annealing(LINE_X, LINE_Y, BasisSpec(AFFINE, 1),
