@@ -6,7 +6,9 @@ produces a small comparison report (aligned text plus a JSON record)
 whose rows mirror the model/type/acc/execution/kernel layout used for
 classical-vs-quantum comparisons. A model row takes only its kind's
 fields (`SvmEntry`, `RegEntry`, `AnnealEntry`): a key of another kind
-is refused at load like any unknown key. The report echoes the config
+is refused at load like any unknown key. An svm row is an `SvmConfig`,
+an annealing row an `AnnealSchedule`; every row is checked at load, each
+svm row's kernel before any row is fitted. The report echoes the config
 as written, so reruns with the same config and input are byte-identical,
 wherever the two files live.
 """
@@ -43,6 +45,7 @@ from .preprocess import (
     resolve_labels,
 )
 from .regression import (
+    BASIS_KINDS,
     AnnealSchedule,
     BasisSpec,
     fit_annealing,
@@ -76,16 +79,17 @@ class ModelEntry:
 
     def __post_init__(self):
         check_fields(self, f"model {self.name!r}")
+        try:  # the bounds of the solver settings a row inherits, if any
+            getattr(super(), "__post_init__", lambda: None)()
+        except ValueError as exc:
+            raise ValueError(f"model {self.name!r}: {exc}") from exc
 
 
 @dataclass(kw_only=True)
-class SvmEntry(ModelEntry):
+class SvmEntry(ModelEntry, SvmConfig):
     """An `svm` row: an SMO kernel SVM, tagged c/q when its kernel is quantum."""
 
     kernel: dict
-    C: float = 1.0
-    tol: float = 1e-3
-    max_iters: int = 100_000
     jitter: float = 0.0
 
     def __post_init__(self):
@@ -94,6 +98,8 @@ class SvmEntry(ModelEntry):
         if not isinstance(kind, str):
             raise ValueError(f"model {self.name!r}: kernel must be a mapping with "
                              f"a 'kind', got {self.kernel!r}")
+        if self.jitter < 0 or self.jitter > 0 and kind != QUANTUM_SHOTS:
+            raise ValueError(f"model {self.name!r}: jitter must be 0, or > 0 on {QUANTUM_SHOTS}")
         if self.tag is None:
             self.tag = "c/q" if kind in QUANTUM_KINDS else "c"
 
@@ -112,19 +118,20 @@ class RegEntry(ModelEntry):
         super().__post_init__()
         if self.target not in ("label", "activity"):
             raise ValueError(f"model {self.name!r}: unknown target {self.target!r}")
+        if self.basis not in BASIS_KINDS:
+            raise ValueError(f"model {self.name!r}: unknown basis kind {self.basis!r}")
+        if self.ridge < 0:
+            raise ValueError(f"model {self.name!r}: ridge must be >= 0, got {self.ridge!r}")
         if self.tag is None:
             self.tag = self.default_tag
 
 
 @dataclass(kw_only=True)
-class AnnealEntry(RegEntry):
+class AnnealEntry(RegEntry, AnnealSchedule):
     """A `reg_anneal` row: the same fit by simulated annealing."""
 
     default_tag = "q"
 
-    t0: float = 1.0
-    cooling: float = 0.999
-    iterations: int = 10_000
     anneal_seed: int = 0
 
 
@@ -155,6 +162,8 @@ class ExperimentConfig:
             if entry.name in seen:
                 raise ValueError(f"duplicate model name {entry.name!r}")
             seen.add(entry.name)
+            if getattr(entry, "target", None) == "activity" and self.activity_cutoff is None:
+                raise ValueError(f"model {entry.name!r}: activity target needs activity_cutoff")
         self.input_path = Path(self.input)  # not a field, so neither set nor echoed
 
 
@@ -372,14 +381,9 @@ def fit_entry(entry: ModelEntry, X, y, activity, cutoff, gm: GramMatrix | None =
             if gm.jitter != entry.jitter:
                 raise ValueError(f"model {entry.name!r}: the Gram matrix has diagonal "
                                  f"jitter {gm.jitter!r}, the row {entry.jitter!r}")
-        svm_cfg = SvmConfig(C=entry.C, tol=entry.tol, max_iters=entry.max_iters)
-        return train(gm, y, svm_cfg, features=X)
+        return train(gm, y, entry, features=X)
     basis = BasisSpec(kind=entry.basis, n_features=X.shape[1])
     if entry.target == "activity":
-        if cutoff is None:
-            raise ValueError(
-                f"model {entry.name!r}: activity target needs activity_cutoff"
-            )
         if np.isnan(activity).any():
             raise ValueError(f"model {entry.name!r}: activity-target regression needs "
                              "pEC50 or EC50 on every training row")
@@ -389,9 +393,7 @@ def fit_entry(entry: ModelEntry, X, y, activity, cutoff, gm: GramMatrix | None =
     if entry.kind == REG_LS:
         return fit_least_squares(X, targets, basis, ridge=entry.ridge,
                                  threshold=threshold)
-    schedule = AnnealSchedule(t0=entry.t0, cooling=entry.cooling,
-                              n_iters=entry.iterations)
-    return fit_annealing(X, targets, basis, schedule, seed=entry.anneal_seed,
+    return fit_annealing(X, targets, basis, entry, seed=entry.anneal_seed,
                          ridge=entry.ridge, threshold=threshold)
 
 
@@ -437,6 +439,9 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     X_train, X_test, y_train, y_test, info = prepare_features(config)
     table, train_idx, test_idx = info["table"], info["train_idx"], info["test_idx"]
 
+    for entry in (e for e in config.models if e.kind == SVM):  # before any row is fitted
+        with _stage(f"model {entry.name}"):
+            resolve_kernel_config(entry.kernel, X_train.shape[1])
     results = []
     for entry in config.models:
         with _stage(f"model {entry.name}"):

@@ -62,22 +62,22 @@ def expand(basis: BasisSpec, X) -> np.ndarray:
     return phi[0] if single else phi
 
 
-@dataclass(frozen=True)
+@dataclass
 class AnnealSchedule:
-    """Geometric cooling: T_k = t0 * cooling^k over n_iters Metropolis steps."""
+    """Cooling T_k = t0 * cooling^k over `iterations` steps; `pipeline.AnnealEntry` inherits it."""
 
-    t0: float
-    cooling: float
-    n_iters: int
+    t0: float = 1.0
+    cooling: float = 0.999
+    iterations: int = 10_000
 
     def __post_init__(self):
         if self.t0 <= 0:
             raise ValueError("initial temperature must be > 0")
         if not 0.0 < self.cooling < 1.0:
             raise ValueError("cooling factor must lie in (0, 1)")
-        if not 1 <= self.n_iters <= MAX_ANNEAL_ITERS:
+        if not 1 <= self.iterations <= MAX_ANNEAL_ITERS:
             raise ValueError(f"iteration count must be between 1 and {MAX_ANNEAL_ITERS}, "
-                             f"got {self.n_iters}")
+                             f"got {self.iterations}")
 
 
 @dataclass
@@ -151,7 +151,7 @@ def fit_annealing(X, y, basis: BasisSpec, schedule: AnnealSchedule, seed: int,
     best, best_loss = current.copy(), current_loss
     trace = [best_loss]
     temp = schedule.t0
-    for _ in range(schedule.n_iters):
+    for _ in range(schedule.iterations):
         candidate = current + np.sqrt(temp) * rng.standard_normal(m)
         candidate_loss = _objective(phi, targets, candidate, ridge)
         delta = candidate_loss - current_loss

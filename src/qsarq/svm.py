@@ -35,10 +35,13 @@ from . import artifact
 from .kernels import GramMatrix, KernelConfig, cross_gram, dataset_digest
 
 TAU = 1e-12  # curvature used when a pair's is not positive, as in LIBSVM
+MAX_SVM_ITERS = 1_000_000  # a tol never reached spends it all: ~50 s on 100 rows
 
 
-@dataclass(frozen=True)
+@dataclass
 class SvmConfig:
+    """SMO settings, inherited by an svm config row (`pipeline.SvmEntry`)."""
+
     C: float = 1.0
     tol: float = 1e-3  # stop when m(a) - M(a) <= tol
     max_iters: int = 100_000
@@ -48,8 +51,9 @@ class SvmConfig:
             raise ValueError("C must be > 0")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not 1 <= self.max_iters <= MAX_SVM_ITERS:
+            bound = ">= 1" if self.max_iters < 1 else f"<= {MAX_SVM_ITERS}"
+            raise ValueError(f"max_iters must be {bound}, got {self.max_iters}")
 
 
 @dataclass

@@ -18,6 +18,7 @@ from qsarq.errors import InternalConsistencyError
 from qsarq.feature_maps import MAX_REPS
 from qsarq.pipeline import fit_entry, load_experiment_config, prepare_features
 from qsarq.regression import MAX_ANNEAL_ITERS, load_reg_model
+from qsarq.svm import MAX_SVM_ITERS
 
 CUTOFF = 6.0
 COLUMNS = ("n_donors", "n_acceptors", "rotatable_bonds", "mol_weight", "logp")
@@ -556,4 +557,51 @@ def test_non_finite_cutoff_exits_2(tmp_path, config, qsarq, capsys, command, cut
         qsarq(command, *inputs, f"--cutoff={cutoff}", "--out", tmp_path / "out", "--quiet")
     assert info.value.code == 2
     assert f"--cutoff: must be a finite number, got '{cutoff}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+SLOW_ROW = {"name": "slow", "kind": "reg_anneal", "iterations": 200_000}
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "C": -1.0}, "C must be > 0"),
+    ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "tol": 0.0}, "tol must be > 0"),
+    ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "max_iters": 10**9},
+     f"max_iters must be <= {MAX_SVM_ITERS}"),
+    ({"kind": "reg_ls", "ridge": -1.0}, "ridge must be >= 0"),
+    ({"kind": "reg_anneal", "basis": "cubic"}, "unknown basis kind 'cubic'"),
+    ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "jitter": 0.1},
+     "jitter must be 0"),
+    ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": -1.0}}, "gamma must be > 0"),
+    ({"kind": "reg_ls", "target": "activity"}, "activity target needs activity_cutoff"),
+], ids=["C", "tol", "max_iters", "ridge", "basis", "jitter", "gamma", "activity_no_cutoff"])
+def test_bad_row_exits_2_before_any_row_is_fitted(tmp_path, qsarq, monkeypatch, bad, message):
+    def never(*args, **kwargs):
+        raise AssertionError("a row was fitted before the bad row was refused")
+
+    monkeypatch.setattr("qsarq.pipeline.fit_annealing", never)
+    lines = write_csv(tmp_path / "data.csv").read_text(encoding="utf-8").splitlines()
+    labels = [1 if float(line.rsplit(",", 1)[1]) >= CUTOFF else -1 for line in lines[1:]]
+    (tmp_path / "data.csv").write_text(  # stored labels, so rows need no activity_cutoff
+        "\n".join([lines[0] + ",label"] + [f"{line},{y}" for line, y in zip(lines[1:], labels)])
+        + "\n", encoding="utf-8")
+    config = write_config(tmp_path / "exp.yaml", models=[SLOW_ROW, {"name": "bad_row", **bad}],
+                          activity_cutoff=None)
+    code, _, err = qsarq("run", "--config", config, "--out", tmp_path / "out", "--quiet")
+    assert code == 2 and message in err and "bad_row" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_of_a_bad_row_exits_2_before_its_gram_matrix(tmp_path, qsarq, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the Gram matrix was built before the bad row was refused")
+
+    monkeypatch.setattr("qsarq.pipeline.gram", never)
+    write_csv(tmp_path / "data.csv")
+    bad = {"name": "bad_row", "kind": "svm", "C": -1.0,
+           "kernel": {"kind": "quantum_exact", "feature_map": {"family": "zz"}}}
+    config = write_config(tmp_path / "exp.yaml", models=[bad])
+    code, _, err = qsarq("train", "--config", config, "--out", tmp_path / "out", "--quiet")
+    assert code == 2
+    assert f"error: {config}: model 'bad_row': C must be > 0" in err
     assert not (tmp_path / "out").exists()

@@ -18,7 +18,7 @@ from qsarq.regression import (
 
 LINE_X = np.array([[0.0], [1.0]])
 LINE_Y = np.array([0.0, 1.0])
-LINE_SCHEDULE = AnnealSchedule(t0=1.0, cooling=0.999, n_iters=10_000)
+LINE_SCHEDULE = AnnealSchedule(t0=1.0, cooling=0.999, iterations=10_000)
 
 
 def test_basis_sizes():
@@ -155,19 +155,19 @@ def test_annealing_seed_determinism():
 
 def test_invalid_schedules_rejected():
     with pytest.raises(ValueError):
-        AnnealSchedule(t0=0.0, cooling=0.9, n_iters=10)
+        AnnealSchedule(t0=0.0, cooling=0.9, iterations=10)
     with pytest.raises(ValueError):
-        AnnealSchedule(t0=1.0, cooling=1.0, n_iters=10)
+        AnnealSchedule(t0=1.0, cooling=1.0, iterations=10)
     with pytest.raises(ValueError):
-        AnnealSchedule(t0=1.0, cooling=0.9, n_iters=0)
+        AnnealSchedule(t0=1.0, cooling=0.9, iterations=0)
 
 
 def test_annealing_refuses_more_than_the_iteration_cap():
-    assert MAX_ANNEAL_ITERS >= 100 * 10_000  # the default AnnealEntry.iterations
+    assert MAX_ANNEAL_ITERS >= 100 * 10_000  # the default AnnealSchedule.iterations
     for n_iters in (MAX_ANNEAL_ITERS + 1, 10**30):
         with pytest.raises(ValueError, match="iteration count must be between"):
             fit_annealing(LINE_X, LINE_Y, BasisSpec(AFFINE, 1),
-                          AnnealSchedule(t0=1.0, cooling=0.9, n_iters=n_iters), seed=0)
+                          AnnealSchedule(t0=1.0, cooling=0.9, iterations=n_iters), seed=0)
 
 
 def test_fit_input_validation():

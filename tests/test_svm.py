@@ -199,6 +199,13 @@ def test_iteration_budget_below_one_is_refused(max_iters):
         SvmConfig(max_iters=max_iters)
 
 
+@pytest.mark.parametrize("max_iters", [svm.MAX_SVM_ITERS + 1, 10**30])
+def test_iteration_budget_above_the_cap_is_refused(max_iters):
+    with pytest.raises(ValueError, match=f"max_iters must be <= {svm.MAX_SVM_ITERS}, "
+                                         f"got {max_iters}"):
+        SvmConfig(max_iters=max_iters)
+
+
 def test_model_round_trip_preserves_decision_values(tmp_path):
     rng = np.random.default_rng(2)
     spec = FeatureMapSpec("zz", 2, reps=1)
