@@ -7,11 +7,13 @@ whole experiment and writes the comparison report. Each reads its CSV
 into one `preprocess.DescriptorTable` of columns; `gram` and `train` do
 so through the pipeline's `prepare_features` (no train/test split), and
 `train` fits through `fit_entry` with the table's activity column, so a
-saved model is fitted exactly as its row in the report is. Gram
-matrices and models are files in the one JSON format of
-`qsarq.artifact`; `eval` reads either model type through
-`pipeline.load_model`. Exit codes: 0 on success, 2 on invalid input or
-config, 3 on internal consistency failures.
+saved model is fitted exactly as its row in the report is. A config is
+checked whole, kernels included, before its CSV is read. Gram matrices
+and models are files in the one JSON format of `qsarq.artifact`; `train
+--gram` refuses, naming it, a Gram file of another kernel, jitter or
+data, and `eval` reads either model type through `pipeline.load_model`.
+Exit codes: 0 on success, 2 on invalid input or config, 3 on internal
+consistency failures.
 """
 
 from __future__ import annotations
@@ -61,6 +63,10 @@ def _finite_float(text: str) -> float:
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
+
+
+def _provenance(kcfg, jitter, digest) -> str:
+    return f"a '{kcfg.describe()}' kernel, jitter {jitter!r}, over data of digest {digest[:12]}"
 
 
 def _select_entry(config: ExperimentConfig, name: str | None):
@@ -116,11 +122,11 @@ def cmd_train(args) -> None:
     gm = None
     if args.gram:
         gm = load_gram(args.gram)
-        if gm.dataset_digest != dataset_digest(X):
-            raise ValueError(
-                f"{args.gram}: Gram matrix digest does not match the "
-                "preprocessed input data"
-            )
+        have = (gm.kernel_config, gm.jitter, gm.dataset_digest)
+        want = (entry.kernel_config(X.shape[1]), entry.jitter, dataset_digest(X))
+        if have != want:
+            raise ValueError(f"{args.gram}: the Gram matrix holds {_provenance(*have)}; "
+                             f"model {entry.name!r} needs {_provenance(*want)}")
     model = fit_entry(entry, X, labels, info["table"].activity, config.activity_cutoff, gm)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -150,6 +156,8 @@ def cmd_eval(args) -> None:
 def cmd_run(args) -> None:
     config = load_experiment_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:  # the bound of a config's seed
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         config.seed = args.seed
     report = run_experiment(config)
     out_dir = Path(args.out)

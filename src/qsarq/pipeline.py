@@ -8,9 +8,10 @@ classical-vs-quantum comparisons. A model row takes only its kind's
 fields (`SvmEntry`, `RegEntry`, `AnnealEntry`): a key of another kind
 is refused at load like any unknown key. An svm row is an `SvmConfig`,
 an annealing row an `AnnealSchedule`; every row is checked at load, each
-svm row's kernel before any row is fitted. The report echoes the config
-as written, so reruns with the same config and input are byte-identical,
-wherever the two files live.
+svm row's kernel too, and `SvmEntry.kernel_config` binds that kernel to
+the data's width (a stated `n_qubits` must match it before any row is
+fitted). The report echoes the config as written, so reruns with the
+same config and input are byte-identical, wherever the two files live.
 """
 
 from __future__ import annotations
@@ -79,10 +80,14 @@ class ModelEntry:
 
     def __post_init__(self):
         check_fields(self, f"model {self.name!r}")
-        try:  # the bounds of the solver settings a row inherits, if any
+        try:  # the bounds of the solver settings a row inherits, if any, then its kind's
             getattr(super(), "__post_init__", lambda: None)()
+            self._check()
         except ValueError as exc:
             raise ValueError(f"model {self.name!r}: {exc}") from exc
+
+    def _check(self) -> None:
+        """Refuse a bad setting of the row's kind, and fill in the kind's default tag."""
 
 
 @dataclass(kw_only=True)
@@ -92,16 +97,25 @@ class SvmEntry(ModelEntry, SvmConfig):
     kernel: dict
     jitter: float = 0.0
 
-    def __post_init__(self):
-        super().__post_init__()
-        kind = self.kernel.get("kind")
-        if not isinstance(kind, str):
-            raise ValueError(f"model {self.name!r}: kernel must be a mapping with "
-                             f"a 'kind', got {self.kernel!r}")
+    def _check(self):
+        kind = self.kernel_config().kind  # every kernel setting, at any data width
         if self.jitter < 0 or self.jitter > 0 and kind != QUANTUM_SHOTS:
-            raise ValueError(f"model {self.name!r}: jitter must be 0, or > 0 on {QUANTUM_SHOTS}")
+            raise ValueError(f"jitter must be 0, or > 0 on {QUANTUM_SHOTS}")
         if self.tag is None:
             self.tag = "c/q" if kind in QUANTUM_KINDS else "c"
+
+    def kernel_config(self, n_features: int | None = None) -> KernelConfig:
+        """The row's kernel on `n_features`-column data: an unstated feature-map
+        `n_qubits` takes that width (1 at load, before any data); a stated one must match."""
+        raw, fm = self.kernel, self.kernel.get("feature_map")
+        if isinstance(fm, dict):
+            raw = {**raw, "feature_map": {"n_qubits": n_features or 1, **fm}}
+        kcfg = KernelConfig.from_dict(raw)  # checked at load, where a fault names the row
+        width = kcfg.feature_map and kcfg.feature_map.n_qubits
+        if n_features is not None and width not in (None, n_features):
+            raise ValueError(f"model {self.name!r}: feature map n_qubits={width} does not "
+                             f"match the {n_features}-dimensional data")
+        return kcfg
 
 
 @dataclass(kw_only=True)
@@ -114,14 +128,13 @@ class RegEntry(ModelEntry):
     ridge: float = 0.0
     target: str = "label"  # "label" (+-1) or "activity" (raw pEC50)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
         if self.target not in ("label", "activity"):
-            raise ValueError(f"model {self.name!r}: unknown target {self.target!r}")
+            raise ValueError(f"unknown target {self.target!r}")
         if self.basis not in BASIS_KINDS:
-            raise ValueError(f"model {self.name!r}: unknown basis kind {self.basis!r}")
+            raise ValueError(f"unknown basis kind {self.basis!r}")
         if self.ridge < 0:
-            raise ValueError(f"model {self.name!r}: ridge must be >= 0, got {self.ridge!r}")
+            raise ValueError(f"ridge must be >= 0, got {self.ridge!r}")
         if self.tag is None:
             self.tag = self.default_tag
 
@@ -133,6 +146,11 @@ class AnnealEntry(RegEntry, AnnealSchedule):
     default_tag = "q"
 
     anneal_seed: int = 0
+
+    def _check(self):
+        super()._check()
+        if self.anneal_seed < 0:
+            raise ValueError(f"anneal_seed must be >= 0, got {self.anneal_seed}")
 
 
 ENTRY_CLASSES = {SVM: SvmEntry, REG_LS: RegEntry, REG_ANNEAL: AnnealEntry}
@@ -155,6 +173,8 @@ class ExperimentConfig:
         check_fields(self, "config")
         if not self.models:
             raise ValueError("config lists no models")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.split < 1.0:
             raise ValueError("split fraction must lie in (0, 1)")
         seen = set()
@@ -225,20 +245,6 @@ def split_indices(n_rows: int, fraction: float, seed: int) -> tuple[np.ndarray, 
         )
     perm = np.random.default_rng(seed).permutation(n_rows)
     return perm[:n_train], perm[n_train:]
-
-
-def resolve_kernel_config(raw: dict, n_features: int) -> KernelConfig:
-    """Build a KernelConfig, filling the feature-map qubit count from the data."""
-    fm = raw.get("feature_map")
-    if isinstance(fm, dict):
-        raw = {**raw, "feature_map": {"n_qubits": n_features, **fm}}
-    kcfg = KernelConfig.from_dict(raw)
-    if kcfg.feature_map is not None and kcfg.feature_map.n_qubits != n_features:
-        raise ValueError(
-            f"feature map n_qubits={kcfg.feature_map.n_qubits} does not match the "
-            f"{n_features}-dimensional data"
-        )
-    return kcfg
 
 
 @dataclass
@@ -353,10 +359,9 @@ def prepare_features(config: ExperimentConfig, split: bool = True):
     return X_train, X_test, y_train, y_test, info
 
 
-def entry_gram(entry: ModelEntry, X) -> GramMatrix:
+def entry_gram(entry: SvmEntry, X) -> GramMatrix:
     """Gram matrix of an svm row's kernel over the rows of X."""
-    kcfg = resolve_kernel_config(entry.kernel, X.shape[1])
-    return gram(kcfg, X, jitter=entry.jitter)
+    return gram(entry.kernel_config(X.shape[1]), X, jitter=entry.jitter)
 
 
 def fit_entry(entry: ModelEntry, X, y, activity, cutoff, gm: GramMatrix | None = None):
@@ -364,24 +369,11 @@ def fit_entry(entry: ModelEntry, X, y, activity, cutoff, gm: GramMatrix | None =
 
     `activity` is the pEC50 of the same rows (NaN where a row has none),
     read for activity targets; `cutoff` is the config's activity_cutoff.
-    An svm row trains on `gm` when given (its Gram matrix over X, which
-    must hold the row's kernel), else on a freshly built one.
+    An svm row trains on `gm` when given (its Gram matrix over X, whose
+    kernel and jitter the caller has checked), else on a freshly built one.
     """
     if entry.kind == SVM:
-        if gm is None:
-            gm = entry_gram(entry, X)
-        else:
-            kcfg = resolve_kernel_config(entry.kernel, X.shape[1])
-            if gm.kernel_config != kcfg:
-                raise ValueError(
-                    f"model {entry.name!r}: the Gram matrix holds a "
-                    f"'{gm.kernel_config.describe()}' kernel, the row a "
-                    f"'{kcfg.describe()}' kernel"
-                )
-            if gm.jitter != entry.jitter:
-                raise ValueError(f"model {entry.name!r}: the Gram matrix has diagonal "
-                                 f"jitter {gm.jitter!r}, the row {entry.jitter!r}")
-        return train(gm, y, entry, features=X)
+        return train(entry_gram(entry, X) if gm is None else gm, y, entry, features=X)
     basis = BasisSpec(kind=entry.basis, n_features=X.shape[1])
     if entry.target == "activity":
         if np.isnan(activity).any():
@@ -440,8 +432,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     table, train_idx, test_idx = info["table"], info["train_idx"], info["test_idx"]
 
     for entry in (e for e in config.models if e.kind == SVM):  # before any row is fitted
-        with _stage(f"model {entry.name}"):
-            resolve_kernel_config(entry.kernel, X_train.shape[1])
+        entry.kernel_config(X_train.shape[1])  # a stated n_qubits must match the data
     results = []
     for entry in config.models:
         with _stage(f"model {entry.name}"):

@@ -16,7 +16,8 @@ from qsarq import artifact
 from qsarq.cli import main
 from qsarq.errors import InternalConsistencyError
 from qsarq.feature_maps import MAX_REPS
-from qsarq.pipeline import fit_entry, load_experiment_config, prepare_features
+from qsarq.kernels import load_gram
+from qsarq.pipeline import entry_gram, fit_entry, load_experiment_config, prepare_features
 from qsarq.regression import MAX_ANNEAL_ITERS, load_reg_model
 from qsarq.svm import MAX_SVM_ITERS
 
@@ -30,6 +31,9 @@ MODELS = [
     {"name": "ls_activity", "kind": "reg_ls", "ridge": 0.01, "target": "activity"},
     {"name": "anneal", "kind": "reg_anneal", "iterations": 300, "anneal_seed": 2},
 ]
+SHOT_ROW = {"name": "qshots", "kind": "svm", "jitter": 0.05,
+            "kernel": {"kind": "quantum_shots", "shots": 256, "rng_seed": 5,
+                       "feature_map": {"family": "zz", "reps": 1}}}
 
 
 def write_csv(path, n=30, seed=0):
@@ -66,6 +70,7 @@ def qsarq(capsys):
 
 
 def test_run_twice_is_byte_identical(tmp_path, config, qsarq):
+    write_config(config, models=[*MODELS, SHOT_ROW])
     for out in ("a", "b"):
         assert qsarq("run", "--config", config, "--out", tmp_path / out, "--quiet")[0] == 0
     for name in ("report.txt", "report.json"):
@@ -186,14 +191,34 @@ def test_train_activity_target_fits_pec50_at_the_cutoff(tmp_path, config, qsarq)
 
 
 def test_train_reuses_a_saved_gram_matrix(tmp_path, config, qsarq):
-    assert qsarq("gram", "--config", config, "--model", "qsvm", "--out", tmp_path / "g",
-                 "--quiet")[0] == 0
-    assert qsarq("train", "--config", config, "--model", "qsvm", "--out", tmp_path / "a",
-                 "--quiet")[0] == 0
-    assert qsarq("train", "--config", config, "--model", "qsvm", "--out", tmp_path / "b",
-                 "--gram", tmp_path / "g" / "qsvm.gram", "--quiet")[0] == 0
-    assert ((tmp_path / "a" / "qsvm.model").read_bytes()
-            == (tmp_path / "b" / "qsvm.model").read_bytes())
+    write_config(config, models=[*MODELS, SHOT_ROW])
+    cfg = load_experiment_config(config)
+    X = prepare_features(cfg, split=False)[0]
+    for entry in (m for m in cfg.models if m.kind == "svm"):
+        name = entry.name
+        for out in ("g", "g2"):
+            assert qsarq("gram", "--config", config, "--model", name, "--out", tmp_path / out,
+                         "--quiet")[0] == 0
+        saved = tmp_path / "g" / f"{name}.gram"
+        assert saved.read_bytes() == (tmp_path / "g2" / f"{name}.gram").read_bytes()
+        assert np.array_equal(load_gram(saved).entries, entry_gram(entry, X).entries)
+        assert qsarq("train", "--config", config, "--model", name, "--out", tmp_path / "a",
+                     "--quiet")[0] == 0
+        assert qsarq("train", "--config", config, "--model", name, "--out", tmp_path / "b",
+                     "--gram", saved, "--quiet")[0] == 0
+        assert ((tmp_path / "a" / f"{name}.model").read_bytes()
+                == (tmp_path / "b" / f"{name}.model").read_bytes())
+
+
+def test_feature_map_defaults_are_two_linear_repetitions(tmp_path, qsarq):
+    write_csv(tmp_path / "data.csv")
+    for name, fm in (("default", {"family": "zz"}),
+                     ("explicit", {"family": "zz", "reps": 2, "entanglement": "linear"})):
+        row = {"name": "q", "kind": "svm", "kernel": {"kind": "quantum_exact", "feature_map": fm}}
+        config = write_config(tmp_path / f"{name}.yaml", models=[row])
+        assert qsarq("run", "--config", config, "--out", tmp_path / name, "--quiet")[0] == 0
+    assert ((tmp_path / "default" / "report.txt").read_bytes()
+            == (tmp_path / "explicit" / "report.txt").read_bytes())
 
 
 def test_gram_of_another_dataset_exits_2(tmp_path, config, qsarq):
@@ -204,6 +229,7 @@ def test_gram_of_another_dataset_exits_2(tmp_path, config, qsarq):
     code, _, err = qsarq("train", "--config", config, "--model", "qsvm",
                          "--gram", tmp_path / "qsvm.gram", "--out", tmp_path, "--quiet")
     assert code == 2 and "digest" in err
+    assert err.startswith(f"error: {tmp_path / 'qsvm.gram'}: ")
 
 
 def test_gram_of_another_kernel_exits_2(tmp_path, config, qsarq):
@@ -211,7 +237,7 @@ def test_gram_of_another_kernel_exits_2(tmp_path, config, qsarq):
                  "--quiet")[0] == 0
     code, _, err = qsarq("train", "--config", config, "--model", "rbf",
                          "--gram", tmp_path / "qsvm.gram", "--out", tmp_path, "--quiet")
-    assert code == 2
+    assert code == 2 and err.startswith(f"error: {tmp_path / 'qsvm.gram'}: ")
     assert "q | zz linear r1" in err and "c | rbf gamma=1.5" in err
     assert not (tmp_path / "rbf.model").exists()
 
@@ -228,6 +254,7 @@ def test_gram_of_another_jitter_exits_2(tmp_path, qsarq):
     code, _, err = qsarq("train", "--config", tmp_path / "b.yaml", "--gram",
                          tmp_path / "q.gram", "--out", tmp_path, "--quiet")
     assert code == 2 and "jitter 0.5" in err and "0.0" in err
+    assert err.startswith(f"error: {tmp_path / 'q.gram'}: ")
     assert not (tmp_path / "q.model").exists()
 
 
@@ -367,7 +394,8 @@ def test_oversized_kernel_matrix_exits_2(tmp_path, qsarq):
     config = write_config(tmp_path / "exp.yaml",
                           models=[{"name": "q", "kind": "svm", "kernel": kernel}])
     code, _, err = qsarq("gram", "--config", config, "--out", tmp_path / "out", "--quiet")
-    assert code == 2 and "12000 x 12000 kernel matrix" in err and "budget" in err
+    assert code == 2 and "12000 x 12000 kernel matrix" in err
+    assert "over the budget of 1073741824 bytes" in err
 
 
 @pytest.mark.parametrize("command, latin", [("preprocess", "data.csv"), ("eval", "data.csv"),
@@ -563,19 +591,27 @@ def test_non_finite_cutoff_exits_2(tmp_path, config, qsarq, capsys, command, cut
 SLOW_ROW = {"name": "slow", "kind": "reg_anneal", "iterations": 200_000}
 
 
-@pytest.mark.parametrize("bad, message", [
-    ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "C": -1.0}, "C must be > 0"),
-    ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "tol": 0.0}, "tol must be > 0"),
-    ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "max_iters": 10**9},
+@pytest.mark.parametrize("bad, top, message", [
+    ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "C": -1.0}, {}, "C must be > 0"),
+    ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "tol": 0.0}, {},
+     "tol must be > 0"),
+    ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "max_iters": 10**9}, {},
      f"max_iters must be <= {MAX_SVM_ITERS}"),
-    ({"kind": "reg_ls", "ridge": -1.0}, "ridge must be >= 0"),
-    ({"kind": "reg_anneal", "basis": "cubic"}, "unknown basis kind 'cubic'"),
-    ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "jitter": 0.1},
+    ({"kind": "reg_ls", "ridge": -1.0}, {}, "ridge must be >= 0"),
+    ({"kind": "reg_anneal", "basis": "cubic"}, {}, "unknown basis kind 'cubic'"),
+    ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "jitter": 0.1}, {},
      "jitter must be 0"),
-    ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": -1.0}}, "gamma must be > 0"),
-    ({"kind": "reg_ls", "target": "activity"}, "activity target needs activity_cutoff"),
-], ids=["C", "tol", "max_iters", "ridge", "basis", "jitter", "gamma", "activity_no_cutoff"])
-def test_bad_row_exits_2_before_any_row_is_fitted(tmp_path, qsarq, monkeypatch, bad, message):
+    ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": -1.0}}, {}, "gamma must be > 0"),
+    ({"kind": "reg_ls", "target": "activity"}, {}, "activity target needs activity_cutoff"),
+    ({"kind": "reg_anneal", "anneal_seed": -3}, {}, "anneal_seed must be >= 0, got -3"),
+    ({"kind": "svm", "kernel": {"kind": "quantum_exact",
+                                "feature_map": {"family": "zz", "n_qubits": 3}}}, {},
+     "feature map n_qubits=3 does not match the 5-dimensional data"),
+    ({"kind": "reg_ls"}, {"seed": -1}, "seed must be >= 0, got -1"),
+], ids=["C", "tol", "max_iters", "ridge", "basis", "jitter", "gamma", "activity_no_cutoff",
+        "anneal_seed", "n_qubits", "seed"])
+def test_bad_row_exits_2_before_any_row_is_fitted(tmp_path, qsarq, monkeypatch, bad, top,
+                                                  message):
     def never(*args, **kwargs):
         raise AssertionError("a row was fitted before the bad row was refused")
 
@@ -586,9 +622,44 @@ def test_bad_row_exits_2_before_any_row_is_fitted(tmp_path, qsarq, monkeypatch, 
         "\n".join([lines[0] + ",label"] + [f"{line},{y}" for line, y in zip(lines[1:], labels)])
         + "\n", encoding="utf-8")
     config = write_config(tmp_path / "exp.yaml", models=[SLOW_ROW, {"name": "bad_row", **bad}],
-                          activity_cutoff=None)
+                          activity_cutoff=None, **top)
     code, _, err = qsarq("run", "--config", config, "--out", tmp_path / "out", "--quiet")
-    assert code == 2 and message in err and "bad_row" in err
+    where = f"error: {config}: " if top else "model 'bad_row': "
+    assert code == 2 and where + message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_run_seed_exits_2_before_any_row_is_fitted(tmp_path, config, qsarq,
+                                                            monkeypatch):
+    monkeypatch.setattr("qsarq.pipeline.prepare_features", pytest.fail)  # not reached
+    code, _, err = qsarq("run", "--config", config, "--seed", -1, "--out", tmp_path / "out",
+                         "--quiet")
+    assert code == 2 and err == "error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "train", "gram"])
+@pytest.mark.parametrize("kernel, message", [
+    ({"kind": "rbf", "gamma": 0.0}, "gamma must be > 0"),
+    ({"kind": "quantum_exact", "feature_map": {"family": "zz", "reps": 0}},
+     f"reps must be between 1 and {MAX_REPS}, got 0"),
+    ({"kind": "quantum_exact", "feature_map": {"family": "zz", "n_qubits": 0}},
+     "n_qubits must be >= 1"),
+    ({"kind": "quantum_shots", "shots": 0, "rng_seed": 1, "feature_map": {"family": "zz"}},
+     "shots must be between 1 and"),
+    ({"kind": "cosine"}, "unknown kernel kind 'cosine'"),
+    ({"gamma": 1.0}, "kind must be a string, got None"),
+    ({"kind": "quantum_exact", "feature_map": {"family": "zz", "rep": 1}},
+     "unknown key(s) ['rep']"),
+], ids=["gamma", "reps", "n_qubits", "shots", "kind", "no_kind", "feature_map_key"])
+def test_bad_kernel_exits_2_at_load_naming_config_and_model(tmp_path, qsarq, command, kernel,
+                                                           message):
+    # the input does not exist, so reading it first would fail with another error
+    config = write_config(tmp_path / "exp.yaml", csv_name="missing.csv",
+                          models=[{"name": "bad_row", "kind": "svm", "kernel": kernel}])
+    code, _, err = qsarq(command, "--config", config, "--out", tmp_path / "out", "--quiet")
+    assert code == 2 and err.startswith(f"error: {config}: model 'bad_row': ")
+    assert message in err and "missing.csv" not in err
     assert not (tmp_path / "out").exists()
 
 

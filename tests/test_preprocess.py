@@ -327,11 +327,13 @@ class TestCsv:
         ("\ncompound_id,logp\nA,1\nB,x\n", "line 4: column 'logp' has non-numeric"),
     ], ids=["blank-cell", "multiline-cell", "blank-fields", "blank-id", "multiline-ec50",
             "blank-label", "leading-blank"])
-    def test_messages_name_the_physical_line(self, tmp_path, text, message):
+    def test_messages_name_the_physical_line(self, tmp_path, capsys, text, message):
         # blank lines and a quoted field's continuation lines are counted
         path = self.write(tmp_path, text)
         with pytest.raises(ValueError, match=message):
             read_descriptor_csv(path)
+        assert cli_main(["preprocess", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
 
 
 class TestResolveLabels:
