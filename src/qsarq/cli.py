@@ -1,19 +1,21 @@
 """Command-line entry points.
 
-Subcommands mirror the pipeline stages: `preprocess` normalizes a raw
-descriptor CSV, `gram` materializes a kernel matrix, `train` fits one
+Five subcommands mirror the pipeline stages: `preprocess` normalizes a
+raw descriptor CSV, `gram` materializes a kernel matrix, `train` fits one
 configured model, `eval` scores a saved model, and `run` executes the
-whole experiment and writes the comparison report. Each reads its CSV
-into one `preprocess.DescriptorTable` of columns; `gram` and `train` do
-so through the pipeline's `prepare_features` (no train/test split), and
-`train` fits through `fit_entry` with the table's activity column, so a
-saved model is fitted exactly as its row in the report is. A config is
-checked whole, kernels included, before its CSV is read. Gram matrices
-and models are files in the one JSON format of `qsarq.artifact`; `train
---gram` refuses, naming it, a Gram file of another kernel, jitter or
-data, and `eval` reads either model type through `pipeline.load_model`.
-Exit codes: 0 on success, 2 on invalid input or config, 3 on internal
-consistency failures.
+whole experiment and writes the comparison report. There is one data
+path: every command reads its CSV through the pipeline's
+`prepare_features`, under a `pipeline.DataConfig`. `gram`, `train` and
+`run` take it from their config (an `ExperimentConfig` is one);
+`preprocess` builds it from its flags, and `eval` from `--cutoff`, with
+no filter and no scaling, since it reads features already prepared.
+`train` fits through `fit_entry`, so a saved model is fitted exactly as
+its row in the report is. A config is checked whole, kernels included,
+before its CSV is read. Gram matrices and models are files in the one
+JSON format of `qsarq.artifact`; `train --gram` refuses, naming it, a
+Gram file of another kernel, jitter or data, and `eval` reads either
+model type through `pipeline.load_model`. Exit codes: 0 on success, 2 on
+invalid input or config, 3 on internal consistency failures.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import InternalConsistencyError, ResourceLimitError
 from .kernels import dataset_digest, load_gram, save_gram
 from .pipeline import (
     SVM,
+    DataConfig,
     ExperimentConfig,
     accuracy,
     entry_gram,
@@ -38,15 +41,7 @@ from .pipeline import (
     run_experiment,
     save_model,
 )
-from .preprocess import (
-    apply_lipinski_filter,
-    feature_matrix,
-    minmax_fit,
-    minmax_transform,
-    read_descriptor_csv,
-    resolve_labels,
-    write_feature_csv,
-)
+from .preprocess import write_feature_csv
 
 
 def _finite_float(text: str) -> float:
@@ -79,24 +74,14 @@ def _select_entry(config: ExperimentConfig, name: str | None):
 
 
 def cmd_preprocess(args) -> None:
-    table = read_descriptor_csv(args.input)
-    if args.lipinski:
-        table = apply_lipinski_filter(table)
-        if not len(table):
-            raise ValueError("no rows survive the rule-of-five filter")
-    try:
-        labels = resolve_labels(table, args.cutoff)
-    except ValueError as exc:
-        _say(args, f"labels omitted: {exc}")
-        labels = None
-    X, names = feature_matrix(table)
-    if not args.no_scale:
-        X = minmax_transform(minmax_fit(X), X)
+    data = DataConfig(input=args.input, lipinski_filter=args.lipinski,
+                      activity_cutoff=args.cutoff, scaler=not args.no_scale)
+    X, _, labels, _, info = prepare_features(data, split=False)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "normalized.csv"
-    write_feature_csv(out_path, table.ids, X, names, labels)
-    _say(args, f"wrote {out_path} ({len(table)} rows, {len(names)} features)")
+    write_feature_csv(out_path, info["table"].ids, X, info["names"], labels)
+    _say(args, f"wrote {out_path} ({len(labels)} rows, {len(info['names'])} features)")
 
 
 def cmd_gram(args) -> None:
@@ -140,16 +125,15 @@ def cmd_train(args) -> None:
 
 def cmd_eval(args) -> None:
     model = load_model(args.model)
-    table = read_descriptor_csv(args.data)
-    labels = resolve_labels(table, args.cutoff)
-    X, _ = feature_matrix(table)
+    data = DataConfig(input=args.data, activity_cutoff=args.cutoff, scaler=False)
+    X, _, labels, _, _ = prepare_features(data, split=False)
     acc = accuracy(predict(model, X), labels)
-    _say(args, f"accuracy {acc:.4f} on {len(table)} rows")
+    _say(args, f"accuracy {acc:.4f} on {len(labels)} rows")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         metrics = out_dir / "metrics.txt"
-        metrics.write_text(f"accuracy {acc:.17g}\nn {len(table)}\n", encoding="utf-8")
+        metrics.write_text(f"accuracy {acc:.17g}\nn {len(labels)}\n", encoding="utf-8")
         _say(args, f"wrote {metrics}")
 
 

@@ -1,17 +1,20 @@
 """End-to-end experiment orchestration.
 
-A single YAML config describes the dataset, the preprocessing steps,
-and the list of model rows to train and score. Running an experiment
-produces a small comparison report (aligned text plus a JSON record)
-whose rows mirror the model/type/acc/execution/kernel layout used for
-classical-vs-quantum comparisons. A model row takes only its kind's
-fields (`SvmEntry`, `RegEntry`, `AnnealEntry`): a key of another kind
-is refused at load like any unknown key. An svm row is an `SvmConfig`,
-an annealing row an `AnnealSchedule`; every row is checked at load, each
-svm row's kernel too, and `SvmEntry.kernel_config` binds that kernel to
-the data's width (a stated `n_qubits` must match it before any row is
-fitted). The report echoes the config as written, so reruns with the
-same config and input are byte-identical, wherever the two files live.
+A single YAML config describes the dataset, the preprocessing steps, and
+the list of model rows to train and score; its data settings are a
+`DataConfig`, under which every command reads its CSV through
+`prepare_features`. Running an experiment produces a small comparison
+report (aligned text plus a JSON record) whose rows mirror the
+model/type/acc/execution/kernel layout used for classical-vs-quantum
+comparisons. A model row takes only its kind's fields (`SvmEntry`,
+`RegEntry`, `AnnealEntry`): a key of another kind is refused at load
+like any unknown key. An svm row is an `SvmConfig`, an annealing row an
+`AnnealSchedule`; every row is checked at load, each svm row's kernel
+too, and `SvmEntry.kernel_config` binds that kernel to the data's width
+(a stated `n_qubits` must match it before any row is fitted);
+`fit_entry` names the row of a fault in its fit. The report echoes the
+config as written, so reruns with the same config and input are
+byte-identical, wherever the two files live.
 """
 
 from __future__ import annotations
@@ -156,14 +159,11 @@ class AnnealEntry(RegEntry, AnnealSchedule):
 ENTRY_CLASSES = {SVM: SvmEntry, REG_LS: RegEntry, REG_ANNEAL: AnnealEntry}
 
 
-@dataclass
-class ExperimentConfig:
-    """An experiment config; `input` as written, `input_path` where it is read."""
+@dataclass(kw_only=True)
+class DataConfig:
+    """How `prepare_features` reads a CSV: `input` as written, `input_path` where it is read."""
 
     input: str
-    seed: int
-    split: float
-    models: list[ModelEntry]
     lipinski_filter: bool = False
     activity_cutoff: float | None = None
     pca_k: int | None = None
@@ -171,6 +171,22 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self, "config")
+        if self.pca_k is not None and self.pca_k < 1:
+            raise ValueError(f"pca_k must be >= 1, got {self.pca_k}")
+        self.activity_cutoff = None if self.activity_cutoff is None else float(self.activity_cutoff)
+        self.input_path = Path(self.input)  # not a field, so neither set nor echoed
+
+
+@dataclass(kw_only=True)
+class ExperimentConfig(DataConfig):
+    """An experiment config: its data settings, the split and the model rows."""
+
+    seed: int
+    split: float
+    models: list[ModelEntry]
+
+    def __post_init__(self):
+        super().__post_init__()
         if not self.models:
             raise ValueError("config lists no models")
         if self.seed < 0:
@@ -184,7 +200,6 @@ class ExperimentConfig:
             seen.add(entry.name)
             if getattr(entry, "target", None) == "activity" and self.activity_cutoff is None:
                 raise ValueError(f"model {entry.name!r}: activity target needs activity_cutoff")
-        self.input_path = Path(self.input)  # not a field, so neither set nor echoed
 
 
 def _model_entry(raw) -> ModelEntry:
@@ -215,8 +230,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: {exc}") from exc
     if not config.input_path.is_absolute():
         config.input_path = (cfg_path.parent / config.input_path).resolve()
-    if config.activity_cutoff is not None:
-        config.activity_cutoff = float(config.activity_cutoff)
     return config
 
 
@@ -306,14 +319,15 @@ def _stage(name: str):
         raise InternalConsistencyError(f"stage {name}: {exc}") from exc
 
 
-def prepare_features(config: ExperimentConfig, split: bool = True):
-    """Shared preprocessing: ingest, filter, label, scale, reduce.
+def prepare_features(config: DataConfig, split: bool = True):
+    """Every command's preprocessing: ingest, filter, label, scale, reduce.
 
     Returns (X_train, X_test, y_train, y_test, info) with all fit steps
     performed on the training split only. `info` holds "table", the
     filtered descriptor table behind X; "names", the feature names; and
-    "train_idx" and "test_idx", the table rows of each split. With
-    `split=False` every row is a training row and the test arrays are empty.
+    "train_idx" and "test_idx", the table rows of each split. A split
+    reads the `ExperimentConfig`'s seed and fraction; with `split=False`
+    every row is a training row and the test arrays are empty.
     """
     with _stage("ingest"):
         table = read_descriptor_csv(config.input_path)
@@ -342,6 +356,9 @@ def prepare_features(config: ExperimentConfig, split: bool = True):
             X_test = minmax_transform(scaler, X_test)
     with _stage("reduce"):
         if config.pca_k is not None:
+            if config.pca_k > X.shape[1]:
+                raise ValueError(f"pca_k must be <= {X.shape[1]}, the number of features, "
+                                 f"got {config.pca_k}")
             pca = pca_fit(X_train, config.pca_k)
             X_train = pca_transform(pca, X_train)
             X_test = pca_transform(pca, X_test)
@@ -371,22 +388,26 @@ def fit_entry(entry: ModelEntry, X, y, activity, cutoff, gm: GramMatrix | None =
     read for activity targets; `cutoff` is the config's activity_cutoff.
     An svm row trains on `gm` when given (its Gram matrix over X, whose
     kernel and jitter the caller has checked), else on a freshly built one.
+    A fault of the fit names the row once, as stage `model <name>`.
     """
-    if entry.kind == SVM:
-        return train(entry_gram(entry, X) if gm is None else gm, y, entry, features=X)
-    basis = BasisSpec(kind=entry.basis, n_features=X.shape[1])
-    if entry.target == "activity":
-        if np.isnan(activity).any():
-            raise ValueError(f"model {entry.name!r}: activity-target regression needs "
-                             "pEC50 or EC50 on every training row")
-        targets, threshold = activity, float(cutoff)
-    else:
-        targets, threshold = y.astype(np.float64), 0.0
-    if entry.kind == REG_LS:
-        return fit_least_squares(X, targets, basis, ridge=entry.ridge,
-                                 threshold=threshold)
-    return fit_annealing(X, targets, basis, entry, seed=entry.anneal_seed,
-                         ridge=entry.ridge, threshold=threshold)
+    if entry.kind == SVM and gm is None:
+        gm = entry_gram(entry, X)
+    with _stage(f"model {entry.name}"):
+        if entry.kind == SVM:
+            return train(gm, y, entry, features=X)
+        basis = BasisSpec(kind=entry.basis, n_features=X.shape[1])
+        if entry.target == "activity":
+            if np.isnan(activity).any():
+                raise ValueError("activity-target regression needs pEC50 or EC50 "
+                                 "on every training row")
+            targets, threshold = activity, float(cutoff)
+        else:
+            targets, threshold = y.astype(np.float64), 0.0
+        if entry.kind == REG_LS:
+            return fit_least_squares(X, targets, basis, ridge=entry.ridge,
+                                     threshold=threshold)
+        return fit_annealing(X, targets, basis, entry, seed=entry.anneal_seed,
+                             ridge=entry.ridge, threshold=threshold)
 
 
 def predict(model, X) -> np.ndarray:
@@ -433,11 +454,8 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
 
     for entry in (e for e in config.models if e.kind == SVM):  # before any row is fitted
         entry.kernel_config(X_train.shape[1])  # a stated n_qubits must match the data
-    results = []
-    for entry in config.models:
-        with _stage(f"model {entry.name}"):
-            results.append(_run_row(entry, table.activity[train_idx], config.activity_cutoff,
-                                    X_train, X_test, y_train, y_test))
+    results = [_run_row(entry, table.activity[train_idx], config.activity_cutoff,
+                        X_train, X_test, y_train, y_test) for entry in config.models]
 
     dataset = {
         "n_rows": len(table),

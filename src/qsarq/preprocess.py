@@ -274,17 +274,11 @@ def resolve_labels(table: DescriptorTable, cutoff: float | None = None) -> np.nd
     return np.where(unlabelled, derived, table.label).astype(np.int64)
 
 
-def write_feature_csv(path, compound_ids, X, names, labels=None) -> None:
-    """Write a feature matrix back out in the descriptor CSV schema."""
+def write_feature_csv(path, compound_ids, X, names, labels) -> None:
+    """Write a feature matrix and its +-1 labels back out in the descriptor CSV schema."""
     arr = np.asarray(X, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["compound_id", *names]
-        if labels is not None:
-            header.append("label")
-        writer.writerow(header)
+        writer.writerow(["compound_id", *names, "label"])
         for i, cid in enumerate(compound_ids):
-            record = [cid, *(f"{v:.17g}" for v in arr[i])]
-            if labels is not None:
-                record.append(str(int(labels[i])))
-            writer.writerow(record)
+            writer.writerow([cid, *(f"{v:.17g}" for v in arr[i]), str(int(labels[i]))])

@@ -18,6 +18,7 @@ from qsarq.errors import InternalConsistencyError
 from qsarq.feature_maps import MAX_REPS
 from qsarq.kernels import load_gram
 from qsarq.pipeline import entry_gram, fit_entry, load_experiment_config, prepare_features
+from qsarq.preprocess import feature_matrix, read_descriptor_csv
 from qsarq.regression import MAX_ANNEAL_ITERS, load_reg_model
 from qsarq.svm import MAX_SVM_ITERS
 
@@ -44,6 +45,19 @@ def write_csv(path, n=30, seed=0):
     lines += [",".join((f"c{i}", *(f"{v:.4f}" for v in X[i]), f"{activity[i]:.4f}"))
               for i in range(n)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def add_labels(path, only=None, blank_activity=False):
+    """Store a label column in a `write_csv` file: each compound's class at CUTOFF,
+    or `only` for every compound; `blank_activity` also blanks every pec50 cell."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    rows = [header + ",label"]
+    for line in lines:
+        head, pec50 = line.rsplit(",", 1)
+        label = only or (1 if float(pec50) >= CUTOFF else -1)
+        rows.append(f"{head},{'' if blank_activity else pec50},{label}")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return path
 
 
@@ -335,12 +349,19 @@ def test_model_number_too_large_for_a_float_exits_2_naming_it(tmp_path, config, 
     assert code == 2 and f"error: {path}: {key} is too large for a float" in err
 
 
-def test_gram_on_a_regression_row_exits_2(tmp_path, config, qsarq):
+def test_train_gram_on_a_regression_row_exits_2(tmp_path, config, qsarq):
     assert qsarq("gram", "--config", config, "--model", "qsvm", "--out", tmp_path,
                  "--quiet")[0] == 0
     code, _, err = qsarq("train", "--config", config, "--model", "ls",
                          "--gram", tmp_path / "qsvm.gram", "--out", tmp_path, "--quiet")
     assert code == 2 and "--gram" in err
+
+
+def test_gram_of_a_regression_row_exits_2_naming_it(tmp_path, config, qsarq):
+    code, _, err = qsarq("gram", "--config", config, "--model", "ls", "--out", tmp_path / "out",
+                         "--quiet")
+    assert code == 2 and err == "error: model 'ls' has no kernel (kind reg_ls)\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "gram", "train"])
@@ -608,20 +629,20 @@ SLOW_ROW = {"name": "slow", "kind": "reg_anneal", "iterations": 200_000}
                                 "feature_map": {"family": "zz", "n_qubits": 3}}}, {},
      "feature map n_qubits=3 does not match the 5-dimensional data"),
     ({"kind": "reg_ls"}, {"seed": -1}, "seed must be >= 0, got -1"),
+    ({"kind": "reg_ls"}, {"pca_k": 0}, "pca_k must be >= 1, got 0"),
+    ({"kind": "reg_ls"}, {"pca_k": -1}, "pca_k must be >= 1, got -1"),
 ], ids=["C", "tol", "max_iters", "ridge", "basis", "jitter", "gamma", "activity_no_cutoff",
-        "anneal_seed", "n_qubits", "seed"])
+        "anneal_seed", "n_qubits", "seed", "pca_k_0", "pca_k_negative"])
 def test_bad_row_exits_2_before_any_row_is_fitted(tmp_path, qsarq, monkeypatch, bad, top,
                                                   message):
     def never(*args, **kwargs):
         raise AssertionError("a row was fitted before the bad row was refused")
 
     monkeypatch.setattr("qsarq.pipeline.fit_annealing", never)
-    lines = write_csv(tmp_path / "data.csv").read_text(encoding="utf-8").splitlines()
-    labels = [1 if float(line.rsplit(",", 1)[1]) >= CUTOFF else -1 for line in lines[1:]]
-    (tmp_path / "data.csv").write_text(  # stored labels, so rows need no activity_cutoff
-        "\n".join([lines[0] + ",label"] + [f"{line},{y}" for line, y in zip(lines[1:], labels)])
-        + "\n", encoding="utf-8")
-    config = write_config(tmp_path / "exp.yaml", models=[SLOW_ROW, {"name": "bad_row", **bad}],
+    add_labels(write_csv(tmp_path / "data.csv"))  # stored labels need no activity_cutoff
+    # a bad top-level setting is refused before the input, here absent, is read
+    config = write_config(tmp_path / "exp.yaml", csv_name="missing.csv" if top else "data.csv",
+                          models=[SLOW_ROW, {"name": "bad_row", **bad}],
                           activity_cutoff=None, **top)
     code, _, err = qsarq("run", "--config", config, "--out", tmp_path / "out", "--quiet")
     where = f"error: {config}: " if top else "model 'bad_row': "
@@ -676,3 +697,99 @@ def test_train_of_a_bad_row_exits_2_before_its_gram_matrix(tmp_path, qsarq, monk
     assert code == 2
     assert f"error: {config}: model 'bad_row': C must be > 0" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_seed_option_gives_the_report_of_that_config_seed(tmp_path, config, qsarq):
+    assert qsarq("run", "--config", config, "--seed", 5, "--out", tmp_path / "a",
+                 "--quiet")[0] == 0
+    seeded = write_config(tmp_path / "seeded.yaml", seed=5)
+    assert qsarq("run", "--config", seeded, "--out", tmp_path / "b", "--quiet")[0] == 0
+    for name in ("report.txt", "report.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_fit_fault_names_the_model_once(tmp_path, qsarq, command):
+    add_labels(write_csv(tmp_path / "data.csv", n=20), blank_activity=True)
+    config = write_config(tmp_path / "exp.yaml",
+                          models=[{"name": "lsa", "kind": "reg_ls", "target": "activity"}])
+    code, _, err = qsarq(command, "--config", config, "--out", tmp_path / "out", "--quiet")
+    assert code == 2 and err == ("error: stage model lsa: activity-target regression needs "
+                                 "pEC50 or EC50 on every training row\n")
+
+
+def test_svm_fit_fault_under_train_names_the_model(tmp_path, qsarq):
+    add_labels(write_csv(tmp_path / "data.csv"), only=1)
+    config = write_config(tmp_path / "exp.yaml")
+    code, _, err = qsarq("train", "--config", config, "--model", "rbf", "--out", tmp_path / "out",
+                         "--quiet")
+    assert code == 2
+    assert err == "error: stage model rbf: training requires both classes to be present\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_preprocess_lipinski_with_one_survivor_exits_2(tmp_path, qsarq):
+    path = tmp_path / "data.csv"
+    path.write_text("compound_id,n_donors,n_acceptors,mol_weight,logp,label\n"
+                    "kept,1,2,300,1.5,1\ndropped,8,2,650,6.5,-1\n", encoding="utf-8")
+    code, _, err = qsarq("preprocess", path, "--lipinski", "--out", tmp_path / "out", "--quiet")
+    assert code == 2 and "fewer than two rows survive the rule-of-five filter" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("activity, message", [
+    (False, "c0: no label and no activity measurement"),
+    (True, "activity_cutoff is required to derive labels from pEC50 (compound c0)"),
+], ids=["no_activity", "no_cutoff"])
+def test_preprocess_of_an_unlabeled_csv_exits_2_naming_the_compound(tmp_path, qsarq, activity,
+                                                                    message):
+    path = write_csv(tmp_path / "data.csv")
+    if not activity:
+        path.write_text("\n".join(line.rsplit(",", 1)[0] for line in
+                                  path.read_text(encoding="utf-8").splitlines()) + "\n",
+                        encoding="utf-8")
+    code, _, err = qsarq("preprocess", path, "--out", tmp_path / "out", "--quiet")
+    assert code == 2 and err == f"error: stage labels: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_preprocess_lipinski_writes_the_rows_and_features_train_fits(tmp_path, qsarq):
+    write_csv(tmp_path / "data.csv")
+    config = write_config(tmp_path / "exp.yaml", lipinski_filter=True)
+    assert qsarq("preprocess", tmp_path / "data.csv", "--lipinski", "--cutoff", CUTOFF,
+                 "--out", tmp_path / "pre", "--quiet")[0] == 0
+    assert qsarq("train", "--config", config, "--model", "ls", "--out", tmp_path / "models",
+                 "--quiet")[0] == 0
+    written = read_descriptor_csv(tmp_path / "pre" / "normalized.csv")
+    X_written, labels = feature_matrix(written)[0], written.label.astype(np.int64)
+    cfg = load_experiment_config(config)
+    X, _, y, _, info = prepare_features(cfg, split=False)
+    assert 2 <= len(y) < 30  # the filter dropped some compounds
+    assert written.ids.tolist() == info["table"].ids.tolist()
+    assert np.array_equal(X_written, X) and np.array_equal(labels, y)
+    entry = next(e for e in cfg.models if e.name == "ls")
+    refit = fit_entry(entry, X_written, labels, info["table"].activity, cfg.activity_cutoff)
+    saved = load_reg_model(tmp_path / "models" / "ls.model")
+    np.testing.assert_array_equal(saved.coefficients, refit.coefficients)
+
+
+def test_pca_run_reports_its_components_scaled_into_the_unit_box(tmp_path, qsarq):
+    write_csv(tmp_path / "data.csv")
+    config = write_config(tmp_path / "exp.yaml", pca_k=2)
+    for out in ("a", "b"):
+        assert qsarq("run", "--config", config, "--out", tmp_path / out, "--quiet")[0] == 0
+    for name in ("report.txt", "report.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert "\nfeatures: pc1, pc2\n" in (tmp_path / "a" / "report.txt").read_text()
+    X_train, X_test, *_ = prepare_features(load_experiment_config(config))
+    for X in (X_train, X_test):
+        assert X.shape[1] == 2 and X.min() >= 0.0 and X.max() <= 1.0
+    assert X_train.min(axis=0).tolist() == [0.0, 0.0] and X_train.max(axis=0).tolist() == [1.0, 1.0]
+
+
+def test_pca_k_above_the_feature_count_exits_2_naming_it(tmp_path, qsarq):
+    write_csv(tmp_path / "data.csv")
+    config = write_config(tmp_path / "exp.yaml", pca_k=6)
+    code, _, err = qsarq("run", "--config", config, "--out", tmp_path / "out", "--quiet")
+    assert code == 2
+    assert err == "error: stage reduce: pca_k must be <= 5, the number of features, got 6\n"
