@@ -1,11 +1,12 @@
 """The one file format of saved artifacts: a versioned JSON envelope.
 
 A Gram matrix or a model is saved as one JSON object, ``{"format":
-"qsarq", "version": 2, "type": <type>, ...}``, with the fields of its
+"qsarq", "version": 3, "type": <type>, ...}``, with the fields of its
 type (n, d and m are lengths shared within a file):
 
-- ``gram``: ``entries`` (n x n), ``kernel_config`` (as `KernelConfig.to_dict`),
-  ``dataset_digest`` (of the n feature rows) and ``jitter`` (on the diagonal).
+- ``gram``: ``entries`` (n x n, symmetric, stored as its upper triangle),
+  ``kernel_config`` (as `KernelConfig.to_dict`), ``dataset_digest`` (of
+  the n feature rows) and ``jitter`` (on the diagonal).
 - ``svm``: ``support_vectors`` (m x d, the training rows with a nonzero
   multiplier, in training order), ``dual_coef`` (m, multiplier times
   label), ``bias``, ``converged`` and ``kernel_config``. Svm files that
@@ -20,13 +21,19 @@ float64 bytes (``"<f8"``): a 1-D array is one JSON string, a 2-D array a
 list of one string per row, one row per line, so the writer holds one
 row's payload at a time. Raw bytes read back bit for bit (-0.0 and
 subnormals included) and are written and parsed several times faster
-than 17-digit decimal text, which version 1 used; version 1 files are
-refused and are rewritten by rerunning the command that made them.
-Scalars stay JSON, keys are sorted, and non-finite numbers are refused
-on writing and, after decoding, on reading, as is a number too large for
-a float. Reading checks the format, version, type, key set, value types,
-payload lengths and array shapes, and any violation raises a ValueError
-that names the file.
+than 17-digit decimal text. A symmetric array (`Upper` in `SCHEMAS`:
+the Gram entries) keeps only its upper triangle, row i holding the
+entries [i, i:], so each off-diagonal entry is stored once. Reading
+mirrors each row into place, so the array read is exactly symmetric;
+writing refuses an array that is not bitwise symmetric, whose lower
+triangle would be lost. Version 1 (decimal text) and version 2 (square
+Gram rows) files are refused and are rewritten by rerunning the command
+that made them (``qsarq gram`` or ``qsarq train``). Scalars stay JSON,
+keys are sorted, and non-finite numbers are refused on writing and,
+after decoding, on reading, as is a number too large for a float.
+Reading checks the format, version, type, key set, value types, payload
+lengths and array shapes, and any violation raises a ValueError that
+names the file.
 """
 
 from __future__ import annotations
@@ -40,10 +47,17 @@ from numbers import Integral, Real
 import numpy as np
 
 GRAM, SVM, REG = "gram", "svm", "reg"
-VERSION = 2
+VERSION = 3
+
+
+class Upper(tuple):
+    """The dimension names (n, n) of a symmetric array stored as its upper
+    triangle: payload row i holds the entries [i, i:]."""
+
+
 # the type of each field, or the names of an array's dimensions
 SCHEMAS = {
-    GRAM: {"dataset_digest": str, "entries": ("n", "n"), "jitter": Real,
+    GRAM: {"dataset_digest": str, "entries": Upper(("n", "n")), "jitter": Real,
            "kernel_config": dict},
     SVM: {"bias": Real, "converged": bool, "dual_coef": ("m",), "kernel_config": dict,
           "support_vectors": ("m", "d")},
@@ -54,11 +68,16 @@ _dumps = partial(json.dumps, allow_nan=False, sort_keys=True, separators=(",", "
 
 def save(path, type_: str, fields: dict) -> None:
     """Write the fields of a `type_` artifact; numpy arrays become base64 payloads."""
+    upper = {key for key, kind in SCHEMAS[type_].items() if isinstance(kind, Upper)}
     for key, value in fields.items():
         # NaN and +-inf carry through min and max, which allocate no temporary
         if isinstance(value, (Real, np.ndarray)) and not all(
                 np.isfinite(extreme(value, initial=0.0)) for extreme in (np.min, np.max)):
             raise ValueError(f"{path}: {key} holds non-finite values")
+        if key in upper:  # its lower triangle is not written
+            bits = np.asarray(value, dtype="<f8").view("<i8")  # so that -0.0 != 0.0
+            if bits.ndim != 2 or not np.array_equal(bits, bits.T):
+                raise ValueError(f"{path}: {key} is not symmetric")
     record = {**fields, "format": "qsarq", "type": type_, "version": VERSION}
     with open(path, "w", encoding="utf-8") as fh:
         for n, key in enumerate(sorted(record)):
@@ -66,7 +85,8 @@ def save(path, type_: str, fields: dict) -> None:
             fh.write(("{\n" if n == 0 else ",\n") + _dumps(key) + ": ")
             if isinstance(value, np.ndarray) and value.ndim == 2:
                 for i, row in enumerate(value):  # base64 needs no JSON escaping
-                    fh.write(("[\n" if i == 0 else ",\n") + f'"{_payload(row)}"')
+                    fh.write(("[\n" if i == 0 else ",\n")
+                             + f'"{_payload(row[i:] if key in upper else row)}"')
                 fh.write("\n]" if len(value) else "[]")
             else:
                 fh.write(_dumps(_payload(value) if isinstance(value, np.ndarray) else value))
@@ -121,7 +141,7 @@ def _checked(key: str, value, kind, lengths: dict):
         if kind is Real and not abs(value) <= sys.float_info.max:  # 1e400 parses as inf
             raise ValueError(f"{key} is too large for a float")
         return value
-    arr = _decoded(key, value, len(kind))
+    arr = _decoded(key, value, len(kind), isinstance(kind, Upper))
     expected = tuple(lengths.setdefault(name, length) for name, length in zip(kind, arr.shape))
     if arr.shape != expected:
         raise ValueError(f"{key} has shape {arr.shape}, expected {expected}")
@@ -130,8 +150,9 @@ def _checked(key: str, value, kind, lengths: dict):
     return arr
 
 
-def _decoded(key: str, value, ndim: int) -> np.ndarray:
-    """The float64 array of a payload: one base64 string (1-D) or a list of them (2-D)."""
+def _decoded(key: str, value, ndim: int, upper: bool = False) -> np.ndarray:
+    """The float64 array of a payload: one base64 string (1-D) or a list of them
+    (2-D), each a row or, if `upper`, a row's upper triangle mirrored into place."""
     rows = [value] if ndim == 1 else value
     if not isinstance(rows, list) or not all(isinstance(row, str) for row in rows):
         raise ValueError(f"{key} must be a {ndim}-D array as base64 "
@@ -147,8 +168,17 @@ def _decoded(key: str, value, ndim: int) -> np.ndarray:
                 raise ValueError(f"{key} has a payload of {len(raw)} bytes, "
                                  "not a multiple of 8")
             width = len(raw) // 8
+            if upper and width != len(rows):
+                raise ValueError(f"{key} is not an upper triangle: {len(rows)} rows, "
+                                 f"the first of {width} entries")
             arr = np.empty((width,) if ndim == 1 else (len(rows), width))
-        elif len(raw) != 8 * width:
+        elif upper and len(raw) != 8 * (width - i):
+            raise ValueError(f"{key} is not an upper triangle: row {i} has {len(raw)} "
+                             f"bytes, not {8 * (width - i)}")
+        elif not upper and len(raw) != 8 * width:
             raise ValueError(f"{key} has rows of unequal length")
-        np.atleast_2d(arr)[i] = np.frombuffer(raw, dtype="<f8")  # copied into arr
+        if upper:  # copied into arr
+            arr[i, i:] = arr[i:, i] = np.frombuffer(raw, dtype="<f8")
+        else:
+            np.atleast_2d(arr)[i] = np.frombuffer(raw, dtype="<f8")
     return arr

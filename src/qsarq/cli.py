@@ -76,7 +76,7 @@ def _select_entry(config: ExperimentConfig, name: str | None):
 def cmd_preprocess(args) -> None:
     data = DataConfig(input=args.input, lipinski_filter=args.lipinski,
                       activity_cutoff=args.cutoff, scaler=not args.no_scale)
-    X, _, labels, _, info = prepare_features(data, split=False)
+    X, _, labels, _, info = prepare_features(data, split=False, cutoff_name="--cutoff")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "normalized.csv"
@@ -126,7 +126,7 @@ def cmd_train(args) -> None:
 def cmd_eval(args) -> None:
     model = load_model(args.model)
     data = DataConfig(input=args.data, activity_cutoff=args.cutoff, scaler=False)
-    X, _, labels, _, _ = prepare_features(data, split=False)
+    X, _, labels, _, _ = prepare_features(data, split=False, cutoff_name="--cutoff")
     acc = accuracy(predict(model, X), labels)
     _say(args, f"accuracy {acc:.4f} on {len(labels)} rows")
     if args.out:

@@ -48,6 +48,9 @@ QUANTUM_KINDS = frozenset({QUANTUM_EXACT, QUANTUM_SHOTS})
 # rounding slack before a quantum kernel value is considered corrupt
 _CLAMP_SLACK = 1e-12
 _MAX_SHOTS = 2**63 - 1  # numpy's binomial takes an int64 count
+# fewest rows per tile of gram's fidelity product: BLAS runs the complex product
+# of thinner row blocks well below its peak rate
+TILE_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -143,14 +146,16 @@ def dataset_digest(X: np.ndarray) -> str:
 
 
 def _clamp_unit(value):
-    """Clip fidelities into [0, 1]; larger excursions than rounding are errors."""
+    """Clip fidelities into [0, 1]; larger excursions than rounding (NaN included)
+    are errors. A float64 array is clipped in place and returned, with no
+    temporary; a scalar comes back as a scalar."""
     arr = np.asarray(value, dtype=np.float64)
-    if np.any(arr < -_CLAMP_SLACK) or np.any(arr > 1.0 + _CLAMP_SLACK):
+    if not (arr.min(initial=0.0) >= -_CLAMP_SLACK and arr.max(initial=0.0) <= 1.0 + _CLAMP_SLACK):
         worst = float(arr.flat[np.argmax(np.abs(arr - 0.5))])
         raise InternalConsistencyError(
             f"quantum kernel value {worst!r} outside [0, 1] beyond rounding slack"
         )
-    return np.clip(arr, 0.0, 1.0)
+    return np.clip(arr, 0.0, 1.0, out=arr)[()]
 
 
 def _row_digest(x: np.ndarray) -> bytes:
@@ -174,21 +179,26 @@ def _operands(cfg: KernelConfig, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _kernel_block(cfg: KernelConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact kernel values between every operand row of `a` and every one of `b`."""
-    if cfg.kind in QUANTUM_KINDS:  # |<a|b>|^2: conj copies a; BLAS reads the view b.T
-        z = np.conj(a) @ b.T
-        return _clamp_unit(z.real * z.real + z.imag * z.imag)
-    if cfg.kind == RBF:
+def _kernel_block(cfg: KernelConfig, a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                  conj_out: np.ndarray | None = None) -> None:
+    """Write the exact kernel values between every operand row of `a` and every
+    one of `b` into `out`, a (len(a), len(b)) float64 array or view. Quantum
+    kinds write the conjugates of `a` to `conj_out` (default: a new array)."""
+    if cfg.kind in QUANTUM_KINDS:  # |<a|b>|^2; BLAS reads the view b.T
+        z = np.conj(a, out=conj_out) @ b.T
+        np.square(z.real, out=out)
+        out += np.square(z.imag, out=z.imag)  # z's own storage: no third temporary
+        _clamp_unit(out)
+    elif cfg.kind == RBF:
         sq = np.zeros((a.shape[0], b.shape[0]))
         for col in range(a.shape[1]):
             diff = a[:, col, None] - b[None, :, col]
             sq += diff * diff
-        return np.exp(-cfg.gamma * sq)
-    dots = a @ b.T
-    if cfg.kind == LINEAR:
-        return dots
-    return (dots + cfg.offset) ** cfg.degree
+        out[...] = np.exp(-cfg.gamma * sq)
+    elif cfg.kind == LINEAR:
+        out[...] = a @ b.T
+    else:
+        out[...] = (a @ b.T + cfg.offset) ** cfg.degree
 
 
 def _block_rows(cfg: KernelConfig, rows: int, columns: int) -> int:
@@ -201,18 +211,32 @@ def _block_rows(cfg: KernelConfig, rows: int, columns: int) -> int:
     return max(1, BLOCK_BYTES // max(1, 8 * columns + encoded))
 
 
+def _tile_rows(cfg: KernelConfig, n: int) -> int:
+    """Rows per tile of `gram`'s n x n matrix: `_block_rows`, raised to TILE_ROWS
+    (or n). Past the first tile, the conjugates a tile needs take no new memory."""
+    return max(_block_rows(cfg, n, n), min(n, TILE_ROWS))
+
+
 def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
     """Kernel matrix over the rows of X, exactly symmetric.
 
     The matrix must fit the state-stack budget (n <= 11 585). X becomes one
-    operand stack; each block of its rows is evaluated against the columns
-    from the block's first row on, and mirrored as it is made. Entries equal
-    the per-entry reference's (``tests/oracles.py``) up to rounding. A
-    shot-sampled entry (i, j), i < j, is then the j-th draw of X[i]'s shot
-    stream, drawn in place and mirrored: the upper triangle is
-    ``cross_gram(cfg, X, X)``'s, ``gram(X[:m])`` is the leading m x m block
-    of ``gram(X)``, and the diagonal is 1. `jitter` adds a diagonal constant
-    to shot-sampled matrices, which are not guaranteed positive semidefinite.
+    operand stack. Each tile of its rows is evaluated against the columns
+    from the tile's first row on, straight into the upper triangle of the
+    result; the lower triangle is mirrored from it once the stack is freed.
+    A quantum tile is one complex product of its conjugated states with the
+    stack. Its conjugates overwrite rows of the stack that earlier tiles
+    have spent, so past the first tile (`_block_rows` tall, with a new array
+    of conjugates, as `cross_gram`'s blocks) they take no memory, and a tile
+    is as tall as the rows spent, up to `_tile_rows` (at least TILE_ROWS, so
+    that BLAS runs the product near its peak rate). Entries equal the
+    per-entry reference's (``tests/oracles.py``) up to rounding, whose last
+    bit may vary with the tile heights. A shot-sampled entry (i, j), i < j,
+    is then the j-th draw of X[i]'s shot stream, drawn in place and
+    mirrored: the upper triangle is ``cross_gram(cfg, X, X)``'s,
+    ``gram(X[:m])`` is the leading m x m block of ``gram(X)``, and the
+    diagonal is 1. `jitter` adds a diagonal constant to shot-sampled
+    matrices, which are not guaranteed positive semidefinite.
     """
     feats = np.asarray(X, dtype=np.float64)
     if feats.ndim == 1:
@@ -224,18 +248,18 @@ def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
     if jitter > 0 and cfg.kind != QUANTUM_SHOTS:
         raise ValueError("diagonal jitter only applies to shot-sampled kernels")
     n = feats.shape[0]
-    step = _block_rows(cfg, n, n)
+    step = _tile_rows(cfg, n)
     ops = _operands(cfg, feats)
     entries = np.empty((n, n))
-    m = np.arange(min(step, n))
-    below = m[:, None] > m  # np.tri's int8 comparison would page in more numpy code
-    for r0 in range(0, n, step):
-        block = _kernel_block(cfg, ops[r0:r0 + step], ops[r0:])
-        b = len(block)  # mirror right of the block's diagonal square, then the square
-        entries[r0:r0 + b, r0:] = block
-        entries[r0 + b:, r0:r0 + b] = block[:, b:].T
-        np.copyto(entries[r0:r0 + b, r0:r0 + b], block[:, :b].T, where=below[:b, :b])
-    del ops  # free the stack before the shot draws, as it raises their peak RSS
+    r0, rows, spent = 0, min(step, _block_rows(cfg, n, n)), None
+    while r0 < n:
+        _kernel_block(cfg, ops[r0:r0 + rows], ops[r0:], entries[r0:r0 + rows, r0:], spent)
+        # the next tile's conjugates overwrite the rows spent: it is no taller
+        r0, rows = r0 + rows, min(step, r0 + rows, n - r0 - rows)
+        spent = ops[r0 - rows:r0]
+    del ops, spent  # free the stack before the mirror and the shot draws: it raises their peak RSS
+    for i in range(n - 1):
+        entries[i + 1:, i] = entries[i, i + 1:]
     if cfg.kind == QUANTUM_SHOTS:
         for i in reversed(range(n)):  # rows below i are drawn; row i is still exact
             drawn = _shot_draws(cfg, feats[i], entries[i])[i + 1:]
@@ -256,8 +280,8 @@ def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
     is the draws of A[i]'s shot stream over the rows of B in order: it does not
     depend on the other rows of A, and column j = 0 is the stream's first draw.
     The result is not symmetric in A and B. B becomes one operand stack; rows
-    of A become operands a block at a time (`_block_rows`, `gram`'s rule and
-    budget too) and are evaluated against it.
+    of A become operands a block at a time (`_block_rows`, the rule of
+    `gram`'s first tile, and its budget) and are evaluated against it.
     """
     a = np.asarray(A, dtype=np.float64)
     b = np.asarray(B, dtype=np.float64)
@@ -269,7 +293,7 @@ def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
     ops_b = _operands(cfg, b)
     out = np.empty((a.shape[0], b.shape[0]))
     for r0 in range(0, a.shape[0], step):
-        out[r0:r0 + step] = _kernel_block(cfg, _operands(cfg, a[r0:r0 + step]), ops_b)
+        _kernel_block(cfg, _operands(cfg, a[r0:r0 + step]), ops_b, out[r0:r0 + step])
     if cfg.kind == QUANTUM_SHOTS:
         for i, row in enumerate(a):
             out[i] = _shot_draws(cfg, row, out[i])
@@ -286,13 +310,20 @@ def kernel_value(cfg: KernelConfig, x, x2) -> float:
 
 
 def save_gram(gm: GramMatrix, path) -> None:
-    """Write `gm` as a `gram` artifact (see `qsarq.artifact`)."""
+    """Write `gm` as a `gram` artifact (see `qsarq.artifact`): the upper
+    triangle of its entries, row i from entry i on, one row per write.
+    Entries that are not bitwise symmetric raise a ValueError naming `path`
+    before anything is written."""
     artifact.save(path, artifact.GRAM, {
         "entries": gm.entries, "kernel_config": gm.kernel_config.to_dict(),
         "dataset_digest": gm.dataset_digest, "jitter": gm.jitter})
 
 
 def load_gram(path) -> GramMatrix:
+    """The Gram matrix of a `gram` artifact: each stored upper-triangle row is
+    decoded and mirrored into place, so the entries are exactly symmetric. A
+    fault of the file (a square version 2 file included) raises a ValueError
+    naming `path`."""
     return artifact.load(path, {artifact.GRAM: lambda f: GramMatrix(
         f["entries"], KernelConfig.from_dict(f["kernel_config"]), f["dataset_digest"],
         float(f["jitter"]))})

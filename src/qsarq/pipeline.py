@@ -319,7 +319,8 @@ def _stage(name: str):
         raise InternalConsistencyError(f"stage {name}: {exc}") from exc
 
 
-def prepare_features(config: DataConfig, split: bool = True):
+def prepare_features(config: DataConfig, split: bool = True,
+                     cutoff_name: str = "activity_cutoff"):
     """Every command's preprocessing: ingest, filter, label, scale, reduce.
 
     Returns (X_train, X_test, y_train, y_test, info) with all fit steps
@@ -327,7 +328,9 @@ def prepare_features(config: DataConfig, split: bool = True):
     filtered descriptor table behind X; "names", the feature names; and
     "train_idx" and "test_idx", the table rows of each split. A split
     reads the `ExperimentConfig`'s seed and fraction; with `split=False`
-    every row is a training row and the test arrays are empty.
+    every row is a training row and the test arrays are empty. A missing
+    cutoff is named `cutoff_name`: the config key, or the flag of a command
+    that takes the cutoff as one.
     """
     with _stage("ingest"):
         table = read_descriptor_csv(config.input_path)
@@ -337,7 +340,7 @@ def prepare_features(config: DataConfig, split: bool = True):
             if len(table) < 2:
                 raise ValueError("fewer than two rows survive the rule-of-five filter")
     with _stage("labels"):
-        labels = resolve_labels(table, config.activity_cutoff)
+        labels = resolve_labels(table, config.activity_cutoff, cutoff_name)
     with _stage("features"):
         X, names = feature_matrix(table)
     with _stage("split"):

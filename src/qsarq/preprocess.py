@@ -259,13 +259,17 @@ def feature_matrix(table: DescriptorTable) -> tuple[np.ndarray, list[str]]:
     return np.column_stack([table.descriptors[name] for name in names]), names
 
 
-def resolve_labels(table: DescriptorTable, cutoff: float | None = None) -> np.ndarray:
-    """Class labels per compound: stored label, else thresholded pEC50 activity."""
+def resolve_labels(table: DescriptorTable, cutoff: float | None = None,
+                   cutoff_name: str = "activity_cutoff") -> np.ndarray:
+    """Class labels per compound: stored label, else thresholded pEC50 activity.
+
+    A missing cutoff that a compound needs is named `cutoff_name` in the error.
+    """
     unlabelled = np.isnan(table.label)
     bare = unlabelled & np.isnan(table.activity)
     first = unlabelled.argmax()  # of several faults, this compound's is named
     if cutoff is None and unlabelled.any() and not bare[first]:
-        raise ValueError("activity_cutoff is required to derive labels from pEC50 "
+        raise ValueError(f"{cutoff_name} is required to derive labels from pEC50 "
                          f"(compound {table.ids[first]})")
     if bare.any():
         raise ValueError(f"{table.ids[bare.argmax()]}: no label and no activity measurement")

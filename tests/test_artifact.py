@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from qsarq import artifact
 
 from qsarq.feature_maps import FeatureMapSpec
-from qsarq.kernels import QUANTUM_SHOTS, KernelConfig, gram, load_gram, save_gram
+from qsarq.kernels import QUANTUM_EXACT, QUANTUM_SHOTS, KernelConfig, gram, load_gram, save_gram
 from qsarq.pipeline import load_model, save_model
 from qsarq.regression import (
     POLY2,
@@ -29,6 +29,7 @@ X = np.random.default_rng(4).random((7, 2))
 Y = np.array([1, -1, 1, -1, 1, -1, 1])
 SHOTS = KernelConfig(kind=QUANTUM_SHOTS, feature_map=FeatureMapSpec("zz", 2, reps=1),
                      shots=64, rng_seed=5)
+ZZ3 = FeatureMapSpec("zz", 3, reps=2, entanglement="full")
 
 # type: (a saved object, its save and load functions)
 TYPES = {
@@ -58,7 +59,7 @@ def test_round_trip_is_exact_and_rewrites_the_same_bytes(tmp_path, type_):
         if hasattr(saved, name):
             assert getattr(loaded, name) == getattr(saved, name), name
     record = json.loads((tmp_path / "first").read_text(), parse_constant=pytest.fail)
-    assert (record["format"], record["version"], record["type"]) == ("qsarq", 2, type_)
+    assert (record["format"], record["version"], record["type"]) == ("qsarq", 3, type_)
 
 
 def test_load_model_follows_the_saved_type(tmp_path):
@@ -83,9 +84,13 @@ def artifact_fields(draw):
     def array(*shape):
         return draw(arrays(np.float64, shape, elements=FLOATS))
 
+    def symmetric(n):  # the upper triangle mirrored bit for bit, -0.0 included
+        square = array(n, n)
+        return np.where(np.tri(n, k=-1, dtype=bool), square.T, square)
+
     type_ = draw(st.sampled_from(sorted(TYPES)))
     return type_, {
-        "gram": lambda: {"entries": array(n, n), "kernel_config": {"kind": "linear"},
+        "gram": lambda: {"entries": symmetric(n), "kernel_config": {"kind": "linear"},
                          "dataset_digest": "0", "jitter": 0.0},
         "svm": lambda: {"bias": 0.5, "converged": True, "dual_coef": array(n),
                         "kernel_config": {"kind": "linear"}, "support_vectors": array(n, d)},
@@ -136,30 +141,39 @@ def test_save_refuses_non_finite_values_before_writing(tmp_path, type_, key, val
 # per type, one scalar field and one array field to spoil
 SCALAR_OF = {"gram": "jitter", "svm": "bias", "reg": "threshold"}
 ARRAY_OF = {"gram": "entries", "svm": "support_vectors", "reg": "coefficients"}
+# the fields saved as their upper triangle: row i holds the entries [i, i:]
+UPPER = {"entries"}
 
 
-def decoded(payload):
-    """The float64 array of a saved array field: base64 of little-endian float64 bytes."""
+def decoded(payload, upper=False):
+    """The float64 array of a saved array field: base64 of little-endian float64
+    bytes, a row (or, if `upper`, a row from the diagonal on, mirrored) per string."""
     if isinstance(payload, str):
         return np.frombuffer(base64.b64decode(payload), dtype="<f8")
-    return np.array([decoded(row) for row in payload])
+    if not upper:
+        return np.array([decoded(row) for row in payload])
+    array = np.empty((len(payload), len(payload)))
+    for i, row in enumerate(payload):
+        array[i, i:] = array[i:, i] = decoded(row)
+    return array
 
 
-def encoded(array):
-    """The saved form of `array`: one base64 string, or one per row of a 2-D array."""
+def encoded(array, upper=False):
+    """The saved form of `array`: one base64 string, or one per row of a 2-D
+    array (if `upper`, of the row from the diagonal on)."""
     if array.ndim == 1:
         return base64.b64encode(array.astype("<f8").tobytes()).decode("ascii")
-    return [encoded(row) for row in array]
+    return [encoded(row[i:] if upper else row) for i, row in enumerate(array)]
 
 
 def rendered(type_, fields):
     """The text of an artifact, rendered with `json.dumps` field by field and row by row."""
-    record = {**fields, "format": "qsarq", "type": type_, "version": 2}
+    record = {**fields, "format": "qsarq", "type": type_, "version": 3}
     lines = []
     for key in sorted(record):
         value = record[key]
         if isinstance(value, np.ndarray) and value.ndim == 2:
-            rows = ",\n".join(json.dumps(row) for row in encoded(value))
+            rows = ",\n".join(json.dumps(row) for row in encoded(value, key in UPPER))
             text = "[\n" + rows + "\n]" if len(value) else "[]"
         elif isinstance(value, np.ndarray):
             text = json.dumps(encoded(value))
@@ -170,7 +184,8 @@ def rendered(type_, fields):
 
 
 @pytest.mark.parametrize("type_, fields", [
-    ("gram", {"entries": np.array([[1.0, -0.0, 5e-324], [0.25, 1.0, 1 / 3], [7.0, 2.0, 1.0]]),
+    ("gram", {"entries": np.array([[1.0, -0.0, 5e-324], [-0.0, 1.0, 1 / 3],
+                                   [5e-324, 1 / 3, 7.0]]),
               "kernel_config": {"kind": "rbf", "gamma": 1.5}, "dataset_digest": "ab",
               "jitter": 0.125}),
     ("svm", {"bias": -0.25, "converged": False, "dual_coef": np.array([0.5, -2.0]),
@@ -188,7 +203,7 @@ def respoiled(change, field=None):
     """A record fault re-encoding array `field` (default: the type's) after `change`."""
     def fault(rec):
         name = field or ARRAY_OF[rec["type"]]
-        rec[name] = encoded(change(decoded(rec[name]).copy()))
+        rec[name] = encoded(change(decoded(rec[name], name in UPPER).copy()), name in UPPER)
     return fault
 
 
@@ -208,7 +223,7 @@ def wrong_shape(array):
     if array.ndim == 1:
         return array[None, :]  # coefficients with a second axis
     if array.shape[0] == array.shape[1]:
-        return array[:, :-1]  # entries not square
+        return array[:, :-1]  # entries not square: the first triangle row is one short
     return array[:-1]  # one support vector fewer than dual coefficients
 
 
@@ -241,14 +256,16 @@ def spoiled(tmp_path, type_, fault):
 FAULTS = [
     ("wrong type", lambda rec: rec.update(type={"gram": "svm", "svm": "reg",
                                                 "reg": "gram"}[rec["type"]]), "artifact, expected"),
-    ("wrong version", lambda rec: rec.update(version=1), "artifact version 1, not 2"),
+    ("wrong version", lambda rec: rec.update(version=1), "artifact version 1, not 3"),
     ("version true", lambda rec: rec.update(version=True), "artifact version True"),
     ("other format", lambda rec: rec.update(format="qsarq-svm v1"), "not a qsarq artifact"),
     ("missing key", lambda rec: rec.pop(SCALAR_OF[rec["type"]]), "missing key"),
     ("unknown key", lambda rec: rec.update(extra=1), "unknown key"),
-    ("wrong-shaped array", respoiled(wrong_shape), "has shape|1-D array as base64"),
+    ("wrong-shaped array", respoiled(wrong_shape),
+     "has shape|1-D array as base64|not an upper triangle: 7 rows, the first of 6 entries"),
     ("array as numbers", lambda rec: rec.__setitem__(
-        ARRAY_OF[rec["type"]], decoded(rec[ARRAY_OF[rec["type"]]]).tolist()), "base64"),
+        ARRAY_OF[rec["type"]], decoded(rec[ARRAY_OF[rec["type"]]], rec["type"] == "gram")
+        .tolist()), "base64"),
     ("non-finite number", lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], float("nan")),
      "not a finite number"),
     ("overflowing number", lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], RAW_1E400),
@@ -272,13 +289,16 @@ def test_malformed_artifact_raises_naming_the_file(tmp_path, type_, name, fault,
     assert re.search(message, str(info.value))
 
 
-@pytest.mark.parametrize("type_", ["gram", "svm"])
-def test_ragged_rows_raise_naming_the_file(tmp_path, type_):
-    def ragged(rec):
+@pytest.mark.parametrize("type_, row, message", [
+    ("gram", 1, "not an upper triangle: row 1 has 40 bytes, not 48"),
+    ("svm", 0, "unequal length"),
+], ids=["gram", "svm"])
+def test_ragged_rows_raise_naming_the_file(tmp_path, type_, row, message):
+    def ragged(rec):  # one entry short of the shape the other rows set
         rows = rec[ARRAY_OF[type_]]
-        rows[0] = encoded(decoded(rows[0])[:-1])
+        rows[row] = encoded(decoded(rows[row])[:-1])
     path = spoiled(tmp_path, type_, ragged)
-    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*unequal length"):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + message):
         TYPES[type_][2](path)
 
 
@@ -292,3 +312,57 @@ def test_fields_that_build_no_object_raise_naming_the_file(tmp_path, type_, faul
     path = spoiled(tmp_path, type_, fault)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         TYPES[type_][2](path)
+
+
+@pytest.mark.parametrize("cfg", [SHOTS, KernelConfig(kind=QUANTUM_EXACT, feature_map=ZZ3)],
+                         ids=["shots", "exact"])
+def test_gram_file_holds_the_upper_triangle_and_loads_exactly_symmetric(tmp_path, cfg):
+    saved = gram(cfg, np.random.default_rng(6).random((9, cfg.feature_map.n_qubits)))
+    save_gram(saved, tmp_path / "kernel.gram")
+    rows = json.loads((tmp_path / "kernel.gram").read_text())["entries"]
+    assert [decoded(row).tobytes() for row in rows] == [
+        saved.entries[i, i:].tobytes() for i in range(9)]
+    loaded = load_gram(tmp_path / "kernel.gram").entries
+    assert loaded.tobytes() == saved.entries.tobytes()
+    assert loaded.tobytes() == np.ascontiguousarray(loaded.T).tobytes()
+
+
+@pytest.mark.parametrize("row", [0, 3, 6])
+@pytest.mark.parametrize("change", [-1, 1], ids=["one short", "one over"])
+def test_triangle_row_of_the_wrong_length_is_refused_naming_the_file(tmp_path, row, change):
+    def fault(rec):
+        entries = decoded(rec["entries"][row])
+        rec["entries"][row] = encoded(np.resize(entries, len(entries) + change))
+    path = spoiled(tmp_path, "gram", fault)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: entries is not an upper triangle")):
+        load_gram(path)
+
+
+def test_square_gram_file_of_version_2_is_refused_naming_the_file(tmp_path):
+    # the layout of version 2: every row whole, each off-diagonal entry twice
+    saved = gram(SHOTS, X, jitter=0.25)
+    record = {"dataset_digest": saved.dataset_digest, "entries": encoded(saved.entries),
+              "format": "qsarq", "jitter": 0.25, "kernel_config": SHOTS.to_dict(),
+              "type": "gram", "version": 2}
+    path = tmp_path / "square.gram"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: artifact version 2, not 3")):
+        load_gram(path)
+    # and square rows are no triangle, whatever the version says
+    path.write_text(json.dumps({**record, "version": 3}), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: entries is not an upper "
+                                                   "triangle: row 1 has 56 bytes, not 48")):
+        load_gram(path)
+
+
+@pytest.mark.parametrize("entries", [
+    np.array([[1.0, 0.5], [np.nextafter(0.5, 1.0), 1.0]]),
+    np.array([[1.0, -0.0], [0.0, 1.0]]),
+    np.ones((2, 3)),
+    np.ones(2),
+], ids=["one ulp", "signed zero", "not square", "1-D"])
+def test_save_refuses_an_asymmetric_gram_before_writing(tmp_path, entries):
+    path = tmp_path / "artifact"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: entries is not symmetric")):
+        artifact.save(path, "gram", {**VALID["gram"], "entries": entries})
+    assert not path.exists()

@@ -311,13 +311,13 @@ def test_version_1_artifact_exits_2_naming_it(tmp_path, config, qsarq, command):
                  "--quiet")[0] == 0
     path = tmp_path / "v1"
     text = (tmp_path / saved).read_text(encoding="utf-8")
-    path.write_text(text.replace('"version": 2', '"version": 1'), encoding="utf-8")
+    path.write_text(text.replace('"version": 3', '"version": 1'), encoding="utf-8")
     if command == "train":
         args = ("train", "--config", config, "--model", "qsvm", "--gram", path)
     else:
         args = ("eval", path, tmp_path / "data.csv", "--cutoff", CUTOFF)
     code, _, err = qsarq(*args, "--out", tmp_path / "out", "--quiet")
-    assert code == 2 and f"error: {path}: artifact version 1, not 2" in err
+    assert code == 2 and f"error: {path}: artifact version 1, not 3" in err
 
 
 def test_svm_model_with_every_training_row_exits_2_naming_it(tmp_path, config, qsarq):
@@ -739,7 +739,7 @@ def test_preprocess_lipinski_with_one_survivor_exits_2(tmp_path, qsarq):
 
 @pytest.mark.parametrize("activity, message", [
     (False, "c0: no label and no activity measurement"),
-    (True, "activity_cutoff is required to derive labels from pEC50 (compound c0)"),
+    (True, "--cutoff is required to derive labels from pEC50 (compound c0)"),
 ], ids=["no_activity", "no_cutoff"])
 def test_preprocess_of_an_unlabeled_csv_exits_2_naming_the_compound(tmp_path, qsarq, activity,
                                                                     message):
@@ -750,6 +750,24 @@ def test_preprocess_of_an_unlabeled_csv_exits_2_naming_the_compound(tmp_path, qs
                         encoding="utf-8")
     code, _, err = qsarq("preprocess", path, "--out", tmp_path / "out", "--quiet")
     assert code == 2 and err == f"error: stage labels: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["preprocess", "eval", "run", "train", "gram"])
+def test_missing_cutoff_is_named_as_the_command_takes_it(tmp_path, config, qsarq, command):
+    # write_csv's compounds carry pEC50 and no label
+    assert qsarq("train", "--config", config, "--model", "ls", "--out", tmp_path,
+                 "--quiet")[0] == 0
+    bare = write_config(tmp_path / "bare.yaml", activity_cutoff=None, models=MODELS[:3])
+    args = {"preprocess": ("preprocess", tmp_path / "data.csv"),
+            "eval": ("eval", tmp_path / "ls.model", tmp_path / "data.csv"),
+            "run": ("run", "--config", bare),
+            "train": ("train", "--config", bare, "--model", "ls"),
+            "gram": ("gram", "--config", bare)}[command]
+    code, _, err = qsarq(*args, "--out", tmp_path / "out", "--quiet")
+    name = "--cutoff" if command in ("preprocess", "eval") else "activity_cutoff"
+    assert code == 2 and err == (f"error: stage labels: {name} is required to derive "
+                                 "labels from pEC50 (compound c0)\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     circuit_unitary,
+    encode,
     encoding_circuit,
     jacobi_eigh,
     kernel_value,
     reference_shot_rows,
     shot_estimate,
 )
+from qsarq import kernels
 from qsarq.errors import InternalConsistencyError, ResourceLimitError
 from qsarq.feature_maps import FeatureMapSpec
 from qsarq.kernels import (
@@ -362,8 +364,9 @@ def test_cross_gram_blocks_stay_small_for_many_query_rows():
 
 
 def test_gram_blocks_stay_small_beside_the_state_stack():
-    # each block of rows is sized by its output and its states' conjugate;
-    # sized by the output alone, a block's conjugate is 102 states (1.6 MiB)
+    # the first tile is sized by its output and its states' conjugate (13
+    # states here), and each later tile's conjugates overwrite spent rows of
+    # the stack; a new conjugate per 32-row tile would take 512 KiB
     cfg = KernelConfig(kind=QUANTUM_EXACT,
                        feature_map=FeatureMapSpec("zz", 10, reps=2, entanglement="linear"))
     n = 320
@@ -375,7 +378,38 @@ def test_gram_blocks_stay_small_beside_the_state_stack():
     finally:
         tracemalloc.stop()
     assert gm.size == n
-    assert peak <= n * (16 << 10) + n * n * 8 + (1 << 20)  # the stack, the output, 1 MiB
+    assert peak <= n * (16 << 10) + n * n * 8 + (1 << 19)  # the stack, the output, 512 KiB
+
+
+@pytest.mark.parametrize("cfg", [
+    KernelConfig(kind=QUANTUM_EXACT,
+                 feature_map=FeatureMapSpec("zz", 3, reps=2, entanglement="full")),
+    KernelConfig(kind=RBF, gamma=1.5),
+], ids=lambda cfg: cfg.kind)
+def test_gram_tiles_of_any_height_agree_with_the_per_entry_reference(monkeypatch, cfg):
+    n = 70
+    X = np.random.default_rng(13).random((n, 3))
+    if cfg.kind == QUANTUM_EXACT:  # states encoded gate by gate, then one product per entry
+        states = [encode(cfg.feature_map, x).amplitudes for x in X]
+        reference = np.array([[abs(np.vdot(a, b)) ** 2 for b in states] for a in states])
+    else:
+        reference = np.array([[kernel_value(cfg, a, b) for b in X] for a in X])
+    results = []
+    for rows in (1, 13, 32, n):
+        monkeypatch.setattr(kernels, "_tile_rows", lambda cfg, n: rows)
+        K = gram(cfg, X).entries
+        assert np.array_equal(K, K.T), rows
+        assert np.max(np.abs(K - reference)) <= 1e-12, rows
+        results.append(K)
+    for rows, K in zip((13, 32, n), results[1:]):
+        assert np.max(np.abs(K - results[0])) <= 1e-15, rows
+
+
+def test_gram_tiles_are_at_least_tile_rows_tall_at_benchmark_size():
+    cfg = KernelConfig(kind=QUANTUM_EXACT,
+                       feature_map=FeatureMapSpec("zz", 10, reps=2, entanglement="full"))
+    assert kernels.TILE_ROWS == 32
+    assert kernels._tile_rows(cfg, 440) >= 32 and kernels._tile_rows(cfg, 1500) >= 32
 
 
 def test_gram_input_validation():
