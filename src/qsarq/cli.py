@@ -12,10 +12,12 @@ no filter and no scaling, since it reads features already prepared.
 `train` fits through `fit_entry`, so a saved model is fitted exactly as
 its row in the report is. A config is checked whole, kernels included,
 before its CSV is read. Gram matrices and models are files in the one
-JSON format of `qsarq.artifact`; `train --gram` refuses, naming it, a
-Gram file of another kernel, jitter or data, and `eval` reads either
-model type through `pipeline.load_model`. Exit codes: 0 on success, 2 on
-invalid input or config, 3 on internal consistency failures.
+JSON format of `qsarq.artifact`, written to `<out>/<model name>.gram`
+and `<out>/<model name>.model`, so a model name that is empty, `.` or
+`..`, or holds `/` or `\\`, is refused at load. `train --gram` refuses,
+naming it, a Gram file of another kernel, jitter or data, and `eval`
+reads either model type through `pipeline.load_model`. Exit codes: 0 on
+success, 2 on invalid input or config, 3 on internal consistency failures.
 """
 
 from __future__ import annotations
@@ -64,6 +66,13 @@ def _provenance(kcfg, jitter, digest) -> str:
     return f"a '{kcfg.describe()}' kernel, jitter {jitter!r}, over data of digest {digest[:12]}"
 
 
+def _out_path(args, name: str) -> Path:
+    """File `name` in the --out directory, made if missing."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / name
+
+
 def _select_entry(config: ExperimentConfig, name: str | None):
     if name is None:
         return config.models[0]
@@ -77,9 +86,7 @@ def cmd_preprocess(args) -> None:
     data = DataConfig(input=args.input, lipinski_filter=args.lipinski,
                       activity_cutoff=args.cutoff, scaler=not args.no_scale)
     X, _, labels, _, info = prepare_features(data, split=False, cutoff_name="--cutoff")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "normalized.csv"
+    out_path = _out_path(args, "normalized.csv")
     write_feature_csv(out_path, info["table"].ids, X, info["names"], labels)
     _say(args, f"wrote {out_path} ({len(labels)} rows, {len(info['names'])} features)")
 
@@ -91,9 +98,7 @@ def cmd_gram(args) -> None:
         raise ValueError(f"model {entry.name!r} has no kernel (kind {entry.kind})")
     X, _, _, _, _ = prepare_features(config, split=False)
     gm = entry_gram(entry, X)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"{entry.name}.gram"
+    out_path = _out_path(args, f"{entry.name}.gram")
     save_gram(gm, out_path)
     _say(args, f"wrote {out_path} ({gm.size}x{gm.size}, {gm.kernel_config.describe()})")
 
@@ -113,9 +118,7 @@ def cmd_train(args) -> None:
             raise ValueError(f"{args.gram}: the Gram matrix holds {_provenance(*have)}; "
                              f"model {entry.name!r} needs {_provenance(*want)}")
     model = fit_entry(entry, X, labels, info["table"].activity, config.activity_cutoff, gm)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"{entry.name}.model"
+    out_path = _out_path(args, f"{entry.name}.model")
     save_model(model, out_path)
     converged = getattr(model, "converged", None)  # svm models only
     solver = "" if converged is None else f", converged={converged}"
@@ -130,9 +133,7 @@ def cmd_eval(args) -> None:
     acc = accuracy(predict(model, X), labels)
     _say(args, f"accuracy {acc:.4f} on {len(labels)} rows")
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        metrics = out_dir / "metrics.txt"
+        metrics = _out_path(args, "metrics.txt")
         metrics.write_text(f"accuracy {acc:.17g}\nn {len(labels)}\n", encoding="utf-8")
         _say(args, f"wrote {metrics}")
 
@@ -144,14 +145,11 @@ def cmd_run(args) -> None:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         config.seed = args.seed
     report = run_experiment(config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    txt_path, json_path = _out_path(args, "report.txt"), _out_path(args, "report.json")
     text = report.to_text()
-    (out_dir / "report.txt").write_text(text, encoding="utf-8")
-    (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-    if not args.quiet:
-        print(text, end="")
-        print(f"wrote {out_dir / 'report.txt'} and {out_dir / 'report.json'}")
+    txt_path.write_text(text, encoding="utf-8")
+    json_path.write_text(report.to_json(), encoding="utf-8")
+    _say(args, f"{text}wrote {txt_path} and {json_path}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,9 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="quantum-kernel models on molecular descriptor data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    name_rule = " (a model name is a file name: not empty, '.' or '..', no '/' or '\\')"
 
-    def common(p):
-        p.add_argument("--out", default="out", help="output directory")
+    def common(p, writes):
+        p.add_argument("--out", default="out", help=f"output directory; writes {writes}")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     p = sub.add_parser("preprocess", help="normalize a raw descriptor CSV")
@@ -172,13 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=_finite_float, default=None,
                    help="pEC50 cutoff for deriving labels")
     p.add_argument("--no-scale", action="store_true", help="skip min-max scaling")
-    common(p)
+    common(p, "<out>/normalized.csv")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("gram", help="write a kernel Gram matrix for a config model")
     p.add_argument("--config", required=True, help="experiment config YAML")
     p.add_argument("--model", default=None, help="model name (default: first entry)")
-    common(p)
+    common(p, "<out>/<model name>.gram" + name_rule)
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("train", help="train one configured model on the full input")
@@ -186,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="model name (default: first entry)")
     p.add_argument("--gram", default=None,
                    help="reuse a saved Gram matrix instead of recomputing")
-    common(p)
+    common(p, "<out>/<model name>.model" + name_rule)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a saved model on a feature CSV")
@@ -194,13 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="feature CSV with labels (see `preprocess`)")
     p.add_argument("--cutoff", type=_finite_float, default=None,
                    help="pEC50 cutoff if labels must be derived")
-    common(p)
+    common(p, "<out>/metrics.txt")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("run", help="run the full experiment and write the report")
     p.add_argument("--config", required=True, help="experiment config YAML")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common(p)
+    common(p, "<out>/report.txt and <out>/report.json")
     p.set_defaults(func=cmd_run)
 
     return parser

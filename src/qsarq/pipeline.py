@@ -83,7 +83,9 @@ class ModelEntry:
 
     def __post_init__(self):
         check_fields(self, f"model {self.name!r}")
-        try:  # the bounds of the solver settings a row inherits, if any, then its kind's
+        try:  # the name, the bounds of the solver settings a row inherits, then its kind's
+            if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+                raise ValueError(r"name must be a file name: not empty, '.' or '..', no '/' or '\'")
             getattr(super(), "__post_init__", lambda: None)()
             self._check()
         except ValueError as exc:

@@ -2,26 +2,25 @@
 
 The trainer minimizes f(a) = 1/2 a^T Q a - e^T a, Q_ij = y_i y_j K_ij,
 over 0 <= a <= C with sum(y * a) = 0, one pair of multipliers at a time,
-keeping the gradient G = Q a - e up to date (Platt 1998). The pair is
-LIBSVM's second-order working set (Fan, Chen & Lin, JMLR 6, 2005): i is
-the maximal violator, argmax of -y G over the multipliers that may move
-up, and j, among those that may move down, gives the largest decrease
-b^2 / a of f along the pair's constraint line. Curvatures a <= 0, which
-shot-sampled (indefinite) Gram matrices can give, are replaced by TAU.
-Training stops when m(a) - M(a), the largest violation of the optimality
-conditions, is at most `tol`, or after `max_iters` updates. Ties go to
-the lowest index, so training is deterministic.
+keeping the gradient G = Q a - e up to date (Platt 1998). Each step reads
+one state: the scores -y G (y_i - sum_j a_j y_j K_ij for row i) and the
+sets `up` and `low` of the multipliers whose y a may grow and shrink.
+The pair is LIBSVM's second-order working set (Fan, Chen & Lin, JMLR 6,
+2005): i has the largest score in `up`, and j, in `low`, gives the
+largest decrease b^2 / a of f along the pair's constraint line.
+Curvatures a <= 0, which shot-sampled (indefinite) Gram matrices can
+give, are replaced by TAU. Training stops when the largest score in `up`
+is at most `tol` above the smallest in `low`, or after `max_iters`
+updates; ties go to the lowest index, so training is deterministic.
+Then clipping dust is snapped onto its bound, G following, and the bias
+is LIBSVM's rule on the scores (Chang & Lin, ACM TIST 2, 2011).
 
 `solve_dual` runs SMO on a Gram matrix; `train` keeps what the decision
 function f(x) = sum_i a_i y_i K(x_i, x) + b reads: the support vectors
 (the training rows with a_i > 0, in training order) and their dual
 coefficients a_i y_i. `decision_values` scores many points with one
-cross-kernel matrix against the support vectors; the tests check it
-against a reference that scores one point entry by entry
-(``tests/oracles.py``). With a shot-sampled kernel, a query's kernel row
-is the draws of the query's own shot stream over the support vectors in
-order (see `qsarq.kernels`), so its score does not depend on the other
-queries it is scored with. A model is saved as an `svm` artifact
+cross-kernel matrix against the support vectors, each point's score
+independent of the others. A model is saved as an `svm` artifact
 (`qsarq.artifact`).
 """
 
@@ -78,37 +77,30 @@ def _validate_training_input(gm: GramMatrix, y) -> np.ndarray:
     return labels.astype(np.float64)
 
 
-def _dual_objective(K: np.ndarray, y: np.ndarray, alphas: np.ndarray) -> float:
-    ay = alphas * y
-    return float(alphas.sum() - 0.5 * ay @ K @ ay)
-
-
 def _bound_masks(alphas: np.ndarray, C: float) -> tuple[np.ndarray, np.ndarray]:
     """At-bound classification with slack for clipping dust near C and near 0,
     where it also scales with the largest multiplier (tiny for kernels with large entries)."""
     return alphas <= 1e-8 * min(C, alphas.max(initial=0.0)), alphas >= C - 1e-8 * C
 
 
-def _final_bias(K: np.ndarray, y: np.ndarray, alphas: np.ndarray, C: float) -> float:
-    """Mean over free support vectors; midpoint of the feasible interval if none."""
-    g = K @ (alphas * y)
-    residual = y - g  # the bias that puts each point exactly on its margin
-    at_zero, at_cap = _bound_masks(alphas, C)
-    free = ~at_zero & ~at_cap
-    if np.any(free):
-        return float(residual[free].mean())
-    lower = (at_zero & (y > 0)) | (at_cap & (y < 0))
-    upper = (at_zero & (y < 0)) | (at_cap & (y > 0))
-    if not np.any(lower) or not np.any(upper):
-        return 0.0
-    return float(0.5 * (residual[lower].max() + residual[upper].min()))
+def _scores(labels, alphas, grad, C) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scores -y G and the masks `up` and `low`, at the exact bounds 0 and C."""
+    at_zero, at_cap = alphas <= 0.0, alphas >= C
+    up = np.where(labels > 0, ~at_cap, ~at_zero)  # y a may grow
+    low = np.where(labels > 0, ~at_zero, ~at_cap)  # y a may shrink
+    return -labels * grad, up, low
 
 
 def solve_dual(gm: GramMatrix, y, cfg: SvmConfig) -> tuple[np.ndarray, float, bool, list]:
-    """SMO over `gm`: (multipliers, recomputed bias, converged, objective trace).
+    """SMO over `gm`: (multipliers, bias, converged, objective trace).
 
-    Exhausting the iteration budget gives `converged=False` rather than
-    raising.
+    After the loop, multipliers within `_bound_masks` slack of 0 or C snap
+    onto that bound, and G takes the loop's update for the move. The bias
+    is the mean score -y G over free multipliers; if none is free, the
+    midpoint of the largest score in `up` and the smallest in `low`; else
+    0. The trace holds the dual objective 1/2 (sum(a) - a^T G) every 100
+    updates and at the end. An exhausted iteration budget gives
+    `converged=False` rather than an error.
     """
     labels = _validate_training_input(gm, y)
     K = gm.entries
@@ -116,13 +108,10 @@ def solve_dual(gm: GramMatrix, y, cfg: SvmConfig) -> tuple[np.ndarray, float, bo
     alphas = np.zeros(gm.size)
     grad = -np.ones(gm.size)  # G = Q a - e
     diag = np.diag(K)
-    trace: list[float] = [_dual_objective(K, labels, alphas)]
+    trace: list[float] = [0.0]
     converged = False
     for iters in range(cfg.max_iters + 1):
-        score = -labels * grad
-        at_zero, at_cap = alphas <= 0.0, alphas >= C
-        up = np.where(labels > 0, ~at_cap, ~at_zero)  # y a may grow
-        low = np.where(labels > 0, ~at_zero, ~at_cap)  # y a may shrink
+        score, up, low = _scores(labels, alphas, grad, C)
         i = int(np.argmax(np.where(up, score, -np.inf)))
         if score[i] - np.min(score, where=low, initial=np.inf) <= cfg.tol:
             converged = True
@@ -130,7 +119,7 @@ def solve_dual(gm: GramMatrix, y, cfg: SvmConfig) -> tuple[np.ndarray, float, bo
         if iters == cfg.max_iters:
             break
         if iters and iters % 100 == 0:
-            trace.append(_dual_objective(K, labels, alphas))
+            trace.append(0.5 * float(alphas.sum() - alphas @ grad))
         gap = score[i] - score
         curv = diag[i] + diag - 2.0 * K[i]
         curv[curv <= 0.0] = TAU
@@ -148,12 +137,21 @@ def solve_dual(gm: GramMatrix, y, cfg: SvmConfig) -> tuple[np.ndarray, float, bo
                           + K[j] * (labels[j] * (new_j - alphas[j])))
         alphas[i], alphas[j] = new_i, new_j
 
-    # multipliers within clipping slack of 0 are at the bound, not support
-    # vectors; leaving that dust in would make the support set depend on
-    # rounding in the Gram matrix
-    alphas[_bound_masks(alphas, C)[0]] = 0.0
-    bias = _final_bias(K, labels, alphas, C)
-    trace.append(_dual_objective(K, labels, alphas))
+    # clipping dust left in would make the support set depend on rounding in K
+    at_zero, at_cap = _bound_masks(alphas, C)
+    snapped = np.where(at_zero, 0.0, np.where(at_cap, C, alphas))
+    moved = np.flatnonzero(snapped != alphas)
+    grad += labels * ((labels[moved] * (snapped[moved] - alphas[moved])) @ K[moved])
+    alphas = snapped
+    score, up, low = _scores(labels, alphas, grad, C)
+    free = up & low
+    if np.any(free):
+        bias = float(score[free].mean())
+    elif np.any(up) and np.any(low):
+        bias = float(0.5 * (score[up].max() + score[low].min()))
+    else:
+        bias = 0.0
+    trace.append(0.5 * float(alphas.sum() - alphas @ grad))
     return alphas, bias, converged, trace
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from mpmath import mp
 
 from qsarq import artifact
 from qsarq.cli import main
@@ -18,7 +19,12 @@ from qsarq.errors import InternalConsistencyError
 from qsarq.feature_maps import MAX_REPS
 from qsarq.kernels import load_gram
 from qsarq.pipeline import entry_gram, fit_entry, load_experiment_config, prepare_features
-from qsarq.preprocess import feature_matrix, read_descriptor_csv
+from qsarq.preprocess import (
+    apply_lipinski_filter,
+    feature_matrix,
+    read_descriptor_csv,
+    resolve_labels,
+)
 from qsarq.regression import MAX_ANNEAL_ITERS, load_reg_model
 from qsarq.svm import MAX_SVM_ITERS
 
@@ -684,6 +690,25 @@ def test_bad_kernel_exits_2_at_load_naming_config_and_model(tmp_path, qsarq, com
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "gram", "train"])
+@pytest.mark.parametrize("name", ["../escaped", "", ".", "..", "sub/m", "sub\\m"],
+                         ids=["parent", "empty", "dot", "dotdot", "slash", "backslash"])
+def test_model_name_that_is_not_a_file_name_exits_2_writing_nothing(tmp_path, qsarq, monkeypatch,
+                                                                    command, name):
+    # gram and train write <out>/<model name>.gram and .model, run a report row of the name
+    def never(*args, **kwargs):
+        raise AssertionError("the CSV was read before the bad name was refused")
+
+    write_csv(tmp_path / "data.csv")
+    config = write_config(tmp_path / "exp.yaml", models=[{**MODELS[0], "name": name}])
+    monkeypatch.setattr("qsarq.pipeline.read_descriptor_csv", never)
+    before = sorted(tmp_path.rglob("*"))
+    code, _, err = qsarq(command, "--config", config, "--out", tmp_path / "out" / "g", "--quiet")
+    assert code == 2
+    assert err.startswith(f"error: {config}: model {name!r}: name must be a file name: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_train_of_a_bad_row_exits_2_before_its_gram_matrix(tmp_path, qsarq, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the Gram matrix was built before the bad row was refused")
@@ -789,6 +814,40 @@ def test_preprocess_lipinski_writes_the_rows_and_features_train_fits(tmp_path, q
     refit = fit_entry(entry, X_written, labels, info["table"].activity, cfg.activity_cutoff)
     saved = load_reg_model(tmp_path / "models" / "ls.model")
     np.testing.assert_array_equal(saved.coefficients, refit.coefficients)
+
+
+def test_preprocess_no_scale_writes_the_filtered_raw_descriptors(tmp_path, qsarq):
+    raw = write_csv(tmp_path / "data.csv")
+    assert qsarq("preprocess", raw, "--lipinski", "--cutoff", CUTOFF, "--no-scale",
+                 "--out", tmp_path / "pre", "--quiet")[0] == 0
+    table = apply_lipinski_filter(read_descriptor_csv(raw))
+    X, names = feature_matrix(table)
+    written = read_descriptor_csv(tmp_path / "pre" / "normalized.csv")
+    assert 2 <= len(table) < 30 and X.max() > 1.0  # filtered, and not in the unit box
+    assert written.ids.tolist() == table.ids.tolist()
+    assert feature_matrix(written)[1] == names
+    assert feature_matrix(written)[0].tobytes() == X.tobytes()
+    assert written.label.tobytes() == resolve_labels(table, CUTOFF).astype(np.float64).tobytes()
+
+
+def test_pca_without_scaler_gives_the_raw_training_rows_principal_coordinates(tmp_path):
+    write_csv(tmp_path / "data.csv")
+    config = load_experiment_config(write_config(tmp_path / "exp.yaml", scaler=False, pca_k=2))
+    X_train, X_test, _, _, info = prepare_features(config)
+    X = feature_matrix(info["table"])[0]
+    raw_train, raw_test = X[info["train_idx"]], X[info["test_idx"]]
+    mean = raw_train.mean(axis=0)
+    cov = (raw_train - mean).T @ (raw_train - mean) / (len(raw_train) - 1)
+    with mp.workdps(40):  # the weight column's variance dwarfs the others'
+        values, vectors = mp.eigsy(mp.matrix(cov.tolist()))
+    top = np.argsort(np.array(values.tolist(), dtype=np.float64).ravel())[::-1][:2]
+    vecs = np.array(vectors.tolist(), dtype=np.float64)[:, top]
+    vecs *= np.where(vecs[np.abs(vecs).argmax(axis=0), [0, 1]] < 0, -1.0, 1.0)
+    for got, raw in ((X_train, raw_train), (X_test, raw_test)):
+        expected = (raw - mean) @ vecs
+        assert got.shape == expected.shape and len(got) > 0
+        assert np.max(np.abs(got - expected)) <= 1e-9 * np.abs(expected).max()
+    assert X_train.min() < 0.0 and X_train.max() > 1.0  # not rescaled into [0, 1]
 
 
 def test_pca_run_reports_its_components_scaled_into_the_unit_box(tmp_path, qsarq):

@@ -119,6 +119,38 @@ def test_dual_objective_nondecreasing():
         assert np.all(np.diff(trace) >= -1e-10)
 
 
+def assert_state_is_consistent(gm, y, cfg):
+    """The trace's last entry and the bias, both read off SMO's kept gradient,
+    against the dual objective and the bias computed from K."""
+    alphas, bias, _, trace = solve_dual(gm, y, cfg)
+    K, y = gm.entries, np.asarray(y, dtype=np.float64)
+    ay = alphas * y
+    objective = alphas.sum() - 0.5 * ay @ K @ ay
+    assert abs(trace[-1] - objective) <= 1e-12 * abs(objective)
+    assert abs(bias - reference_bias(K, y, alphas, cfg.C)) <= 1e-12
+    return alphas
+
+
+def test_objective_and_bias_read_a_gradient_consistent_with_the_multipliers():
+    rng = np.random.default_rng(44)
+    for _ in range(40):
+        _, y, gm = random_problem(rng, int(rng.integers(4, 30)), gamma=rng.uniform(0.2, 3.0))
+        cfg = SvmConfig(C=float(rng.choice([0.1, 1.0, 10.0])), tol=float(rng.choice([1e-3, 0.1])),
+                        max_iters=int(rng.choice([5, 100_000])))
+        assert_state_is_consistent(gm, y, cfg)
+
+
+def test_snap_onto_the_cap_moves_the_gradient_too():
+    # one step takes both multipliers to 1, within the clipping slack of
+    # C = 1 + 5e-9; the snap puts them at C, which moves the scores by
+    # about 1e-9, so a gradient left behind gives the wrong objective and bias
+    K = np.array([[1.0, 0.5], [0.5, 2.0]])
+    gm = GramMatrix(entries=K, kernel_config=LIN, dataset_digest="near-cap")
+    C = 1.0 + 5e-9
+    alphas = assert_state_is_consistent(gm, [1, -1], SvmConfig(C=C))
+    assert np.array_equal(alphas, [C, C])
+
+
 def test_decision_values_match_projected_gradient_oracle():
     rng = np.random.default_rng(5)
     for _ in range(8):
