@@ -166,8 +166,12 @@ def _row_digest(x: np.ndarray) -> bytes:
 
 def _shot_draws(cfg: KernelConfig, x: np.ndarray, p):
     """The first draws of row x's shot stream at fidelities `p` (module docstring)."""
-    words = np.frombuffer(_row_digest(x)[:16], dtype="<u4")
-    rng = np.random.default_rng([cfg.rng_seed, *words])
+    # default_rng([rng_seed, *w]) seeds from rng_seed's 32-bit words, least
+    # significant first, then w; one uint32 array of those words is the same
+    # seed, and numpy takes it without converting each element
+    seed = int(cfg.rng_seed)
+    head = seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little")
+    rng = np.random.default_rng(np.frombuffer(head + _row_digest(x)[:16], dtype="<u4"))
     return rng.binomial(cfg.shots, p) / cfg.shots
 
 

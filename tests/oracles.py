@@ -17,8 +17,9 @@ The other oracles check the simulator and the package in turn: gates
 become explicit Kronecker-product matrices, phase diagonals come from the
 full phase table (`phase_diagonals`), eigenproblems go through
 hand-rolled Jacobi rotations, the SVM dual is solved by projected
-gradient ascent, linear systems by Gaussian elimination, and shot draws
-one entry at a time from the gate-list fidelities.
+gradient ascent, linear systems by Gaussian elimination, shot draws
+one entry at a time from the gate-list fidelities, and annealing one
+Metropolis step at a time, each loss computed from scratch.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from qsarq.kernels import (
     _shot_draws,
 )
 from qsarq.preprocess import ScalerModel
+from qsarq.regression import ANNEAL_BLOCK, AnnealSchedule, BasisSpec, expand
 from qsarq.svm import SvmModel
 
 RY = "ry"
@@ -395,7 +397,7 @@ def jacobi_eigh(A, tol: float = 1e-12, max_sweeps: int = 100):
     n = a.shape[0]
     vecs = np.eye(n)
     for _ in range(max_sweeps):
-        off = math.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
+        off = math.sqrt(np.sum(np.square(a[~np.eye(n, dtype=bool)])))
         if off <= tol:
             break
         for p in range(n - 1):
@@ -536,3 +538,56 @@ def reference_shot_rows(cfg: KernelConfig, A, B) -> np.ndarray:
         for j, b in enumerate(B):
             out[i, j] = stream.binomial(cfg.shots, kernel_value(exact, a, b)) / cfg.shots
     return out
+
+
+@dataclass
+class AnnealWalk:
+    """`reference_anneal`'s result: the coefficients after the start and after
+    each accepted step that changed them, the best of them, its loss, and the
+    best loss before the first step and after each one."""
+
+    states: list[np.ndarray]
+    best: np.ndarray
+    loss: float
+    trace: list[float]
+
+
+def reference_anneal(X, y, basis: BasisSpec, schedule: AnnealSchedule, seed: int,
+                     ridge: float = 0.0) -> AnnealWalk:
+    """`fit_annealing`'s walk, one step at a time.
+
+    The stream rule, written out: ``default_rng(seed)`` gives, for each block
+    of ANNEAL_BLOCK steps (the last holds the steps left), one (b, m)
+    standard-normal array z, then b uniforms v. Step k proposes
+    q + sqrt(T_k) z_k with T_k = t0 * cooling^k by repeated products, and
+    accepts it when 1 - v_k < exp(-max(delta, 0) / T_k), delta being the
+    change of ||phi q - y||^2 + ridge ||q||^2, each loss computed from scratch.
+    """
+    phi = expand(basis, X).reshape(len(y), -1)
+    targets = np.asarray(y, dtype=np.float64)
+
+    def loss(q):
+        r = phi @ q - targets
+        return float(r @ r) + (ridge * float(q @ q) if ridge > 0 else 0.0)
+
+    rng = np.random.default_rng(seed)
+    current = np.zeros(basis.size)
+    current_loss = loss(current)
+    states, best, best_loss, trace = [current], current, current_loss, [current_loss]
+    temp = schedule.t0
+    for start in range(0, schedule.iterations, ANNEAL_BLOCK):
+        size = min(ANNEAL_BLOCK, schedule.iterations - start)
+        normals = rng.standard_normal((size, basis.size))
+        uniforms = rng.random(size)
+        for z, v in zip(normals, uniforms):
+            candidate = current + math.sqrt(temp) * z
+            delta = loss(candidate) - current_loss
+            if 1.0 - v < math.exp(-max(delta, 0.0) / temp):
+                if not np.array_equal(candidate, current):
+                    states.append(candidate)
+                current, current_loss = candidate, loss(candidate)
+                if current_loss < best_loss:
+                    best, best_loss = current, current_loss
+            trace.append(best_loss)
+            temp *= schedule.cooling
+    return AnnealWalk(states, best, best_loss, trace)

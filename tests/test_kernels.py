@@ -122,6 +122,16 @@ def test_shot_estimate_frozen_golden():
     assert abs(estimate - p) <= 5.0 * math.sqrt(p * (1 - p) / 100_000)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**70, np.int64(7)])
+def test_shot_stream_seed_is_the_list_of_the_seed_and_the_row_digest(seed):
+    cfg = KernelConfig(kind=QUANTUM_SHOTS, feature_map=ZZ2, shots=64, rng_seed=seed)
+    x = np.array([0.1, 0.2])
+    p = np.linspace(0.0, 1.0, 40)
+    words = np.frombuffer(kernels._row_digest(x)[:16], dtype="<u4")
+    expected = np.random.default_rng([seed, *words]).binomial(64, p) / 64
+    assert np.array_equal(kernels._shot_draws(cfg, x, p), expected)
+
+
 def test_shot_estimate_deterministic_and_batch_independent():
     cfg = KernelConfig(kind=QUANTUM_SHOTS, feature_map=ZZ2, shots=1000, rng_seed=7)
     a = shot_estimate(cfg, [0.1, 0.2], [0.3, 0.4])

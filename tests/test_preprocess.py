@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from oracles import jacobi_eigh, minmax_inverse
+from test_cli import write_csv
 from qsarq.cli import main as cli_main
 from qsarq.preprocess import (
     apply_lipinski_filter,
@@ -168,6 +169,16 @@ class TestPca:
              for r in range(2)]
         )
         assert np.max(np.abs(pca_transform(model, X) - oracle_proj)) <= 1e-8
+
+    def test_jacobi_oracle_resolves_a_badly_scaled_covariance(self, tmp_path):
+        # the raw descriptors of the cli tests: eigenvalues from about 1 to 1.45e4
+        X, _ = feature_matrix(read_descriptor_csv(write_csv(tmp_path / "data.csv")))
+        centered = X - X.mean(axis=0)
+        cov = centered.T @ centered / (X.shape[0] - 1)
+        eigvals, eigvecs = jacobi_eigh(cov)
+        assert 1.4e4 < eigvals[0] < 1.5e4
+        residuals = np.linalg.norm(cov @ eigvecs - eigvecs * eigvals, axis=0)
+        assert np.max(residuals) <= 1e-12 * eigvals[0]
 
     def test_rank_k_reconstruction(self):
         rng = np.random.default_rng(12)

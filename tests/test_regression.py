@@ -1,9 +1,14 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from oracles import gaussian_solve
+from oracles import gaussian_solve, reference_anneal
+from qsarq import regression
 from qsarq.regression import (
     AFFINE,
+    ANNEAL_BLOCK,
     POLY2,
     MAX_ANNEAL_ITERS,
     AnnealSchedule,
@@ -122,8 +127,8 @@ def test_annealing_line_fit_golden():
     model = fit_annealing(LINE_X, LINE_Y, BasisSpec(AFFINE, 1),
                           LINE_SCHEDULE, seed=7)
     assert model.loss <= 1e-3
-    # frozen from the first seeded run
-    assert abs(model.loss - 9.471877740382018e-08) <= 1e-12
+    # frozen from the first seeded run of the blocked stream
+    assert abs(model.loss - 2.4710458718150995e-07) <= 1e-12
 
 
 def test_annealing_best_loss_never_increases():
@@ -151,6 +156,72 @@ def test_annealing_seed_determinism():
     assert a.loss_trace == b.loss_trace
     c = fit_annealing(LINE_X, LINE_Y, BasisSpec(AFFINE, 1), LINE_SCHEDULE, seed=43)
     assert not np.array_equal(a.coefficients, c.coefficients)
+
+
+@pytest.mark.parametrize("height", [1, 7, ANNEAL_BLOCK])
+@pytest.mark.parametrize("kind", [AFFINE, POLY2])
+@pytest.mark.parametrize("ridge", [0.0, 0.01])
+def test_annealing_walks_the_stream_as_the_step_by_step_reference(monkeypatch, height, kind,
+                                                                  ridge):
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((12, 3))
+    y = np.where(rng.random(12) < 0.5, -1.0, 1.0)
+    basis = BasisSpec(kind, 3)
+    objective = regression._objective
+    monkeypatch.setattr(regression, "_window_rows", lambda rows: height)
+    for iterations in (1, ANNEAL_BLOCK - 1, ANNEAL_BLOCK, ANNEAL_BLOCK + 1, 3 * ANNEAL_BLOCK + 7):
+        schedule = AnnealSchedule(t0=1.0, cooling=0.99, iterations=iterations)
+        states = []  # the fit computes the loss of its start and of each accepted state
+
+        def recording(phi, targets, q, ridge):
+            states.append(q.copy())
+            return objective(phi, targets, q, ridge)
+
+        monkeypatch.setattr(regression, "_objective", recording)
+        model = fit_annealing(X, y, basis, schedule, seed=9, ridge=ridge)
+        monkeypatch.setattr(regression, "_objective", objective)
+        walk = reference_anneal(X, y, basis, schedule, seed=9, ridge=ridge)
+        assert len(states) == len(walk.states), iterations
+        assert all(np.array_equal(a, b) for a, b in zip(states, walk.states)), iterations
+        assert np.array_equal(model.coefficients, walk.best), iterations
+        assert abs(model.loss - walk.loss) <= 1e-12 * walk.loss, iterations
+        assert model.loss == objective(expand(basis, X), y, model.coefficients, ridge)
+        assert len(model.loss_trace) == iterations + 1
+        assert np.allclose(model.loss_trace, walk.trace, rtol=1e-12, atol=0), iterations
+    assert 1 < len(walk.states) < iterations // 2  # steps were both accepted and refused
+
+
+@pytest.mark.parametrize("t0, scale", [(1e-300, 1.0), (1.0, 1e150)],
+                         ids=["tiny_t0", "huge_targets"])
+def test_annealing_raises_no_floating_point_warning(t0, scale):
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((6, 2))
+    y = scale * rng.standard_normal(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ridge in (0.0, 0.5):
+            model = fit_annealing(X, y, BasisSpec(POLY2, 2),
+                                  AnnealSchedule(t0=t0, cooling=0.9, iterations=3000),
+                                  seed=4, ridge=ridge)
+            assert np.isfinite(model.loss) and np.all(np.isfinite(model.coefficients))
+
+
+def test_annealing_trace_costs_one_pointer_per_step():
+    X = np.random.default_rng(3).standard_normal((40, 3))
+    y = X @ [1.0, -2.0, 0.5] + 0.3
+    iterations = 200_000
+    tracemalloc.start()
+    try:
+        model = fit_annealing(X, y, BasisSpec(AFFINE, 3),
+                              AnnealSchedule(t0=1.0, cooling=0.99, iterations=iterations), seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    trace = model.loss_trace
+    assert len(trace) == iterations + 1
+    # a step that keeps the best loss repeats its float object
+    assert len({id(v) for v in trace}) < 1000
+    assert peak <= 10 * iterations + (1 << 19)
 
 
 def test_invalid_schedules_rejected():
