@@ -1,8 +1,9 @@
-"""The one file format of saved artifacts: a versioned JSON envelope.
+"""The one file format of saved artifacts: a JSON header line, then raw float64 bytes.
 
-A Gram matrix or a model is saved as one JSON object, ``{"format":
-"qsarq", "version": 3, "type": <type>, ...}``, with the fields of its
-type (n, d and m are lengths shared within a file):
+A Gram matrix or a model is saved as one file. Its first line is compact
+JSON, ``{"format":"qsarq","version":4,"type":<type>,...}``, holding the
+fields of its type, each scalar as itself and each array as its shape, a
+list of lengths (n, d and m are lengths shared within a file):
 
 - ``gram``: ``entries`` (n x n, symmetric, stored as its upper triangle),
   ``kernel_config`` (as `KernelConfig.to_dict`), ``dataset_digest`` (of
@@ -16,43 +17,41 @@ type (n, d and m are lengths shared within a file):
 - ``reg``: ``basis`` and ``n_features`` (the `BasisSpec`), ``coefficients``
   (m, the basis size) and ``threshold``.
 
-Every array, of every type, is stored as base64 of its little-endian
-float64 bytes (``"<f8"``): a 1-D array is one JSON string, a 2-D array a
-list of one string per row, one row per line, so the writer holds one
-row's payload at a time. Raw bytes read back bit for bit (-0.0 and
-subnormals included) and are written and parsed several times faster
-than 17-digit decimal text. A symmetric array (`Upper` in `SCHEMAS`:
-the Gram entries) keeps only its upper triangle, row i holding the
-entries [i, i:], so each off-diagonal entry is stored once. Reading
-mirrors each row into place, so the array read is exactly symmetric;
-writing refuses an array that is not bitwise symmetric, whose lower
-triangle would be lost. Version 1 (decimal text) and version 2 (square
-Gram rows) files are refused and are rewritten by rerunning the command
-that made them (``qsarq gram`` or ``qsarq train``). Scalars stay JSON,
-keys are sorted, and non-finite numbers are refused on writing and,
-after decoding, on reading, as is a number too large for a float.
-Reading checks the format, version, type, key set, value types, payload
-lengths and array shapes, and any violation raises a ValueError that
-names the file.
+The arrays' little-endian float64 bytes (``"<f8"``) follow the newline,
+row-major, in the sorted order of their keys; a symmetric array (`Upper` in
+`SCHEMAS`) keeps only the rows [i, i:] of its upper triangle, so writing
+refuses one that is not bitwise symmetric and reading mirrors each row into
+place. Raw bytes read back bit for bit, -0.0 and subnormals included, and
+are written and read at memory speed: version 3 held them as base64 text,
+whose decoding was most of a Gram file's load. Reading checks the format,
+version, type and key set, every scalar's type, that the shapes are lists of
+lengths that agree, and that the file holds exactly the bytes they imply,
+all before any array is allocated; then that every value is finite.
+Non-finite numbers are refused on writing too, as is a number too large for
+a float on reading. Files of versions 1 to 3 (one JSON object over many
+lines) are refused by their version and are rewritten by rerunning the
+command that made them (``qsarq gram`` or ``qsarq train``). Any violation
+raises a ValueError that names the file.
 """
 
 from __future__ import annotations
 
-import base64
 import json
+import math
 import sys
 from functools import partial
+from itertools import accumulate
 from numbers import Integral, Real
 
 import numpy as np
 
 GRAM, SVM, REG = "gram", "svm", "reg"
-VERSION = 3
+VERSION = 4
 
 
 class Upper(tuple):
     """The dimension names (n, n) of a symmetric array stored as its upper
-    triangle: payload row i holds the entries [i, i:]."""
+    triangle: the rows [i, i:] back to back."""
 
 
 # the type of each field, or the names of an array's dimensions
@@ -67,30 +66,26 @@ _dumps = partial(json.dumps, allow_nan=False, sort_keys=True, separators=(",", "
 
 
 def save(path, type_: str, fields: dict) -> None:
-    """Write the fields of a `type_` artifact; numpy arrays become base64 payloads."""
+    """Write the fields of a `type_` artifact: the header line, then the arrays' bytes."""
     upper = {key for key, kind in SCHEMAS[type_].items() if isinstance(kind, Upper)}
     for key, value in fields.items():
-        # NaN and +-inf carry through min and max, which allocate no temporary
-        if isinstance(value, (Real, np.ndarray)) and not all(
-                np.isfinite(extreme(value, initial=0.0)) for extreme in (np.min, np.max)):
+        if isinstance(value, (Real, np.ndarray)) and not _finite(value):
             raise ValueError(f"{path}: {key} holds non-finite values")
         if key in upper:  # its lower triangle is not written
             bits = np.asarray(value, dtype="<f8").view("<i8")  # so that -0.0 != 0.0
             if bits.ndim != 2 or not np.array_equal(bits, bits.T):
                 raise ValueError(f"{path}: {key} is not symmetric")
-    record = {**fields, "format": "qsarq", "type": type_, "version": VERSION}
-    with open(path, "w", encoding="utf-8") as fh:
-        for n, key in enumerate(sorted(record)):
-            value = record[key]
-            fh.write(("{\n" if n == 0 else ",\n") + _dumps(key) + ": ")
-            if isinstance(value, np.ndarray) and value.ndim == 2:
-                for i, row in enumerate(value):  # base64 needs no JSON escaping
-                    fh.write(("[\n" if i == 0 else ",\n")
-                             + f'"{_payload(row[i:] if key in upper else row)}"')
-                fh.write("\n]" if len(value) else "[]")
+    arrays = {key: np.ascontiguousarray(value, dtype="<f8")
+              for key, value in fields.items() if isinstance(value, np.ndarray)}
+    header = {**fields, **{key: list(a.shape) for key, a in arrays.items()},
+              "format": "qsarq", "type": type_, "version": VERSION}
+    with open(path, "wb", buffering=1 << 20) as fh:  # few writes of many small rows
+        fh.write(_dumps(header).encode("ascii") + b"\n")
+        for key in sorted(arrays):
+            if key in upper:
+                fh.writelines(row[i:] for i, row in enumerate(arrays[key]))
             else:
-                fh.write(_dumps(_payload(value) if isinstance(value, np.ndarray) else value))
-        fh.write("\n}\n")
+                fh.write(arrays[key])
 
 
 def load(path, builders: dict):
@@ -101,8 +96,14 @@ def load(path, builders: dict):
     or a ValueError of the builder, raises a ValueError naming `path`.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            record = json.load(fh, parse_constant=_refuse)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        end = data.find(b"\n")
+        if end < 0:
+            raise ValueError("not a qsarq artifact: no newline ends its header")
+        if data[:end] == b"{":  # versions 1 to 3: one JSON object over many lines
+            end = len(data)
+        record = json.loads(data[:end], parse_constant=_refuse)
         if not isinstance(record, dict) or record.get("format") != "qsarq":
             raise ValueError("not a qsarq artifact")
         if type(record.get("version")) is not int or record["version"] != VERSION:
@@ -116,17 +117,20 @@ def load(path, builders: dict):
             raise ValueError(f"{type_} artifact with missing key(s) {sorted(keys - set(record))}"
                              f" and unknown key(s) {sorted(set(record) - keys)}")
         lengths: dict = {}
-        return builders[type_]({key: _checked(key, record[key], kind, lengths)
-                                for key, kind in SCHEMAS[type_].items()})
+        fields = {key: _checked(key, record[key], kind, lengths)
+                  for key, kind in SCHEMAS[type_].items()}
+        return builders[type_]({**fields, **_arrays(memoryview(data)[end + 1:], fields,
+                                                    SCHEMAS[type_])})
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a qsarq artifact: {exc}") from exc
     except ValueError as exc:  # UTF-8 decoding errors included
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _payload(array: np.ndarray) -> str:
-    """Base64 of the little-endian float64 bytes of `array`."""
-    return base64.b64encode(np.asarray(array, dtype="<f8").tobytes()).decode("ascii")
+def _finite(value) -> bool:
+    """True if `value` (a number or an array) holds no NaN or +-inf, which carry
+    through min and max: they allocate no temporary."""
+    return all(np.isfinite(extreme(value, initial=0.0)) for extreme in (np.min, np.max))
 
 
 def _refuse(constant: str):
@@ -134,51 +138,42 @@ def _refuse(constant: str):
 
 
 def _checked(key: str, value, kind, lengths: dict):
-    """`value` if it has the type `kind`; an array decoded if it has its shape."""
+    """`value` if it has the type `kind`; for an array, its shape as a tuple, if the
+    header gives one whose lengths agree with the others in `lengths`."""
     if not isinstance(kind, tuple):
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
             raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
         if kind is Real and not abs(value) <= sys.float_info.max:  # 1e400 parses as inf
             raise ValueError(f"{key} is too large for a float")
         return value
-    arr = _decoded(key, value, len(kind), isinstance(kind, Upper))
-    expected = tuple(lengths.setdefault(name, length) for name, length in zip(kind, arr.shape))
-    if arr.shape != expected:
-        raise ValueError(f"{key} has shape {arr.shape}, expected {expected}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{key} holds non-finite values")
-    return arr
+    if not isinstance(value, list) or len(value) != len(kind) or not all(
+            type(length) is int and length >= 0 for length in value):
+        raise ValueError(f"{key} must be the shape of a {len(kind)}-D array, "
+                         f"a list of {len(kind)} lengths")
+    expected = tuple(lengths.setdefault(name, length) for name, length in zip(kind, value))
+    if tuple(value) != expected:
+        raise ValueError(f"{key} has shape {tuple(value)}, expected {expected}")
+    return expected
 
 
-def _decoded(key: str, value, ndim: int, upper: bool = False) -> np.ndarray:
-    """The float64 array of a payload: one base64 string (1-D) or a list of them
-    (2-D), each a row or, if `upper`, a row's upper triangle mirrored into place."""
-    rows = [value] if ndim == 1 else value
-    if not isinstance(rows, list) or not all(isinstance(row, str) for row in rows):
-        raise ValueError(f"{key} must be a {ndim}-D array as base64 "
-                         f"{'string' if ndim == 1 else 'strings, one per row'}")
-    arr = np.empty((0, 0))
-    for i, row in enumerate(rows):
-        try:
-            raw = base64.b64decode(row, validate=True)
-        except ValueError as exc:  # binascii.Error and non-ASCII text
-            raise ValueError(f"{key} is not base64: {exc}") from exc
-        if i == 0:
-            if len(raw) % 8:
-                raise ValueError(f"{key} has a payload of {len(raw)} bytes, "
-                                 "not a multiple of 8")
-            width = len(raw) // 8
-            if upper and width != len(rows):
-                raise ValueError(f"{key} is not an upper triangle: {len(rows)} rows, "
-                                 f"the first of {width} entries")
-            arr = np.empty((width,) if ndim == 1 else (len(rows), width))
-        elif upper and len(raw) != 8 * (width - i):
-            raise ValueError(f"{key} is not an upper triangle: row {i} has {len(raw)} "
-                             f"bytes, not {8 * (width - i)}")
-        elif not upper and len(raw) != 8 * width:
-            raise ValueError(f"{key} has rows of unequal length")
-        if upper:  # copied into arr
-            arr[i, i:] = arr[i:, i] = np.frombuffer(raw, dtype="<f8")
+def _arrays(payload: memoryview, shapes: dict, schema: dict) -> dict:
+    """The float64 arrays that `payload` holds for the array fields of `schema`, of
+    the `shapes` given; its length is checked before anything is allocated."""
+    keys = sorted(key for key, kind in schema.items() if isinstance(kind, tuple))
+    sizes = [shapes[key][0] * (shapes[key][0] + 1) // 2 if isinstance(schema[key], Upper)
+             else math.prod(shapes[key]) for key in keys]
+    if len(payload) != 8 * sum(sizes):
+        raise ValueError(f"holds {len(payload)} bytes of arrays, not the "
+                         f"{8 * sum(sizes)} that its shapes need")
+    arrays = {}
+    for key, part in zip(keys, np.split(np.frombuffer(payload, dtype="<f8"),
+                                        np.cumsum(sizes)[:-1])):
+        if not _finite(part):
+            raise ValueError(f"{key} holds non-finite values")
+        if isinstance(schema[key], Upper):  # row i is the entries [i, i:], mirrored
+            arrays[key] = arr = np.empty(shapes[key])
+            for i, start in enumerate(accumulate(range(len(arr), 1, -1), initial=0)):
+                arr[i, i:] = arr[i:, i] = part[start:start + len(arr) - i]
         else:
-            np.atleast_2d(arr)[i] = np.frombuffer(raw, dtype="<f8")
-    return arr
+            arrays[key] = part.reshape(shapes[key]).astype(np.float64)
+    return arrays

@@ -12,7 +12,7 @@ no filter and no scaling, since it reads features already prepared.
 `train` fits through `fit_entry`, so a saved model is fitted exactly as
 its row in the report is. A config is checked whole, kernels included,
 before its CSV is read. Gram matrices and models are files in the one
-JSON format of `qsarq.artifact`, written to `<out>/<model name>.gram`
+format of `qsarq.artifact`, written to `<out>/<model name>.gram`
 and `<out>/<model name>.model`, so a model name that is empty, `.` or
 `..`, or holds `/` or `\\`, is refused at load. `train --gram` refuses,
 naming it, a Gram file of another kernel, jitter or data, and `eval`

@@ -9,13 +9,12 @@ States live in the computational basis with qubit 0 on the least
 significant bit of the amplitude index, so ``|q1 q0> = |binary index>``.
 
 `encode_batch` prepares many states at once. All phase gates of one
-repetition are one diagonal exp(i * phase), per-row angles times a table of
-amplitude bits and pair parities; the table is built once per batch, for the
-amplitudes whose top bit is 0, and the other half follows by flipping every
-bit. H on every qubit is one real matrix product per group of at most 5
-qubits, and an RY layer (per-row angles) one butterfly per qubit axis. The
-tests check it against a gate-by-gate simulator of the same circuits and
-against the full phase table (``tests/oracles.py``).
+repetition are one diagonal exp(i * phase), a running product over the
+qubits that takes one exp per angle and no trigonometry per amplitude. H on
+every qubit is one real matrix product per group of at most 5 qubits, and
+an RY layer (per-row angles) one butterfly per qubit axis. The tests check
+it against a gate-by-gate simulator of the same circuits, against the full
+phase table (``tests/oracles.py``) and against phases evaluated in mpmath.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ DEFAULT_STACK_BYTES = 1 << 30
 BLOCK_BYTES = 1 << 18
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
-# amplitudes per chunk of the phase table (chunk x terms float64)
-_PHASE_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -133,41 +130,44 @@ def _validated_features(spec: FeatureMapSpec, x, ndim: int = 1) -> np.ndarray:
     return arr
 
 
-def _phase_diagonals(spec: FeatureMapSpec, X: np.ndarray, out: np.ndarray, blocks) -> None:
+def _phase_diagonals(spec: FeatureMapSpec, X: np.ndarray, out: np.ndarray,
+                     work: np.ndarray) -> None:
     """Write exp(i * phase) per row of X and amplitude into `out`: one repetition's phase gates.
 
-    The phase of amplitude a is angles @ table[a], where table[a] holds
-    the bits of a (ZZ family only) and the parity of each entangled pair's
-    two bits. Each chunk of the table's top-bit-0 half is built once and multiplied with
-    the angles of one block of rows (a slice of `blocks`) at a time. With alpha the bits'
-    angles (2x for ZZ, 0 for custom), D(~a) = exp(i sum alpha) D(a) prod_j exp(-2i alpha_j a_j).
+    The phase of amplitude a sums the bits' angles alpha_q a_q (2x, ZZ family
+    only) and each pair's angle beta_jk times the parity of its two bits. It is
+    a running product over the qubits: D(a + 2^q) = D(a) F_q(a) for a < 2^q,
+    where F_q(a) is exp(i(alpha_q + every beta that involves q)) times
+    exp(-2i beta_jq) for each pair (j, q) with bit j set in a, and F_q doubles
+    over those bits. A row costs about 2 * 2^n complex products and one exp
+    per angle. Rows go as many at a time as the complex array `work` holds;
+    each block is built amplitude-major in `work`, so that every step reads
+    and writes disjoint contiguous ranges (numpy copies an operand whose
+    bounds overlap the output's), and is then transposed into `out`.
     """
-    n, half = spec.n_qubits, 1 << (spec.n_qubits - 1)
-    pairs = np.array(entanglement_pairs(spec.entanglement, n), dtype=np.intp).reshape(-1, 2)
-    j, k = pairs[:, 0], pairs[:, 1]
-    if spec.family == ZZ:
-        angles = np.hstack([2.0 * X, 2.0 * (math.pi - X[:, j]) * (math.pi - X[:, k])])
-    else:
-        angles = math.pi * X[:, j] * X[:, k]
-    for start in range(0, half, _PHASE_CHUNK):
-        stop = min(start + _PHASE_CHUNK, half)
-        bits = ((np.arange(start, stop)[:, None] >> np.arange(n)) & 1).astype(np.float64)
-        table = np.abs(bits[:, j] - bits[:, k])
-        if spec.family == ZZ:
-            table = np.hstack([bits, table])
-        for rows in blocks:  # cos and sin are exp(i * phase)'s parts, bit for bit
-            phase = angles[rows] @ table.T
-            np.cos(phase, out=out.real[rows, start:stop])
-            np.sin(phase, out=out.imag[rows, start:stop])
-    alpha = angles[:, :n] if spec.family == ZZ else np.zeros_like(X)
-    for rows in blocks:  # lift[a] = D(~a) / D(a), apart from `out`: numpy copies overlaps
-        lift = np.empty((half, len(alpha[rows])), dtype=np.complex128)
-        lift[0] = np.exp(1j * alpha[rows].sum(axis=1))
-        turn = np.exp(-2j * alpha[rows, :n - 1])
-        for q in range(n - 1):  # doubling: lift[a + 2^q] = lift[a] * turn_q
-            np.multiply(lift[:1 << q], turn[:, q], out=lift[1 << q:2 << q])
-        lift *= out[rows, :half].T
-        out[rows, half:] = lift.T[:, ::-1]  # ~a is amplitude 2^n - 1 - a
+    n = spec.n_qubits
+    pairs = entanglement_pairs(spec.entanglement, n)
+    j, k = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    # in both schemes the pairs (b, q) with b < q are those with b = low[q], ..., q - 1
+    low, index = [min(j[k == q], default=q) for q in range(n)], {p: i for i, p in enumerate(pairs)}
+    step = max(1, work.size >> n)
+    for start in range(0, len(X), step):
+        x = X[start:start + step].T
+        beta = (2.0 * (math.pi - x[j]) * (math.pi - x[k]) if spec.family == ZZ
+                else math.pi * x[j] * x[k])
+        c = 2.0 * x if spec.family == ZZ else np.zeros_like(x)
+        np.add.at(c, j, beta)  # each pair's angle onto both of its qubits
+        np.add.at(c, k, beta)
+        turn, w = np.exp(1j * c), np.exp(-2j * beta)
+        d = work.reshape(-1)[:(1 << n) * x.shape[1]].reshape(1 << n, -1)
+        d[0] = 1.0
+        for q in range(n):
+            f = d[1 << q:2 << q]  # F_q, then D(a + 2^q)
+            f[:1 << low[q]] = turn[q]
+            for b in range(low[q], q):
+                np.multiply(f[:1 << b], w[index[b, q]], out=f[1 << b:2 << b])
+            f *= d[:1 << q]
+        out[start:start + step] = d.T
 
 
 def _encode_rows(spec: FeatureMapSpec, X: np.ndarray, states: np.ndarray,
@@ -216,18 +216,19 @@ def encode_batch(spec: FeatureMapSpec, X) -> np.ndarray:
     Row i equals the state the gate list of X[i] prepares from |0...0>,
     up to rounding (checked against a gate-by-gate simulator in
     ``tests/oracles.py``). The whole stack must fit the state-stack budget,
-    which is checked before anything is allocated. Rows are encoded a
-    block of about BLOCK_BYTES of amplitudes at a time, in place: the phase
-    diagonals from half the phase table and the complement rule, and each
-    H layer as one matrix product per group of at most 5 qubits.
+    which is checked before anything is allocated. The phase diagonals are
+    written into the stack first, built in the work buffers of two blocks;
+    then rows are encoded in place a block of about BLOCK_BYTES of
+    amplitudes at a time, each H layer one matrix product per group of at
+    most 5 qubits.
     """
     feats = _validated_features(spec, X, ndim=2)
     check_state_stack(feats.shape[0], spec.n_qubits)
     out = np.empty((feats.shape[0], 1 << spec.n_qubits), dtype=np.complex128)
     step = max(1, BLOCK_BYTES // (16 << spec.n_qubits))
     blocks = [slice(start, start + step) for start in range(0, feats.shape[0], step)]
-    _phase_diagonals(spec, feats, out, blocks)
     work = np.empty((2, min(step, len(out)), out.shape[1]), dtype=np.complex128)
+    _phase_diagonals(spec, feats, out, work)
     # H on each group of <= 5 qubits; symmetric, and its F-order .T takes the faster BLAS path
     factors = [(g[0], reduce(np.kron, [[[1, 1], [1, -1]]] * len(g), 2.0 ** (-len(g) / 2)).T)
                for g in np.array_split(np.arange(spec.n_qubits), -(-spec.n_qubits // 5))]

@@ -315,7 +315,7 @@ def kernel_value(cfg: KernelConfig, x, x2) -> float:
 
 def save_gram(gm: GramMatrix, path) -> None:
     """Write `gm` as a `gram` artifact (see `qsarq.artifact`): the upper
-    triangle of its entries, row i from entry i on, one row per write.
+    triangle of its entries, row i from entry i on, as raw float64 bytes.
     Entries that are not bitwise symmetric raise a ValueError naming `path`
     before anything is written."""
     artifact.save(path, artifact.GRAM, {
@@ -325,9 +325,9 @@ def save_gram(gm: GramMatrix, path) -> None:
 
 def load_gram(path) -> GramMatrix:
     """The Gram matrix of a `gram` artifact: each stored upper-triangle row is
-    decoded and mirrored into place, so the entries are exactly symmetric. A
-    fault of the file (a square version 2 file included) raises a ValueError
-    naming `path`."""
+    mirrored into place, so the entries are exactly symmetric. A fault of the
+    file (a file of an earlier version included) raises a ValueError naming
+    `path`."""
     return artifact.load(path, {artifact.GRAM: lambda f: GramMatrix(
         f["entries"], KernelConfig.from_dict(f["kernel_config"]), f["dataset_digest"],
         float(f["jitter"]))})

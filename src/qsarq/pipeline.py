@@ -223,8 +223,9 @@ def load_experiment_config(path) -> ExperimentConfig:
 
     cfg_path = Path(path)
     try:
-        with open(cfg_path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+        with open(cfg_path, "r", encoding="utf-8") as fh:  # libyaml's parser, where built
+            raw = yaml.load(fh, Loader=yaml.CSafeLoader if yaml.__with_libyaml__
+                            else yaml.SafeLoader)
         if isinstance(raw, dict) and isinstance(raw.get("models"), list):
             raw = {**raw, "models": [_model_entry(m) for m in raw["models"]]}
         config = from_mapping(ExperimentConfig, raw, "config")

@@ -336,13 +336,13 @@ def circuit_unitary(gates: list[GateOp], n_qubits: int) -> np.ndarray:
     return total
 
 
-def phase_diagonals(spec: FeatureMapSpec, X) -> np.ndarray:
-    """exp(i * phase) per row of X and amplitude: one repetition's phase gates.
+def phase_terms(spec: FeatureMapSpec, X) -> tuple[np.ndarray, np.ndarray]:
+    """(angles, table) of one repetition's phase gates: the phase of amplitude
+    a of row i is angles[i] @ table[a].
 
-    The full phase table: the phase of every amplitude a is angles @ table[a],
-    where table[a] holds the bits of a (ZZ family only) and the parity of each
-    entangled pair's two bits. The package builds only the half of this table
-    whose top bit is 0 and derives the rest (``qsarq.feature_maps._phase_diagonals``).
+    angles[i] holds the bits' angles 2x (ZZ family only) and each entangled
+    pair's angle; table[a] holds the bits of a (ZZ family only) and the
+    parity of each pair's two bits.
     """
     X = np.asarray(X, dtype=np.float64)
     n = spec.n_qubits
@@ -356,22 +356,35 @@ def phase_diagonals(spec: FeatureMapSpec, X) -> np.ndarray:
     table = np.abs(bits[:, j] - bits[:, k])
     if spec.family == ZZ:
         table = np.hstack([bits, table])
+    return angles, table
+
+
+def phase_diagonals(spec: FeatureMapSpec, X) -> np.ndarray:
+    """exp(i * phase) per row of X and amplitude: one repetition's phase gates.
+
+    The full phase table (`phase_terms`) times the angles. The package builds
+    the same diagonal as a running product over the qubits
+    (``qsarq.feature_maps._phase_diagonals``).
+    """
+    angles, table = phase_terms(spec, X)
     return np.exp(1j * (angles @ table.T))
 
 
-def butterfly_states(spec: FeatureMapSpec, X) -> np.ndarray:
+def butterfly_states(spec: FeatureMapSpec, X, diag=None) -> np.ndarray:
     """Encoded rows of X, every H or RY layer run as butterflies from |0...0>.
 
     Each repetition applies, for every qubit, one butterfly over the pairs
     of amplitudes that differ in that qubit's bit, then the repetition's
-    phase diagonal from the full table (`phase_diagonals`).
+    phase diagonal: `diag` (rows x 2^n) if given, else the one from the full
+    table (`phase_diagonals`). Given the package's diagonals, the states
+    check the H and RY layers alone.
     """
     X = np.asarray(X, dtype=np.float64)
     rows, n = X.shape
     states = np.zeros((rows, 1 << n), dtype=np.complex128)
     states[:, 0] = 1.0
     cos, sin = np.cos(X)[:, :, None, None], np.sin(X)[:, :, None, None]
-    diag = phase_diagonals(spec, X)
+    diag = phase_diagonals(spec, X) if diag is None else diag
     for _ in range(spec.reps):
         for q in range(n):
             view = states.reshape(rows, -1, 2, 1 << q)

@@ -2,8 +2,10 @@
 
 import base64
 import json
+import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,8 +60,9 @@ def test_round_trip_is_exact_and_rewrites_the_same_bytes(tmp_path, type_):
     for name in SCALARS:
         if hasattr(saved, name):
             assert getattr(loaded, name) == getattr(saved, name), name
-    record = json.loads((tmp_path / "first").read_text(), parse_constant=pytest.fail)
-    assert (record["format"], record["version"], record["type"]) == ("qsarq", 3, type_)
+    head = (tmp_path / "first").read_bytes().partition(b"\n")[0]
+    record = json.loads(head, parse_constant=pytest.fail)
+    assert (record["format"], record["version"], record["type"]) == ("qsarq", 4, type_)
 
 
 def test_load_model_follows_the_saved_type(tmp_path):
@@ -141,46 +144,62 @@ def test_save_refuses_non_finite_values_before_writing(tmp_path, type_, key, val
 # per type, one scalar field and one array field to spoil
 SCALAR_OF = {"gram": "jitter", "svm": "bias", "reg": "threshold"}
 ARRAY_OF = {"gram": "entries", "svm": "support_vectors", "reg": "coefficients"}
-# the fields saved as their upper triangle: row i holds the entries [i, i:]
+# the fields saved as their upper triangle: the rows [i, i:] back to back
 UPPER = {"entries"}
 
 
-def decoded(payload, upper=False):
-    """The float64 array of a saved array field: base64 of little-endian float64
-    bytes, a row (or, if `upper`, a row from the diagonal on, mirrored) per string."""
-    if isinstance(payload, str):
-        return np.frombuffer(base64.b64decode(payload), dtype="<f8")
-    if not upper:
-        return np.array([decoded(row) for row in payload])
-    array = np.empty((len(payload), len(payload)))
-    for i, row in enumerate(payload):
-        array[i, i:] = array[i:, i] = decoded(row)
-    return array
+def triangle(array):
+    """The rows [i, i:] of a 2-D array, back to back."""
+    return np.concatenate([row[i:] for i, row in enumerate(array)] or [np.empty(0)])
 
 
-def encoded(array, upper=False):
-    """The saved form of `array`: one base64 string, or one per row of a 2-D
-    array (if `upper`, of the row from the diagonal on)."""
-    if array.ndim == 1:
-        return base64.b64encode(array.astype("<f8").tobytes()).decode("ascii")
-    return [encoded(row[i:] if upper else row) for i, row in enumerate(array)]
-
-
-def rendered(type_, fields):
-    """The text of an artifact, rendered with `json.dumps` field by field and row by row."""
-    record = {**fields, "format": "qsarq", "type": type_, "version": 3}
-    lines = []
-    for key in sorted(record):
-        value = record[key]
-        if isinstance(value, np.ndarray) and value.ndim == 2:
-            rows = ",\n".join(json.dumps(row) for row in encoded(value, key in UPPER))
-            text = "[\n" + rows + "\n]" if len(value) else "[]"
-        elif isinstance(value, np.ndarray):
-            text = json.dumps(encoded(value))
+def parsed(data):
+    """The record of an artifact's bytes: the header line's fields, each array
+    field's shape replaced by the array the payload holds for it."""
+    head, _, payload = data.partition(b"\n")
+    record, offset = json.loads(head), 0
+    for key in sorted(set(record) & set(ARRAYS)):
+        shape = record[key]
+        count = shape[0] * (shape[0] + 1) // 2 if key in UPPER else math.prod(shape)
+        flat = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
+        offset += 8 * count
+        if key in UPPER:  # mirrored into place
+            record[key] = np.zeros(shape)
+            record[key][np.triu_indices(shape[0])] = flat
+            record[key] = np.where(np.tri(shape[0], k=-1, dtype=bool), record[key].T,
+                                   record[key])
         else:
-            text = json.dumps(value, sort_keys=True, separators=(",", ":"))
-        lines.append(json.dumps(key) + ": " + text)
-    return "{\n" + ",\n".join(lines) + "\n}\n"
+            record[key] = flat.reshape(shape).copy()
+    assert offset == len(payload)
+    return record
+
+
+def rendered(record):
+    """The bytes of an artifact record: one line of compact JSON with the keys
+    sorted and each numpy array replaced by its shape, then each array's
+    little-endian float64 bytes in key order (a field in UPPER as `triangle`)."""
+    arrays = {key: value for key, value in record.items() if isinstance(value, np.ndarray)}
+    header = json.dumps({**record, **{key: list(a.shape) for key, a in arrays.items()}},
+                        sort_keys=True, separators=(",", ":"))
+    payload = b"".join((triangle(arrays[key]) if key in UPPER else arrays[key])
+                       .astype("<f8").tobytes() for key in sorted(arrays))
+    return header.replace(json.dumps(RAW_1E400), "1e400").encode() + b"\n" + payload
+
+
+def envelope(record, version):
+    """The bytes of `record` in the layout of version 2: one JSON object over
+    many lines, one key per line, each array as base64 of its float64 rows.
+    Version 1 differs in writing decimal numbers and version 3 in keeping a
+    Gram's upper triangle; files of all three are refused by their version."""
+    def text(value):
+        if not isinstance(value, np.ndarray):
+            return json.dumps(value)
+        if value.ndim == 1:
+            return json.dumps(base64.b64encode(value.astype("<f8").tobytes()).decode())
+        return "[\n" + ",\n".join(text(row) for row in value) + "\n]"
+    record = {**record, "version": version}
+    return ("{\n" + ",\n".join(f"{json.dumps(key)}: {text(record[key])}"
+                               for key in sorted(record)) + "\n}\n").encode()
 
 
 @pytest.mark.parametrize("type_, fields", [
@@ -194,28 +213,28 @@ def rendered(type_, fields):
     ("svm", {"bias": 0.0, "converged": True, "dual_coef": np.empty(0),
              "kernel_config": {"kind": "linear"}, "support_vectors": np.empty((0, 3))}),
 ], ids=["gram", "svm", "svm without rows"])
-def test_save_writes_each_row_payload_as_a_json_string(tmp_path, type_, fields):
+def test_save_writes_a_json_header_line_then_raw_bytes(tmp_path, type_, fields):
     artifact.save(tmp_path / "artifact", type_, fields)
-    assert (tmp_path / "artifact").read_text(encoding="utf-8") == rendered(type_, fields)
+    assert (tmp_path / "artifact").read_bytes() == rendered(
+        {**fields, "format": "qsarq", "type": type_, "version": 4})
 
 
-def respoiled(change, field=None):
-    """A record fault re-encoding array `field` (default: the type's) after `change`."""
+def on_record(change):
+    """A fault of the file's bytes: `change` applied to its record, rendered again."""
+    def fault(data):
+        record = parsed(data)
+        change(record)
+        return rendered(record)
+    return fault
+
+
+def on_array(change, field=None):
+    """A fault of the file's bytes: array `field` (default: the type's) replaced
+    by `change` of it."""
     def fault(rec):
         name = field or ARRAY_OF[rec["type"]]
-        rec[name] = encoded(change(decoded(rec[name], name in UPPER).copy()), name in UPPER)
-    return fault
-
-
-def first_row(change):
-    """A record fault applying `change` to the first payload string of the array field."""
-    def fault(rec):
-        name = ARRAY_OF[rec["type"]]
-        if isinstance(rec[name], str):
-            rec[name] = change(rec[name])
-        else:
-            rec[name][0] = change(rec[name][0])
-    return fault
+        rec[name] = change(rec[name].copy())
+    return on_record(fault)
 
 
 def wrong_shape(array):
@@ -223,7 +242,7 @@ def wrong_shape(array):
     if array.ndim == 1:
         return array[None, :]  # coefficients with a second axis
     if array.shape[0] == array.shape[1]:
-        return array[:, :-1]  # entries not square: the first triangle row is one short
+        return array[:, :-1]  # entries not square
     return array[:-1]  # one support vector fewer than dual coefficients
 
 
@@ -232,51 +251,52 @@ def nan_first(array):
     return array
 
 
-def one_byte_short(text):
-    return base64.b64encode(base64.b64decode(text)[:-1]).decode("ascii")
-
-
-# a string value that `spoiled` writes as the bare JSON number 1e400, which
+# a string value that `rendered` writes as the bare JSON number 1e400, which
 # Python's json module reads as inf
 RAW_1E400 = "<raw 1e400>"
 
 
 def spoiled(tmp_path, type_, fault):
-    """Path of a saved artifact of `type_` after `fault` changed its record."""
+    """Path of a saved artifact of `type_` after `fault` changed its bytes."""
     path = tmp_path / "artifact"
     TYPES[type_][1](TYPES[type_][0](), path)
-    record = json.loads(path.read_text())
-    fault(record)
-    text = json.dumps(record).replace(json.dumps(RAW_1E400), "1e400")
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(fault(path.read_bytes()))
     return path
 
 
-# (name, malformed change to a saved record, pattern of the error message)
+# (name, malformed change to a saved file's bytes, pattern of the error message)
 FAULTS = [
-    ("wrong type", lambda rec: rec.update(type={"gram": "svm", "svm": "reg",
-                                                "reg": "gram"}[rec["type"]]), "artifact, expected"),
-    ("wrong version", lambda rec: rec.update(version=1), "artifact version 1, not 3"),
-    ("version true", lambda rec: rec.update(version=True), "artifact version True"),
-    ("other format", lambda rec: rec.update(format="qsarq-svm v1"), "not a qsarq artifact"),
-    ("missing key", lambda rec: rec.pop(SCALAR_OF[rec["type"]]), "missing key"),
-    ("unknown key", lambda rec: rec.update(extra=1), "unknown key"),
-    ("wrong-shaped array", respoiled(wrong_shape),
-     "has shape|1-D array as base64|not an upper triangle: 7 rows, the first of 6 entries"),
-    ("array as numbers", lambda rec: rec.__setitem__(
-        ARRAY_OF[rec["type"]], decoded(rec[ARRAY_OF[rec["type"]]], rec["type"] == "gram")
-        .tolist()), "base64"),
-    ("non-finite number", lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], float("nan")),
+    ("wrong type", on_record(lambda rec: rec.update(type={"gram": "svm", "svm": "reg",
+                                                          "reg": "gram"}[rec["type"]])),
+     "artifact, expected"),
+    ("wrong version", on_record(lambda rec: rec.update(version=1)), "artifact version 1, not 4"),
+    ("version true", on_record(lambda rec: rec.update(version=True)), "artifact version True"),
+    ("version 3 file", lambda data: envelope(parsed(data), 3), "artifact version 3, not 4"),
+    ("other format", on_record(lambda rec: rec.update(format="qsarq-svm v1")),
+     "not a qsarq artifact"),
+    ("missing key", on_record(lambda rec: rec.pop(SCALAR_OF[rec["type"]])), "missing key"),
+    ("unknown key", on_record(lambda rec: rec.update(extra=1)), "unknown key"),
+    ("wrong-shaped array", on_array(wrong_shape),
+     r"has shape \(7, 6\), expected \(7, 7\)|shape of a 1-D array|has shape \(6, 2\), "
+     r"expected \(7, 2\)"),
+    ("array as numbers", on_array(lambda array: array.tolist()),
+     "must be the shape of a [12]-D array, a list of [12] lengths"),
+    ("non-finite number", on_record(lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]],
+                                                                float("nan"))),
      "not a finite number"),
-    ("overflowing number", lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], RAW_1E400),
+    ("overflowing number", on_record(lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]],
+                                                                 RAW_1E400)),
      "too large for a float"),
-    ("huge integer", lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], 10**400),
+    ("huge integer", on_record(lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], 10**400)),
      "too large for a float"),
-    ("number as a string", lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], "0.5"),
+    ("number as a string", on_record(lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], "0.5")),
      "must be of type"),
-    ("non-base64 character", first_row(lambda text: "!" + text[1:]), "not base64"),
-    ("payload not a multiple of 8", first_row(one_byte_short), "not a multiple of 8"),
-    ("NaN bits", respoiled(nan_first), "non-finite"),
+    ("payload not a multiple of 8", lambda data: data[:-1], r"holds \d+ bytes of arrays, not"),
+    ("truncated payload", lambda data: data[:-8], r"holds \d+ bytes of arrays, not"),
+    ("trailing bytes", lambda data: data + bytes(8), r"holds \d+ bytes of arrays, not"),
+    ("header with no newline", lambda data: data.partition(b"\n")[0],
+     "not a qsarq artifact: no newline ends its header"),
+    ("NaN bits", on_array(nan_first), "non-finite"),
 ]
 
 
@@ -289,24 +309,36 @@ def test_malformed_artifact_raises_naming_the_file(tmp_path, type_, name, fault,
     assert re.search(message, str(info.value))
 
 
-@pytest.mark.parametrize("type_, row, message", [
-    ("gram", 1, "not an upper triangle: row 1 has 40 bytes, not 48"),
-    ("svm", 0, "unequal length"),
-], ids=["gram", "svm"])
-def test_ragged_rows_raise_naming_the_file(tmp_path, type_, row, message):
-    def ragged(rec):  # one entry short of the shape the other rows set
-        rows = rec[ARRAY_OF[type_]]
-        rows[row] = encoded(decoded(rows[row])[:-1])
+def row_end(data, array, row):
+    """The offset in `data` of the byte after row `row` of array field `array`
+    (of its triangle row, for a field in UPPER)."""
+    record = parsed(data)
+    keys = sorted(set(record) & set(ARRAYS))
+    entries = sum(record[key].size for key in keys[:keys.index(array)])
+    shape = record[array].shape
+    if array in UPPER:
+        entries += sum(shape[0] - i for i in range(row + 1))
+    else:
+        entries += (row + 1) * math.prod(shape[1:])
+    return len(data.partition(b"\n")[0]) + 1 + 8 * entries
+
+
+@pytest.mark.parametrize("type_, row", [("gram", 1), ("svm", 0)], ids=["gram", "svm"])
+def test_ragged_rows_raise_naming_the_file(tmp_path, type_, row):
+    def ragged(data):  # rows are not delimited: the file ends 8 bytes short
+        end = row_end(data, ARRAY_OF[type_], row)
+        return data[:end - 8] + data[end:]
     path = spoiled(tmp_path, type_, ragged)
-    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + message):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + r"holds \d+ bytes of "
+                                         r"arrays, not the \d+ that its shapes need"):
         TYPES[type_][2](path)
 
 
 @pytest.mark.parametrize("type_, fault", [
-    ("gram", lambda rec: rec["kernel_config"].update(gamma=1.0)),
-    ("svm", lambda rec: rec["kernel_config"]["feature_map"].update(rep=1)),
-    ("reg", respoiled(lambda coefficients: coefficients[:-1], "coefficients")),
-    ("reg", lambda rec: rec.update(n_features=True)),
+    ("gram", on_record(lambda rec: rec["kernel_config"].update(gamma=1.0))),
+    ("svm", on_record(lambda rec: rec["kernel_config"]["feature_map"].update(rep=1))),
+    ("reg", on_array(lambda coefficients: coefficients[:-1], "coefficients")),
+    ("reg", on_record(lambda rec: rec.update(n_features=True))),
 ], ids=["kernel key", "feature map key", "coefficient count", "n_features"])
 def test_fields_that_build_no_object_raise_naming_the_file(tmp_path, type_, fault):
     path = spoiled(tmp_path, type_, fault)
@@ -314,14 +346,36 @@ def test_fields_that_build_no_object_raise_naming_the_file(tmp_path, type_, faul
         TYPES[type_][2](path)
 
 
+@pytest.mark.parametrize("type_", TYPES)
+def test_header_claiming_more_bytes_than_the_file_holds_is_refused_before_allocating(
+        tmp_path, type_):
+    def claiming(data):  # the last length of the array field 10^5: 10^10 entries for a gram
+        head, _, payload = data.partition(b"\n")
+        header = json.loads(head)
+        name = ARRAY_OF[type_]
+        header[name] = [100_000] * len(header[name]) if name in UPPER else [
+            *header[name][:-1], 100_000]
+        return json.dumps(header, separators=(",", ":")).encode() + b"\n" + payload
+    path = spoiled(tmp_path, type_, claiming)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(f"{path}: holds ") + r"\d+ bytes of "
+                                             r"arrays, not the \d{6,} that its shapes need"):
+            TYPES[type_][2](path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("cfg", [SHOTS, KernelConfig(kind=QUANTUM_EXACT, feature_map=ZZ3)],
                          ids=["shots", "exact"])
 def test_gram_file_holds_the_upper_triangle_and_loads_exactly_symmetric(tmp_path, cfg):
     saved = gram(cfg, np.random.default_rng(6).random((9, cfg.feature_map.n_qubits)))
     save_gram(saved, tmp_path / "kernel.gram")
-    rows = json.loads((tmp_path / "kernel.gram").read_text())["entries"]
-    assert [decoded(row).tobytes() for row in rows] == [
-        saved.entries[i, i:].tobytes() for i in range(9)]
+    head, _, payload = (tmp_path / "kernel.gram").read_bytes().partition(b"\n")
+    assert json.loads(head)["entries"] == [9, 9]
+    assert payload == b"".join(saved.entries[i, i:].tobytes() for i in range(9))
     loaded = load_gram(tmp_path / "kernel.gram").entries
     assert loaded.tobytes() == saved.entries.tobytes()
     assert loaded.tobytes() == np.ascontiguousarray(loaded.T).tobytes()
@@ -330,28 +384,30 @@ def test_gram_file_holds_the_upper_triangle_and_loads_exactly_symmetric(tmp_path
 @pytest.mark.parametrize("row", [0, 3, 6])
 @pytest.mark.parametrize("change", [-1, 1], ids=["one short", "one over"])
 def test_triangle_row_of_the_wrong_length_is_refused_naming_the_file(tmp_path, row, change):
-    def fault(rec):
-        entries = decoded(rec["entries"][row])
-        rec["entries"][row] = encoded(np.resize(entries, len(entries) + change))
+    def fault(data):  # an entry cut from or added to the end of the row
+        end = row_end(data, "entries", row)
+        return data[:end + 8 * min(change, 0)] + bytes(8 * max(change, 0)) + data[end:]
     path = spoiled(tmp_path, "gram", fault)
-    with pytest.raises(ValueError, match=re.escape(f"{path}: entries is not an upper triangle")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: holds {224 + 8 * change} bytes "
+                                                   "of arrays, not the 224 that")):
         load_gram(path)
 
 
 def test_square_gram_file_of_version_2_is_refused_naming_the_file(tmp_path):
     # the layout of version 2: every row whole, each off-diagonal entry twice
     saved = gram(SHOTS, X, jitter=0.25)
-    record = {"dataset_digest": saved.dataset_digest, "entries": encoded(saved.entries),
+    record = {"dataset_digest": saved.dataset_digest, "entries": saved.entries,
               "format": "qsarq", "jitter": 0.25, "kernel_config": SHOTS.to_dict(),
-              "type": "gram", "version": 2}
+              "type": "gram"}
     path = tmp_path / "square.gram"
-    path.write_text(json.dumps(record), encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: artifact version 2, not 3")):
+    path.write_bytes(envelope(record, 2))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: artifact version 2, not 4")):
         load_gram(path)
-    # and square rows are no triangle, whatever the version says
-    path.write_text(json.dumps({**record, "version": 3}), encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: entries is not an upper "
-                                                   "triangle: row 1 has 56 bytes, not 48")):
+    # and square rows are no triangle, whatever the version says: 49 entries, not 28
+    header, _, _ = rendered({**record, "version": 4}).partition(b"\n")
+    path.write_bytes(header + b"\n" + saved.entries.tobytes())
+    with pytest.raises(ValueError, match=re.escape(f"{path}: holds 392 bytes of arrays, "
+                                                   "not the 224 that its shapes need")):
         load_gram(path)
 
 

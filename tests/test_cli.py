@@ -27,6 +27,7 @@ from qsarq.preprocess import (
 )
 from qsarq.regression import MAX_ANNEAL_ITERS, load_reg_model
 from qsarq.svm import MAX_SVM_ITERS
+from test_artifact import envelope, parsed
 
 CUTOFF = 6.0
 COLUMNS = ("n_donors", "n_acceptors", "rotatable_bonds", "mol_weight", "logp")
@@ -153,7 +154,8 @@ def test_eval_on_preprocessed_csv_reproduces_training_accuracy(tmp_path, config,
 
 
 # run in a fresh interpreter: the modules that qsarq's import and each command
-# (argv lists in sys.argv[1]) load beyond numpy's, among yaml, logging and hashlib
+# (argv lists in sys.argv[1]) load beyond numpy's, among yaml, logging, hashlib
+# and base64
 UNUSED_MODULES = """
 import json, sys
 import numpy
@@ -162,7 +164,7 @@ from qsarq import cli
 
 def loaded():
     new = {name.split(".")[0] for name in set(sys.modules) - baseline}
-    return sorted(new & {"yaml", "logging", "hashlib"})
+    return sorted(new & {"yaml", "logging", "hashlib", "base64"})
 
 seen = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
@@ -310,20 +312,29 @@ def test_unreadable_model_file_exits_2_naming_it(tmp_path, config, qsarq, text):
     assert code == 2 and f"error: {path}: not a qsarq artifact" in err
 
 
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_version_1_artifact_exits_2_naming_it(tmp_path, config, qsarq, command):
+def old_version_exits_2_naming_it(tmp_path, config, qsarq, command, version):
+    """`command` (train --gram or eval) of a saved file rewritten as `version` wrote it."""
     maker, saved = ("gram", "qsvm.gram") if command == "train" else ("train", "qsvm.model")
     assert qsarq(maker, "--config", config, "--model", "qsvm", "--out", tmp_path,
                  "--quiet")[0] == 0
-    path = tmp_path / "v1"
-    text = (tmp_path / saved).read_text(encoding="utf-8")
-    path.write_text(text.replace('"version": 3', '"version": 1'), encoding="utf-8")
+    path = tmp_path / f"v{version}"
+    path.write_bytes(envelope(parsed((tmp_path / saved).read_bytes()), version))
     if command == "train":
         args = ("train", "--config", config, "--model", "qsvm", "--gram", path)
     else:
         args = ("eval", path, tmp_path / "data.csv", "--cutoff", CUTOFF)
     code, _, err = qsarq(*args, "--out", tmp_path / "out", "--quiet")
-    assert code == 2 and f"error: {path}: artifact version 1, not 3" in err
+    assert code == 2 and f"error: {path}: artifact version {version}, not 4" in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_version_1_artifact_exits_2_naming_it(tmp_path, config, qsarq, command):
+    old_version_exits_2_naming_it(tmp_path, config, qsarq, command, 1)
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_version_3_artifact_exits_2_naming_it(tmp_path, config, qsarq, command):
+    old_version_exits_2_naming_it(tmp_path, config, qsarq, command, 3)
 
 
 def test_svm_model_with_every_training_row_exits_2_naming_it(tmp_path, config, qsarq):
@@ -347,9 +358,9 @@ def test_model_number_too_large_for_a_float_exits_2_naming_it(tmp_path, config, 
     assert qsarq("train", "--config", config, "--model", model, "--out", tmp_path,
                  "--quiet")[0] == 0
     path = tmp_path / "huge.model"
-    text = (tmp_path / f"{model}.model").read_text(encoding="utf-8")
-    path.write_text(re.sub(f'"{key}": [^,\\n]+', f'"{key}": {number}', text),
-                    encoding="utf-8")
+    head, newline, payload = (tmp_path / f"{model}.model").read_bytes().partition(b"\n")
+    head = re.sub(f'"{key}":[^,}}]+'.encode(), f'"{key}":{number}'.encode(), head)
+    path.write_bytes(head + newline + payload)
     code, _, err = qsarq("eval", path, tmp_path / "data.csv", "--cutoff", CUTOFF,
                          "--out", tmp_path / "out", "--quiet")
     assert code == 2 and f"error: {path}: {key} is too large for a float" in err

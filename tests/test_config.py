@@ -3,6 +3,7 @@
 import copy
 import math
 
+import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from qsarq.feature_maps import FeatureMapSpec
 from qsarq.kernels import KernelConfig
 from qsarq.pipeline import (AnnealEntry, ExperimentConfig, RegEntry, SvmEntry,
                             load_experiment_config)
+from test_cli import write_config
 
 CONFIG = {
     "input": "data.csv", "seed": 3, "split": 0.7, "activity_cutoff": 6.0, "pca_k": None,
@@ -59,3 +61,15 @@ def test_config_ingestion_raises_only_value_errors(tmp_path_factory, config):
         load_experiment_config(path)
     except ValueError:
         pass
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+def test_libyaml_and_python_loaders_give_equal_configs(tmp_path, monkeypatch):
+    path = write_config(tmp_path / "exp.yaml")
+    used, load = [], yaml.load
+    monkeypatch.setattr(yaml, "load", lambda stream, Loader: used.append(Loader)
+                        or load(stream, Loader))
+    fast = load_experiment_config(path)
+    monkeypatch.setattr(yaml, "__with_libyaml__", False)
+    assert load_experiment_config(path) == fast
+    assert used == [yaml.CSafeLoader, yaml.SafeLoader]

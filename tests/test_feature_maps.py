@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from oracles import (
     butterfly_states,
@@ -10,6 +11,7 @@ from oracles import (
     encode,
     encoding_circuit,
     phase_diagonals,
+    phase_terms,
 )
 from qsarq.errors import ResourceLimitError
 from qsarq.feature_maps import (
@@ -165,13 +167,15 @@ def test_encode_batch_matches_gate_list_and_dense_oracle(family, entanglement, r
 @pytest.mark.parametrize("entanglement", [LINEAR, FULL])
 @pytest.mark.parametrize("reps", [1, 2])
 def test_encode_batch_equals_butterflies_from_the_zero_state(family, entanglement, reps):
-    # custom: the same arithmetic, bit for bit. ZZ: the H layers are matrix
-    # products, and half the phases come from the complement rule, whose
-    # rounding differs from the full table's (up to 7.5e-15 on these rows)
+    # given the package's phase diagonals, the butterflies check the H and RY
+    # layers alone. custom: the same arithmetic, bit for bit. ZZ: the H layers
+    # are matrix products, whose rounding differs from the butterflies'
     X = np.random.default_rng(11).random((40, 6))
     for n in range(1, 7):
         spec = FeatureMapSpec(family, n, reps=reps, entanglement=entanglement)
-        states, ref = encode_batch(spec, X[:, :n]), butterfly_states(spec, X[:, :n])
+        diag = np.empty((40, 1 << n), dtype=np.complex128)
+        _phase_diagonals(spec, X[:, :n], diag, np.empty_like(diag))
+        states, ref = encode_batch(spec, X[:, :n]), butterfly_states(spec, X[:, :n], diag)
         if family == CUSTOM:
             assert np.array_equal(states, ref)
         else:
@@ -185,8 +189,32 @@ def test_phase_diagonals_match_the_full_table(family, entanglement):
         spec = FeatureMapSpec(family, n, entanglement=entanglement)
         X = np.random.default_rng(n).random((7, n))
         diag = np.empty((7, 1 << n), dtype=np.complex128)
-        _phase_diagonals(spec, X, diag, [slice(0, 4), slice(4, None)])
+        _phase_diagonals(spec, X, diag, np.empty((4, 1 << n), dtype=np.complex128))
         assert np.max(np.abs(diag - phase_diagonals(spec, X))) <= 1e-12
+
+
+@pytest.mark.parametrize("family", [ZZ, CUSTOM])
+@pytest.mark.parametrize("entanglement", [LINEAR, FULL])
+def test_phase_diagonals_meet_a_forward_error_bound_against_mpmath(family, entanglement):
+    # the reference takes the same float64 angles as exact and sums and
+    # exponentiates them at 200 bits. Each angle term t may cost a few eps per
+    # unit of |angle_t| (the rounding of a phase that large) plus one rounding
+    # of a product; the full table (the oracle) must meet the same bound
+    eps = np.finfo(np.float64).eps
+    for n in range(1, 11):
+        spec = FeatureMapSpec(family, n, entanglement=entanglement)
+        X = np.random.default_rng(100 + n).random((2, n))
+        diag = np.empty((2, 1 << n), dtype=np.complex128)
+        _phase_diagonals(spec, X, diag, np.empty((1, 1 << n), dtype=np.complex128))
+        angles, table = phase_terms(spec, X)
+        for row, terms, table_row in zip(diag, angles, phase_diagonals(spec, X)):
+            bound = 4 * eps * (np.sum(np.abs(terms)) + len(terms))
+            with mp.workprec(200):  # enough bits to sum these float64 angles exactly
+                exact = [mp.expj(mp.fsum(mp.mpf(float(terms[t])) for t in np.flatnonzero(bits)))
+                         for bits in table]
+                for got in (row, table_row):
+                    err = max(abs(mp.mpc(complex(z)) - ref) for z, ref in zip(got, exact))
+                    assert err <= bound, (n, float(err), bound)
 
 
 @pytest.mark.parametrize("entanglement", [LINEAR, FULL])
@@ -216,17 +244,18 @@ def test_encode_batch_validation():
 
 
 def test_encode_batch_phase_table_is_built_once_beside_the_stack():
-    # each chunk of the phase table (2^10 x 55 float64 for ZZ/full, 450 KB)
-    # is built once per batch, not once per block of rows
+    # no phase table is built, and no temporary grows with rows x pairs: the
+    # angles and their exps live one block of rows at a time
     spec = FeatureMapSpec(ZZ, 10, reps=2, entanglement=FULL)
-    X = np.random.default_rng(4).random((300, 10))
-    tracemalloc.start()
-    try:
-        states = encode_batch(spec, X)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - states.nbytes <= 1.5 * (1 << 20)
+    for rows in (300, 3000):
+        X = np.random.default_rng(4).random((rows, 10))
+        tracemalloc.start()
+        try:
+            states = encode_batch(spec, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - states.nbytes <= 1.5 * (1 << 20), rows
 
 
 def test_encode_batch_budget_checked_before_allocating():

@@ -272,7 +272,8 @@ def test_saved_model_is_the_support_set_and_scores_bit_for_bit(tmp_path, cfg):
     path = tmp_path / "model"
     save_svm_model(model, path)
     sv = alphas > 0.0
-    assert 0 < len(json.loads(path.read_text())["support_vectors"]) == np.count_nonzero(sv) < 30
+    header = json.loads(path.read_bytes().partition(b"\n")[0])
+    assert 0 < header["support_vectors"][0] == np.count_nonzero(sv) < 30
     loaded = load_svm_model(path)
     assert np.array_equal(loaded.support_vectors, X[sv])
     assert np.array_equal(loaded.dual_coef, alphas[sv] * y[sv])
@@ -283,7 +284,7 @@ def test_saved_model_is_the_support_set_and_scores_bit_for_bit(tmp_path, cfg):
 def test_model_without_support_vectors_scores_its_bias_after_loading(tmp_path):
     # training leaves no support vector when every multiplier is within the
     # dust slack of 0 (a cubic kernel on unscaled descriptors does); a 0 x d
-    # array is saved as an empty list, so the loaded model has no width
+    # array is saved as its shape alone, with no bytes
     model = SvmModel(support_vectors=np.empty((0, 3)), dual_coef=np.empty(0), bias=-0.5,
                      kernel_config=LIN)
     save_svm_model(model, tmp_path / "model")
