@@ -27,8 +27,9 @@ whose decoding was most of a Gram file's load. Reading checks the format,
 version, type and key set, every scalar's type, that the shapes are lists of
 lengths that agree, and that the file holds exactly the bytes they imply,
 all before any array is allocated; then that every value is finite.
-Non-finite numbers are refused on writing too, as is a number too large for
-a float on reading. Files of versions 1 to 3 (one JSON object over many
+Writing makes the same checks of its fields (each array field must be a
+numpy array) before it opens the file, so it writes no file that reading
+refuses. Files of versions 1 to 3 (one JSON object over many
 lines) are refused by their version and are rewritten by rerunning the
 command that made them (``qsarq gram`` or ``qsarq train``). Any violation
 raises a ValueError that names the file.
@@ -66,23 +67,33 @@ _dumps = partial(json.dumps, allow_nan=False, sort_keys=True, separators=(",", "
 
 
 def save(path, type_: str, fields: dict) -> None:
-    """Write the fields of a `type_` artifact: the header line, then the arrays' bytes."""
-    upper = {key for key, kind in SCHEMAS[type_].items() if isinstance(kind, Upper)}
-    for key, value in fields.items():
-        if isinstance(value, (Real, np.ndarray)) and not _finite(value):
-            raise ValueError(f"{path}: {key} holds non-finite values")
-        if key in upper:  # its lower triangle is not written
-            bits = np.asarray(value, dtype="<f8").view("<i8")  # so that -0.0 != 0.0
-            if bits.ndim != 2 or not np.array_equal(bits, bits.T):
-                raise ValueError(f"{path}: {key} is not symmetric")
+    """Write the fields of a `type_` artifact: the header line, then the arrays' bytes.
+
+    The fields are checked as `load` checks them before the file is opened, so
+    every file written loads; a fault raises a ValueError naming `path`.
+    """
+    schema = SCHEMAS[type_]
     arrays = {key: np.ascontiguousarray(value, dtype="<f8")
               for key, value in fields.items() if isinstance(value, np.ndarray)}
     header = {**fields, **{key: list(a.shape) for key, a in arrays.items()},
               "format": "qsarq", "type": type_, "version": VERSION}
+    try:
+        for key, value in fields.items():
+            if isinstance(schema.get(key), tuple) and key not in arrays:
+                raise ValueError(f"{key} must be a numpy array, got {value!r}")
+            if isinstance(value, (Real, np.ndarray)) and not _finite(value):
+                raise ValueError(f"{key} holds non-finite values")
+            if isinstance(schema.get(key), Upper):  # its lower triangle is not written
+                bits = arrays[key].view("<i8")  # so that -0.0 != 0.0
+                if bits.ndim != 2 or not np.array_equal(bits, bits.T):
+                    raise ValueError(f"{key} is not symmetric")
+        _checked_fields(type_, header)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     with open(path, "wb", buffering=1 << 20) as fh:  # few writes of many small rows
         fh.write(_dumps(header).encode("ascii") + b"\n")
         for key in sorted(arrays):
-            if key in upper:
+            if isinstance(schema[key], Upper):
                 fh.writelines(row[i:] for i, row in enumerate(arrays[key]))
             else:
                 fh.write(arrays[key])
@@ -112,13 +123,7 @@ def load(path, builders: dict):
         if not isinstance(type_, str) or type_ not in builders:
             raise ValueError(f"holds a {type_!r} artifact, expected "
                              f"{' or '.join(map(repr, builders))}")
-        keys = {*SCHEMAS[type_], "format", "type", "version"}
-        if set(record) != keys:
-            raise ValueError(f"{type_} artifact with missing key(s) {sorted(keys - set(record))}"
-                             f" and unknown key(s) {sorted(set(record) - keys)}")
-        lengths: dict = {}
-        fields = {key: _checked(key, record[key], kind, lengths)
-                  for key, kind in SCHEMAS[type_].items()}
+        fields = _checked_fields(type_, record)
         return builders[type_]({**fields, **_arrays(memoryview(data)[end + 1:], fields,
                                                     SCHEMAS[type_])})
     except json.JSONDecodeError as exc:
@@ -135,6 +140,18 @@ def _finite(value) -> bool:
 
 def _refuse(constant: str):
     raise ValueError(f"{constant} is not a finite number")
+
+
+def _checked_fields(type_: str, record: dict) -> dict:
+    """The fields of a `type_` header `record`, as `_checked` gives them, if its
+    keys are those of the type and the envelope (format, type and version)."""
+    keys = {*SCHEMAS[type_], "format", "type", "version"}
+    if set(record) != keys:
+        raise ValueError(f"{type_} artifact with missing key(s) {sorted(keys - set(record))}"
+                         f" and unknown key(s) {sorted(set(record) - keys)}")
+    lengths: dict = {}
+    return {key: _checked(key, record[key], kind, lengths)
+            for key, kind in SCHEMAS[type_].items()}
 
 
 def _checked(key: str, value, kind, lengths: dict):

@@ -97,14 +97,15 @@ def minmax_transform(model: ScalerModel, X) -> np.ndarray:
 class PcaModel:
     mean: np.ndarray = field(repr=False)
     components: np.ndarray = field(repr=False)  # (k, d), orthonormal rows
-    explained_variance: np.ndarray = field(repr=False)  # descending
 
 
 def pca_fit(X, k: int) -> PcaModel:
     """Top-k eigenvectors of the sample covariance of mean-centered X.
 
-    Each component's largest-magnitude entry is made positive so the
-    decomposition is deterministic.
+    Components come in descending order of eigenvalue, the variance of
+    their column of `pca_transform(model, X)`. Each component's
+    largest-magnitude entry is made positive so the decomposition is
+    deterministic.
     """
     arr = np.asarray(X, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 2:
@@ -121,11 +122,7 @@ def pca_fit(X, k: int) -> PcaModel:
     for row in comps:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
-    return PcaModel(
-        mean=mean,
-        components=comps,
-        explained_variance=eigvals[order],
-    )
+    return PcaModel(mean=mean, components=comps)
 
 
 def pca_transform(model: PcaModel, X) -> np.ndarray:
@@ -159,8 +156,8 @@ def read_descriptor_csv(path) -> DescriptorTable:
     a record's number is the line it starts on, so blank lines and the
     continuation lines of a quoted multi-line field are counted. Rows
     are checked for surplus fields, then the cells column by column in
-    header order, then the compound ids and EC50 values; the first
-    fault found is raised.
+    header order, then the compound ids, each present and none repeated,
+    and the EC50 values; the first fault found is raised.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -203,6 +200,11 @@ def read_descriptor_csv(path) -> DescriptorTable:
                    dtype=object)
     if (ids == "").any():
         raise ValueError(f"{path}: line {lines[(ids == '').argmax()]} is missing compound_id")
+    first_line: dict[str, int] = {}
+    for line, cid in zip(lines, ids):
+        if first_line.setdefault(cid, line) != line:
+            raise ValueError(f"{path}: line {line} repeats compound_id {cid!r} "
+                             f"of line {first_line[cid]}")
     for name in (*FEATURE_ORDER, "label", "pec50", "ec50_nM"):
         columns.setdefault(name, np.full(len(records), np.nan))
     ec50 = columns["ec50_nM"]

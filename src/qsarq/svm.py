@@ -1,19 +1,20 @@
 """Kernel SVM: SMO dual training over a precomputed Gram matrix.
 
 The trainer minimizes f(a) = 1/2 a^T Q a - e^T a, Q_ij = y_i y_j K_ij,
-over 0 <= a <= C with sum(y * a) = 0, one pair of multipliers at a time,
-keeping the gradient G = Q a - e up to date (Platt 1998). Each step reads
-one state: the scores -y G (y_i - sum_j a_j y_j K_ij for row i) and the
-sets `up` and `low` of the multipliers whose y a may grow and shrink.
-The pair is LIBSVM's second-order working set (Fan, Chen & Lin, JMLR 6,
-2005): i has the largest score in `up`, and j, in `low`, gives the
-largest decrease b^2 / a of f along the pair's constraint line.
-Curvatures a <= 0, which shot-sampled (indefinite) Gram matrices can
-give, are replaced by TAU. Training stops when the largest score in `up`
-is at most `tol` above the smallest in `low`, or after `max_iters`
-updates; ties go to the lowest index, so training is deterministic.
-Then clipping dust is snapped onto its bound, G following, and the bias
-is LIBSVM's rule on the scores (Chang & Lin, ACM TIST 2, 2011).
+over 0 <= a <= C with sum(y * a) = 0, one pair of multipliers at a time
+(Platt 1998). Its state is the scores s = -y G of the gradient G = Q a - e
+(s_i = y_i - sum_j a_j y_j K_ij) and the sets `up` and `low` of the
+multipliers whose y a may grow and shrink; as y = +-1, moving a_i and a_j
+takes K_i y_i da_i + K_j y_j da_j from s and changes the sets at i and j
+only. The pair is LIBSVM's second-order working set (Fan, Chen & Lin,
+JMLR 6, 2005): i has the largest score in `up`, and j, in `low`, gives
+the largest decrease b^2 / a of f along the pair's constraint line.
+Curvatures a <= 0, which shot-sampled (indefinite) Gram matrices can give,
+are replaced by TAU. Training stops when the largest score in `up` is at
+most `tol` above the smallest in `low`, or after `max_iters` updates; ties
+go to the lowest index, so training is deterministic. Then clipping dust
+is snapped onto its bound, the scores following, and the bias is LIBSVM's
+rule on the scores (Chang & Lin, ACM TIST 2, 2011).
 
 `solve_dual` runs SMO on a Gram matrix; `train` keeps what the decision
 function f(x) = sum_i a_i y_i K(x_i, x) + b reads: the support vectors
@@ -83,43 +84,36 @@ def _bound_masks(alphas: np.ndarray, C: float) -> tuple[np.ndarray, np.ndarray]:
     return alphas <= 1e-8 * min(C, alphas.max(initial=0.0)), alphas >= C - 1e-8 * C
 
 
-def _scores(labels, alphas, grad, C) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scores -y G and the masks `up` and `low`, at the exact bounds 0 and C."""
-    at_zero, at_cap = alphas <= 0.0, alphas >= C
-    up = np.where(labels > 0, ~at_cap, ~at_zero)  # y a may grow
-    low = np.where(labels > 0, ~at_zero, ~at_cap)  # y a may shrink
-    return -labels * grad, up, low
+def _masks(labels, alphas, C) -> tuple[np.ndarray, np.ndarray]:
+    """The sets `up` (y a may grow) and `low` (y a may shrink), at the exact bounds 0 and C."""
+    positive, above_zero, below_cap = labels > 0, alphas > 0.0, alphas < C
+    return np.where(positive, below_cap, above_zero), np.where(positive, above_zero, below_cap)
 
 
-def solve_dual(gm: GramMatrix, y, cfg: SvmConfig) -> tuple[np.ndarray, float, bool, list]:
-    """SMO over `gm`: (multipliers, bias, converged, objective trace).
+def solve_dual(gm: GramMatrix, y, cfg: SvmConfig) -> tuple[np.ndarray, float, bool]:
+    """SMO over `gm`: (multipliers, bias, converged).
 
     After the loop, multipliers within `_bound_masks` slack of 0 or C snap
-    onto that bound, and G takes the loop's update for the move. The bias
-    is the mean score -y G over free multipliers; if none is free, the
-    midpoint of the largest score in `up` and the smallest in `low`; else
-    0. The trace holds the dual objective 1/2 (sum(a) - a^T G) every 100
-    updates and at the end. An exhausted iteration budget gives
-    `converged=False` rather than an error.
+    onto that bound, and the scores take the loop's update for the move.
+    The bias is the mean score over free multipliers; if none is free, the
+    midpoint of the largest score in `up` and the smallest in `low`; else 0.
+    An exhausted iteration budget gives `converged=False`, not an error.
     """
     labels = _validate_training_input(gm, y)
     K = gm.entries
     C = cfg.C
     alphas = np.zeros(gm.size)
-    grad = -np.ones(gm.size)  # G = Q a - e
+    score = labels.copy()  # -y G at a = 0, where G = -e
+    up, low = _masks(labels, alphas, C)
     diag = np.diag(K)
-    trace: list[float] = [0.0]
     converged = False
     for iters in range(cfg.max_iters + 1):
-        score, up, low = _scores(labels, alphas, grad, C)
         i = int(np.argmax(np.where(up, score, -np.inf)))
         if score[i] - np.min(score, where=low, initial=np.inf) <= cfg.tol:
             converged = True
             break
         if iters == cfg.max_iters:
             break
-        if iters and iters % 100 == 0:
-            trace.append(0.5 * float(alphas.sum() - alphas @ grad))
         gap = score[i] - score
         curv = diag[i] + diag - 2.0 * K[i]
         curv[curv <= 0.0] = TAU
@@ -133,17 +127,20 @@ def solve_dual(gm: GramMatrix, y, cfg: SvmConfig) -> tuple[np.ndarray, float, bo
         step = min(gap[j] / curv[j], room_i, room_j)
         new_i = end_i if step >= room_i else alphas[i] + labels[i] * step
         new_j = end_j if step >= room_j else alphas[j] - labels[j] * step
-        grad += labels * (K[i] * (labels[i] * (new_i - alphas[i]))
-                          + K[j] * (labels[j] * (new_j - alphas[j])))
+        score -= (K[i] * (labels[i] * (new_i - alphas[i]))
+                  + K[j] * (labels[j] * (new_j - alphas[j])))
         alphas[i], alphas[j] = new_i, new_j
+        for k in (i, j):  # as `_masks` gives them
+            grows, shrinks = alphas[k] < C, alphas[k] > 0.0
+            up[k], low[k] = (grows, shrinks) if labels[k] > 0 else (shrinks, grows)
 
     # clipping dust left in would make the support set depend on rounding in K
     at_zero, at_cap = _bound_masks(alphas, C)
     snapped = np.where(at_zero, 0.0, np.where(at_cap, C, alphas))
     moved = np.flatnonzero(snapped != alphas)
-    grad += labels * ((labels[moved] * (snapped[moved] - alphas[moved])) @ K[moved])
+    score -= (labels[moved] * (snapped[moved] - alphas[moved])) @ K[moved]
     alphas = snapped
-    score, up, low = _scores(labels, alphas, grad, C)
+    up, low = _masks(labels, alphas, C)
     free = up & low
     if np.any(free):
         bias = float(score[free].mean())
@@ -151,8 +148,7 @@ def solve_dual(gm: GramMatrix, y, cfg: SvmConfig) -> tuple[np.ndarray, float, bo
         bias = float(0.5 * (score[up].max() + score[low].min()))
     else:
         bias = 0.0
-    trace.append(0.5 * float(alphas.sum() - alphas @ grad))
-    return alphas, bias, converged, trace
+    return alphas, bias, converged
 
 
 def train(gm: GramMatrix, y, cfg: SvmConfig, features) -> SvmModel:
@@ -167,7 +163,7 @@ def train(gm: GramMatrix, y, cfg: SvmConfig, features) -> SvmModel:
         raise ValueError("features must be one row per Gram matrix row")
     if dataset_digest(feats) != gm.dataset_digest:
         raise ValueError("features do not match the Gram matrix's dataset digest")
-    alphas, bias, converged, _ = solve_dual(gm, y, cfg)
+    alphas, bias, converged = solve_dual(gm, y, cfg)
     sv = alphas > 0.0
     return SvmModel(feats[sv], alphas[sv] * np.asarray(y, dtype=np.float64)[sv], bias,
                     gm.kernel_config, converged)

@@ -556,13 +556,11 @@ def reference_shot_rows(cfg: KernelConfig, A, B) -> np.ndarray:
 @dataclass
 class AnnealWalk:
     """`reference_anneal`'s result: the coefficients after the start and after
-    each accepted step that changed them, the best of them, its loss, and the
-    best loss before the first step and after each one."""
+    each accepted step that changed them, the best of them, and its loss."""
 
     states: list[np.ndarray]
     best: np.ndarray
     loss: float
-    trace: list[float]
 
 
 def reference_anneal(X, y, basis: BasisSpec, schedule: AnnealSchedule, seed: int,
@@ -586,7 +584,7 @@ def reference_anneal(X, y, basis: BasisSpec, schedule: AnnealSchedule, seed: int
     rng = np.random.default_rng(seed)
     current = np.zeros(basis.size)
     current_loss = loss(current)
-    states, best, best_loss, trace = [current], current, current_loss, [current_loss]
+    states, best, best_loss = [current], current, current_loss
     temp = schedule.t0
     for start in range(0, schedule.iterations, ANNEAL_BLOCK):
         size = min(ANNEAL_BLOCK, schedule.iterations - start)
@@ -601,6 +599,5 @@ def reference_anneal(X, y, basis: BasisSpec, schedule: AnnealSchedule, seed: int
                 current, current_loss = candidate, loss(candidate)
                 if current_loss < best_loss:
                     best, best_loss = current, current_loss
-            trace.append(best_loss)
             temp *= schedule.cooling
-    return AnnealWalk(states, best, best_loss, trace)
+    return AnnealWalk(states, best, best_loss)

@@ -141,6 +141,21 @@ def test_save_refuses_non_finite_values_before_writing(tmp_path, type_, key, val
     assert not path.exists()
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({**VALID["reg"], "coefficients": [0.5, 1.0, -1.0]},
+     "coefficients must be a numpy array, got [0.5, 1.0, -1.0]"),
+    ({**VALID["reg"], "intercept": 0.5},
+     "reg artifact with missing key(s) [] and unknown key(s) ['intercept']"),
+    ({**VALID["reg"], "coefficients": np.ones((3, 1))},
+     "coefficients must be the shape of a 1-D array, a list of 1 lengths"),
+], ids=["list for an array", "unknown key", "2-D for 1-D"])
+def test_save_refuses_fields_that_load_refuses_before_writing(tmp_path, fields, message):
+    path = tmp_path / "artifact"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        artifact.save(path, "reg", fields)
+    assert not path.exists()
+
+
 # per type, one scalar field and one array field to spoil
 SCALAR_OF = {"gram": "jitter", "svm": "bias", "reg": "threshold"}
 ARRAY_OF = {"gram": "entries", "svm": "support_vectors", "reg": "coefficients"}

@@ -27,7 +27,7 @@ from qsarq.preprocess import (
 )
 from qsarq.regression import MAX_ANNEAL_ITERS, load_reg_model
 from qsarq.svm import MAX_SVM_ITERS
-from test_artifact import envelope, parsed
+from test_artifact import envelope, parsed, rendered
 
 CUTOFF = 6.0
 COLUMNS = ("n_donors", "n_acceptors", "rotatable_bonds", "mol_weight", "logp")
@@ -340,10 +340,11 @@ def test_version_3_artifact_exits_2_naming_it(tmp_path, config, qsarq, command):
 def test_svm_model_with_every_training_row_exits_2_naming_it(tmp_path, config, qsarq):
     # the svm layout written before models kept only their support vectors
     path = tmp_path / "rows.model"
-    artifact.save(path, artifact.SVM, {
+    path.write_bytes(rendered({
         "alphas": np.array([0.5, 0.0]), "bias": 0.0, "converged": True,
         "kernel_config": {"kind": "linear"}, "labels": np.array([1.0, -1.0]),
-        "training_features": np.eye(2, 5)})
+        "training_features": np.eye(2, 5), "format": "qsarq", "type": artifact.SVM,
+        "version": artifact.VERSION}))
     code, _, err = qsarq("eval", path, tmp_path / "data.csv", "--cutoff", CUTOFF,
                          "--out", tmp_path / "out", "--quiet")
     assert code == 2 and f"error: {path}: svm artifact" in err

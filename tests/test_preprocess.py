@@ -25,14 +25,15 @@ from qsarq.preprocess import (
 
 
 def make_row(**overrides):
-    base = dict(compound_id="c1", n_donors=2, n_acceptors=5,
-                mol_weight=300.0, logp=3.0)
+    base = dict(n_donors=2, n_acceptors=5, mol_weight=300.0, logp=3.0)
     base.update(overrides)
     return base
 
 
 def make_table(*rows):
-    """The descriptor table read from a CSV of `rows`, dicts of column values."""
+    """The descriptor table read from a CSV of `rows`, dicts of column values;
+    a row without a compound_id gets c1, c2, ... by its position."""
+    rows = [{"compound_id": f"c{i}", **row} for i, row in enumerate(rows, 1)]
     names = list(dict.fromkeys(name for row in rows for name in row))
     lines = [",".join(names)]
     lines += [",".join(str(row.get(name, "")) for name in names) for row in rows]
@@ -136,10 +137,10 @@ class TestPca:
     def test_rank_one_data(self):
         t = np.linspace(-2, 2, 9)
         X = np.column_stack([t, t])  # points on the line y = x
-        model = pca_fit(X, 2)
+        variances = np.var(pca_transform(pca_fit(X, 2), X), axis=0, ddof=1)
         total = np.var(X[:, 0], ddof=1) + np.var(X[:, 1], ddof=1)
-        assert abs(model.explained_variance[0] - total) <= 1e-10
-        assert abs(model.explained_variance[1]) <= 1e-10
+        assert abs(variances[0] - total) <= 1e-10
+        assert abs(variances[1]) <= 1e-10
 
     def test_full_dimension_preserves_distances(self):
         rng = np.random.default_rng(3)
@@ -158,12 +159,13 @@ class TestPca:
         centered = X - X.mean(axis=0)
         cov = centered.T @ centered / (X.shape[0] - 1)
         eigvals, eigvecs = jacobi_eigh(cov)
+        variances = np.var(pca_transform(model, X), axis=0, ddof=1)
         for row in range(2):
             vec = eigvecs[:, row]
             if vec[np.argmax(np.abs(vec))] < 0:
                 vec = -vec
             assert np.max(np.abs(model.components[row] - vec)) <= 1e-8
-            assert abs(model.explained_variance[row] - eigvals[row]) <= 1e-8
+            assert abs(variances[row] - eigvals[row]) <= 1e-8
         oracle_proj = centered @ np.column_stack(
             [eigvecs[:, r] * (1 if eigvecs[:, r][np.argmax(np.abs(eigvecs[:, r]))] > 0 else -1)
              for r in range(2)]
@@ -195,7 +197,7 @@ class TestPca:
         model = pca_fit(X, 4)
         gram = model.components @ model.components.T
         assert np.max(np.abs(gram - np.eye(4))) <= 1e-8
-        assert np.all(np.diff(model.explained_variance) <= 1e-12)
+        assert np.all(np.diff(np.var(pca_transform(model, X), axis=0, ddof=1)) <= 1e-12)
 
     def test_k_out_of_range(self):
         X = np.random.default_rng(0).standard_normal((5, 3))
@@ -333,11 +335,12 @@ class TestCsv:
         ('compound_id,logp\n"A\nA",1\nB,x\n', "line 4: column 'logp' has non-numeric"),
         ("compound_id,logp\n\nA,1,2\n", "line 3 has 3 fields"),
         ("compound_id,logp\n\nA,1\n\n,2\n", "line 5 is missing compound_id"),
+        ("compound_id,logp\nA,1\n\nB,2\nA,1\n", "line 5 repeats compound_id 'A' of line 2"),
         ('compound_id,ec50_nM\n"A\nA",1\n\nB,-1\n', "line 5: B: ec50_nM must be positive"),
         ("compound_id,label\nA,1\n\nB,3\n", "line 4 has label '3'"),
         ("\ncompound_id,logp\nA,1\nB,x\n", "line 4: column 'logp' has non-numeric"),
-    ], ids=["blank-cell", "multiline-cell", "blank-fields", "blank-id", "multiline-ec50",
-            "blank-label", "leading-blank"])
+    ], ids=["blank-cell", "multiline-cell", "blank-fields", "blank-id", "repeated-id",
+            "multiline-ec50", "blank-label", "leading-blank"])
     def test_messages_name_the_physical_line(self, tmp_path, capsys, text, message):
         # blank lines and a quoted field's continuation lines are counted
         path = self.write(tmp_path, text)

@@ -47,7 +47,6 @@ def test_expand_dimension_check():
 def test_exact_line_fit():
     model = fit_least_squares(LINE_X, LINE_Y, BasisSpec(AFFINE, 1))
     assert np.allclose(model.coefficients, [0.0, 1.0], atol=1e-12, rtol=0)
-    assert not model.rank_deficient
 
 
 def test_constant_targets_hit_intercept():
@@ -82,11 +81,10 @@ def test_gradient_residual_is_small():
         assert np.max(np.abs(grad)) <= bound
 
 
-def test_rank_deficiency_flag_and_minimum_norm():
+def test_rank_deficient_design_gives_the_minimum_norm_solution():
     X = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])  # collinear columns
     y = np.array([1.0, 2.0, 3.0])
     model = fit_least_squares(X, y, BasisSpec(AFFINE, 2))
-    assert model.rank_deficient
     phi = expand(BasisSpec(AFFINE, 2), X)
     assert np.max(np.abs(phi @ model.coefficients - y)) <= 1e-10
     # minimum-norm: no solution with the same residual has smaller norm;
@@ -132,11 +130,12 @@ def test_annealing_line_fit_golden():
 
 
 def test_annealing_best_loss_never_increases():
-    model = fit_annealing(LINE_X, LINE_Y, BasisSpec(AFFINE, 1),
-                          LINE_SCHEDULE, seed=3)
-    trace = np.array(model.loss_trace)
-    assert np.all(np.diff(trace) <= 0.0)
-    assert model.loss <= trace[0]
+    # the fit starts at q = 0, whose loss is ||y||^2, and returns the best
+    # coefficients it saw; a schedule this hot ends its walk far from the start
+    for seed in range(20):
+        model = fit_annealing(LINE_X, LINE_Y, BasisSpec(AFFINE, 1),
+                              AnnealSchedule(t0=100.0, cooling=0.999, iterations=20), seed=seed)
+        assert model.loss <= LINE_Y @ LINE_Y
 
 
 def test_annealing_never_beats_least_squares():
@@ -153,7 +152,7 @@ def test_annealing_seed_determinism():
     a = fit_annealing(LINE_X, LINE_Y, BasisSpec(AFFINE, 1), LINE_SCHEDULE, seed=42)
     b = fit_annealing(LINE_X, LINE_Y, BasisSpec(AFFINE, 1), LINE_SCHEDULE, seed=42)
     assert np.array_equal(a.coefficients, b.coefficients)
-    assert a.loss_trace == b.loss_trace
+    assert a.loss == b.loss
     c = fit_annealing(LINE_X, LINE_Y, BasisSpec(AFFINE, 1), LINE_SCHEDULE, seed=43)
     assert not np.array_equal(a.coefficients, c.coefficients)
 
@@ -186,8 +185,6 @@ def test_annealing_walks_the_stream_as_the_step_by_step_reference(monkeypatch, h
         assert np.array_equal(model.coefficients, walk.best), iterations
         assert abs(model.loss - walk.loss) <= 1e-12 * walk.loss, iterations
         assert model.loss == objective(expand(basis, X), y, model.coefficients, ridge)
-        assert len(model.loss_trace) == iterations + 1
-        assert np.allclose(model.loss_trace, walk.trace, rtol=1e-12, atol=0), iterations
     assert 1 < len(walk.states) < iterations // 2  # steps were both accepted and refused
 
 
@@ -206,22 +203,17 @@ def test_annealing_raises_no_floating_point_warning(t0, scale):
             assert np.isfinite(model.loss) and np.all(np.isfinite(model.coefficients))
 
 
-def test_annealing_trace_costs_one_pointer_per_step():
+def test_annealing_memory_does_not_grow_with_the_steps():
     X = np.random.default_rng(3).standard_normal((40, 3))
     y = X @ [1.0, -2.0, 0.5] + 0.3
-    iterations = 200_000
     tracemalloc.start()
     try:
-        model = fit_annealing(X, y, BasisSpec(AFFINE, 3),
-                              AnnealSchedule(t0=1.0, cooling=0.99, iterations=iterations), seed=8)
+        fit_annealing(X, y, BasisSpec(AFFINE, 3),
+                      AnnealSchedule(t0=1.0, cooling=0.99, iterations=200_000), seed=8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    trace = model.loss_trace
-    assert len(trace) == iterations + 1
-    # a step that keeps the best loss repeats its float object
-    assert len({id(v) for v in trace}) < 1000
-    assert peak <= 10 * iterations + (1 << 19)
+    assert peak < 1 << 20
 
 
 def test_invalid_schedules_rejected():
