@@ -11,9 +11,13 @@ Shot sampling has one rule. A query row x owns one stream,
 ``default_rng([rng_seed, *w])`` with w the four ``<u4`` words of the first
 16 bytes of the SHA-256 of x's ``<f8`` bytes; its entries against rows
 b_0, b_1, ... are the stream's draws ``binomial(shots, p_j) / shots`` in
-column order. A query's draws never depend on the rest of its batch, but
-`cross_gram` is not symmetric in its arguments. `gram` mirrors the upper
-triangle of ``cross_gram(X, X)``, so appending rows changes no earlier entry.
+column order. The rest of a query's batch does not change its stream, but
+rows encoded together round differently from a row encoded alone, so a
+query's exact entries, and the fidelities p_j its draws are made at, equal
+those of the query alone up to rounding only. `cross_gram` is not symmetric
+in its arguments. `gram` mirrors the upper triangle of ``cross_gram(X, X)``,
+so appending rows changes no earlier entry's stream, and its value only by
+rounding.
 
 `gram` and `cross_gram` take one path for every kind. Rows become
 operands once (quantum kinds: `encode_batch`'s complex stack of states;
@@ -281,8 +285,9 @@ def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
 
     Exact and classical entry (i, j) equals the per-entry reference's
     K(A[i], B[j]) (``tests/oracles.py``) up to rounding. A shot-sampled row i
-    is the draws of A[i]'s shot stream over the rows of B in order: it does not
-    depend on the other rows of A, and column j = 0 is the stream's first draw.
+    is the draws of A[i]'s own shot stream over the rows of B in order, column
+    j = 0 being the stream's first draw; the other rows of A change only the
+    rounding of the fidelities it draws at (module docstring).
     The result is not symmetric in A and B. B becomes one operand stack; rows
     of A become operands a block at a time (`_block_rows`, the rule of
     `gram`'s first tile, and its budget) and are evaluated against it.

@@ -10,9 +10,13 @@ ANNEAL_BLOCK steps (the last block holds the steps left): each block is
 one (b, m) standard-normal array, row k of which is step k's proposal
 direction in the m coefficients, then b uniforms v_k, of which u_k = 1 - v_k
 is step k's acceptance draw. Every step consumes its draws whether or not
-it is accepted, so the stream does not depend on the data. The proposals
-of a block are scored a window of steps at a time, with one matrix product
-per window (`fit_annealing`); the window heights do not change the result.
+it is accepted, so the stream does not depend on the data. Proposals are
+scored in coefficient space (`fit_annealing`): a move d changes the
+objective by 2 d^T g + d^T G d, with G the m x m normal matrix and g the
+gradient at the current coefficients. This rounds otherwise than the
+difference of two losses computed from their residuals, so a walk leaves the
+step-by-step reference's (``tests/oracles.py``) only where a change lies
+within rounding of its acceptance bound.
 """
 
 from __future__ import annotations
@@ -23,14 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifact
-from .feature_maps import BLOCK_BYTES
 
 AFFINE = "affine"
 POLY2 = "poly2"
 BASIS_KINDS = frozenset({AFFINE, POLY2})
-# annealing scores its proposals a window at a time and keeps nothing per
-# step: a million iterations of a poly2 fit on 92 rows of 5 features took
-# 1.2 s and traced 0.22 MiB at the peak, on one CPU
+# annealing keeps nothing per step: a million iterations of a poly2 fit on
+# 92 rows of 5 features took 1.1 s and traced 0.11 MiB at the peak, on one CPU
 MAX_ANNEAL_ITERS = 1_000_000
 # steps per draw block of the annealing stream (module docstring)
 ANNEAL_BLOCK = 128
@@ -121,13 +123,6 @@ def _ridge_rows(phi: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarra
     return np.vstack([phi, np.sqrt(ridge) * np.eye(m)]), np.concatenate([y, np.zeros(m)])
 
 
-def _window_rows(rows: int) -> int:
-    """Proposals per scoring window of a fit on `rows` samples: the window's
-    (window x rows) residual block takes about BLOCK_BYTES, the rule of
-    `kernels._block_rows`, and a window lies within one draw block."""
-    return max(1, min(ANNEAL_BLOCK, BLOCK_BYTES // (8 * rows)))
-
-
 def _design(X, y, basis: BasisSpec, ridge: float) -> tuple[np.ndarray, np.ndarray]:
     """Checked design matrix and targets of a fit: (expand(basis, X) as rows, y)."""
     if ridge < 0:
@@ -163,24 +158,23 @@ def fit_annealing(X, y, basis: BasisSpec, schedule: AnnealSchedule, seed: int,
     final loss never exceeds the loss at q = 0. The draws follow the module
     docstring's stream layout, so fixed seeds give identical trajectories.
 
-    Proposals are scored a window at a time: one product of the window's
-    steps with the design matrix (and the ridge rows, `_ridge_rows`) gives
-    every candidate's residual from the current one. The first candidate
-    accepted that changes q becomes the current state, its residual and
-    loss are recomputed from phi @ q - y, and the rest of the window is
-    scored again from there. A window is at most `_window_rows` steps tall;
-    it reaches twice as far as the last acceptance lay, or as the last
-    window if that accepted nothing. Nothing is kept per step, so memory does
-    not grow with the iteration count.
+    The objective is ||rows q - rhs||^2 over the design matrix and its ridge
+    rows (`_ridge_rows`), so a move d changes it by delta = 2 d^T g + d^T G d,
+    with G = rows^T rows, formed once per fit, and g = rows^T (rows q - rhs).
+    The curvatures d^T G d of a block's moves take one product, made once
+    some move of the block can change q. The first move accepted that changes
+    q becomes the current state, g and the loss are recomputed from it
+    exactly, and the rest of the block is scored again with one product
+    against g. Nothing is kept per step, so memory does not grow with the
+    iteration count.
     """
     phi, targets = _design(X, y, basis, ridge)
     rows, rhs = _ridge_rows(phi, targets, ridge)
+    gram = rows.T @ rows
     rng = np.random.default_rng(seed)
-    window = reach = _window_rows(rows.shape[0])
     current = np.zeros(basis.size)
-    resid = rows @ current - rhs
-    current_loss = _objective(phi, targets, current, ridge)
-    best, best_loss = current, current_loss
+    grad = (rows @ current - rhs) @ rows
+    best, best_loss = current, _objective(phi, targets, current, ridge)
     temp = schedule.t0
     for start in range(0, schedule.iterations, ANNEAL_BLOCK):
         size = min(ANNEAL_BLOCK, schedule.iterations - start)
@@ -193,29 +187,25 @@ def fit_annealing(X, y, basis: BasisSpec, schedule: AnnealSchedule, seed: int,
         slack = np.maximum(temps * -np.log1p(-rng.random(size)), _TINY)
         temp = temps[-1] * schedule.cooling
         steps *= np.sqrt(temps)[:, None]
+        curv = None
         k = 0
         while k < size:
-            moves = steps[k:k + reach]
+            moves = steps[k:]
             # a move too small to change q leaves the state as it is, accepted or not
             accept = (moves + current != current).any(axis=1)
             if accept.any():
-                cand = moves @ rows.T
-                cand += resid
-                delta = np.square(cand, out=cand).sum(axis=1)
-                delta -= current_loss
-                accept &= delta < slack[k:k + reach]
+                if curv is None:  # d^T G d of every move d of the block
+                    curv = np.einsum("ij,ij->i", steps @ gram, steps)
+                accept &= 2 * (moves @ grad) + curv[k:] < slack[k:]
             j = int(accept.argmax())
             if not accept[j]:
-                k += len(moves)
-                reach = min(window, 2 * reach)
-                continue
+                break
             current = current + moves[j]
-            resid = rows @ current - rhs
+            grad = (rows @ current - rhs) @ rows
             current_loss = _objective(phi, targets, current, ridge)
             if current_loss < best_loss:
                 best, best_loss = current, current_loss
             k += j + 1
-            reach = min(window, 2 * (j + 1))
     return RegModel(best, basis, threshold, loss=best_loss)
 
 

@@ -20,9 +20,10 @@ rule on the scores (Chang & Lin, ACM TIST 2, 2011).
 function f(x) = sum_i a_i y_i K(x_i, x) + b reads: the support vectors
 (the training rows with a_i > 0, in training order) and their dual
 coefficients a_i y_i. `decision_values` scores many points with one
-cross-kernel matrix against the support vectors, each point's score
-independent of the others. A model is saved as an `svm` artifact
-(`qsarq.artifact`).
+cross-kernel matrix against the support vectors: each point draws from its
+own shot stream, and the other points change only the rounding of its exact
+kernel values and of the fidelities it draws at (`kernels`). A model is
+saved as an `svm` artifact (`qsarq.artifact`).
 """
 
 from __future__ import annotations
@@ -173,15 +174,11 @@ def decision_values(model: SvmModel, X) -> np.ndarray:
     """Decision values of every row of X, from one cross-kernel matrix.
 
     Equals the per-entry reference's (``tests/oracles.py``) row by row up
-    to rounding; shot-sampled kernel entries are the same draws, each
-    query's own shot stream over the support vectors, so a row's value does
-    not depend on the others.
+    to rounding. Each query's shot-sampled entries are draws of its own shot
+    stream over the support vectors, made at fidelities that equal the
+    query's fidelities alone up to rounding.
     """
-    queries = np.asarray(X, dtype=np.float64)
-    sv = model.support_vectors
-    if not len(sv):  # f(x) = b; a saved model without support vectors keeps no width
-        sv = np.empty((0, *queries.shape[-1:]))
-    return cross_gram(model.kernel_config, queries, sv) @ model.dual_coef + model.bias
+    return cross_gram(model.kernel_config, X, model.support_vectors) @ model.dual_coef + model.bias
 
 
 def decision_value(model: SvmModel, x) -> float:

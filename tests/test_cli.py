@@ -18,7 +18,13 @@ from qsarq.cli import main
 from qsarq.errors import InternalConsistencyError
 from qsarq.feature_maps import MAX_REPS
 from qsarq.kernels import load_gram
-from qsarq.pipeline import entry_gram, fit_entry, load_experiment_config, prepare_features
+from qsarq.pipeline import (
+    entry_gram,
+    fit_entry,
+    load_experiment_config,
+    load_model,
+    prepare_features,
+)
 from qsarq.preprocess import (
     apply_lipinski_filter,
     feature_matrix,
@@ -349,6 +355,22 @@ def test_svm_model_with_every_training_row_exits_2_naming_it(tmp_path, config, q
                          "--out", tmp_path / "out", "--quiet")
     assert code == 2 and f"error: {path}: svm artifact" in err
     assert "unknown key(s) ['alphas', 'labels', 'training_features']" in err
+
+
+def test_model_without_support_vectors_refuses_a_csv_of_another_width(tmp_path, qsarq):
+    write_csv(tmp_path / "data.csv")
+    # every score starts at +-1, so at tol 2.5 SMO stops before its first update
+    # and no training row becomes a support vector
+    entry = {"name": "idle", "kind": "svm", "tol": 2.5, "kernel": {"kind": "rbf", "gamma": 1.5}}
+    config = write_config(tmp_path / "exp.yaml", models=[entry])
+    assert qsarq("train", "--config", config, "--out", tmp_path, "--quiet")[0] == 0
+    assert load_model(tmp_path / "idle.model").support_vectors.shape == (0, len(COLUMNS))
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("compound_id,logp,mol_weight,pec50\nA,1,300,7\nB,2,310,5\n",
+                      encoding="utf-8")
+    code, _, err = qsarq("eval", tmp_path / "idle.model", narrow, "--cutoff", CUTOFF,
+                         "--out", tmp_path / "out", "--quiet")
+    assert code == 2 and "same number of columns" in err
 
 
 @pytest.mark.parametrize("model, key, number", [("qsvm", "bias", "1e400"),

@@ -311,9 +311,9 @@ def test_saved_model_is_the_support_set_and_scores_bit_for_bit(tmp_path, cfg):
 
 
 def test_model_without_support_vectors_scores_its_bias_after_loading(tmp_path):
-    # training leaves no support vector when every multiplier is within the
-    # dust slack of 0 (a cubic kernel on unscaled descriptors does); a 0 x d
-    # array is saved as its shape alone, with no bytes
+    # training leaves no support vector when SMO stops before its first update
+    # (a tol of 2 or more does: every score starts at +-1); a 0 x d array is
+    # saved as its shape alone, with no bytes
     model = SvmModel(support_vectors=np.empty((0, 3)), dual_coef=np.empty(0), bias=-0.5,
                      kernel_config=LIN)
     save_svm_model(model, tmp_path / "model")
