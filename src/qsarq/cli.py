@@ -15,9 +15,12 @@ before its CSV is read. Gram matrices and models are files in the one
 format of `qsarq.artifact`, written to `<out>/<model name>.gram`
 and `<out>/<model name>.model`, so a model name that is empty, `.` or
 `..`, or holds `/` or `\\`, is refused at load. `train --gram` refuses,
-naming it, a Gram file of another kernel, jitter or data, and `eval`
-reads either model type through `pipeline.load_model`. Exit codes: 0 on
-success, 2 on invalid input or config, 3 on internal consistency failures.
+naming it, a Gram file of another kernel, jitter or data. `eval` reads
+either model type through `pipeline.load_model` and refuses a CSV of
+another width than the model's, naming both files and both widths. A
+`--model` that names no row of the config is refused, naming the config.
+Exit codes: 0 on success, 2 on invalid input or config, 3 on internal
+consistency failures.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .pipeline import (
     save_model,
 )
 from .preprocess import write_feature_csv
+from .svm import SvmModel
 
 
 def _finite_float(text: str) -> float:
@@ -73,13 +77,14 @@ def _out_path(args, name: str) -> Path:
     return out_dir / name
 
 
-def _select_entry(config: ExperimentConfig, name: str | None):
-    if name is None:
+def _select_entry(args, config: ExperimentConfig):
+    """The config row named by --model, else the first."""
+    if args.model is None:
         return config.models[0]
     for entry in config.models:
-        if entry.name == name:
+        if entry.name == args.model:
             return entry
-    raise ValueError(f"no model named {name!r} in the config")
+    raise ValueError(f"{args.config}: no model named {args.model!r}")
 
 
 def cmd_preprocess(args) -> None:
@@ -93,7 +98,7 @@ def cmd_preprocess(args) -> None:
 
 def cmd_gram(args) -> None:
     config = load_experiment_config(args.config)
-    entry = _select_entry(config, args.model)
+    entry = _select_entry(args, config)
     if entry.kind != SVM:
         raise ValueError(f"model {entry.name!r} has no kernel (kind {entry.kind})")
     X, _, _, _, _ = prepare_features(config, split=False)
@@ -105,7 +110,7 @@ def cmd_gram(args) -> None:
 
 def cmd_train(args) -> None:
     config = load_experiment_config(args.config)
-    entry = _select_entry(config, args.model)
+    entry = _select_entry(args, config)
     if args.gram and entry.kind != SVM:
         raise ValueError("--gram only applies to svm models")
     X, _, labels, _, info = prepare_features(config, split=False)
@@ -130,6 +135,11 @@ def cmd_eval(args) -> None:
     model = load_model(args.model)
     data = DataConfig(input=args.data, activity_cutoff=args.cutoff, scaler=False)
     X, _, labels, _, _ = prepare_features(data, split=False, cutoff_name="--cutoff")
+    width = (model.support_vectors.shape[1] if isinstance(model, SvmModel)
+             else model.basis.n_features)
+    if X.shape[1] != width:
+        raise ValueError(f"{args.data}: {X.shape[1]} feature columns, but the model "
+                         f"{args.model} takes {width}")
     acc = accuracy(predict(model, X), labels)
     _say(args, f"accuracy {acc:.4f} on {len(labels)} rows")
     if args.out:

@@ -4,8 +4,12 @@ Quantum kernels measure the fidelity |<phi(x)|phi(x')>|^2 between encoded
 states, either exactly from the statevectors or through seeded binomial
 shot sampling. Classical kernels (linear, polynomial, RBF) act directly
 on the feature vectors. Gram matrices are symmetric by construction and
-carry the kernel configuration plus a content hash of the feature matrix
-they were built from.
+carry the kernel configuration and the feature rows they were built over.
+The content hash of those rows, `dataset_digest`, is computed only where
+it is read: a Gram file written (`save_gram`) or checked against data. A
+Gram matrix is compared with its training rows byte for byte
+(`svm.train`), so building and training on an exact or classical kernel
+hash nothing; shot streams hash each query row (below).
 
 Shot sampling has one rule. A query row x owns one stream,
 ``default_rng([rng_seed, *w])`` with w the four ``<u4`` words of the first
@@ -31,7 +35,7 @@ rows gate by gate (``tests/oracles.py``).
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -124,14 +128,33 @@ class KernelConfig:
         return from_mapping(cls, d, "kernel")
 
 
-@dataclass
 class GramMatrix:
-    """Symmetric kernel matrix with its provenance."""
+    """Symmetric kernel matrix with its provenance.
 
-    entries: np.ndarray = field(repr=False)
-    kernel_config: KernelConfig
-    dataset_digest: str
-    jitter: float = 0.0  # constant added to the diagonal
+    A matrix that `gram` builds holds `rows`, the float64 feature rows it
+    was built over (the caller's array when it is one, not a copy, so they
+    must not change while the matrix is used), and computes its
+    `dataset_digest` from them the first time it is read. A matrix given a
+    digest (`load_gram`, or a caller's own entries) keeps it and holds no
+    rows.
+    """
+
+    def __init__(self, entries: np.ndarray, kernel_config: KernelConfig,
+                 dataset_digest: str | None = None, jitter: float = 0.0, *,
+                 rows: np.ndarray | None = None):
+        if (dataset_digest is None) == (rows is None):
+            raise ValueError("a Gram matrix needs exactly one of a dataset digest and its rows")
+        self.entries = entries
+        self.kernel_config = kernel_config
+        self.jitter = jitter  # constant added to the diagonal
+        self.rows = rows
+        self._digest = dataset_digest
+
+    @property
+    def dataset_digest(self) -> str:
+        if self._digest is None:
+            self._digest = dataset_digest(self.rows)
+        return self._digest
 
     @property
     def size(self) -> int:
@@ -244,7 +267,9 @@ def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
     mirrored: the upper triangle is ``cross_gram(cfg, X, X)``'s,
     ``gram(X[:m])`` is the leading m x m block of ``gram(X)``, and the
     diagonal is 1. `jitter` adds a diagonal constant to shot-sampled
-    matrices, which are not guaranteed positive semidefinite.
+    matrices, which are not guaranteed positive semidefinite. The matrix
+    holds the float64 rows of X (X itself, not a copy, when X is a 2-D
+    float64 array) and hashes them only when its `dataset_digest` is read.
     """
     feats = np.asarray(X, dtype=np.float64)
     if feats.ndim == 1:
@@ -276,8 +301,7 @@ def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
         np.fill_diagonal(entries, 1.0)
     if jitter > 0:
         entries[np.diag_indices(n)] += jitter
-    return GramMatrix(entries=entries, kernel_config=cfg,
-                      dataset_digest=dataset_digest(feats), jitter=float(jitter))
+    return GramMatrix(entries, cfg, jitter=float(jitter), rows=feats)
 
 
 def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:

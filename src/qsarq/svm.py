@@ -16,8 +16,10 @@ go to the lowest index, so training is deterministic. Then clipping dust
 is snapped onto its bound, the scores following, and the bias is LIBSVM's
 rule on the scores (Chang & Lin, ACM TIST 2, 2011).
 
-`solve_dual` runs SMO on a Gram matrix; `train` keeps what the decision
-function f(x) = sum_i a_i y_i K(x_i, x) + b reads: the support vectors
+`solve_dual` runs SMO on a Gram matrix; `train` refuses features that
+are not the matrix's rows (compared byte for byte with the rows `gram` kept,
+by digest for a loaded matrix) and keeps what the decision function
+f(x) = sum_i a_i y_i K(x_i, x) + b reads: the support vectors
 (the training rows with a_i > 0, in training order) and their dual
 coefficients a_i y_i. `decision_values` scores many points with one
 cross-kernel matrix against the support vectors: each point draws from its
@@ -155,15 +157,22 @@ def solve_dual(gm: GramMatrix, y, cfg: SvmConfig) -> tuple[np.ndarray, float, bo
 def train(gm: GramMatrix, y, cfg: SvmConfig, features) -> SvmModel:
     """Solve the dual over `gm` and keep the support set of the solution.
 
-    `features` are the training rows behind the Gram matrix, checked
-    against its dataset digest; the rows with a nonzero multiplier become
-    the model's support vectors.
+    `features` must be the training rows behind the Gram matrix. A matrix
+    that holds its rows (`gram`'s) is compared with them byte for byte,
+    shape and float64 bytes (so -0.0 is not 0.0), without hashing; one
+    without rows (`load_gram`'s) is compared by its dataset digest, which
+    is as strict up to a SHA-256 collision. The rows with a nonzero
+    multiplier become the model's support vectors.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] != gm.size:
         raise ValueError("features must be one row per Gram matrix row")
-    if dataset_digest(feats) != gm.dataset_digest:
-        raise ValueError("features do not match the Gram matrix's dataset digest")
+    if gm.rows is None:
+        same = dataset_digest(feats) == gm.dataset_digest
+    else:
+        same = feats.shape == gm.rows.shape and feats.tobytes() == gm.rows.tobytes()
+    if not same:
+        raise ValueError("features are not the rows the Gram matrix was built over")
     alphas, bias, converged = solve_dual(gm, y, cfg)
     sv = alphas > 0.0
     return SvmModel(feats[sv], alphas[sv] * np.asarray(y, dtype=np.float64)[sv], bias,

@@ -173,29 +173,41 @@ def loaded():
     return sorted(new & {"yaml", "logging", "hashlib", "base64"})
 
 seen = {"import": loaded()}
-for argv in json.loads(sys.argv[1]):
+for label, argv in json.loads(sys.argv[1]).items():
     assert cli.main(argv) == 0, argv
-    seen[argv[0]] = loaded()
+    seen[label] = loaded()
 print(json.dumps(seen))
 """
 
 
 def test_commands_load_no_yaml_hashlib_or_logging_they_do_not_use(tmp_path, config, qsarq):
     # numpy is the baseline because numpy 1.x loads hashlib through numpy.random;
-    # pytest loads logging, so the check needs its own interpreter
-    assert qsarq("train", "--config", config, "--model", "ls", "--out", tmp_path,
-                 "--quiet")[0] == 0
-    commands = [["preprocess", tmp_path / "data.csv", "--cutoff", CUTOFF,
-                 "--out", tmp_path / "pre", "--quiet"],
-                ["eval", tmp_path / "ls.model", tmp_path / "pre" / "normalized.csv",
-                 "--out", tmp_path / "ev", "--quiet"]]
+    # pytest loads logging, so the check needs its own interpreter. Modules stay
+    # loaded, so each command's list includes those of the commands before it.
+    for model in ("ls", "qsvm"):
+        assert qsarq("train", "--config", config, "--model", model, "--out", tmp_path,
+                     "--quiet")[0] == 0
+    pre = tmp_path / "pre" / "normalized.csv"
+    commands = {
+        "preprocess": ["preprocess", tmp_path / "data.csv", "--cutoff", CUTOFF,
+                       "--out", tmp_path / "pre", "--quiet"],
+        "eval ls": ["eval", tmp_path / "ls.model", pre, "--out", tmp_path / "ev", "--quiet"],
+        "eval qsvm": ["eval", tmp_path / "qsvm.model", pre, "--out", tmp_path / "ev",
+                      "--quiet"],
+        # an exact kernel's Gram matrix is checked against its rows without hashing;
+        # PyYAML imports base64
+        "train qsvm": ["train", "--config", config, "--model", "qsvm",
+                       "--out", tmp_path / "again", "--quiet"],
+    }
     src = str(Path(artifact.__file__).parents[1])  # the directory holding qsarq
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-c", UNUSED_MODULES, json.dumps([[str(a) for a in argv] for argv in commands])],
+        [sys.executable, "-c", UNUSED_MODULES,
+         json.dumps({label: [str(a) for a in argv] for label, argv in commands.items()})],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {"import": [], "preprocess": [], "eval": []}
+    assert json.loads(done.stdout) == {"import": [], "preprocess": [], "eval ls": [],
+                                       "eval qsvm": [], "train qsvm": ["base64", "yaml"]}
 
 
 def test_train_activity_target_fits_pec50_at_the_cutoff(tmp_path, config, qsarq):
@@ -368,9 +380,33 @@ def test_model_without_support_vectors_refuses_a_csv_of_another_width(tmp_path, 
     narrow = tmp_path / "narrow.csv"
     narrow.write_text("compound_id,logp,mol_weight,pec50\nA,1,300,7\nB,2,310,5\n",
                       encoding="utf-8")
-    code, _, err = qsarq("eval", tmp_path / "idle.model", narrow, "--cutoff", CUTOFF,
-                         "--out", tmp_path / "out", "--quiet")
-    assert code == 2 and "same number of columns" in err
+    path = tmp_path / "idle.model"
+    code, _, err = qsarq("eval", path, narrow, "--cutoff", CUTOFF, "--out", tmp_path / "out",
+                         "--quiet")
+    assert (code, err) == (2, f"error: {narrow}: 2 feature columns, but the model {path} takes 5\n")
+
+
+@pytest.mark.parametrize("model", ["qsvm", "ls"])
+def test_eval_of_a_csv_of_another_width_names_both_files_and_widths(tmp_path, config, qsarq,
+                                                                    model):
+    assert qsarq("train", "--config", config, "--model", model, "--out", tmp_path,
+                 "--quiet")[0] == 0
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("compound_id,logp,mol_weight,pec50\nA,1,300,7\nB,2,310,5\n",
+                      encoding="utf-8")
+    path = tmp_path / f"{model}.model"
+    code, _, err = qsarq("eval", path, narrow, "--cutoff", CUTOFF, "--out", tmp_path / "out",
+                         "--quiet")
+    assert (code, err) == (2, f"error: {narrow}: 2 feature columns, but the model {path} takes 5\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "gram"])
+def test_model_not_in_the_config_exits_2_naming_the_config(tmp_path, config, qsarq, command):
+    code, _, err = qsarq(command, "--config", config, "--model", "nope", "--out",
+                         tmp_path / "out", "--quiet")
+    assert (code, err) == (2, f"error: {config}: no model named 'nope'\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("model, key, number", [("qsvm", "bias", "1e400"),

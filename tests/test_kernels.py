@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from qsarq.kernels import (
     KernelConfig,
     _clamp_unit,
     cross_gram,
+    dataset_digest,
     gram,
     load_gram,
     save_gram,
@@ -449,6 +454,51 @@ def test_gram_text_round_trip(tmp_path):
     assert np.array_equal(loaded.entries, gm.entries)  # the float64 bytes round-trip exactly
     assert loaded.dataset_digest == gm.dataset_digest
     assert loaded.kernel_config == gm.kernel_config
+
+
+@pytest.mark.parametrize("cfg", [
+    EXACT2, KernelConfig(kind=QUANTUM_SHOTS, feature_map=ZZ2, shots=64, rng_seed=4),
+], ids=lambda cfg: cfg.kind)
+def test_built_gram_matrix_holds_its_rows_and_their_digest(cfg):
+    X = np.random.default_rng(5).random((4, 2))
+    gm = gram(cfg, X)
+    assert gm.rows is X  # not a copy
+    assert gm.dataset_digest == dataset_digest(X)
+    assert gram(cfg, X.tolist()).dataset_digest == dataset_digest(X)
+
+
+def test_gram_matrix_takes_exactly_one_of_digest_and_rows():
+    for given in ({}, {"dataset_digest": "0", "rows": np.eye(2)}):
+        with pytest.raises(ValueError, match="exactly one"):
+            GramMatrix(np.eye(2), KernelConfig(kind=LINEAR), **given)
+
+
+# run in a fresh interpreter: whether hashlib is loaded beyond numpy's modules
+# once an exact Gram matrix is built, and once it is saved (sys.argv[1])
+HASHLIB_AT_SAVE = """
+import json, sys
+import numpy as np
+baseline = set(sys.modules)
+from qsarq.feature_maps import FeatureMapSpec
+from qsarq.kernels import QUANTUM_EXACT, KernelConfig, gram, save_gram
+
+gm = gram(KernelConfig(kind=QUANTUM_EXACT, feature_map=FeatureMapSpec("zz", 2)),
+          np.linspace(0.0, 1.0, 10).reshape(5, 2))  # numpy.random imports hashlib
+built = "hashlib" in set(sys.modules) - baseline
+save_gram(gm, sys.argv[1])
+print(json.dumps([built, "hashlib" in sys.modules]))
+"""
+
+
+def test_exact_gram_hashes_its_rows_only_when_saved(tmp_path):
+    # building the matrix must not load OpenSSL, so that its state stack is
+    # freed before the library's memory is added to the process's peak
+    src = str(Path(kernels.__file__).parents[1])  # the directory holding qsarq
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", HASHLIB_AT_SAVE, str(tmp_path / "k.gram")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, True]
 
 
 def test_load_gram_rejects_malformed_files(tmp_path):

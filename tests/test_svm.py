@@ -240,12 +240,35 @@ def test_train_input_validation():
         train(gm, [1], cfg, features=feats)  # length mismatch
     bad = GramMatrix(entries=np.array([[1.0, np.nan], [np.nan, 1.0]]),
                      kernel_config=LIN, dataset_digest=gm.dataset_digest)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite"):  # its digest is the rows'
         train(bad, [1, -1], cfg, features=feats)
     with pytest.raises(ValueError):
         train(gm, [1, -1], cfg, features=np.eye(3))  # wrong row count
     with pytest.raises(ValueError):
-        train(gm, [1, -1], cfg, features=np.eye(2) * 2.0)  # digest mismatch
+        train(gm, [1, -1], cfg, features=np.eye(2) * 2.0)  # not the Gram matrix's rows
+
+
+def test_train_refuses_rows_that_differ_only_in_the_sign_of_a_zero():
+    feats = np.array([[0.0, 1.0], [1.0, 0.5], [0.25, 0.0]])
+    gm = gram(LIN, feats)
+    signed = feats.copy()
+    signed[0, 0] = -0.0
+    assert np.array_equal(signed, feats)  # equal as numbers, not as bits
+    with pytest.raises(ValueError, match="not the rows"):
+        train(gm, [1, -1, 1], SvmConfig(), features=signed)
+    assert train(gm, [1, -1, 1], SvmConfig(), features=feats.copy()).converged
+
+
+def test_train_on_a_loaded_gram_matrix_checks_its_digest(tmp_path):
+    feats = np.random.default_rng(8).random((4, 2))
+    kernels.save_gram(gram(LIN, feats), tmp_path / "k.gram")
+    loaded = kernels.load_gram(tmp_path / "k.gram")
+    assert loaded.rows is None
+    y = [1, -1, 1, -1]
+    with pytest.raises(ValueError, match="not the rows"):
+        train(loaded, y, SvmConfig(), features=feats[::-1])
+    assert np.array_equal(train(loaded, y, SvmConfig(), features=feats).dual_coef,
+                          train(gram(LIN, feats), y, SvmConfig(), features=feats).dual_coef)
 
 
 def test_iteration_budget_flags_nonconverged():
