@@ -14,8 +14,10 @@ its row in the report is. A config is checked whole, kernels included,
 before its CSV is read. Gram matrices and models are files in the one
 format of `qsarq.artifact`, written to `<out>/<model name>.gram`
 and `<out>/<model name>.model`, so a model name that is empty, `.` or
-`..`, or holds `/` or `\\`, is refused at load. `train --gram` refuses,
-naming it, a Gram file of another kernel, jitter or data. `eval` reads
+`..`, or holds `/` or `\\`, is refused at load. A Gram file holds the
+feature rows it was built over; `train --gram` is where it meets the data,
+and it refuses, naming the file and what differs, one of another kernel or
+jitter or whose rows are not the config's data byte for byte. `eval` reads
 either model type through `pipeline.load_model` and refuses a CSV of
 another width than the model's, naming both files and both widths. A
 `--model` that names no row of the config is refused, naming the config.
@@ -31,7 +33,7 @@ import sys
 from pathlib import Path
 
 from .errors import InternalConsistencyError, ResourceLimitError
-from .kernels import dataset_digest, load_gram, save_gram
+from .kernels import load_gram, save_gram
 from .pipeline import (
     SVM,
     DataConfig,
@@ -66,8 +68,22 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _provenance(kcfg, jitter, digest) -> str:
-    return f"a '{kcfg.describe()}' kernel, jitter {jitter!r}, over data of digest {digest[:12]}"
+def _gram_faults(gm, kcfg, jitter, X, csv) -> list[str]:
+    """What Gram matrix `gm` holds that the one of kernel `kcfg` and `jitter`
+    over the rows X of `csv` would not; its rows are compared byte for byte,
+    shape and float64 bytes, so -0.0 is not 0.0."""
+    faults = []
+    if gm.kernel_config != kcfg:
+        have, want = repr(gm.kernel_config.describe()), repr(kcfg.describe())
+        if have == want:  # the tags leave out the shot seed and round parameters
+            have, want = gm.kernel_config.to_dict(), kcfg.to_dict()
+        faults.append(f"the kernel {have}, not {want}")
+    if gm.jitter != jitter:
+        faults.append(f"jitter {gm.jitter!r}, not {jitter!r}")
+    if gm.rows.shape != X.shape or gm.rows.tobytes() != X.tobytes():
+        faults.append("{} x {} feature rows that are not the {} x {} that {} gives".format(
+            *gm.rows.shape, *X.shape, csv))
+    return faults
 
 
 def _out_path(args, name: str) -> Path:
@@ -117,11 +133,11 @@ def cmd_train(args) -> None:
     gm = None
     if args.gram:
         gm = load_gram(args.gram)
-        have = (gm.kernel_config, gm.jitter, gm.dataset_digest)
-        want = (entry.kernel_config(X.shape[1]), entry.jitter, dataset_digest(X))
-        if have != want:
-            raise ValueError(f"{args.gram}: the Gram matrix holds {_provenance(*have)}; "
-                             f"model {entry.name!r} needs {_provenance(*want)}")
+        faults = _gram_faults(gm, entry.kernel_config(X.shape[1]), entry.jitter, X,
+                              config.input_path)
+        if faults:
+            raise ValueError(f"{args.gram}: not a Gram matrix of model {entry.name!r}: "
+                             f"it holds {'; '.join(faults)}")
     model = fit_entry(entry, X, labels, info["table"].activity, config.activity_cutoff, gm)
     out_path = _out_path(args, f"{entry.name}.model")
     save_model(model, out_path)

@@ -4,12 +4,11 @@ Quantum kernels measure the fidelity |<phi(x)|phi(x')>|^2 between encoded
 states, either exactly from the statevectors or through seeded binomial
 shot sampling. Classical kernels (linear, polynomial, RBF) act directly
 on the feature vectors. Gram matrices are symmetric by construction and
-carry the kernel configuration and the feature rows they were built over.
-The content hash of those rows, `dataset_digest`, is computed only where
-it is read: a Gram file written (`save_gram`) or checked against data. A
-Gram matrix is compared with its training rows byte for byte
-(`svm.train`), so building and training on an exact or classical kernel
-hash nothing; shot streams hash each query row (below).
+carry the kernel configuration, the diagonal jitter and the float64 feature
+rows they were built over, in memory and in a Gram file alike (`save_gram`),
+so a matrix's provenance is its rows: `qsarq train --gram` compares them
+with the config's data byte for byte, and `svm.train` takes its support
+vectors from them. Nothing here hashes but the shot streams (below).
 
 Shot sampling has one rule. A query row x owns one stream,
 ``default_rng([rng_seed, *w])`` with w the four ``<u4`` words of the first
@@ -35,7 +34,7 @@ rows gate by gate (``tests/oracles.py``).
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -128,48 +127,21 @@ class KernelConfig:
         return from_mapping(cls, d, "kernel")
 
 
+@dataclass(eq=False)
 class GramMatrix:
-    """Symmetric kernel matrix with its provenance.
+    """Symmetric kernel matrix with its provenance: the kernel, the jitter and
+    `rows`, the float64 feature rows it was built over, one per matrix row
+    (`gram` keeps the caller's array when it is one, not a copy, so it must
+    not change while the matrix is used)."""
 
-    A matrix that `gram` builds holds `rows`, the float64 feature rows it
-    was built over (the caller's array when it is one, not a copy, so they
-    must not change while the matrix is used), and computes its
-    `dataset_digest` from them the first time it is read. A matrix given a
-    digest (`load_gram`, or a caller's own entries) keeps it and holds no
-    rows.
-    """
-
-    def __init__(self, entries: np.ndarray, kernel_config: KernelConfig,
-                 dataset_digest: str | None = None, jitter: float = 0.0, *,
-                 rows: np.ndarray | None = None):
-        if (dataset_digest is None) == (rows is None):
-            raise ValueError("a Gram matrix needs exactly one of a dataset digest and its rows")
-        self.entries = entries
-        self.kernel_config = kernel_config
-        self.jitter = jitter  # constant added to the diagonal
-        self.rows = rows
-        self._digest = dataset_digest
-
-    @property
-    def dataset_digest(self) -> str:
-        if self._digest is None:
-            self._digest = dataset_digest(self.rows)
-        return self._digest
+    entries: np.ndarray = field(repr=False)
+    kernel_config: KernelConfig
+    rows: np.ndarray = field(repr=False)
+    jitter: float = 0.0  # constant added to the diagonal
 
     @property
     def size(self) -> int:
         return self.entries.shape[0]
-
-
-def dataset_digest(X: np.ndarray) -> str:
-    """Content hash of a feature matrix (shape plus little-endian float64 bytes)."""
-    import hashlib  # imported here so that commands that hash nothing never load OpenSSL
-
-    arr = np.ascontiguousarray(X, dtype="<f8")
-    h = hashlib.sha256()
-    h.update(str(arr.shape).encode())
-    h.update(arr.tobytes())
-    return h.hexdigest()
 
 
 def _clamp_unit(value):
@@ -186,7 +158,7 @@ def _clamp_unit(value):
 
 
 def _row_digest(x: np.ndarray) -> bytes:
-    import hashlib  # as in dataset_digest
+    import hashlib  # imported here so that commands that hash nothing never load OpenSSL
 
     return hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).digest()
 
@@ -269,7 +241,7 @@ def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
     diagonal is 1. `jitter` adds a diagonal constant to shot-sampled
     matrices, which are not guaranteed positive semidefinite. The matrix
     holds the float64 rows of X (X itself, not a copy, when X is a 2-D
-    float64 array) and hashes them only when its `dataset_digest` is read.
+    float64 array).
     """
     feats = np.asarray(X, dtype=np.float64)
     if feats.ndim == 1:
@@ -301,7 +273,7 @@ def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
         np.fill_diagonal(entries, 1.0)
     if jitter > 0:
         entries[np.diag_indices(n)] += jitter
-    return GramMatrix(entries, cfg, jitter=float(jitter), rows=feats)
+    return GramMatrix(entries, cfg, feats, float(jitter))
 
 
 def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
@@ -344,19 +316,19 @@ def kernel_value(cfg: KernelConfig, x, x2) -> float:
 
 def save_gram(gm: GramMatrix, path) -> None:
     """Write `gm` as a `gram` artifact (see `qsarq.artifact`): the upper
-    triangle of its entries, row i from entry i on, as raw float64 bytes.
-    Entries that are not bitwise symmetric raise a ValueError naming `path`
-    before anything is written."""
+    triangle of its entries, row i from entry i on, then its rows, as raw
+    float64 bytes. Entries that are not bitwise symmetric raise a ValueError
+    naming `path` before anything is written."""
     artifact.save(path, artifact.GRAM, {
-        "entries": gm.entries, "kernel_config": gm.kernel_config.to_dict(),
-        "dataset_digest": gm.dataset_digest, "jitter": gm.jitter})
+        "entries": gm.entries, "jitter": gm.jitter,
+        "kernel_config": gm.kernel_config.to_dict(), "rows": gm.rows})
 
 
 def load_gram(path) -> GramMatrix:
     """The Gram matrix of a `gram` artifact: each stored upper-triangle row is
     mirrored into place, so the entries are exactly symmetric. A fault of the
-    file (a file of an earlier version included) raises a ValueError naming
-    `path`."""
+    file (a file of an earlier version or layout included) raises a ValueError
+    naming `path`."""
     return artifact.load(path, {artifact.GRAM: lambda f: GramMatrix(
-        f["entries"], KernelConfig.from_dict(f["kernel_config"]), f["dataset_digest"],
+        f["entries"], KernelConfig.from_dict(f["kernel_config"]), f["rows"],
         float(f["jitter"]))})

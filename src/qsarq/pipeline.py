@@ -35,7 +35,6 @@ from .kernels import (
     QUANTUM_SHOTS,
     GramMatrix,
     KernelConfig,
-    dataset_digest,
     gram,
 )
 from .preprocess import (
@@ -393,14 +392,14 @@ def fit_entry(entry: ModelEntry, X, y, activity, cutoff, gm: GramMatrix | None =
     `activity` is the pEC50 of the same rows (NaN where a row has none),
     read for activity targets; `cutoff` is the config's activity_cutoff.
     An svm row trains on `gm` when given (its Gram matrix over X, whose
-    kernel and jitter the caller has checked), else on a freshly built one.
+    kernel, jitter and rows the caller has checked), else on a freshly built one.
     A fault of the fit names the row once, as stage `model <name>`.
     """
     if entry.kind == SVM and gm is None:
         gm = entry_gram(entry, X)
     with _stage(f"model {entry.name}"):
         if entry.kind == SVM:
-            return train(gm, y, entry, features=X)
+            return train(gm, y, entry)
         basis = BasisSpec(kind=entry.basis, n_features=X.shape[1])
         if entry.target == "activity":
             if np.isnan(activity).any():
@@ -451,6 +450,18 @@ def _run_row(entry, train_activity, cutoff, X_train, X_test, y_train, y_test) ->
     detail = {f.name: getattr(entry, f.name) for f in fields(entry) if f.name not in base}
     return {**row, "execution": EXEC_CPU, "kernel": "-",
             "detail": {**detail, "train_loss": model.loss}}
+
+
+def dataset_digest(X: np.ndarray) -> str:
+    """The report's content hash of a feature matrix: SHA-256 of its shape,
+    then of its little-endian float64 bytes."""
+    import hashlib  # imported here so that commands that hash nothing never load OpenSSL
+
+    arr = np.ascontiguousarray(X, dtype="<f8")
+    h = hashlib.sha256()
+    h.update(str(arr.shape).encode())
+    h.update(arr.tobytes())
+    return h.hexdigest()
 
 
 def run_experiment(config: ExperimentConfig) -> EvalReport:

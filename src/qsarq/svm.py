@@ -16,11 +16,9 @@ go to the lowest index, so training is deterministic. Then clipping dust
 is snapped onto its bound, the scores following, and the bias is LIBSVM's
 rule on the scores (Chang & Lin, ACM TIST 2, 2011).
 
-`solve_dual` runs SMO on a Gram matrix; `train` refuses features that
-are not the matrix's rows (compared byte for byte with the rows `gram` kept,
-by digest for a loaded matrix) and keeps what the decision function
-f(x) = sum_i a_i y_i K(x_i, x) + b reads: the support vectors
-(the training rows with a_i > 0, in training order) and their dual
+`solve_dual` runs SMO on a Gram matrix; `train` keeps what the decision
+function f(x) = sum_i a_i y_i K(x_i, x) + b reads: the support vectors
+(the matrix's rows with a_i > 0, in training order) and their dual
 coefficients a_i y_i. `decision_values` scores many points with one
 cross-kernel matrix against the support vectors: each point draws from its
 own shot stream, and the other points change only the rounding of its exact
@@ -35,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifact
-from .kernels import GramMatrix, KernelConfig, cross_gram, dataset_digest
+from .kernels import GramMatrix, KernelConfig, cross_gram
 
 TAU = 1e-12  # curvature used when a pair's is not positive, as in LIBSVM
 MAX_SVM_ITERS = 1_000_000  # a tol never reached spends it all: ~50 s on 100 rows
@@ -154,28 +152,14 @@ def solve_dual(gm: GramMatrix, y, cfg: SvmConfig) -> tuple[np.ndarray, float, bo
     return alphas, bias, converged
 
 
-def train(gm: GramMatrix, y, cfg: SvmConfig, features) -> SvmModel:
-    """Solve the dual over `gm` and keep the support set of the solution.
-
-    `features` must be the training rows behind the Gram matrix. A matrix
-    that holds its rows (`gram`'s) is compared with them byte for byte,
-    shape and float64 bytes (so -0.0 is not 0.0), without hashing; one
-    without rows (`load_gram`'s) is compared by its dataset digest, which
-    is as strict up to a SHA-256 collision. The rows with a nonzero
-    multiplier become the model's support vectors.
-    """
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] != gm.size:
-        raise ValueError("features must be one row per Gram matrix row")
-    if gm.rows is None:
-        same = dataset_digest(feats) == gm.dataset_digest
-    else:
-        same = feats.shape == gm.rows.shape and feats.tobytes() == gm.rows.tobytes()
-    if not same:
-        raise ValueError("features are not the rows the Gram matrix was built over")
+def train(gm: GramMatrix, y, cfg: SvmConfig) -> SvmModel:
+    """Solve the dual over `gm` and keep the support set of the solution: the
+    rows of `gm` with a nonzero multiplier, in order, become the model's
+    support vectors. A Gram file's rows are checked against the data where
+    the file is read (`qsarq train --gram`)."""
     alphas, bias, converged = solve_dual(gm, y, cfg)
     sv = alphas > 0.0
-    return SvmModel(feats[sv], alphas[sv] * np.asarray(y, dtype=np.float64)[sv], bias,
+    return SvmModel(gm.rows[sv], alphas[sv] * np.asarray(y, dtype=np.float64)[sv], bias,
                     gm.kernel_config, converged)
 
 

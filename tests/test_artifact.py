@@ -36,14 +36,13 @@ ZZ3 = FeatureMapSpec("zz", 3, reps=2, entanglement="full")
 # type: (a saved object, its save and load functions)
 TYPES = {
     "gram": (lambda: gram(SHOTS, X, jitter=0.25), save_gram, load_gram),
-    "svm": (lambda: train(gram(SHOTS, X, jitter=0.25), Y, SvmConfig(C=2.0), features=X),
+    "svm": (lambda: train(gram(SHOTS, X, jitter=0.25), Y, SvmConfig(C=2.0)),
             save_svm_model, load_svm_model),
     "reg": (lambda: fit_least_squares(X, Y, BasisSpec(POLY2, 2), ridge=0.1, threshold=0.25),
             save_reg_model, load_reg_model),
 }
-ARRAYS = ("entries", "support_vectors", "dual_coef", "coefficients")
-SCALARS = ("kernel_config", "dataset_digest", "jitter", "bias", "converged", "basis",
-           "threshold")
+ARRAYS = ("entries", "rows", "support_vectors", "dual_coef", "coefficients")
+SCALARS = ("kernel_config", "jitter", "bias", "converged", "basis", "threshold")
 
 
 @pytest.mark.parametrize("type_", TYPES)
@@ -94,7 +93,7 @@ def artifact_fields(draw):
     type_ = draw(st.sampled_from(sorted(TYPES)))
     return type_, {
         "gram": lambda: {"entries": symmetric(n), "kernel_config": {"kind": "linear"},
-                         "dataset_digest": "0", "jitter": 0.0},
+                         "rows": array(n, d), "jitter": 0.0},
         "svm": lambda: {"bias": 0.5, "converged": True, "dual_coef": array(n),
                         "kernel_config": {"kind": "linear"}, "support_vectors": array(n, d)},
         "reg": lambda: {"basis": "affine", "n_features": d, "coefficients": array(n),
@@ -121,7 +120,7 @@ def test_arrays_round_trip_bitwise_as_writable_float64(tmp_path_factory, drawn):
 
 # (type, valid fields) that `test_save_refuses_non_finite_values_before_writing` spoils
 VALID = {
-    "gram": {"entries": np.eye(3), "kernel_config": {"kind": "linear"}, "dataset_digest": "0",
+    "gram": {"entries": np.eye(3), "kernel_config": {"kind": "linear"}, "rows": np.eye(3, 2),
              "jitter": 0.0},
     "reg": {"basis": "affine", "n_features": 2, "coefficients": np.array([0.5, 1.0, -1.0]),
             "threshold": 0.0},
@@ -220,8 +219,8 @@ def envelope(record, version):
 @pytest.mark.parametrize("type_, fields", [
     ("gram", {"entries": np.array([[1.0, -0.0, 5e-324], [-0.0, 1.0, 1 / 3],
                                    [5e-324, 1 / 3, 7.0]]),
-              "kernel_config": {"kind": "rbf", "gamma": 1.5}, "dataset_digest": "ab",
-              "jitter": 0.125}),
+              "kernel_config": {"kind": "rbf", "gamma": 1.5},
+              "rows": np.array([[-0.0, 0.5], [1e300, 5e-324], [0.25, 1.0]]), "jitter": 0.125}),
     ("svm", {"bias": -0.25, "converged": False, "dual_coef": np.array([0.5, -2.0]),
              "kernel_config": {"kind": "linear"},
              "support_vectors": np.array([[0.1, 0.2, 0.3], [-1e300, 0.0, 2.5]])}),
@@ -370,6 +369,8 @@ def test_header_claiming_more_bytes_than_the_file_holds_is_refused_before_alloca
         name = ARRAY_OF[type_]
         header[name] = [100_000] * len(header[name]) if name in UPPER else [
             *header[name][:-1], 100_000]
+        if name in UPPER:  # a Gram's rows share its n
+            header["rows"][0] = 100_000
         return json.dumps(header, separators=(",", ":")).encode() + b"\n" + payload
     path = spoiled(tmp_path, type_, claiming)
     tracemalloc.start()
@@ -389,8 +390,10 @@ def test_gram_file_holds_the_upper_triangle_and_loads_exactly_symmetric(tmp_path
     saved = gram(cfg, np.random.default_rng(6).random((9, cfg.feature_map.n_qubits)))
     save_gram(saved, tmp_path / "kernel.gram")
     head, _, payload = (tmp_path / "kernel.gram").read_bytes().partition(b"\n")
-    assert json.loads(head)["entries"] == [9, 9]
-    assert payload == b"".join(saved.entries[i, i:].tobytes() for i in range(9))
+    assert (json.loads(head)["entries"], json.loads(head)["rows"]) == (
+        [9, 9], [9, cfg.feature_map.n_qubits])
+    assert payload == b"".join(saved.entries[i, i:].tobytes() for i in range(9)) + \
+        saved.rows.tobytes()
     loaded = load_gram(tmp_path / "kernel.gram").entries
     assert loaded.tobytes() == saved.entries.tobytes()
     assert loaded.tobytes() == np.ascontiguousarray(loaded.T).tobytes()
@@ -403,26 +406,26 @@ def test_triangle_row_of_the_wrong_length_is_refused_naming_the_file(tmp_path, r
         end = row_end(data, "entries", row)
         return data[:end + 8 * min(change, 0)] + bytes(8 * max(change, 0)) + data[end:]
     path = spoiled(tmp_path, "gram", fault)
-    with pytest.raises(ValueError, match=re.escape(f"{path}: holds {224 + 8 * change} bytes "
-                                                   "of arrays, not the 224 that")):
+    # 224 bytes of the 7-row triangle, then 112 of the 7 x 2 rows
+    with pytest.raises(ValueError, match=re.escape(f"{path}: holds {336 + 8 * change} bytes "
+                                                   "of arrays, not the 336 that")):
         load_gram(path)
 
 
 def test_square_gram_file_of_version_2_is_refused_naming_the_file(tmp_path):
     # the layout of version 2: every row whole, each off-diagonal entry twice
     saved = gram(SHOTS, X, jitter=0.25)
-    record = {"dataset_digest": saved.dataset_digest, "entries": saved.entries,
-              "format": "qsarq", "jitter": 0.25, "kernel_config": SHOTS.to_dict(),
-              "type": "gram"}
+    record = {"entries": saved.entries, "format": "qsarq", "jitter": 0.25,
+              "kernel_config": SHOTS.to_dict(), "rows": X, "type": "gram"}
     path = tmp_path / "square.gram"
     path.write_bytes(envelope(record, 2))
     with pytest.raises(ValueError, match=re.escape(f"{path}: artifact version 2, not 4")):
         load_gram(path)
     # and square rows are no triangle, whatever the version says: 49 entries, not 28
     header, _, _ = rendered({**record, "version": 4}).partition(b"\n")
-    path.write_bytes(header + b"\n" + saved.entries.tobytes())
-    with pytest.raises(ValueError, match=re.escape(f"{path}: holds 392 bytes of arrays, "
-                                                   "not the 224 that its shapes need")):
+    path.write_bytes(header + b"\n" + saved.entries.tobytes() + X.tobytes())
+    with pytest.raises(ValueError, match=re.escape(f"{path}: holds 504 bytes of arrays, "
+                                                   "not the 336 that its shapes need")):
         load_gram(path)
 
 

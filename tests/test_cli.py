@@ -17,8 +17,9 @@ from qsarq import artifact
 from qsarq.cli import main
 from qsarq.errors import InternalConsistencyError
 from qsarq.feature_maps import MAX_REPS
-from qsarq.kernels import load_gram
+from qsarq.kernels import load_gram, save_gram
 from qsarq.pipeline import (
+    dataset_digest,
     entry_gram,
     fit_entry,
     load_experiment_config,
@@ -194,10 +195,15 @@ def test_commands_load_no_yaml_hashlib_or_logging_they_do_not_use(tmp_path, conf
         "eval ls": ["eval", tmp_path / "ls.model", pre, "--out", tmp_path / "ev", "--quiet"],
         "eval qsvm": ["eval", tmp_path / "qsvm.model", pre, "--out", tmp_path / "ev",
                       "--quiet"],
-        # an exact kernel's Gram matrix is checked against its rows without hashing;
-        # PyYAML imports base64
+        # an exact kernel's Gram matrix, built, saved or read, is checked against its
+        # rows without hashing; PyYAML imports base64
         "train qsvm": ["train", "--config", config, "--model", "qsvm",
                        "--out", tmp_path / "again", "--quiet"],
+        "gram qsvm": ["gram", "--config", config, "--model", "qsvm", "--out", tmp_path / "g",
+                      "--quiet"],
+        "train --gram": ["train", "--config", config, "--model", "qsvm",
+                         "--gram", tmp_path / "g" / "qsvm.gram", "--out", tmp_path / "fromg",
+                         "--quiet"],
     }
     src = str(Path(artifact.__file__).parents[1])  # the directory holding qsarq
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -207,7 +213,9 @@ def test_commands_load_no_yaml_hashlib_or_logging_they_do_not_use(tmp_path, conf
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"import": [], "preprocess": [], "eval ls": [],
-                                       "eval qsvm": [], "train qsvm": ["base64", "yaml"]}
+                                       "eval qsvm": [], "train qsvm": ["base64", "yaml"],
+                                       "gram qsvm": ["base64", "yaml"],
+                                       "train --gram": ["base64", "yaml"]}
 
 
 def test_train_activity_target_fits_pec50_at_the_cutoff(tmp_path, config, qsarq):
@@ -268,8 +276,24 @@ def test_gram_of_another_dataset_exits_2(tmp_path, config, qsarq):
                  "--quiet")[0] == 0
     code, _, err = qsarq("train", "--config", config, "--model", "qsvm",
                          "--gram", tmp_path / "qsvm.gram", "--out", tmp_path, "--quiet")
-    assert code == 2 and "digest" in err
-    assert err.startswith(f"error: {tmp_path / 'qsvm.gram'}: ")
+    assert (code, err) == (2, f"error: {tmp_path / 'qsvm.gram'}: not a Gram matrix of model "
+                              f"'qsvm': it holds 30 x 5 feature rows that are not the 30 x 5 "
+                              f"that {tmp_path / 'data.csv'} gives\n")
+
+
+def test_gram_file_whose_rows_differ_in_the_sign_of_a_zero_exits_2(tmp_path, config, qsarq):
+    assert qsarq("gram", "--config", config, "--model", "qsvm", "--out", tmp_path,
+                 "--quiet")[0] == 0
+    gm = load_gram(tmp_path / "qsvm.gram")
+    i, j = np.argwhere(gm.rows == 0.0)[0]  # min-max scaling puts each column's least at 0.0
+    gm.rows[i, j] = -0.0  # equal as a number, not as bits
+    save_gram(gm, tmp_path / "signed.gram")
+    code, _, err = qsarq("train", "--config", config, "--model", "qsvm",
+                         "--gram", tmp_path / "signed.gram", "--out", tmp_path, "--quiet")
+    assert (code, err) == (2, f"error: {tmp_path / 'signed.gram'}: not a Gram matrix of model "
+                              f"'qsvm': it holds 30 x 5 feature rows that are not the 30 x 5 "
+                              f"that {tmp_path / 'data.csv'} gives\n")
+    assert not (tmp_path / "qsvm.model").exists()
 
 
 def test_gram_of_another_kernel_exits_2(tmp_path, config, qsarq):
@@ -280,6 +304,21 @@ def test_gram_of_another_kernel_exits_2(tmp_path, config, qsarq):
     assert code == 2 and err.startswith(f"error: {tmp_path / 'qsvm.gram'}: ")
     assert "q | zz linear r1" in err and "c | rbf gamma=1.5" in err
     assert not (tmp_path / "rbf.model").exists()
+
+
+def test_gram_of_another_shot_seed_exits_2_naming_both_seeds(tmp_path, qsarq):
+    write_csv(tmp_path / "data.csv")
+    for name, seed in (("a.yaml", 1), ("b.yaml", 2)):  # one kernel tag, two streams
+        kernel = {"kind": "quantum_shots", "shots": 64, "rng_seed": seed,
+                  "feature_map": {"family": "zz", "reps": 1}}
+        write_config(tmp_path / name, models=[{"name": "q", "kind": "svm", "kernel": kernel}])
+    assert qsarq("gram", "--config", tmp_path / "a.yaml", "--out", tmp_path,
+                 "--quiet")[0] == 0
+    code, _, err = qsarq("train", "--config", tmp_path / "b.yaml", "--gram",
+                         tmp_path / "q.gram", "--out", tmp_path, "--quiet")
+    assert code == 2 and err.startswith(f"error: {tmp_path / 'q.gram'}: ")
+    assert "'rng_seed': 1" in err and "'rng_seed': 2" in err
+    assert not (tmp_path / "q.model").exists()
 
 
 def test_gram_of_another_jitter_exits_2(tmp_path, qsarq):
@@ -367,6 +406,21 @@ def test_svm_model_with_every_training_row_exits_2_naming_it(tmp_path, config, q
                          "--out", tmp_path / "out", "--quiet")
     assert code == 2 and f"error: {path}: svm artifact" in err
     assert "unknown key(s) ['alphas', 'labels', 'training_features']" in err
+
+
+def test_gram_file_with_a_dataset_digest_exits_2_naming_it(tmp_path, config, qsarq):
+    # the gram layout written before Gram files held their rows: their digest instead
+    assert qsarq("gram", "--config", config, "--model", "qsvm", "--out", tmp_path,
+                 "--quiet")[0] == 0
+    record = parsed((tmp_path / "qsvm.gram").read_bytes())
+    record["dataset_digest"] = dataset_digest(record.pop("rows"))
+    path = tmp_path / "digest.gram"
+    path.write_bytes(rendered(record))
+    code, _, err = qsarq("train", "--config", config, "--model", "qsvm", "--gram", path,
+                         "--out", tmp_path / "out", "--quiet")
+    assert code == 2 and f"error: {path}: gram artifact" in err
+    assert "missing key(s) ['rows'] and unknown key(s) ['dataset_digest']" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_model_without_support_vectors_refuses_a_csv_of_another_width(tmp_path, qsarq):

@@ -32,11 +32,11 @@ from qsarq.kernels import (
     KernelConfig,
     _clamp_unit,
     cross_gram,
-    dataset_digest,
     gram,
     load_gram,
     save_gram,
 )
+from qsarq.pipeline import dataset_digest
 
 ZZ2 = FeatureMapSpec("zz", 2, reps=1, entanglement="linear")
 EXACT2 = KernelConfig(kind=QUANTUM_EXACT, feature_map=ZZ2)
@@ -270,14 +270,15 @@ def parse_parent_gram(text):
 def test_gram_file_round_trips_byte_identically(tmp_path):
     for text, jitter in ((PARENT_SHOT_GRAM, 0.05), (PARENT_EXACT_GRAM, 0.0)):
         entries, digest, cfg = parse_parent_gram(text)
+        assert digest == dataset_digest(PARENT_X)  # the rows the old file was built over
         first, again = tmp_path / "first.gram", tmp_path / "again.gram"
-        save_gram(GramMatrix(entries, cfg, digest, jitter), first)
+        save_gram(GramMatrix(entries, cfg, PARENT_X, jitter), first)
         loaded = load_gram(first)
         save_gram(loaded, again)
         assert again.read_bytes() == first.read_bytes()
         assert np.array_equal(loaded.entries, entries)
-        assert (loaded.kernel_config, loaded.dataset_digest, loaded.jitter) == (cfg, digest,
-                                                                                jitter)
+        assert loaded.rows.tobytes() == PARENT_X.tobytes()
+        assert (loaded.kernel_config, loaded.rows.shape, loaded.jitter) == (cfg, (3, 2), jitter)
 
 
 def test_gram_files_unchanged_for_the_same_config(tmp_path):
@@ -288,7 +289,7 @@ def test_gram_files_unchanged_for_the_same_config(tmp_path):
     upper = np.triu(reference_shot_rows(shots, PARENT_X, PARENT_X), 1)
     assert np.array_equal(saved.entries, upper + upper.T + (1.0 + 0.05) * np.eye(3))
     _, digest, cfg = parse_parent_gram(PARENT_SHOT_GRAM)
-    assert (saved.kernel_config, saved.dataset_digest) == (cfg, digest)
+    assert (saved.kernel_config, dataset_digest(saved.rows)) == (cfg, digest)
     before = parse_parent_gram(PARENT_EXACT_GRAM)[0]
     after = gram(KernelConfig(kind=QUANTUM_EXACT, feature_map=spec), PARENT_X).entries
     assert np.max(np.abs(after - before)) <= 1e-12
@@ -452,7 +453,7 @@ def test_gram_text_round_trip(tmp_path):
     save_gram(gm, path)
     loaded = load_gram(path)
     assert np.array_equal(loaded.entries, gm.entries)  # the float64 bytes round-trip exactly
-    assert loaded.dataset_digest == gm.dataset_digest
+    assert loaded.rows.shape == gm.rows.shape and loaded.rows.tobytes() == gm.rows.tobytes()
     assert loaded.kernel_config == gm.kernel_config
 
 
@@ -463,14 +464,7 @@ def test_built_gram_matrix_holds_its_rows_and_their_digest(cfg):
     X = np.random.default_rng(5).random((4, 2))
     gm = gram(cfg, X)
     assert gm.rows is X  # not a copy
-    assert gm.dataset_digest == dataset_digest(X)
-    assert gram(cfg, X.tolist()).dataset_digest == dataset_digest(X)
-
-
-def test_gram_matrix_takes_exactly_one_of_digest_and_rows():
-    for given in ({}, {"dataset_digest": "0", "rows": np.eye(2)}):
-        with pytest.raises(ValueError, match="exactly one"):
-            GramMatrix(np.eye(2), KernelConfig(kind=LINEAR), **given)
+    assert dataset_digest(gram(cfg, X.tolist()).rows) == dataset_digest(X)
 
 
 # run in a fresh interpreter: whether hashlib is loaded beyond numpy's modules
@@ -486,19 +480,18 @@ gm = gram(KernelConfig(kind=QUANTUM_EXACT, feature_map=FeatureMapSpec("zz", 2)),
           np.linspace(0.0, 1.0, 10).reshape(5, 2))  # numpy.random imports hashlib
 built = "hashlib" in set(sys.modules) - baseline
 save_gram(gm, sys.argv[1])
-print(json.dumps([built, "hashlib" in sys.modules]))
+print(json.dumps([built, "hashlib" in set(sys.modules) - baseline]))
 """
 
 
-def test_exact_gram_hashes_its_rows_only_when_saved(tmp_path):
-    # building the matrix must not load OpenSSL, so that its state stack is
-    # freed before the library's memory is added to the process's peak
+def test_exact_gram_hashes_nothing_when_built_or_saved(tmp_path):
+    # a Gram file holds its rows, not their hash, so neither step loads OpenSSL
     src = str(Path(kernels.__file__).parents[1])  # the directory holding qsarq
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-c", HASHLIB_AT_SAVE, str(tmp_path / "k.gram")],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [False, True]
+    assert json.loads(done.stdout) == [False, False]
 
 
 def test_load_gram_rejects_malformed_files(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -187,6 +188,60 @@ def test_annealing_walks_the_stream_as_the_step_by_step_reference(monkeypatch, k
         assert abs(model.loss - walk.loss) <= 1e-12 * walk.loss, iterations
         assert model.loss == objective(expand(basis, X), y, model.coefficients, ridge)
     assert 1 < len(walk.states) < iterations // 2  # steps were both accepted and refused
+
+
+def test_normal_bound_exceeds_numpys_largest_standard_normal_draw():
+    # numpy's ziggurat returns r + x in its tail, x = -log1p(-u) / r with u a 53-bit
+    # uniform below 1, so x <= 53 ln 2 / r; every other draw is below r
+    r = 3.6541528853610088
+    assert regression._NORMAL_BOUND > r + 53 * math.log(2) / r > 13.7
+
+
+class CountingGenerator(np.random.Generator):
+    """`default_rng(seed)`'s stream, counting its standard-normal blocks."""
+
+    blocks = 0
+
+    def standard_normal(self, *args, **kwargs):
+        CountingGenerator.blocks += 1
+        return super().standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kind", [AFFINE, POLY2])
+def test_annealing_stops_drawing_once_no_move_can_change_q(monkeypatch, kind):
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((12, 3))
+    y = np.where(rng.random(12) < 0.5, -1.0, 1.0)
+    basis = BasisSpec(kind, 3)
+    blocks = 40
+    schedule = AnnealSchedule(t0=1.0, cooling=0.9, iterations=blocks * ANNEAL_BLOCK)
+    states = []  # the fit computes the loss of its start and of each accepted state
+    objective = regression._objective
+
+    def recording(phi, targets, q, ridge):
+        states.append(q.copy())
+        return objective(phi, targets, q, ridge)
+
+    CountingGenerator.blocks = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(regression, "_objective", recording)
+        patch.setattr(np.random, "default_rng",
+                      lambda seed: CountingGenerator(np.random.PCG64(seed)))
+        model = fit_annealing(X, y, basis, schedule, seed=9)
+    drawn = CountingGenerator.blocks
+    assert 1 < drawn < blocks  # the walk stopped drawing
+    # the stream past the stop, at the fit's temperatures: no move changes q
+    q, replay, temp = states[-1], np.random.default_rng(9), schedule.t0
+    for block in range(blocks):
+        normals = replay.standard_normal((ANNEAL_BLOCK, basis.size))
+        replay.random(ANNEAL_BLOCK)
+        for z in normals:
+            assert block < drawn or np.array_equal(q + math.sqrt(temp) * z, q)
+            temp *= schedule.cooling
+    with monkeypatch.context() as patch:  # a walk that never stops ends where it did
+        patch.setattr(regression, "_NORMAL_BOUND", math.inf)
+        full = fit_annealing(X, y, basis, schedule, seed=9)
+    assert np.array_equal(full.coefficients, model.coefficients) and full.loss == model.loss
 
 
 @pytest.mark.parametrize("t0, scale", [(1e-300, 1.0), (1.0, 1e150)],

@@ -16,7 +16,6 @@ from qsarq.kernels import (
     QUANTUM_SHOTS,
     RBF,
     GramMatrix,
-    dataset_digest,
     gram,
 )
 from qsarq.svm import (
@@ -49,7 +48,7 @@ def random_problem(rng, n, d=2, gamma=1.0):
 
 def test_two_point_analytic_dual():
     gm, feats = identity_gram([1, -1])
-    model = train(gm, [1, -1], SvmConfig(C=1.0), features=feats)
+    model = train(gm, [1, -1], SvmConfig(C=1.0))
     assert np.array_equal(model.support_vectors, feats)
     assert np.array_equal(model.dual_coef, [1.0, -1.0])
     assert model.bias == 0.0
@@ -63,7 +62,7 @@ def test_hard_margin_separable():
     X = np.vstack([rng.normal(3.0, 0.2, (6, 2)), rng.normal(-3.0, 0.2, (6, 2))])
     y = np.array([1] * 6 + [-1] * 6)
     gm = gram(LIN, X)
-    model = train(gm, y, SvmConfig(C=1e6), features=X)
+    model = train(gm, y, SvmConfig(C=1e6))
     preds = [predict(model, x) for x in X]
     assert np.array_equal(preds, y)
 
@@ -75,10 +74,10 @@ def test_xor_rbf_separates_linear_does_not():
     ])
     y = np.array([1, 1, 1, 1, -1, -1, -1, -1])
     rbf_model = train(gram(KernelConfig(kind=RBF, gamma=1.0), X), y,
-                      SvmConfig(C=1.0), features=X)
+                      SvmConfig(C=1.0))
     rbf_acc = np.mean([predict(rbf_model, x) == t for x, t in zip(X, y)])
     assert rbf_acc == 1.0
-    lin_model = train(gram(LIN, X), y, SvmConfig(C=1.0), features=X)
+    lin_model = train(gram(LIN, X), y, SvmConfig(C=1.0))
     lin_acc = np.mean([predict(lin_model, x) == t for x, t in zip(X, y)])
     assert lin_acc <= 0.75
     # cross-check the linear accuracy against the reference dual solve
@@ -151,7 +150,7 @@ def test_snap_onto_the_cap_moves_the_gradient_too():
     # C = 1 + 5e-9; the snap puts them at C, which moves the scores by
     # about 1e-9, so scores left behind give the wrong bias
     K = np.array([[1.0, 0.5], [0.5, 2.0]])
-    gm = GramMatrix(entries=K, kernel_config=LIN, dataset_digest="near-cap")
+    gm = GramMatrix(entries=K, kernel_config=LIN, rows=np.eye(2))
     C = 1.0 + 5e-9
     alphas = assert_state_is_consistent(gm, [1, -1], SvmConfig(C=C))
     assert np.array_equal(alphas, [C, C])
@@ -162,7 +161,7 @@ def test_decision_values_match_projected_gradient_oracle():
     for _ in range(8):
         n = int(rng.integers(4, 13))
         X, y, gm = random_problem(rng, n)
-        model = train(gm, y, SvmConfig(C=1.0, tol=1e-6), features=X)
+        model = train(gm, y, SvmConfig(C=1.0, tol=1e-6))
         alpha_ref = reference_dual_solve(gm.entries, y.astype(float), 1.0)
         bias_ref = reference_bias(gm.entries, y.astype(float), alpha_ref, 1.0)
         f_ref = gm.entries @ (alpha_ref * y) + bias_ref
@@ -214,7 +213,7 @@ def test_degenerate_model_returns_bias():
 
 def test_support_vector_query_with_orthogonal_features():
     gm, feats = identity_gram([1, 1, -1, -1])
-    model = train(gm, [1, 1, -1, -1], SvmConfig(C=2.0), features=feats)
+    model = train(gm, [1, 1, -1, -1], SvmConfig(C=2.0))
     expected = model.dual_coef[0] + model.bias
     assert abs(decision_value(model, model.support_vectors[0]) - expected) <= 1e-12
 
@@ -233,42 +232,26 @@ def test_train_input_validation():
     gm, feats = identity_gram([1, -1])
     cfg = SvmConfig()
     with pytest.raises(ValueError):
-        train(gm, [1, 1], cfg, features=feats)  # single class
+        train(gm, [1, 1], cfg)  # single class
     with pytest.raises(ValueError):
-        train(gm, [1, 0], cfg, features=feats)  # bad label alphabet
+        train(gm, [1, 0], cfg)  # bad label alphabet
     with pytest.raises(ValueError):
-        train(gm, [1], cfg, features=feats)  # length mismatch
+        train(gm, [1], cfg)  # length mismatch
     bad = GramMatrix(entries=np.array([[1.0, np.nan], [np.nan, 1.0]]),
-                     kernel_config=LIN, dataset_digest=gm.dataset_digest)
-    with pytest.raises(ValueError, match="non-finite"):  # its digest is the rows'
-        train(bad, [1, -1], cfg, features=feats)
-    with pytest.raises(ValueError):
-        train(gm, [1, -1], cfg, features=np.eye(3))  # wrong row count
-    with pytest.raises(ValueError):
-        train(gm, [1, -1], cfg, features=np.eye(2) * 2.0)  # not the Gram matrix's rows
+                     kernel_config=LIN, rows=feats)
+    with pytest.raises(ValueError, match="non-finite"):  # with rows, as a built matrix
+        train(bad, [1, -1], cfg)
 
 
-def test_train_refuses_rows_that_differ_only_in_the_sign_of_a_zero():
-    feats = np.array([[0.0, 1.0], [1.0, 0.5], [0.25, 0.0]])
-    gm = gram(LIN, feats)
-    signed = feats.copy()
-    signed[0, 0] = -0.0
-    assert np.array_equal(signed, feats)  # equal as numbers, not as bits
-    with pytest.raises(ValueError, match="not the rows"):
-        train(gm, [1, -1, 1], SvmConfig(), features=signed)
-    assert train(gm, [1, -1, 1], SvmConfig(), features=feats.copy()).converged
-
-
-def test_train_on_a_loaded_gram_matrix_checks_its_digest(tmp_path):
+def test_train_on_a_loaded_gram_matrix_takes_its_rows(tmp_path):
     feats = np.random.default_rng(8).random((4, 2))
     kernels.save_gram(gram(LIN, feats), tmp_path / "k.gram")
     loaded = kernels.load_gram(tmp_path / "k.gram")
-    assert loaded.rows is None
+    assert loaded.rows.tobytes() == feats.tobytes()
     y = [1, -1, 1, -1]
-    with pytest.raises(ValueError, match="not the rows"):
-        train(loaded, y, SvmConfig(), features=feats[::-1])
-    assert np.array_equal(train(loaded, y, SvmConfig(), features=feats).dual_coef,
-                          train(gram(LIN, feats), y, SvmConfig(), features=feats).dual_coef)
+    built, again = train(gram(LIN, feats), y, SvmConfig()), train(loaded, y, SvmConfig())
+    assert np.array_equal(again.dual_coef, built.dual_coef)
+    assert again.support_vectors.tobytes() == built.support_vectors.tobytes()
 
 
 def test_iteration_budget_flags_nonconverged():
@@ -298,7 +281,7 @@ def test_model_round_trip_preserves_decision_values(tmp_path):
     y = np.where(X[:, 0] + X[:, 1] > 1.0, 1, -1)
     if np.all(y == y[0]):
         y[0] = -y[0]
-    model = train(gram(cfg, X), y, SvmConfig(C=1.0), features=X)
+    model = train(gram(cfg, X), y, SvmConfig(C=1.0))
     path = tmp_path / "model.txt"
     save_svm_model(model, path)
     loaded = load_svm_model(path)
@@ -320,7 +303,7 @@ def test_saved_model_is_the_support_set_and_scores_bit_for_bit(tmp_path, cfg):
     y = np.where(X[:, 0] + X[:, 1] > 1.0, 1, -1)
     gm = gram(cfg, X, jitter=0.05 if cfg.kind == QUANTUM_SHOTS else 0.0)
     alphas = solve_dual(gm, y, SvmConfig(C=1.0))[0]
-    model = train(gm, y, SvmConfig(C=1.0), features=X)
+    model = train(gm, y, SvmConfig(C=1.0))
     path = tmp_path / "model"
     save_svm_model(model, path)
     sv = alphas > 0.0
@@ -366,7 +349,7 @@ def test_decision_values_match_decision_value(cfg):
     X = rng.random((24, 3))
     y = np.where(X[:, 0] + X[:, 1] > 1.0, 1, -1)
     jitter = 0.05 if cfg.kind == QUANTUM_SHOTS else 0.0
-    model = train(gram(cfg, X, jitter=jitter), y, SvmConfig(C=1.0), features=X)
+    model = train(gram(cfg, X, jitter=jitter), y, SvmConfig(C=1.0))
     queries = np.vstack([rng.random((7, 3)), X[:3]])
     batched = decision_values(model, queries)
     reference = np.array([decision_value(model, q) for q in queries])
@@ -409,7 +392,7 @@ def test_single_point_wrappers_match_the_gate_list_oracles(cfg):
     X = rng.random((24, 3))
     y = np.where(X[:, 0] + X[:, 1] > 1.0, 1, -1)
     jitter = 0.05 if cfg.kind == QUANTUM_SHOTS else 0.0
-    model = train(gram(cfg, X, jitter=jitter), y, SvmConfig(C=1.0), features=X)
+    model = train(gram(cfg, X, jitter=jitter), y, SvmConfig(C=1.0))
     for a in A:
         assert abs(svm.decision_value(model, a) - decision_value(model, a)) <= 1e-12
 
@@ -418,7 +401,7 @@ def test_indefinite_pair_moves_to_the_box_corner():
     # K_00 + K_11 - 2 K_01 < 0: the curvature along the pair is replaced by
     # TAU, and the objective, unbounded on the line, is maximized at the box
     K = np.array([[1.0, 1.2], [1.2, 1.0]])
-    gm = GramMatrix(entries=K, kernel_config=LIN, dataset_digest="indefinite")
+    gm = GramMatrix(entries=K, kernel_config=LIN, rows=np.eye(2))
     alphas, _, converged = solve_dual(gm, [1, -1], SvmConfig(C=0.5))
     assert np.array_equal(alphas, [0.5, 0.5])
     assert converged
@@ -436,8 +419,7 @@ def test_support_set_stable_under_gram_rounding():
         for cfg in (LIN, KernelConfig(kind=QUANTUM_EXACT, feature_map=spec)):
             gm = gram(cfg, X)
             noise = 1e-13 * rng.standard_normal((30, 30))
-            perturbed = GramMatrix(gm.entries + (noise + noise.T) / 2, cfg,
-                                   gm.dataset_digest)
+            perturbed = GramMatrix(gm.entries + (noise + noise.T) / 2, cfg, X)
             alphas = solve_dual(gm, y, SvmConfig(C=1.0))[0]
             again = solve_dual(perturbed, y, SvmConfig(C=1.0))[0]
             assert np.count_nonzero(alphas) == np.count_nonzero(again)
@@ -453,7 +435,7 @@ def test_kernel_with_large_entries_keeps_its_support_set():
     y = np.where(X[:, 0] > 50.0, 1, -1)
     assert np.mean(y == 1) == 0.55
     model = train(gram(KernelConfig(kind=POLY, degree=3, offset=1.0), X), y,
-                  SvmConfig(C=1.0), features=X)
+                  SvmConfig(C=1.0))
     assert model.dual_coef.size >= 2
     assert abs(model.dual_coef.sum()) <= 1e-12 * np.abs(model.dual_coef).sum()
     predicted = np.where(decision_values(model, X) >= 0.0, 1, -1)
