@@ -6,11 +6,12 @@ fields of its type, each scalar as itself and each array as its shape, a
 list of lengths (n, d and m are lengths shared within a file):
 
 - ``gram``: ``entries`` (n x n, symmetric, stored as its upper triangle),
-  ``jitter`` (on the diagonal), ``kernel_config`` (as
-  `KernelConfig.to_dict`) and ``rows`` (n x d, the feature rows the matrix
-  was built over, which ``qsarq train --gram`` compares with its data).
-  Gram files that hold a ``dataset_digest`` in place of ``rows`` are
-  refused by the key-set check and are rewritten by rerunning ``qsarq gram``.
+  ``kernel_config`` (as `KernelConfig.to_dict`) and ``rows`` (n x d, the
+  feature rows the matrix was built over, which ``qsarq train --gram``
+  compares with its data): the kernel over its rows, with no solver
+  setting. Gram files that hold a ``dataset_digest`` in place of ``rows``,
+  or a ``jitter``, are refused by the key-set check and are rewritten by
+  rerunning ``qsarq gram``.
 - ``svm``: ``support_vectors`` (m x d, the training rows with a nonzero
   multiplier, in training order), ``dual_coef`` (m, multiplier times
   label), ``bias``, ``converged`` and ``kernel_config``. Svm files that
@@ -60,8 +61,7 @@ class Upper(tuple):
 
 # the type of each field, or the names of an array's dimensions
 SCHEMAS = {
-    GRAM: {"entries": Upper(("n", "n")), "jitter": Real, "kernel_config": dict,
-           "rows": ("n", "d")},
+    GRAM: {"entries": Upper(("n", "n")), "kernel_config": dict, "rows": ("n", "d")},
     SVM: {"bias": Real, "converged": bool, "dual_coef": ("m",), "kernel_config": dict,
           "support_vectors": ("m", "d")},
     REG: {"basis": str, "coefficients": ("m",), "n_features": Integral, "threshold": Real},

@@ -17,10 +17,11 @@ and `<out>/<model name>.model`, so a model name that is empty, `.` or
 `..`, or holds `/` or `\\`, is refused at load. A Gram file holds the
 feature rows it was built over; `train --gram` is where it meets the data,
 and it refuses, naming the file and what differs, one of another kernel or
-jitter or whose rows are not the config's data byte for byte. `eval` reads
-either model type through `pipeline.load_model` and refuses a CSV of
-another width than the model's, naming both files and both widths. A
-`--model` that names no row of the config is refused, naming the config.
+whose rows are not the config's data byte for byte; a row's jitter is
+SMO's, so one Gram file trains rows of any jitter. `eval` reads either
+model type through `pipeline.load_model` and refuses a CSV of another
+width than the model's, naming both files and both widths. A `--model`
+that names no row of the config is refused, naming the config.
 Exit codes: 0 on success, 2 on invalid input or config, 3 on internal
 consistency failures.
 """
@@ -68,18 +69,16 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _gram_faults(gm, kcfg, jitter, X, csv) -> list[str]:
-    """What Gram matrix `gm` holds that the one of kernel `kcfg` and `jitter`
-    over the rows X of `csv` would not; its rows are compared byte for byte,
-    shape and float64 bytes, so -0.0 is not 0.0."""
+def _gram_faults(gm, kcfg, X, csv) -> list[str]:
+    """What Gram matrix `gm` holds that the one of kernel `kcfg` over the rows
+    X of `csv` would not; its rows are compared byte for byte, shape and
+    float64 bytes, so -0.0 is not 0.0."""
     faults = []
     if gm.kernel_config != kcfg:
         have, want = repr(gm.kernel_config.describe()), repr(kcfg.describe())
         if have == want:  # the tags leave out the shot seed and round parameters
             have, want = gm.kernel_config.to_dict(), kcfg.to_dict()
         faults.append(f"the kernel {have}, not {want}")
-    if gm.jitter != jitter:
-        faults.append(f"jitter {gm.jitter!r}, not {jitter!r}")
     if gm.rows.shape != X.shape or gm.rows.tobytes() != X.tobytes():
         faults.append("{} x {} feature rows that are not the {} x {} that {} gives".format(
             *gm.rows.shape, *X.shape, csv))
@@ -133,8 +132,7 @@ def cmd_train(args) -> None:
     gm = None
     if args.gram:
         gm = load_gram(args.gram)
-        faults = _gram_faults(gm, entry.kernel_config(X.shape[1]), entry.jitter, X,
-                              config.input_path)
+        faults = _gram_faults(gm, entry.kernel_config(X.shape[1]), X, config.input_path)
         if faults:
             raise ValueError(f"{args.gram}: not a Gram matrix of model {entry.name!r}: "
                              f"it holds {'; '.join(faults)}")

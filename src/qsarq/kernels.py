@@ -3,12 +3,13 @@
 Quantum kernels measure the fidelity |<phi(x)|phi(x')>|^2 between encoded
 states, either exactly from the statevectors or through seeded binomial
 shot sampling. Classical kernels (linear, polynomial, RBF) act directly
-on the feature vectors. Gram matrices are symmetric by construction and
-carry the kernel configuration, the diagonal jitter and the float64 feature
-rows they were built over, in memory and in a Gram file alike (`save_gram`),
-so a matrix's provenance is its rows: `qsarq train --gram` compares them
-with the config's data byte for byte, and `svm.train` takes its support
-vectors from them. Nothing here hashes but the shot streams (below).
+on the feature vectors. A Gram matrix is its kernel over its rows: it is
+symmetric by construction and carries the kernel configuration and the
+float64 feature rows it was built over, in memory and in a Gram file alike
+(`save_gram`), and no solver setting (the SVM's jitter is SMO's). So a
+matrix's provenance is its rows: `qsarq train --gram` compares them with
+the config's data byte for byte, and `svm.train` takes its support vectors
+from them. Nothing here hashes but the shot streams (below).
 
 Shot sampling has one rule. A query row x owns one stream,
 ``default_rng([rng_seed, *w])`` with w the four ``<u4`` words of the first
@@ -129,15 +130,14 @@ class KernelConfig:
 
 @dataclass(eq=False)
 class GramMatrix:
-    """Symmetric kernel matrix with its provenance: the kernel, the jitter and
-    `rows`, the float64 feature rows it was built over, one per matrix row
+    """Symmetric kernel matrix with its provenance: the kernel and `rows`,
+    the float64 feature rows it was built over, one per matrix row
     (`gram` keeps the caller's array when it is one, not a copy, so it must
     not change while the matrix is used)."""
 
     entries: np.ndarray = field(repr=False)
     kernel_config: KernelConfig
     rows: np.ndarray = field(repr=False)
-    jitter: float = 0.0  # constant added to the diagonal
 
     @property
     def size(self) -> int:
@@ -220,7 +220,7 @@ def _tile_rows(cfg: KernelConfig, n: int) -> int:
     return max(_block_rows(cfg, n, n), min(n, TILE_ROWS))
 
 
-def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
+def gram(cfg: KernelConfig, X) -> GramMatrix:
     """Kernel matrix over the rows of X, exactly symmetric.
 
     The matrix must fit the state-stack budget (n <= 11 585). X becomes one
@@ -238,20 +238,15 @@ def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
     is then the j-th draw of X[i]'s shot stream, drawn in place and
     mirrored: the upper triangle is ``cross_gram(cfg, X, X)``'s,
     ``gram(X[:m])`` is the leading m x m block of ``gram(X)``, and the
-    diagonal is 1. `jitter` adds a diagonal constant to shot-sampled
-    matrices, which are not guaranteed positive semidefinite. The matrix
-    holds the float64 rows of X (X itself, not a copy, when X is a 2-D
-    float64 array).
+    diagonal is 1; such a matrix need not be positive semidefinite. The
+    matrix holds the float64 rows of X (X itself, not a copy, when X is a
+    2-D float64 array).
     """
     feats = np.asarray(X, dtype=np.float64)
     if feats.ndim == 1:
         feats = feats.reshape(1, -1)
     if feats.ndim != 2 or feats.size == 0:
         raise ValueError("X must be a non-empty 2-D feature matrix")
-    if jitter < 0:
-        raise ValueError("jitter must be >= 0")
-    if jitter > 0 and cfg.kind != QUANTUM_SHOTS:
-        raise ValueError("diagonal jitter only applies to shot-sampled kernels")
     n = feats.shape[0]
     step = _tile_rows(cfg, n)
     ops = _operands(cfg, feats)
@@ -271,9 +266,7 @@ def gram(cfg: KernelConfig, X, *, jitter: float = 0.0) -> GramMatrix:
             entries[i, i + 1:] = entries[i + 1:, i] = drawn
         # self-fidelity is known; sampling adds nothing
         np.fill_diagonal(entries, 1.0)
-    if jitter > 0:
-        entries[np.diag_indices(n)] += jitter
-    return GramMatrix(entries, cfg, feats, float(jitter))
+    return GramMatrix(entries, cfg, feats)
 
 
 def cross_gram(cfg: KernelConfig, A, B) -> np.ndarray:
@@ -320,8 +313,7 @@ def save_gram(gm: GramMatrix, path) -> None:
     float64 bytes. Entries that are not bitwise symmetric raise a ValueError
     naming `path` before anything is written."""
     artifact.save(path, artifact.GRAM, {
-        "entries": gm.entries, "jitter": gm.jitter,
-        "kernel_config": gm.kernel_config.to_dict(), "rows": gm.rows})
+        "entries": gm.entries, "kernel_config": gm.kernel_config.to_dict(), "rows": gm.rows})
 
 
 def load_gram(path) -> GramMatrix:
@@ -330,5 +322,4 @@ def load_gram(path) -> GramMatrix:
     file (a file of an earlier version or layout included) raises a ValueError
     naming `path`."""
     return artifact.load(path, {artifact.GRAM: lambda f: GramMatrix(
-        f["entries"], KernelConfig.from_dict(f["kernel_config"]), f["rows"],
-        float(f["jitter"]))})
+        f["entries"], KernelConfig.from_dict(f["kernel_config"]), f["rows"])})

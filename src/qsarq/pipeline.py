@@ -99,11 +99,10 @@ class SvmEntry(ModelEntry, SvmConfig):
     """An `svm` row: an SMO kernel SVM, tagged c/q when its kernel is quantum."""
 
     kernel: dict
-    jitter: float = 0.0
 
     def _check(self):
         kind = self.kernel_config().kind  # every kernel setting, at any data width
-        if self.jitter < 0 or self.jitter > 0 and kind != QUANTUM_SHOTS:
+        if self.jitter > 0 and kind != QUANTUM_SHOTS:
             raise ValueError(f"jitter must be 0, or > 0 on {QUANTUM_SHOTS}")
         if self.tag is None:
             self.tag = "c/q" if kind in QUANTUM_KINDS else "c"
@@ -383,7 +382,7 @@ def prepare_features(config: DataConfig, split: bool = True,
 
 def entry_gram(entry: SvmEntry, X) -> GramMatrix:
     """Gram matrix of an svm row's kernel over the rows of X."""
-    return gram(entry.kernel_config(X.shape[1]), X, jitter=entry.jitter)
+    return gram(entry.kernel_config(X.shape[1]), X)
 
 
 def fit_entry(entry: ModelEntry, X, y, activity, cutoff, gm: GramMatrix | None = None):
@@ -392,7 +391,8 @@ def fit_entry(entry: ModelEntry, X, y, activity, cutoff, gm: GramMatrix | None =
     `activity` is the pEC50 of the same rows (NaN where a row has none),
     read for activity targets; `cutoff` is the config's activity_cutoff.
     An svm row trains on `gm` when given (its Gram matrix over X, whose
-    kernel, jitter and rows the caller has checked), else on a freshly built one.
+    kernel and rows the caller has checked), else on a freshly built one;
+    its jitter goes on the diagonal in SMO (`svm.solve_dual`), not in `gm`.
     A fault of the fit names the row once, as stage `model <name>`.
     """
     if entry.kind == SVM and gm is None:

@@ -10,11 +10,13 @@ only. The pair is LIBSVM's second-order working set (Fan, Chen & Lin,
 JMLR 6, 2005): i has the largest score in `up`, and j, in `low`, gives
 the largest decrease b^2 / a of f along the pair's constraint line.
 Curvatures a <= 0, which shot-sampled (indefinite) Gram matrices can give,
-are replaced by TAU. Training stops when the largest score in `up` is at
-most `tol` above the smallest in `low`, or after `max_iters` updates; ties
-go to the lowest index, so training is deterministic. Then clipping dust
-is snapped onto its bound, the scores following, and the bias is LIBSVM's
-rule on the scores (Chang & Lin, ACM TIST 2, 2011).
+are replaced by TAU, so SMO converges on them with no diagonal jitter; a
+config's `jitter` goes on the diagonal of a copy, not into the Gram matrix.
+Training stops when the largest score in `up` is at most `tol` above the
+smallest in `low`, or after `max_iters` updates; ties go to the lowest
+index, so training is deterministic. Then clipping dust is snapped onto
+its bound, the scores following, and the bias is LIBSVM's rule on the
+scores (Chang & Lin, ACM TIST 2, 2011).
 
 `solve_dual` runs SMO on a Gram matrix; `train` keeps what the decision
 function f(x) = sum_i a_i y_i K(x_i, x) + b reads: the support vectors
@@ -46,6 +48,7 @@ class SvmConfig:
     C: float = 1.0
     tol: float = 1e-3  # stop when m(a) - M(a) <= tol
     max_iters: int = 100_000
+    jitter: float = 0.0  # added to the Gram matrix's diagonal for the solve
 
     def __post_init__(self):
         if self.C <= 0:
@@ -55,6 +58,8 @@ class SvmConfig:
         if not 1 <= self.max_iters <= MAX_SVM_ITERS:
             bound = ">= 1" if self.max_iters < 1 else f"<= {MAX_SVM_ITERS}"
             raise ValueError(f"max_iters must be {bound}, got {self.max_iters}")
+        if not self.jitter >= 0:
+            raise ValueError("jitter must be >= 0")
 
 
 @dataclass
@@ -92,7 +97,7 @@ def _masks(labels, alphas, C) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_dual(gm: GramMatrix, y, cfg: SvmConfig) -> tuple[np.ndarray, float, bool]:
-    """SMO over `gm`: (multipliers, bias, converged).
+    """SMO over `gm`, `cfg.jitter` on its diagonal: (multipliers, bias, converged).
 
     After the loop, multipliers within `_bound_masks` slack of 0 or C snap
     onto that bound, and the scores take the loop's update for the move.
@@ -102,6 +107,9 @@ def solve_dual(gm: GramMatrix, y, cfg: SvmConfig) -> tuple[np.ndarray, float, bo
     """
     labels = _validate_training_input(gm, y)
     K = gm.entries
+    if cfg.jitter > 0:  # on a copy: the Gram matrix stays the kernel's
+        K = K.copy()
+        K[np.diag_indices(gm.size)] += cfg.jitter
     C = cfg.C
     alphas = np.zeros(gm.size)
     score = labels.copy()  # -y G at a = 0, where G = -e

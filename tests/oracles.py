@@ -20,6 +20,8 @@ hand-rolled Jacobi rotations, the SVM dual is solved by projected
 gradient ascent, linear systems by Gaussian elimination, shot draws
 one entry at a time from the gate-list fidelities, and annealing one
 Metropolis step at a time, each loss computed from scratch.
+`exactly_rounded_gram` evaluates Gram matrices in mpmath, so no BLAS
+kernel or CPU-dispatched numpy loop changes a bit of them.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from mpmath import mp
 
 from qsarq.errors import ResourceLimitError
 from qsarq.feature_maps import (
@@ -43,6 +46,7 @@ from qsarq.kernels import (
     POLY,
     QUANTUM_EXACT,
     QUANTUM_SHOTS,
+    RBF,
     KernelConfig,
     _clamp_unit,
     _shot_draws,
@@ -550,6 +554,62 @@ def reference_shot_rows(cfg: KernelConfig, A, B) -> np.ndarray:
         stream = np.random.default_rng([cfg.rng_seed, *words])
         for j, b in enumerate(B):
             out[i, j] = stream.binomial(cfg.shots, kernel_value(exact, a, b)) / cfg.shots
+    return out
+
+
+def _mp_zz_state(spec: FeatureMapSpec, x) -> list:
+    """The ZZ-family state of x in mpmath: each repetition is H on every qubit,
+    a Walsh-Hadamard sum, then exp(i * phase) on each amplitude (`phase_terms`),
+    with the true pi."""
+    if spec.family != ZZ:
+        raise ValueError("only the zz family has an mpmath state")
+    n, x = spec.n_qubits, [mp.mpf(v) for v in x]
+    pairs = entanglement_pairs(spec.entanglement, n)
+    diag = [mp.expj(mp.fsum([2 * x[q] for q in range(n) if a >> q & 1]
+                            + [2 * (mp.pi - x[j]) * (mp.pi - x[k])
+                               for j, k in pairs if (a >> j ^ a >> k) & 1]))
+            for a in range(1 << n)]
+    amps = [mp.mpc(1)] + [mp.mpc(0)] * ((1 << n) - 1)
+    for _ in range(spec.reps):
+        amps = [diag[a] * mp.fsum((-1) ** bin(a & b).count("1") * amps[b]
+                                  for b in range(1 << n)) / mp.sqrt(1 << n)
+                for a in range(1 << n)]
+    return amps
+
+
+def exactly_rounded_gram(cfg: KernelConfig, X) -> np.ndarray:
+    """The Gram matrix of `kernels.gram`, each exact entry evaluated in mpmath at
+    200 bits and rounded once to float64: linear, RBF and ZZ-family quantum
+    kernels. A shot-sampled entry (i, j), i < j, is the j-th draw of row i's
+    stream (`_shot_draws`) at row i of those rounded fidelities, mirrored, as
+    in `gram`, and the diagonal is 1."""
+    X = np.asarray(X, dtype=np.float64)
+    n = len(X)
+    with mp.workprec(200):
+        if cfg.kind in (QUANTUM_EXACT, QUANTUM_SHOTS):
+            states = [_mp_zz_state(cfg.feature_map, x) for x in X]
+
+            def entry(i, j):
+                z = mp.fsum(a.conjugate() * b for a, b in zip(states[i], states[j]))
+                return z.real ** 2 + z.imag ** 2
+        elif cfg.kind == LINEAR:
+            def entry(i, j):
+                return mp.fsum(mp.mpf(a) * mp.mpf(b) for a, b in zip(X[i], X[j]))
+        elif cfg.kind == RBF:
+            def entry(i, j):
+                sq = mp.fsum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(X[i], X[j]))
+                return mp.exp(-mp.mpf(cfg.gamma) * sq)
+        else:
+            raise ValueError(f"no mpmath kernel of kind {cfg.kind!r}")
+        exact = np.empty((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                exact[i, j] = exact[j, i] = float(entry(i, j))
+    if cfg.kind != QUANTUM_SHOTS:
+        return exact
+    out = np.eye(n)
+    for i in range(n):
+        out[i, i + 1:] = out[i + 1:, i] = _shot_draws(cfg, X[i], exact[i])[i + 1:]
     return out
 
 

@@ -35,14 +35,14 @@ ZZ3 = FeatureMapSpec("zz", 3, reps=2, entanglement="full")
 
 # type: (a saved object, its save and load functions)
 TYPES = {
-    "gram": (lambda: gram(SHOTS, X, jitter=0.25), save_gram, load_gram),
-    "svm": (lambda: train(gram(SHOTS, X, jitter=0.25), Y, SvmConfig(C=2.0)),
+    "gram": (lambda: gram(SHOTS, X), save_gram, load_gram),
+    "svm": (lambda: train(gram(SHOTS, X), Y, SvmConfig(C=2.0, jitter=0.25)),
             save_svm_model, load_svm_model),
     "reg": (lambda: fit_least_squares(X, Y, BasisSpec(POLY2, 2), ridge=0.1, threshold=0.25),
             save_reg_model, load_reg_model),
 }
 ARRAYS = ("entries", "rows", "support_vectors", "dual_coef", "coefficients")
-SCALARS = ("kernel_config", "jitter", "bias", "converged", "basis", "threshold")
+SCALARS = ("kernel_config", "bias", "converged", "basis", "threshold")
 
 
 @pytest.mark.parametrize("type_", TYPES)
@@ -93,7 +93,7 @@ def artifact_fields(draw):
     type_ = draw(st.sampled_from(sorted(TYPES)))
     return type_, {
         "gram": lambda: {"entries": symmetric(n), "kernel_config": {"kind": "linear"},
-                         "rows": array(n, d), "jitter": 0.0},
+                         "rows": array(n, d)},
         "svm": lambda: {"bias": 0.5, "converged": True, "dual_coef": array(n),
                         "kernel_config": {"kind": "linear"}, "support_vectors": array(n, d)},
         "reg": lambda: {"basis": "affine", "n_features": d, "coefficients": array(n),
@@ -120,8 +120,7 @@ def test_arrays_round_trip_bitwise_as_writable_float64(tmp_path_factory, drawn):
 
 # (type, valid fields) that `test_save_refuses_non_finite_values_before_writing` spoils
 VALID = {
-    "gram": {"entries": np.eye(3), "kernel_config": {"kind": "linear"}, "rows": np.eye(3, 2),
-             "jitter": 0.0},
+    "gram": {"entries": np.eye(3), "kernel_config": {"kind": "linear"}, "rows": np.eye(3, 2)},
     "reg": {"basis": "affine", "n_features": 2, "coefficients": np.array([0.5, 1.0, -1.0]),
             "threshold": 0.0},
 }
@@ -131,7 +130,7 @@ VALID = {
     ("gram", "entries", np.array([[1.0, 0.5, 0.0], [0.5, np.nan, 0.5], [0.0, 0.5, 1.0]])),
     ("reg", "coefficients", np.array([0.5, np.inf, -1.0])),
     ("reg", "coefficients", np.array([0.5, 1.0, -np.inf])),
-    ("gram", "jitter", float("nan")),
+    ("reg", "threshold", float("nan")),
 ], ids=["NaN in a middle row", "inf", "-inf", "NaN scalar"])
 def test_save_refuses_non_finite_values_before_writing(tmp_path, type_, key, value):
     path = tmp_path / "artifact"
@@ -155,8 +154,11 @@ def test_save_refuses_fields_that_load_refuses_before_writing(tmp_path, fields, 
     assert not path.exists()
 
 
-# per type, one scalar field and one array field to spoil
-SCALAR_OF = {"gram": "jitter", "svm": "bias", "reg": "threshold"}
+# per type, one scalar field and one array field to spoil; a gram header's one
+# scalar is its kernel, a mapping, so a number in its place has the wrong type
+SCALAR_OF = {"gram": "kernel_config", "svm": "bias", "reg": "threshold"}
+TOO_LARGE = {"gram": "kernel_config must be of type dict", "svm": "too large for a float",
+             "reg": "too large for a float"}
 ARRAY_OF = {"gram": "entries", "svm": "support_vectors", "reg": "coefficients"}
 # the fields saved as their upper triangle: the rows [i, i:] back to back
 UPPER = {"entries"}
@@ -220,7 +222,7 @@ def envelope(record, version):
     ("gram", {"entries": np.array([[1.0, -0.0, 5e-324], [-0.0, 1.0, 1 / 3],
                                    [5e-324, 1 / 3, 7.0]]),
               "kernel_config": {"kind": "rbf", "gamma": 1.5},
-              "rows": np.array([[-0.0, 0.5], [1e300, 5e-324], [0.25, 1.0]]), "jitter": 0.125}),
+              "rows": np.array([[-0.0, 0.5], [1e300, 5e-324], [0.25, 1.0]])}),
     ("svm", {"bias": -0.25, "converged": False, "dual_coef": np.array([0.5, -2.0]),
              "kernel_config": {"kind": "linear"},
              "support_vectors": np.array([[0.1, 0.2, 0.3], [-1e300, 0.0, 2.5]])}),
@@ -278,7 +280,8 @@ def spoiled(tmp_path, type_, fault):
     return path
 
 
-# (name, malformed change to a saved file's bytes, pattern of the error message)
+# (name, malformed change to a saved file's bytes, pattern of the error message,
+# or a mapping of each type to its pattern)
 FAULTS = [
     ("wrong type", on_record(lambda rec: rec.update(type={"gram": "svm", "svm": "reg",
                                                           "reg": "gram"}[rec["type"]])),
@@ -300,9 +303,9 @@ FAULTS = [
      "not a finite number"),
     ("overflowing number", on_record(lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]],
                                                                  RAW_1E400)),
-     "too large for a float"),
+     TOO_LARGE),
     ("huge integer", on_record(lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], 10**400)),
-     "too large for a float"),
+     TOO_LARGE),
     ("number as a string", on_record(lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], "0.5")),
      "must be of type"),
     ("payload not a multiple of 8", lambda data: data[:-1], r"holds \d+ bytes of arrays, not"),
@@ -320,7 +323,7 @@ def test_malformed_artifact_raises_naming_the_file(tmp_path, type_, name, fault,
     path = spoiled(tmp_path, type_, fault)
     with pytest.raises(ValueError, match=re.escape(str(path))) as info:
         TYPES[type_][2](path)
-    assert re.search(message, str(info.value))
+    assert re.search(message[type_] if isinstance(message, dict) else message, str(info.value))
 
 
 def row_end(data, array, row):
@@ -414,8 +417,8 @@ def test_triangle_row_of_the_wrong_length_is_refused_naming_the_file(tmp_path, r
 
 def test_square_gram_file_of_version_2_is_refused_naming_the_file(tmp_path):
     # the layout of version 2: every row whole, each off-diagonal entry twice
-    saved = gram(SHOTS, X, jitter=0.25)
-    record = {"entries": saved.entries, "format": "qsarq", "jitter": 0.25,
+    saved = gram(SHOTS, X)
+    record = {"entries": saved.entries, "format": "qsarq",
               "kernel_config": SHOTS.to_dict(), "rows": X, "type": "gram"}
     path = tmp_path / "square.gram"
     path.write_bytes(envelope(record, 2))

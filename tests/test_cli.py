@@ -321,20 +321,23 @@ def test_gram_of_another_shot_seed_exits_2_naming_both_seeds(tmp_path, qsarq):
     assert not (tmp_path / "q.model").exists()
 
 
-def test_gram_of_another_jitter_exits_2(tmp_path, qsarq):
+def test_one_gram_file_trains_rows_of_any_jitter(tmp_path, qsarq):
+    # the jitter is SMO's, not the Gram matrix's
     write_csv(tmp_path / "data.csv")
     kernel = {"kind": "quantum_shots", "shots": 64, "rng_seed": 1,
               "feature_map": {"family": "zz", "reps": 1}}
-    for name, jitter in (("a.yaml", 0.5), ("b.yaml", 0.0)):
-        write_config(tmp_path / name,
-                     models=[{"name": "q", "kind": "svm", "jitter": jitter, "kernel": kernel}])
-    assert qsarq("gram", "--config", tmp_path / "a.yaml", "--out", tmp_path,
-                 "--quiet")[0] == 0
-    code, _, err = qsarq("train", "--config", tmp_path / "b.yaml", "--gram",
-                         tmp_path / "q.gram", "--out", tmp_path, "--quiet")
-    assert code == 2 and "jitter 0.5" in err and "0.0" in err
-    assert err.startswith(f"error: {tmp_path / 'q.gram'}: ")
-    assert not (tmp_path / "q.model").exists()
+    models = {}
+    for jitter in (0.5, 0.0):
+        config = write_config(tmp_path / f"{jitter}.yaml", models=[
+            {"name": "q", "kind": "svm", "jitter": jitter, "kernel": kernel}])
+        if not models:  # the Gram file of the first row serves both
+            assert qsarq("gram", "--config", config, "--out", tmp_path, "--quiet")[0] == 0
+        for out, gram_args in (("with", ["--gram", tmp_path / "q.gram"]), ("without", [])):
+            assert qsarq("train", "--config", config, *gram_args,
+                         "--out", tmp_path / f"{jitter}{out}", "--quiet")[0] == 0
+        models[jitter] = (tmp_path / f"{jitter}with" / "q.model").read_bytes()
+        assert models[jitter] == (tmp_path / f"{jitter}without" / "q.model").read_bytes()
+    assert models[0.5] != models[0.0]
 
 
 # a Gram file and a model file in the text formats written before the JSON envelope
@@ -752,6 +755,8 @@ SLOW_ROW = {"name": "slow", "kind": "reg_anneal", "iterations": 200_000}
     ({"kind": "reg_anneal", "basis": "cubic"}, {}, "unknown basis kind 'cubic'"),
     ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "jitter": 0.1}, {},
      "jitter must be 0"),
+    ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "jitter": -0.1}, {},
+     "jitter must be >= 0"),
     ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": -1.0}}, {}, "gamma must be > 0"),
     ({"kind": "reg_ls", "target": "activity"}, {}, "activity target needs activity_cutoff"),
     ({"kind": "reg_anneal", "anneal_seed": -3}, {}, "anneal_seed must be >= 0, got -3"),
@@ -761,7 +766,8 @@ SLOW_ROW = {"name": "slow", "kind": "reg_anneal", "iterations": 200_000}
     ({"kind": "reg_ls"}, {"seed": -1}, "seed must be >= 0, got -1"),
     ({"kind": "reg_ls"}, {"pca_k": 0}, "pca_k must be >= 1, got 0"),
     ({"kind": "reg_ls"}, {"pca_k": -1}, "pca_k must be >= 1, got -1"),
-], ids=["C", "tol", "max_iters", "ridge", "basis", "jitter", "gamma", "activity_no_cutoff",
+], ids=["C", "tol", "max_iters", "ridge", "basis", "jitter", "jitter_negative", "gamma",
+        "activity_no_cutoff",
         "anneal_seed", "n_qubits", "seed", "pca_k_0", "pca_k_negative"])
 def test_bad_row_exits_2_before_any_row_is_fitted(tmp_path, qsarq, monkeypatch, bad, top,
                                                   message):

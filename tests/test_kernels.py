@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -268,27 +269,41 @@ def parse_parent_gram(text):
 
 
 def test_gram_file_round_trips_byte_identically(tmp_path):
-    for text, jitter in ((PARENT_SHOT_GRAM, 0.05), (PARENT_EXACT_GRAM, 0.0)):
+    for text in (PARENT_SHOT_GRAM, PARENT_EXACT_GRAM):
         entries, digest, cfg = parse_parent_gram(text)
         assert digest == dataset_digest(PARENT_X)  # the rows the old file was built over
         first, again = tmp_path / "first.gram", tmp_path / "again.gram"
-        save_gram(GramMatrix(entries, cfg, PARENT_X, jitter), first)
+        save_gram(GramMatrix(entries, cfg, PARENT_X), first)
         loaded = load_gram(first)
         save_gram(loaded, again)
         assert again.read_bytes() == first.read_bytes()
         assert np.array_equal(loaded.entries, entries)
         assert loaded.rows.tobytes() == PARENT_X.tobytes()
-        assert (loaded.kernel_config, loaded.rows.shape, loaded.jitter) == (cfg, (3, 2), jitter)
+        assert (loaded.kernel_config, loaded.rows.shape) == (cfg, (3, 2))
+
+
+def test_gram_file_with_a_jitter_is_refused_naming_the_file(tmp_path):
+    # files written while the jitter was the Gram matrix's, not SMO's: rerun `qsarq gram`
+    path = tmp_path / "old.gram"
+    save_gram(gram(KernelConfig(kind=LINEAR), PARENT_X), path)
+    head, _, payload = path.read_bytes().partition(b"\n")
+    path.write_bytes(json.dumps({**json.loads(head), "jitter": 0.05}).encode() + b"\n" + payload)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: gram artifact with missing key(s) [] and unknown key(s) ['jitter']")):
+        load_gram(path)
 
 
 def test_gram_files_unchanged_for_the_same_config(tmp_path):
     spec = FeatureMapSpec("zz", 2, reps=2)
     shots = KernelConfig(kind=QUANTUM_SHOTS, feature_map=spec, shots=100, rng_seed=3)
-    save_gram(gram(shots, PARENT_X, jitter=0.05), tmp_path / "shots.gram")
+    save_gram(gram(shots, PARENT_X), tmp_path / "shots.gram")
     saved = load_gram(tmp_path / "shots.gram")
     upper = np.triu(reference_shot_rows(shots, PARENT_X, PARENT_X), 1)
-    assert np.array_equal(saved.entries, upper + upper.T + (1.0 + 0.05) * np.eye(3))
-    _, digest, cfg = parse_parent_gram(PARENT_SHOT_GRAM)
+    assert np.array_equal(saved.entries, upper + upper.T + np.eye(3))
+    # the old file (drawn from other shot streams) held jitter 0.05 on its
+    # diagonal, which SMO now adds
+    old, digest, cfg = parse_parent_gram(PARENT_SHOT_GRAM)
+    assert np.array_equal(np.diag(old), np.diag(saved.entries) + 0.05)
     assert (saved.kernel_config, dataset_digest(saved.rows)) == (cfg, digest)
     before = parse_parent_gram(PARENT_EXACT_GRAM)[0]
     after = gram(KernelConfig(kind=QUANTUM_EXACT, feature_map=spec), PARENT_X).entries
@@ -433,16 +448,6 @@ def test_gram_input_validation():
         gram(KernelConfig(kind=LINEAR), [])
     with pytest.raises(ValueError):
         gram(KernelConfig(kind=LINEAR), [[1.0, 2.0], [3.0]])
-    with pytest.raises(ValueError):
-        gram(KernelConfig(kind=LINEAR), [[1.0, 2.0]], jitter=0.1)
-
-
-def test_gram_jitter_on_shot_matrices():
-    cfg = KernelConfig(kind=QUANTUM_SHOTS, feature_map=ZZ2, shots=32, rng_seed=3)
-    X = np.random.default_rng(2).random((4, 2))
-    plain = gram(cfg, X)
-    jittered = gram(cfg, X, jitter=0.05)
-    assert np.allclose(jittered.entries - plain.entries, 0.05 * np.eye(4))
 
 
 def test_gram_text_round_trip(tmp_path):

@@ -181,24 +181,68 @@ def test_training_is_deterministic():
 ZZ3 = FeatureMapSpec("zz", 3, reps=2)
 
 
-# frozen from seeded solves: the sha256 prefix of the multipliers' bytes, repr(bias), converged
-@pytest.mark.parametrize("cfg, jitter, svm_cfg, golden", [
-    (LIN, 0.0, SvmConfig(C=1.0), ("b146968de6460446", "-2.1828520017493975", True)),
-    (KernelConfig(kind=RBF, gamma=0.7), 0.0, SvmConfig(C=2.0),
-     ("1bacc349e80edfe5", "0.15993331488879722", True)),
-    (KernelConfig(kind=QUANTUM_EXACT, feature_map=ZZ3), 0.0, SvmConfig(C=1.0),
-     ("3e2c091d79961b24", "-0.21943152627708248", True)),
-    (KernelConfig(kind=QUANTUM_SHOTS, feature_map=ZZ3, shots=128, rng_seed=4), 0.05,
-     SvmConfig(C=1.0), ("d84f8269b9e94b6d", "-0.23006594201622407", True)),
-    (KernelConfig(kind=RBF, gamma=0.7), 0.0, SvmConfig(C=2.0, max_iters=9),
-     ("bcd7a1152e27fc4a", "0.46029563798581713", False)),
-], ids=["linear", "rbf", "zz-exact", "zz-shots", "rbf-max-iters"])
-def test_seeded_solves_give_the_golden_bits(cfg, jitter, svm_cfg, golden):
+GOLDEN_CFGS = [LIN, KernelConfig(kind=RBF, gamma=0.7),
+               KernelConfig(kind=QUANTUM_EXACT, feature_map=ZZ3),
+               KernelConfig(kind=QUANTUM_SHOTS, feature_map=ZZ3, shots=128, rng_seed=4)]
+
+
+def golden_problem():
     rng = np.random.default_rng(31)
     X = rng.random((40, 3))
-    y = np.where(X[:, 0] + X[:, 1] + 0.3 * rng.standard_normal(40) > 1.0, 1, -1)
-    alphas, bias, converged = solve_dual(gram(cfg, X, jitter=jitter), y, svm_cfg)[:3]
+    return X, np.where(X[:, 0] + X[:, 1] + 0.3 * rng.standard_normal(40) > 1.0, 1, -1)
+
+
+# frozen from seeded solves: the sha256 prefix of the multipliers' bytes, repr(bias),
+# converged; the Gram entries are exactly rounded (`oracles.exactly_rounded_gram`),
+# so no BLAS kernel or CPU-dispatched loop changes the bits SMO is given
+@pytest.mark.parametrize("cfg, svm_cfg, golden", [
+    (GOLDEN_CFGS[0], SvmConfig(C=1.0), ("0c07d7cdf88478b5", "-2.182881900917795", True)),
+    (GOLDEN_CFGS[1], SvmConfig(C=2.0), ("5a392a83fb292581", "0.1599333148887969", True)),
+    (GOLDEN_CFGS[2], SvmConfig(C=1.0), ("0ac0b68499325a00", "-0.21943152627708398", True)),
+    (GOLDEN_CFGS[3], SvmConfig(C=1.0, jitter=0.05),
+     ("d84f8269b9e94b6d", "-0.23006594201622407", True)),
+    (GOLDEN_CFGS[1], SvmConfig(C=2.0, max_iters=9),
+     ("bcd7a1152e27fc4a", "0.46029563798581724", False)),
+], ids=["linear", "rbf", "zz-exact", "zz-shots", "rbf-max-iters"])
+def test_seeded_solves_give_the_golden_bits(cfg, svm_cfg, golden):
+    X, y = golden_problem()
+    gm = GramMatrix(oracles.exactly_rounded_gram(cfg, X), cfg, X)
+    alphas, bias, converged = solve_dual(gm, y, svm_cfg)
     assert (hashlib.sha256(alphas.tobytes()).hexdigest()[:16], repr(bias), converged) == golden
+
+
+@pytest.mark.parametrize("cfg", GOLDEN_CFGS[:3], ids=["linear", "rbf", "zz-exact"])
+def test_gram_is_the_exactly_rounded_matrix_to_1e12(cfg):
+    X, _ = golden_problem()
+    assert np.max(np.abs(gram(cfg, X).entries - oracles.exactly_rounded_gram(cfg, X))) <= 1e-12
+
+
+def test_jitter_goes_on_a_copy_of_the_diagonal():
+    X, y = golden_problem()
+    gm = gram(GOLDEN_CFGS[3], X)
+    entries = gm.entries.copy()
+    jittered = GramMatrix(entries + 0.5 * np.eye(40), gm.kernel_config, X)
+    got = solve_dual(gm, y, SvmConfig(jitter=0.5))
+    assert np.array_equal(gm.entries, entries)
+    want = solve_dual(jittered, y, SvmConfig())
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+def test_smo_converges_with_no_jitter_on_an_indefinite_16_shot_matrix():
+    rng = np.random.default_rng(3)
+    X = rng.random((90, 3))
+    y = np.where(X[:, 0] + X[:, 1] + 0.3 * rng.standard_normal(90) > 1.0, 1, -1)
+    cfg = KernelConfig(kind=QUANTUM_SHOTS, feature_map=ZZ3, shots=16, rng_seed=2)
+    gm = gram(cfg, X)
+    assert np.linalg.eigvalsh(gm.entries)[0] < 0.0
+    alphas, _, converged = solve_dual(gm, y, SvmConfig(C=1.0))
+    assert converged and np.count_nonzero(alphas) > 0
+
+
+def test_svm_config_refuses_a_negative_jitter():
+    for jitter in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="jitter must be >= 0"):
+            SvmConfig(jitter=jitter)
 
 
 def test_degenerate_model_returns_bias():
@@ -301,9 +345,10 @@ def test_saved_model_is_the_support_set_and_scores_bit_for_bit(tmp_path, cfg):
     rng = np.random.default_rng(8)
     X = rng.random((30, 3))
     y = np.where(X[:, 0] + X[:, 1] > 1.0, 1, -1)
-    gm = gram(cfg, X, jitter=0.05 if cfg.kind == QUANTUM_SHOTS else 0.0)
-    alphas = solve_dual(gm, y, SvmConfig(C=1.0))[0]
-    model = train(gm, y, SvmConfig(C=1.0))
+    gm = gram(cfg, X)
+    svm_cfg = SvmConfig(C=1.0, jitter=0.05 if cfg.kind == QUANTUM_SHOTS else 0.0)
+    alphas = solve_dual(gm, y, svm_cfg)[0]
+    model = train(gm, y, svm_cfg)
     path = tmp_path / "model"
     save_svm_model(model, path)
     sv = alphas > 0.0
@@ -349,7 +394,7 @@ def test_decision_values_match_decision_value(cfg):
     X = rng.random((24, 3))
     y = np.where(X[:, 0] + X[:, 1] > 1.0, 1, -1)
     jitter = 0.05 if cfg.kind == QUANTUM_SHOTS else 0.0
-    model = train(gram(cfg, X, jitter=jitter), y, SvmConfig(C=1.0))
+    model = train(gram(cfg, X), y, SvmConfig(C=1.0, jitter=jitter))
     queries = np.vstack([rng.random((7, 3)), X[:3]])
     batched = decision_values(model, queries)
     reference = np.array([decision_value(model, q) for q in queries])
@@ -392,7 +437,7 @@ def test_single_point_wrappers_match_the_gate_list_oracles(cfg):
     X = rng.random((24, 3))
     y = np.where(X[:, 0] + X[:, 1] > 1.0, 1, -1)
     jitter = 0.05 if cfg.kind == QUANTUM_SHOTS else 0.0
-    model = train(gram(cfg, X, jitter=jitter), y, SvmConfig(C=1.0))
+    model = train(gram(cfg, X), y, SvmConfig(C=1.0, jitter=jitter))
     for a in A:
         assert abs(svm.decision_value(model, a) - decision_value(model, a)) <= 1e-12
 
