@@ -27,7 +27,11 @@ rounding.
 operands once (quantum kinds: `encode_batch`'s complex stack of states;
 classical kinds: the feature rows), and one block evaluator gives the exact
 kernel values between two operand blocks: |conj(A) B^T|^2 from one complex
-matrix product, the column-wise RBF sum, or the dot products.
+matrix product, the column-wise RBF sum, or the dot products. While the
+stack of states lives, `gram` writes only the tiles of its upper triangle,
+one after another into the tail of its n x n result; the square is formed
+after the stack is freed. So its peak memory is the larger of stack +
+triangle and the square, not their sum.
 The tests check both against a per-entry reference that encodes quantum
 rows gate by gate (``tests/oracles.py``).
 """
@@ -224,9 +228,17 @@ def gram(cfg: KernelConfig, X) -> GramMatrix:
     """Kernel matrix over the rows of X, exactly symmetric.
 
     The matrix must fit the state-stack budget (n <= 11 585). X becomes one
-    operand stack. Each tile of its rows is evaluated against the columns
-    from the tile's first row on, straight into the upper triangle of the
-    result; the lower triangle is mirrored from it once the stack is freed.
+    operand stack, and only then is the n x n result allocated. Each tile
+    of its rows is evaluated against the columns from the tile's first row
+    on, into the tail of the result, tile after tile: while the stack lives,
+    the tiles fill the last n(n+1)/2 entries plus the entries below the
+    diagonal within each tile (fewer than n * `_tile_rows` / 2). The
+    leading pages of the result are not touched, so a buffer fresh from the
+    allocator keeps them out of memory. Once
+    the stack is freed, each row's upper part moves forward into place and
+    the lower triangle is mirrored from it. So the peak memory is the
+    larger of stack + triangle and the square, not their sum.
+
     A quantum tile is one complex product of its conjugated states with the
     stack. Its conjugates overwrite rows of the stack that earlier tiles
     have spent, so past the first tile (`_block_rows` tall, with a new array
@@ -248,16 +260,28 @@ def gram(cfg: KernelConfig, X) -> GramMatrix:
     if feats.ndim != 2 or feats.size == 0:
         raise ValueError("X must be a non-empty 2-D feature matrix")
     n = feats.shape[0]
-    step = _tile_rows(cfg, n)
-    ops = _operands(cfg, feats)
-    entries = np.empty((n, n))
-    r0, rows, spent = 0, min(step, _block_rows(cfg, n, n)), None
+    step, tiles = _tile_rows(cfg, n), []
+    r0, rows = 0, min(n, _block_rows(cfg, n, n))
     while r0 < n:
-        _kernel_block(cfg, ops[r0:r0 + rows], ops[r0:], entries[r0:r0 + rows, r0:], spent)
+        tiles.append((r0, rows))
         # the next tile's conjugates overwrite the rows spent: it is no taller
         r0, rows = r0 + rows, min(step, r0 + rows, n - r0 - rows)
-        spent = ops[r0 - rows:r0]
-    del ops, spent  # free the stack before the mirror and the shot draws: it raises their peak RSS
+    ops = _operands(cfg, feats)
+    entries = np.empty((n, n))
+    flat = entries.reshape(-1)
+    start = at = n * n - sum(rows * (n - r0) for r0, rows in tiles)
+    for r0, rows in tiles:
+        block = flat[at:at + rows * (n - r0)].reshape(rows, n - r0)
+        _kernel_block(cfg, ops[r0:r0 + rows], ops[r0:], block, ops[r0 - rows:r0] if r0 else None)
+        at += block.size
+    del ops  # free the stack before the square is formed: it raises its peak RSS
+    # row i's block row starts at or after entry (i, r0), so one forward pass
+    # moves every row's upper part into place before its source is overwritten
+    at = start
+    for r0, rows in tiles:
+        for i in range(r0, r0 + rows):
+            flat[i * n + i:(i + 1) * n] = flat[at + i - r0:at + n - r0]
+            at += n - r0
     for i in range(n - 1):
         entries[i + 1:, i] = entries[i, i + 1:]
     if cfg.kind == QUANTUM_SHOTS:

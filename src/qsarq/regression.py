@@ -94,8 +94,8 @@ class AnnealSchedule:
     iterations: int = 10_000
 
     def __post_init__(self):
-        if self.t0 <= 0:
-            raise ValueError("initial temperature must be > 0")
+        if not self.t0 > 0:  # NaN included
+            raise ValueError("initial temperature t0 must be > 0")
         if not 0.0 < self.cooling < 1.0:
             raise ValueError("cooling factor must lie in (0, 1)")
         if not 1 <= self.iterations <= MAX_ANNEAL_ITERS:
@@ -130,7 +130,7 @@ def _ridge_rows(phi: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarra
 
 def _design(X, y, basis: BasisSpec, ridge: float) -> tuple[np.ndarray, np.ndarray]:
     """Checked design matrix and targets of a fit: (expand(basis, X) as rows, y)."""
-    if ridge < 0:
+    if not ridge >= 0:  # NaN included
         raise ValueError("ridge must be >= 0")
     targets = np.asarray(y, dtype=np.float64)
     phi = expand(basis, X)

@@ -51,9 +51,9 @@ class SvmConfig:
     jitter: float = 0.0  # added to the Gram matrix's diagonal for the solve
 
     def __post_init__(self):
-        if self.C <= 0:
+        if not self.C > 0:  # NaN included
             raise ValueError("C must be > 0")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be > 0")
         if not 1 <= self.max_iters <= MAX_SVM_ITERS:
             bound = ">= 1" if self.max_iters < 1 else f"<= {MAX_SVM_ITERS}"

@@ -414,6 +414,35 @@ def test_gram_blocks_stay_small_beside_the_state_stack():
 
 @pytest.mark.parametrize("cfg", [
     KernelConfig(kind=QUANTUM_EXACT,
+                 feature_map=FeatureMapSpec("zz", 10, reps=2, entanglement="linear")),
+    KernelConfig(kind=RBF, gamma=1.5),
+], ids=lambda cfg: cfg.kind)
+def test_gram_tiles_write_only_the_tail_of_the_result(monkeypatch, cfg):
+    # while the states live, the tiles fill the triangle and each tile's own
+    # lower part at the end of the buffer; its leading pages stay untouched
+    n = 320
+    X = np.random.default_rng(10).random((n, 10))
+    starts, ends = [], []
+    kernel_block = kernels._kernel_block
+
+    def recording(cfg, a, b, out, conj_out=None):
+        starts.append(out.ctypes.data)
+        ends.append(out.ctypes.data + out.nbytes)
+        kernel_block(cfg, a, b, out, conj_out)
+
+    monkeypatch.setattr(kernels, "_kernel_block", recording)
+    entries = gram(cfg, X).entries
+    base = entries.ctypes.data
+    tail = n * (n + 1) // 2 + n * kernels._tile_rows(cfg, n) // 2
+    assert len(starts) > 1
+    assert min(starts) >= base + 8 * (n * n - tail)
+    assert max(ends) == base + entries.nbytes
+    if cfg.kind == QUANTUM_EXACT:  # at this size a quantum tile is at most TILE_ROWS tall
+        assert min(starts) >= base + 8 * (n * n - n * (n + 1) // 2 - n * kernels.TILE_ROWS)
+
+
+@pytest.mark.parametrize("cfg", [
+    KernelConfig(kind=QUANTUM_EXACT,
                  feature_map=FeatureMapSpec("zz", 3, reps=2, entanglement="full")),
     KernelConfig(kind=RBF, gamma=1.5),
 ], ids=lambda cfg: cfg.kind)

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from oracles import decision_value, predict, reference_bias, reference_dual_solve
-from qsarq import feature_maps, kernels, svm
+from qsarq import feature_maps, kernels, regression, svm
 from qsarq.feature_maps import FeatureMapSpec
 from qsarq.kernels import (
     KernelConfig,
@@ -243,6 +243,24 @@ def test_svm_config_refuses_a_negative_jitter():
     for jitter in (-0.1, float("nan")):
         with pytest.raises(ValueError, match="jitter must be >= 0"):
             SvmConfig(jitter=jitter)
+
+
+NAN = float("nan")
+LINE = (np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), regression.BasisSpec(regression.AFFINE, 1))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SvmConfig(C=NAN), "C must be > 0"),
+    (lambda: SvmConfig(tol=NAN), "tol must be > 0"),
+    (lambda: regression.AnnealSchedule(t0=NAN), "t0 must be > 0"),
+    (lambda: regression.fit_annealing(*LINE, regression.AnnealSchedule(), seed=0, ridge=NAN),
+     "ridge must be >= 0"),
+    (lambda: regression.fit_least_squares(*LINE, ridge=NAN), "ridge must be >= 0"),
+], ids=["svm C", "svm tol", "anneal t0", "anneal ridge", "least-squares ridge"])
+def test_nan_solver_settings_are_refused_naming_the_setting(make, message):
+    # NaN fails every comparison, so a bound written as `x <= 0` lets it through
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_degenerate_model_returns_bias():
