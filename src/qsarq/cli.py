@@ -34,6 +34,7 @@ import sys
 from pathlib import Path
 
 from .errors import InternalConsistencyError, ResourceLimitError
+from .fields import SEED, accepts, check_value
 from .kernels import load_gram, save_gram
 from .pipeline import (
     SVM,
@@ -59,7 +60,7 @@ def _finite_float(text: str) -> float:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
+    if not accepts(float, value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
 
@@ -165,8 +166,7 @@ def cmd_eval(args) -> None:
 def cmd_run(args) -> None:
     config = load_experiment_config(args.config)
     if args.seed is not None:
-        if args.seed < 0:  # the bound of a config's seed
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        check_value(args.seed, SEED, "--seed")
         config.seed = args.seed
     report = run_experiment(config)
     txt_path, json_path = _out_path(args, "report.txt"), _out_path(args, "report.json")

@@ -1,42 +1,64 @@
-"""One type rule for the fields of the config dataclasses.
+"""One value rule for every setting.
 
-A dataclass's annotations are its type table: `check_fields` holds every
-field of an instance to its annotation, and `from_mapping` builds an
-instance from a mapping such as a YAML section. ``str`` takes a string,
-``bool`` true or false, ``dict`` a mapping, ``int`` an integer that is not
-a bool, and ``float`` a finite number that is not a bool (NaN, +-inf and
-integers too large for a float are not numbers). ``X | None`` also takes
-None; any other class takes its instances. Values are checked, not
-converted, so a report echoes them as written.
+An annotation says what a setting takes. ``str`` takes a string, ``bool``
+true or false, ``dict`` a mapping, ``int`` an integer that is not a bool,
+and ``float`` a finite number that is not a bool (NaN, +-inf and integers
+too large for a float are not numbers). ``X | None`` also takes None; any
+other class takes its instances. ``Annotated[X, op, limit]``, op ">" or
+">=", also bounds X: a number that fails the comparison (NaN fails every
+one) is refused for the bound. Values are checked, not converted, so a
+report echoes them as written.
+
+`check_fields` holds every field of a dataclass instance to its annotation:
+the config rows and data settings (`pipeline`), `KernelConfig`,
+`FeatureMapSpec` and the solver settings `SvmConfig`, `AnnealSchedule` and
+`BasisSpec`. `check_value` holds one value: ``ridge`` and ``threshold`` of
+both regression fits, and the ``seed`` of `fit_annealing`, `split_indices`
+and ``qsarq run --seed``. `accepts`, the type test alone, checks
+``--cutoff`` and `pec50`'s EC50. `from_mapping` builds a dataclass instance
+from a mapping such as a YAML section.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 import sys
 import typing
 from collections.abc import Mapping
 from numbers import Integral, Real
+from typing import Annotated
 
 _WHAT = {str: "a string", bool: "true or false", dict: "a mapping", int: "an integer",
          float: "a finite number"}
+_COMPARE = {">": operator.gt, ">=": operator.ge}
+
+SEED = Annotated[int, ">=", 0]  # a seed numpy's generators take
+
 
 @functools.cache
-def _schema(cls) -> list[tuple[str, type, bool]]:
-    """(name, type, takes None) of each field of dataclass `cls`."""
-    hints = typing.get_type_hints(cls)
-    schema = []
-    for f in dataclasses.fields(cls):
-        kind, optional = hints[f.name], False
-        args = typing.get_args(kind)
-        if type(None) in args:  # X | None
-            (kind,), optional = [a for a in args if a is not type(None)], True
-        schema.append((f.name, typing.get_origin(kind) or kind, optional))
-    return schema
+def _setting(hint) -> tuple[type, bool, tuple]:
+    """(type, takes None, (op, limit) or ()) of annotation `hint`."""
+    args = typing.get_args(hint)
+    optional = type(None) in args
+    if optional:  # X | None
+        (hint,) = [a for a in args if a is not type(None)]
+    bound = ()
+    if typing.get_origin(hint) is Annotated:
+        hint, bound = hint.__origin__, hint.__metadata__
+    return typing.get_origin(hint) or hint, optional, bound
 
 
-def _accepts(kind: type, value) -> bool:
+@functools.cache
+def _schema(cls) -> list[tuple[str, object]]:
+    """(name, annotation) of each field of dataclass `cls`."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return [(f.name, hints[f.name]) for f in dataclasses.fields(cls)]
+
+
+def accepts(kind: type, value) -> bool:
+    """Whether the rule takes `value` as a `kind` (module docstring)."""
     if kind is bool or isinstance(value, bool):
         return kind is bool and isinstance(value, bool)
     if kind is int:
@@ -46,13 +68,24 @@ def _accepts(kind: type, value) -> bool:
     return isinstance(value, Mapping if kind is dict else kind)
 
 
+def check_value(value, setting, name: str) -> None:
+    """Raise a ValueError naming `name` unless annotation `setting` takes `value`."""
+    kind, optional, bound = _setting(setting)
+    if optional and value is None:
+        return
+    if bound and isinstance(value, Real) and not isinstance(value, bool):
+        op, limit = bound
+        if not _COMPARE[op](value, limit):
+            raise ValueError(f"{name} must be {op} {limit}, got {value!r}")
+    if not accepts(kind, value):
+        raise ValueError(f"{name} must be {_WHAT.get(kind, f'a {kind.__name__}')}, "
+                         f"got {value!r}")
+
+
 def check_fields(obj, where: str) -> None:
     """Raise a ValueError naming the first field of `obj` its annotation refuses."""
-    for name, kind, optional in _schema(type(obj)):
-        value = getattr(obj, name)
-        if not (optional and value is None or _accepts(kind, value)):
-            what = _WHAT.get(kind, f"a {kind.__name__}")
-            raise ValueError(f"{where}: {name} must be {what}, got {value!r}")
+    for name, setting in _schema(type(obj)):
+        check_value(getattr(obj, name), setting, f"{where}: {name}")
 
 
 def from_mapping(cls, d, where: str):

@@ -180,9 +180,12 @@ def _shot_draws(cfg: KernelConfig, x: np.ndarray, p):
 
 def _operands(cfg: KernelConfig, X: np.ndarray) -> np.ndarray:
     """The rows of X as `_kernel_block` takes them: for quantum kinds the
-    (rows, 2^n) complex stack of encoded states, for classical kinds X."""
+    (rows, 2^n) complex stack of encoded states, for classical kinds X.
+    Rows holding NaN or +-inf are refused for every kind."""
     if cfg.kind in QUANTUM_KINDS:
-        return encode_batch(cfg.feature_map, X)
+        return encode_batch(cfg.feature_map, X)  # which refuses them itself
+    if not np.all(np.isfinite(X)):
+        raise ValueError("feature matrix contains non-finite values")
     return X
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import artifact
 from .errors import InternalConsistencyError
-from .fields import check_fields, from_mapping
+from .fields import SEED, check_fields, check_value, from_mapping
 from .kernels import (
     QUANTUM_KINDS,
     QUANTUM_SHOTS,
@@ -55,6 +55,7 @@ from .preprocess import (
 )
 from .regression import (
     BASIS_KINDS,
+    RIDGE,
     AnnealSchedule,
     BasisSpec,
     fit_annealing,
@@ -134,7 +135,7 @@ class RegEntry(ModelEntry):
     default_tag = "c"  # not a field: it has no annotation
 
     basis: str = "affine"
-    ridge: float = 0.0
+    ridge: RIDGE = 0.0
     target: str = "label"  # "label" (+-1) or "activity" (raw pEC50)
 
     def _check(self):
@@ -142,8 +143,6 @@ class RegEntry(ModelEntry):
             raise ValueError(f"unknown target {self.target!r}")
         if self.basis not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.basis!r}")
-        if self.ridge < 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge!r}")
         if self.tag is None:
             self.tag = self.default_tag
 
@@ -154,12 +153,7 @@ class AnnealEntry(RegEntry, AnnealSchedule):
 
     default_tag = "q"
 
-    anneal_seed: int = 0
-
-    def _check(self):
-        super()._check()
-        if self.anneal_seed < 0:
-            raise ValueError(f"anneal_seed must be >= 0, got {self.anneal_seed}")
+    anneal_seed: SEED = 0
 
 
 ENTRY_CLASSES = {SVM: SvmEntry, REG_LS: RegEntry, REG_ANNEAL: AnnealEntry}
@@ -254,6 +248,7 @@ def accuracy(predictions, truth) -> float:
 
 def split_indices(n_rows: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded shuffle then prefix split into (train, test) index arrays."""
+    check_value(seed, SEED, "seed")
     if not 0.0 < fraction < 1.0:
         raise ValueError("split fraction must lie in (0, 1)")
     if n_rows < 2:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import accepts
+
 # feature assembly order for the canonical descriptors
 FEATURE_ORDER = ("n_donors", "n_acceptors", "rotatable_bonds", "mol_weight", "logp")
 # columns recognized by name, case-insensitive, keyed by lower case; any
@@ -50,7 +52,7 @@ class DescriptorTable:
 
 def pec50(ec50_nM: float) -> float:
     """-log10(EC50 * 1e-9) for an EC50 given in nanomolar."""
-    if not (isinstance(ec50_nM, (int, float)) and math.isfinite(ec50_nM)) or ec50_nM <= 0:
+    if not accepts(float, ec50_nM) or ec50_nM <= 0:
         raise ValueError(f"ec50_nM must be a positive finite number, got {ec50_nM!r}")
     return 9.0 - math.log10(ec50_nM)
 

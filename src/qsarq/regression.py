@@ -24,14 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from . import artifact
+from .fields import SEED, check_fields, check_value
 
 AFFINE = "affine"
 POLY2 = "poly2"
 BASIS_KINDS = frozenset({AFFINE, POLY2})
+RIDGE = Annotated[float, ">=", 0]  # the ridge of a fit, and of a config row (`pipeline.RegEntry`)
 # annealing keeps nothing per step and stops once q is frozen: a million-iteration
 # poly2 fit on 92 rows of 5 features drew 83 200 steps in 0.7-1.2 s and traced
 # 0.11 MiB at the peak, on one CPU
@@ -50,13 +53,12 @@ class BasisSpec:
     """Which expansion to apply to an n_features input vector."""
 
     kind: str
-    n_features: int
+    n_features: Annotated[int, ">=", 1]
 
     def __post_init__(self):
+        check_fields(self, "basis")
         if self.kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.n_features < 1:
-            raise ValueError("n_features must be >= 1")
 
     @property
     def size(self) -> int:
@@ -89,13 +91,12 @@ def expand(basis: BasisSpec, X) -> np.ndarray:
 class AnnealSchedule:
     """Cooling T_k = t0 * cooling^k over `iterations` steps; `pipeline.AnnealEntry` inherits it."""
 
-    t0: float = 1.0
+    t0: Annotated[float, ">", 0] = 1.0
     cooling: float = 0.999
     iterations: int = 10_000
 
     def __post_init__(self):
-        if not self.t0 > 0:  # NaN included
-            raise ValueError("initial temperature t0 must be > 0")
+        check_fields(self, "anneal schedule")
         if not 0.0 < self.cooling < 1.0:
             raise ValueError("cooling factor must lie in (0, 1)")
         if not 1 <= self.iterations <= MAX_ANNEAL_ITERS:
@@ -128,10 +129,11 @@ def _ridge_rows(phi: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarra
     return np.vstack([phi, np.sqrt(ridge) * np.eye(m)]), np.concatenate([y, np.zeros(m)])
 
 
-def _design(X, y, basis: BasisSpec, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+def _design(X, y, basis: BasisSpec, ridge: float,
+            threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Checked design matrix and targets of a fit: (expand(basis, X) as rows, y)."""
-    if not ridge >= 0:  # NaN included
-        raise ValueError("ridge must be >= 0")
+    check_value(ridge, RIDGE, "ridge")
+    check_value(threshold, float, "threshold")
     targets = np.asarray(y, dtype=np.float64)
     phi = expand(basis, X)
     if phi.ndim == 1:
@@ -148,7 +150,7 @@ def fit_least_squares(X, y, basis: BasisSpec, ridge: float = 0.0,
     A rank-deficient design (possible only at ridge=0) yields the
     minimum-norm solution, as `np.linalg.lstsq` gives it.
     """
-    phi, targets = _design(X, y, basis, ridge)
+    phi, targets = _design(X, y, basis, ridge, threshold)
     q = np.linalg.lstsq(*_ridge_rows(phi, targets, ridge), rcond=None)[0]
     return RegModel(q, basis, threshold, loss=_objective(phi, targets, q, ridge))
 
@@ -175,7 +177,8 @@ def fit_annealing(X, y, basis: BasisSpec, schedule: AnnealSchedule, seed: int,
     draw could change the result. Nothing is kept per step, so memory does
     not grow with the iteration count.
     """
-    phi, targets = _design(X, y, basis, ridge)
+    check_value(seed, SEED, "seed")
+    phi, targets = _design(X, y, basis, ridge, threshold)
     rows, rhs = _ridge_rows(phi, targets, ridge)
     gram = rows.T @ rows
     rng = np.random.default_rng(seed)

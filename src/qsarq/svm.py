@@ -31,10 +31,12 @@ saved as an `svm` artifact (`qsarq.artifact`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from . import artifact
+from .fields import check_fields
 from .kernels import GramMatrix, KernelConfig, cross_gram
 
 TAU = 1e-12  # curvature used when a pair's is not positive, as in LIBSVM
@@ -45,21 +47,16 @@ MAX_SVM_ITERS = 1_000_000  # a tol never reached spends it all: ~50 s on 100 row
 class SvmConfig:
     """SMO settings, inherited by an svm config row (`pipeline.SvmEntry`)."""
 
-    C: float = 1.0
-    tol: float = 1e-3  # stop when m(a) - M(a) <= tol
+    C: Annotated[float, ">", 0] = 1.0
+    tol: Annotated[float, ">", 0] = 1e-3  # stop when m(a) - M(a) <= tol
     max_iters: int = 100_000
-    jitter: float = 0.0  # added to the Gram matrix's diagonal for the solve
+    jitter: Annotated[float, ">=", 0] = 0.0  # added to the Gram matrix's diagonal for the solve
 
     def __post_init__(self):
-        if not self.C > 0:  # NaN included
-            raise ValueError("C must be > 0")
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
+        check_fields(self, "svm config")
         if not 1 <= self.max_iters <= MAX_SVM_ITERS:
             bound = ">= 1" if self.max_iters < 1 else f"<= {MAX_SVM_ITERS}"
             raise ValueError(f"max_iters must be {bound}, got {self.max_iters}")
-        if not self.jitter >= 0:
-            raise ValueError("jitter must be >= 0")
 
 
 @dataclass

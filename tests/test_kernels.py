@@ -413,6 +413,21 @@ def test_gram_blocks_stay_small_beside_the_state_stack():
 
 
 @pytest.mark.parametrize("cfg", [
+    EXACT2, KernelConfig(kind=QUANTUM_SHOTS, feature_map=ZZ2, shots=64, rng_seed=4),
+    KernelConfig(kind=LINEAR), KernelConfig(kind=POLY, degree=2, offset=1.0),
+    KernelConfig(kind=RBF, gamma=0.7),
+], ids=lambda cfg: cfg.kind)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_kind_refuses_non_finite_feature_rows(cfg, bad):
+    good = np.array([[0.1, 0.5], [0.3, 0.2]])
+    for make in (lambda: gram(cfg, [[0.2, 0.4], [bad, 0.5]]),
+                 lambda: cross_gram(cfg, [[bad, 0.5]], good),
+                 lambda: cross_gram(cfg, good, [[0.2, bad]])):
+        with pytest.raises(ValueError, match="^feature matrix contains non-finite values$"):
+            make()
+
+
+@pytest.mark.parametrize("cfg", [
     KernelConfig(kind=QUANTUM_EXACT,
                  feature_map=FeatureMapSpec("zz", 10, reps=2, entanglement="linear")),
     KernelConfig(kind=RBF, gamma=1.5),

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 import oracles
 from oracles import decision_value, predict, reference_bias, reference_dual_solve
-from qsarq import feature_maps, kernels, regression, svm
+from qsarq import feature_maps, kernels, pipeline, regression, svm
 from qsarq.feature_maps import FeatureMapSpec
 from qsarq.kernels import (
     KernelConfig,
@@ -261,6 +262,39 @@ def test_nan_solver_settings_are_refused_naming_the_setting(make, message):
     # NaN fails every comparison, so a bound written as `x <= 0` lets it through
     with pytest.raises(ValueError, match=message):
         make()
+
+
+NUMBER_BAD = [NAN, math.inf, -math.inf, True, "1"]
+COUNT_BAD = [NAN, math.inf, -math.inf, True, 10.0, "10"]
+SETTING_CASES = [
+    (owner, make, setting, bad)
+    for owner, make, settings in [
+        ("SvmConfig", SvmConfig, {"C": NUMBER_BAD, "tol": NUMBER_BAD, "jitter": NUMBER_BAD,
+                                  "max_iters": COUNT_BAD}),
+        ("AnnealSchedule", regression.AnnealSchedule,
+         {"t0": NUMBER_BAD, "cooling": NUMBER_BAD, "iterations": COUNT_BAD}),
+        ("BasisSpec", lambda **kw: regression.BasisSpec(**{"kind": regression.AFFINE,
+                                                           "n_features": 1, **kw}),
+         {"n_features": COUNT_BAD}),
+        ("fit_least_squares", lambda **kw: regression.fit_least_squares(*LINE, **kw),
+         {"ridge": NUMBER_BAD, "threshold": NUMBER_BAD}),
+        ("fit_annealing", lambda **kw: regression.fit_annealing(
+            *LINE, regression.AnnealSchedule(), **{"seed": 0, **kw}),
+         {"ridge": NUMBER_BAD, "threshold": NUMBER_BAD, "seed": COUNT_BAD}),
+        ("split_indices", lambda **kw: pipeline.split_indices(10, 0.5, **kw),
+         {"seed": COUNT_BAD}),
+    ]
+    for setting, bads in settings.items() for bad in bads
+]
+
+
+@pytest.mark.parametrize("owner, make, setting, bad", SETTING_CASES,
+                         ids=[f"{o}-{s}-{b!r}" for o, _, s, b in SETTING_CASES])
+def test_bad_setting_values_are_refused_naming_the_setting(owner, make, setting, bad):
+    # a value the config rule refuses is refused here too, before any numpy
+    # work: a RuntimeWarning from the solver fails the test (pyproject.toml)
+    with pytest.raises(ValueError, match=rf"(^|: ){setting} must be "):
+        make(**{setting: bad})
 
 
 def test_degenerate_model_returns_bias():
