@@ -23,6 +23,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from functools import reduce
+from typing import Annotated
 
 import numpy as np
 
@@ -54,20 +55,16 @@ class FeatureMapSpec:
     """Fully determines the encoding unitary for a feature vector."""
 
     family: str
-    n_qubits: int
-    reps: int = 2
+    n_qubits: Annotated[int, ">=", 1]
+    reps: Annotated[int, ">=", 1, "<=", MAX_REPS] = 2
     entanglement: str = LINEAR
 
     def __post_init__(self):
-        check_fields(self, "feature map")
+        check_fields(self)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown feature-map family {self.family!r}")
         if self.entanglement not in ENTANGLEMENTS:
             raise ValueError(f"unknown entanglement scheme {self.entanglement!r}")
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        if not 1 <= self.reps <= MAX_REPS:
-            raise ValueError(f"reps must be between 1 and {MAX_REPS}, got {self.reps}")
 
     def to_dict(self) -> dict:
         return asdict(self)

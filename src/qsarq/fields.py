@@ -4,19 +4,27 @@ An annotation says what a setting takes. ``str`` takes a string, ``bool``
 true or false, ``dict`` a mapping, ``int`` an integer that is not a bool,
 and ``float`` a finite number that is not a bool (NaN, +-inf and integers
 too large for a float are not numbers). ``X | None`` also takes None; any
-other class takes its instances. ``Annotated[X, op, limit]``, op ">" or
-">=", also bounds X: a number that fails the comparison (NaN fails every
-one) is refused for the bound. Values are checked, not converted, so a
-report echoes them as written.
+other class takes its instances. ``Annotated[X, op, limit]`` also bounds X,
+and ``Annotated[X, op, limit, op, limit]`` bounds it on two sides, each op
+one of ">", ">=", "<" and "<=": a number that fails a comparison (NaN fails
+every one) is refused for the first side it fails, as ``{name} must be {op}
+{limit}, got {value!r}``. `SEED` and `SPLIT` are two such annotations.
+Values are checked, not converted, so a report echoes them as written.
 
-`check_fields` holds every field of a dataclass instance to its annotation:
-the config rows and data settings (`pipeline`), `KernelConfig`,
-`FeatureMapSpec` and the solver settings `SvmConfig`, `AnnealSchedule` and
-`BasisSpec`. `check_value` holds one value: ``ridge`` and ``threshold`` of
-both regression fits, and the ``seed`` of `fit_annealing`, `split_indices`
-and ``qsarq run --seed``. `accepts`, the type test alone, checks
-``--cutoff`` and `pec50`'s EC50. `from_mapping` builds a dataclass instance
-from a mapping such as a YAML section.
+A message names the setting alone; the layer that knows where the value
+came from names that once: `pipeline.load_experiment_config` the config
+file, `pipeline.ModelEntry` the row, `artifact.load` the file.
+
+`check_fields` holds every field of a dataclass instance to its annotation,
+every bound included: the config rows (`pipeline.ModelEntry`, once per row),
+`pipeline.DataConfig` and `pipeline.ExperimentConfig`, `kernels.KernelConfig`,
+`feature_maps.FeatureMapSpec` and the solver settings `svm.SvmConfig`,
+`regression.AnnealSchedule` and `regression.BasisSpec`. `check_value` holds
+one value: ``ridge`` and ``threshold`` of both regression fits, the ``seed``
+of `fit_annealing`, the ``fraction`` and ``seed`` of `split_indices`, and
+``qsarq run --seed``. `accepts`, the type test alone, checks ``--cutoff``
+and `pec50`'s EC50. `from_mapping` builds a dataclass instance from a
+mapping such as a YAML section.
 """
 
 from __future__ import annotations
@@ -32,21 +40,23 @@ from typing import Annotated
 
 _WHAT = {str: "a string", bool: "true or false", dict: "a mapping", int: "an integer",
          float: "a finite number"}
-_COMPARE = {">": operator.gt, ">=": operator.ge}
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 SEED = Annotated[int, ">=", 0]  # a seed numpy's generators take
+SPLIT = Annotated[float, ">", 0, "<", 1]  # the training share of a split
 
 
 @functools.cache
 def _setting(hint) -> tuple[type, bool, tuple]:
-    """(type, takes None, (op, limit) or ()) of annotation `hint`."""
+    """(type, takes None, its (op, limit) pairs) of annotation `hint`."""
     args = typing.get_args(hint)
     optional = type(None) in args
     if optional:  # X | None
         (hint,) = [a for a in args if a is not type(None)]
     bound = ()
     if typing.get_origin(hint) is Annotated:
-        hint, bound = hint.__origin__, hint.__metadata__
+        hint, meta = hint.__origin__, hint.__metadata__
+        bound = tuple(zip(meta[::2], meta[1::2]))
     return typing.get_origin(hint) or hint, optional, bound
 
 
@@ -74,18 +84,18 @@ def check_value(value, setting, name: str) -> None:
     if optional and value is None:
         return
     if bound and isinstance(value, Real) and not isinstance(value, bool):
-        op, limit = bound
-        if not _COMPARE[op](value, limit):
-            raise ValueError(f"{name} must be {op} {limit}, got {value!r}")
+        for op, limit in bound:
+            if not _COMPARE[op](value, limit):
+                raise ValueError(f"{name} must be {op} {limit}, got {value!r}")
     if not accepts(kind, value):
         raise ValueError(f"{name} must be {_WHAT.get(kind, f'a {kind.__name__}')}, "
                          f"got {value!r}")
 
 
-def check_fields(obj, where: str) -> None:
+def check_fields(obj) -> None:
     """Raise a ValueError naming the first field of `obj` its annotation refuses."""
     for name, setting in _schema(type(obj)):
-        check_value(getattr(obj, name), setting, f"{where}: {name}")
+        check_value(getattr(obj, name), setting, name)
 
 
 def from_mapping(cls, d, where: str):

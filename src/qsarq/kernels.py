@@ -40,13 +40,14 @@ from __future__ import annotations
 
 import sys
 from dataclasses import asdict, dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from . import artifact
 from .errors import InternalConsistencyError, ResourceLimitError
 from .feature_maps import BLOCK_BYTES, DEFAULT_STACK_BYTES, FeatureMapSpec, encode_batch
-from .fields import check_fields, from_mapping
+from .fields import SEED, check_fields, from_mapping
 
 QUANTUM_EXACT = "quantum_exact"
 QUANTUM_SHOTS = "quantum_shots"
@@ -71,14 +72,15 @@ class KernelConfig:
 
     kind: str
     feature_map: FeatureMapSpec | None = None
-    shots: int | None = None
-    rng_seed: int | None = None
-    degree: int | None = None
-    offset: float | None = None
-    gamma: float | None = None
+    shots: Annotated[int, ">=", 1, "<=", _MAX_SHOTS] | None = None
+    rng_seed: SEED | None = None
+    # a degree too large for a float would overflow the kernel's power
+    degree: Annotated[int, ">=", 1, "<=", sys.float_info.max] | None = None
+    offset: Annotated[float, ">=", 0] | None = None
+    gamma: Annotated[float, ">", 0] | None = None
 
     def __post_init__(self):
-        check_fields(self, "kernel")
+        check_fields(self)
         if self.kind not in KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         required = {
@@ -95,17 +97,6 @@ class KernelConfig:
                 raise ValueError(f"{self.kind} kernel requires {name}")
             if name not in required and value is not None:
                 raise ValueError(f"{self.kind} kernel does not take {name}")
-        if self.shots is not None and not 1 <= self.shots <= _MAX_SHOTS:
-            raise ValueError(f"shots must be between 1 and {_MAX_SHOTS}, got {self.shots}")
-        if self.rng_seed is not None and self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        # a degree too large for a float would overflow the kernel's power
-        if self.degree is not None and not 1 <= self.degree <= sys.float_info.max:
-            raise ValueError(f"degree must be >= 1 and fit a float, got {self.degree}")
-        if self.offset is not None and self.offset < 0:
-            raise ValueError("offset must be >= 0")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
 
     def describe(self) -> str:
         """Short human-readable tag for reports."""

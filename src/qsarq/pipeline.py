@@ -30,12 +30,13 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from . import artifact
 from .errors import InternalConsistencyError
-from .fields import SEED, check_fields, check_value, from_mapping
+from .fields import SEED, SPLIT, check_fields, check_value, from_mapping
 from .kernels import (
     QUANTUM_KINDS,
     QUANTUM_SHOTS,
@@ -88,11 +89,10 @@ class ModelEntry:
     note: str | None = None
 
     def __post_init__(self):
-        check_fields(self, f"model {self.name!r}")
-        try:  # the name, the bounds of the solver settings a row inherits, then its kind's
+        try:  # every field, the solver settings a row inherits included; the name; its kind's
+            check_fields(self)
             if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
                 raise ValueError(r"name must be a file name: not empty, '.' or '..', no '/' or '\'")
-            getattr(super(), "__post_init__", lambda: None)()
             self._check()
         except ValueError as exc:
             raise ValueError(f"model {self.name!r}: {exc}") from exc
@@ -166,14 +166,11 @@ class DataConfig:
     input: str
     lipinski_filter: bool = False
     activity_cutoff: float | None = None
-    pca_k: int | None = None
+    pca_k: Annotated[int, ">=", 1] | None = None
     scaler: bool = True
 
     def __post_init__(self):
-        check_fields(self, "config")
-        if self.pca_k is not None and self.pca_k < 1:
-            raise ValueError(f"pca_k must be >= 1, got {self.pca_k}")
-        self.activity_cutoff = None if self.activity_cutoff is None else float(self.activity_cutoff)
+        check_fields(self)
         self.input_path = Path(self.input)  # not a field, so neither set nor echoed
 
 
@@ -181,18 +178,14 @@ class DataConfig:
 class ExperimentConfig(DataConfig):
     """An experiment config: its data settings, the split and the model rows."""
 
-    seed: int
-    split: float
+    seed: SEED
+    split: SPLIT
     models: list[ModelEntry]
 
     def __post_init__(self):
         super().__post_init__()
         if not self.models:
             raise ValueError("config lists no models")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.split < 1.0:
-            raise ValueError("split fraction must lie in (0, 1)")
         seen = set()
         for entry in self.models:
             if entry.name in seen:
@@ -249,8 +242,7 @@ def accuracy(predictions, truth) -> float:
 def split_indices(n_rows: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded shuffle then prefix split into (train, test) index arrays."""
     check_value(seed, SEED, "seed")
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("split fraction must lie in (0, 1)")
+    check_value(fraction, SPLIT, "fraction")
     if n_rows < 2:
         raise ValueError("need at least two rows to split")
     n_train = int(n_rows * fraction)

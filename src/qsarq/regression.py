@@ -56,7 +56,7 @@ class BasisSpec:
     n_features: Annotated[int, ">=", 1]
 
     def __post_init__(self):
-        check_fields(self, "basis")
+        check_fields(self)
         if self.kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}")
 
@@ -92,16 +92,10 @@ class AnnealSchedule:
     """Cooling T_k = t0 * cooling^k over `iterations` steps; `pipeline.AnnealEntry` inherits it."""
 
     t0: Annotated[float, ">", 0] = 1.0
-    cooling: float = 0.999
-    iterations: int = 10_000
+    cooling: Annotated[float, ">", 0, "<", 1] = 0.999
+    iterations: Annotated[int, ">=", 1, "<=", MAX_ANNEAL_ITERS] = 10_000
 
-    def __post_init__(self):
-        check_fields(self, "anneal schedule")
-        if not 0.0 < self.cooling < 1.0:
-            raise ValueError("cooling factor must lie in (0, 1)")
-        if not 1 <= self.iterations <= MAX_ANNEAL_ITERS:
-            raise ValueError(f"iteration count must be between 1 and {MAX_ANNEAL_ITERS}, "
-                             f"got {self.iterations}")
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -49,14 +49,10 @@ class SvmConfig:
 
     C: Annotated[float, ">", 0] = 1.0
     tol: Annotated[float, ">", 0] = 1e-3  # stop when m(a) - M(a) <= tol
-    max_iters: int = 100_000
+    max_iters: Annotated[int, ">=", 1, "<=", MAX_SVM_ITERS] = 100_000
     jitter: Annotated[float, ">=", 0] = 0.0  # added to the Gram matrix's diagonal for the solve
 
-    def __post_init__(self):
-        check_fields(self, "svm config")
-        if not 1 <= self.max_iters <= MAX_SVM_ITERS:
-            bound = ">= 1" if self.max_iters < 1 else f"<= {MAX_SVM_ITERS}"
-            raise ValueError(f"max_iters must be {bound}, got {self.max_iters}")
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -528,7 +528,7 @@ def test_oversized_anneal_iterations_exit_2(tmp_path, qsarq, iterations):
     entry = {"name": "anneal", "kind": "reg_anneal", "iterations": iterations}
     config = write_config(tmp_path / "exp.yaml", models=[entry])
     code, _, err = qsarq("run", "--config", config, "--out", tmp_path, "--quiet")
-    assert code == 2 and f"iteration count must be between 1 and {MAX_ANNEAL_ITERS}" in err
+    assert code == 2 and f"iterations must be <= {MAX_ANNEAL_ITERS}, got {iterations}" in err
 
 
 @pytest.mark.parametrize("reps", [MAX_REPS + 1, 10**30])
@@ -538,7 +538,7 @@ def test_oversized_feature_map_reps_exit_2(tmp_path, qsarq, reps):
     config = write_config(tmp_path / "exp.yaml",
                           models=[{"name": "q", "kind": "svm", "kernel": kernel}])
     code, _, err = qsarq("run", "--config", config, "--out", tmp_path / "out", "--quiet")
-    assert code == 2 and f"reps must be between 1 and {MAX_REPS}, got {reps}" in err
+    assert code == 2 and f"reps must be <= {MAX_REPS}, got {reps}" in err
 
 
 def test_oversized_kernel_matrix_exits_2(tmp_path, qsarq):
@@ -799,11 +799,11 @@ def test_negative_run_seed_exits_2_before_any_row_is_fitted(tmp_path, config, qs
 @pytest.mark.parametrize("kernel, message", [
     ({"kind": "rbf", "gamma": 0.0}, "gamma must be > 0"),
     ({"kind": "quantum_exact", "feature_map": {"family": "zz", "reps": 0}},
-     f"reps must be between 1 and {MAX_REPS}, got 0"),
+     "reps must be >= 1, got 0"),
     ({"kind": "quantum_exact", "feature_map": {"family": "zz", "n_qubits": 0}},
      "n_qubits must be >= 1"),
     ({"kind": "quantum_shots", "shots": 0, "rng_seed": 1, "feature_map": {"family": "zz"}},
-     "shots must be between 1 and"),
+     "shots must be >= 1, got 0"),
     ({"kind": "cosine"}, "unknown kernel kind 'cosine'"),
     ({"gamma": 1.0}, "kind must be a string, got None"),
     ({"kind": "quantum_exact", "feature_map": {"family": "zz", "rep": 1}},
@@ -852,6 +852,20 @@ def test_train_of_a_bad_row_exits_2_before_its_gram_matrix(tmp_path, qsarq, monk
     assert code == 2
     assert f"error: {config}: model 'bad_row': C must be > 0" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_integer_cutoff_is_echoed_as_written_and_scores_as_its_float(tmp_path, qsarq):
+    write_csv(tmp_path / "data.csv")
+    for name, cutoff in (("int", int(CUTOFF)), ("float", CUTOFF)):
+        config = write_config(tmp_path / f"{name}.yaml", activity_cutoff=cutoff)
+        assert qsarq("run", "--config", config, "--out", tmp_path / name, "--quiet")[0] == 0
+    report = {name: {ext: (tmp_path / name / f"report.{ext}").read_text(encoding="utf-8")
+                     for ext in ("txt", "json")} for name in ("int", "float")}
+    assert report["int"]["txt"] == report["float"]["txt"]
+    echoed = f'"activity_cutoff": {int(CUTOFF)},'
+    assert echoed in report["int"]["json"]
+    assert report["int"]["json"].replace(echoed, f'"activity_cutoff": {CUTOFF},') \
+        == report["float"]["json"]
 
 
 def test_run_seed_option_gives_the_report_of_that_config_seed(tmp_path, config, qsarq):

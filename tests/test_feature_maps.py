@@ -59,7 +59,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         FeatureMapSpec(ZZ, 2, entanglement="ring")
     for reps in (MAX_REPS + 1, 10**30):
-        with pytest.raises(ValueError, match=f"reps must be between 1 and {MAX_REPS}"):
+        with pytest.raises(ValueError, match=f"reps must be <= {MAX_REPS}, got {reps}"):
             FeatureMapSpec(ZZ, 2, reps=reps)
     assert FeatureMapSpec(ZZ, 2, reps=MAX_REPS).reps == MAX_REPS
 

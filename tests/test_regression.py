@@ -284,7 +284,8 @@ def test_invalid_schedules_rejected():
 def test_annealing_refuses_more_than_the_iteration_cap():
     assert MAX_ANNEAL_ITERS >= 100 * 10_000  # the default AnnealSchedule.iterations
     for n_iters in (MAX_ANNEAL_ITERS + 1, 10**30):
-        with pytest.raises(ValueError, match="iteration count must be between"):
+        with pytest.raises(ValueError, match=f"iterations must be <= {MAX_ANNEAL_ITERS}, "
+                                             f"got {n_iters}"):
             fit_annealing(LINE_X, LINE_Y, BasisSpec(AFFINE, 1),
                           AnnealSchedule(t0=1.0, cooling=0.9, iterations=n_iters), seed=0)
 

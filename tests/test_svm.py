@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -281,8 +282,9 @@ SETTING_CASES = [
         ("fit_annealing", lambda **kw: regression.fit_annealing(
             *LINE, regression.AnnealSchedule(), **{"seed": 0, **kw}),
          {"ridge": NUMBER_BAD, "threshold": NUMBER_BAD, "seed": COUNT_BAD}),
-        ("split_indices", lambda **kw: pipeline.split_indices(10, 0.5, **kw),
-         {"seed": COUNT_BAD}),
+        ("split_indices", lambda **kw: pipeline.split_indices(**{"n_rows": 10, "fraction": 0.5,
+                                                                  "seed": 0, **kw}),
+         {"fraction": NUMBER_BAD, "seed": COUNT_BAD}),
     ]
     for setting, bads in settings.items() for bad in bads
 ]
@@ -295,6 +297,60 @@ def test_bad_setting_values_are_refused_naming_the_setting(owner, make, setting,
     # work: a RuntimeWarning from the solver fails the test (pyproject.toml)
     with pytest.raises(ValueError, match=rf"(^|: ){setting} must be "):
         make(**{setting: bad})
+
+
+FM2 = FeatureMapSpec("zz", 2)
+ABOVE_0, BELOW_1 = math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)
+
+
+def shots_kernel(**kw):
+    return KernelConfig(**{"kind": QUANTUM_SHOTS, "feature_map": FM2, "shots": 1, "rng_seed": 0,
+                           **kw})
+
+
+def experiment(**kw):
+    return pipeline.ExperimentConfig(**{"input": "data.csv", "seed": 0, "split": 0.5,
+                                        "models": [pipeline.RegEntry(name="ls", kind="reg_ls")],
+                                        **kw})
+
+
+# (setting, build from one value, a limit of its bound, the nearest value past that limit)
+BOUNDS = [
+    ("shots", lambda v: shots_kernel(shots=v), 1, 0),
+    ("shots", lambda v: shots_kernel(shots=v), 2**63 - 1, 2**63),
+    ("rng_seed", lambda v: shots_kernel(rng_seed=v), 0, -1),
+    ("degree", lambda v: KernelConfig(kind=POLY, degree=v, offset=0.0), 1, 0),
+    ("degree", lambda v: KernelConfig(kind=POLY, degree=v, offset=0.0),
+     int(sys.float_info.max), int(sys.float_info.max) + 1),
+    ("offset", lambda v: KernelConfig(kind=POLY, degree=2, offset=v), 0.0, -ABOVE_0),
+    ("gamma", lambda v: KernelConfig(kind=RBF, gamma=v), ABOVE_0, 0.0),
+    ("n_qubits", lambda v: FeatureMapSpec("zz", v), 1, 0),
+    ("reps", lambda v: FeatureMapSpec("zz", 2, reps=v), 1, 0),
+    ("reps", lambda v: FeatureMapSpec("zz", 2, reps=v), feature_maps.MAX_REPS,
+     feature_maps.MAX_REPS + 1),
+    ("pca_k", lambda v: pipeline.DataConfig(input="data.csv", pca_k=v), 1, 0),
+    ("seed", lambda v: experiment(seed=v), 0, -1),
+    ("split", lambda v: experiment(split=v), ABOVE_0, 0.0),
+    ("split", lambda v: experiment(split=v), BELOW_1, 1.0),
+    ("max_iters", lambda v: SvmConfig(max_iters=v), 1, 0),
+    ("max_iters", lambda v: SvmConfig(max_iters=v), svm.MAX_SVM_ITERS, svm.MAX_SVM_ITERS + 1),
+    ("iteration", lambda v: regression.AnnealSchedule(iterations=v), 1, 0),
+    ("iteration", lambda v: regression.AnnealSchedule(iterations=v), regression.MAX_ANNEAL_ITERS,
+     regression.MAX_ANNEAL_ITERS + 1),
+    ("cooling", lambda v: regression.AnnealSchedule(cooling=v), ABOVE_0, 0.0),
+    ("cooling", lambda v: regression.AnnealSchedule(cooling=v), BELOW_1, 1.0),
+    ("fraction", lambda v: pipeline.split_indices(10, v, 0), BELOW_1, 1.0),
+    ("seed", lambda v: pipeline.split_indices(10, 0.5, v), 0, -1),
+]
+
+
+@pytest.mark.parametrize("setting, make, limit, past", BOUNDS,
+                         ids=[f"{s}-{limit:.17g}" for s, _, limit, _ in BOUNDS])
+def test_each_bound_accepts_its_limit_and_refuses_the_nearest_value_past_it(setting, make, limit,
+                                                                            past):
+    make(limit)
+    with pytest.raises(ValueError, match=setting):
+        make(past)
 
 
 def test_degenerate_model_returns_bias():
