@@ -28,9 +28,10 @@ refuses one that is not bitwise symmetric and reading mirrors each row into
 place. Raw bytes read back bit for bit, -0.0 and subnormals included, and
 are written and read at memory speed: version 3 held them as base64 text,
 whose decoding was most of a Gram file's load. Reading checks the format,
-version, type and key set, every scalar's type, that the shapes are lists of
-lengths that agree, and that the file holds exactly the bytes they imply,
-all before any array is allocated; then that every value is finite.
+version, type and key set, each scalar's type (by `qsarq.fields`, as a
+setting's: a float must be finite), that the shapes are lists of lengths
+that agree, and that the file holds exactly the bytes they imply, all
+before any array is allocated; then that every array value is finite.
 Writing makes the same checks of its fields (each array field must be a
 numpy array) before it opens the file, so it writes no file that reading
 refuses. Files of versions 1 to 3 (one JSON object over many
@@ -43,12 +44,12 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from functools import partial
 from itertools import accumulate
-from numbers import Integral, Real
 
 import numpy as np
+
+from .fields import check_value
 
 GRAM, SVM, REG = "gram", "svm", "reg"
 VERSION = 4
@@ -62,9 +63,9 @@ class Upper(tuple):
 # the type of each field, or the names of an array's dimensions
 SCHEMAS = {
     GRAM: {"entries": Upper(("n", "n")), "kernel_config": dict, "rows": ("n", "d")},
-    SVM: {"bias": Real, "converged": bool, "dual_coef": ("m",), "kernel_config": dict,
+    SVM: {"bias": float, "converged": bool, "dual_coef": ("m",), "kernel_config": dict,
           "support_vectors": ("m", "d")},
-    REG: {"basis": str, "coefficients": ("m",), "n_features": Integral, "threshold": Real},
+    REG: {"basis": str, "coefficients": ("m",), "n_features": int, "threshold": float},
 }
 _dumps = partial(json.dumps, allow_nan=False, sort_keys=True, separators=(",", ":"))
 
@@ -84,7 +85,7 @@ def save(path, type_: str, fields: dict) -> None:
         for key, value in fields.items():
             if isinstance(schema.get(key), tuple) and key not in arrays:
                 raise ValueError(f"{key} must be a numpy array, got {value!r}")
-            if isinstance(value, (Real, np.ndarray)) and not _finite(value):
+            if key in arrays and not _finite(arrays[key]):
                 raise ValueError(f"{key} holds non-finite values")
             if isinstance(schema.get(key), Upper):  # its lower triangle is not written
                 bits = arrays[key].view("<i8")  # so that -0.0 != 0.0
@@ -136,8 +137,8 @@ def load(path, builders: dict):
 
 
 def _finite(value) -> bool:
-    """True if `value` (a number or an array) holds no NaN or +-inf, which carry
-    through min and max: they allocate no temporary."""
+    """True if the array `value` holds no NaN or +-inf, which carry through min
+    and max: they allocate no temporary."""
     return all(np.isfinite(extreme(value, initial=0.0)) for extreme in (np.min, np.max))
 
 
@@ -158,13 +159,10 @@ def _checked_fields(type_: str, record: dict) -> dict:
 
 
 def _checked(key: str, value, kind, lengths: dict):
-    """`value` if it has the type `kind`; for an array, its shape as a tuple, if the
-    header gives one whose lengths agree with the others in `lengths`."""
+    """`value` if the rule (`fields`) takes it as a `kind`; for an array, its shape as
+    a tuple, if the header gives one whose lengths agree with the others in `lengths`."""
     if not isinstance(kind, tuple):
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-            raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
-        if kind is Real and not abs(value) <= sys.float_info.max:  # 1e400 parses as inf
-            raise ValueError(f"{key} is too large for a float")
+        check_value(value, kind, key)
         return value
     if not isinstance(value, list) or len(value) != len(kind) or not all(
             type(length) is int and length >= 0 for length in value):

@@ -23,7 +23,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from functools import reduce
-from typing import Annotated
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -32,11 +32,9 @@ from .fields import check_fields, from_mapping
 
 ZZ = "zz"
 CUSTOM = "custom"
-FAMILIES = frozenset({ZZ, CUSTOM})
 
 LINEAR = "linear"
 FULL = "full"
-ENTANGLEMENTS = frozenset({LINEAR, FULL})
 
 DEFAULT_QUBIT_CAP = 24
 # most repetitions of the encoding block; encode time grows with each one
@@ -54,17 +52,12 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 class FeatureMapSpec:
     """Fully determines the encoding unitary for a feature vector."""
 
-    family: str
+    family: Literal["zz", "custom"]
     n_qubits: Annotated[int, ">=", 1]
     reps: Annotated[int, ">=", 1, "<=", MAX_REPS] = 2
-    entanglement: str = LINEAR
+    entanglement: Literal["linear", "full"] = LINEAR
 
-    def __post_init__(self):
-        check_fields(self)
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown feature-map family {self.family!r}")
-        if self.entanglement not in ENTANGLEMENTS:
-            raise ValueError(f"unknown entanglement scheme {self.entanglement!r}")
+    __post_init__ = check_fields
 
     def to_dict(self) -> dict:
         return asdict(self)

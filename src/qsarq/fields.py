@@ -3,7 +3,9 @@
 An annotation says what a setting takes. ``str`` takes a string, ``bool``
 true or false, ``dict`` a mapping, ``int`` an integer that is not a bool,
 and ``float`` a finite number that is not a bool (NaN, +-inf and integers
-too large for a float are not numbers). ``X | None`` also takes None; any
+too large for a float are not numbers). ``Literal["a", "b"]`` takes a string
+that is one of its values, and refuses another string as ``{name} must be
+one of ['a', 'b'], got {value!r}``. ``X | None`` also takes None; any
 other class takes its instances. ``Annotated[X, op, limit]`` also bounds X,
 and ``Annotated[X, op, limit, op, limit]`` bounds it on two sides, each op
 one of ">", ">=", "<" and "<=": a number that fails a comparison (NaN fails
@@ -16,15 +18,16 @@ came from names that once: `pipeline.load_experiment_config` the config
 file, `pipeline.ModelEntry` the row, `artifact.load` the file.
 
 `check_fields` holds every field of a dataclass instance to its annotation,
-every bound included: the config rows (`pipeline.ModelEntry`, once per row),
-`pipeline.DataConfig` and `pipeline.ExperimentConfig`, `kernels.KernelConfig`,
-`feature_maps.FeatureMapSpec` and the solver settings `svm.SvmConfig`,
-`regression.AnnealSchedule` and `regression.BasisSpec`. `check_value` holds
-one value: ``ridge`` and ``threshold`` of both regression fits, the ``seed``
-of `fit_annealing`, the ``fraction`` and ``seed`` of `split_indices`, and
-``qsarq run --seed``. `accepts`, the type test alone, checks ``--cutoff``
-and `pec50`'s EC50. `from_mapping` builds a dataclass instance from a
-mapping such as a YAML section.
+every bound and choice included: the config rows (`pipeline.ModelEntry`,
+once per row), `pipeline.DataConfig` and `pipeline.ExperimentConfig`,
+`kernels.KernelConfig`, `feature_maps.FeatureMapSpec` and the solver
+settings `svm.SvmConfig`, `regression.AnnealSchedule` and
+`regression.BasisSpec`. `check_value` holds one value: ``ridge`` and
+``threshold`` of both regression fits, the ``seed`` of `fit_annealing`, the
+``fraction`` and ``seed`` of `split_indices`, ``qsarq run --seed``, and each
+scalar of an artifact's header (`artifact.SCHEMAS`). `accepts`, the type
+test alone, checks ``--cutoff`` and `pec50`'s EC50. `from_mapping` builds a
+dataclass instance from a mapping such as a YAML section.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import sys
 import typing
 from collections.abc import Mapping
 from numbers import Integral, Real
-from typing import Annotated
+from typing import Annotated, Literal
 
 _WHAT = {str: "a string", bool: "true or false", dict: "a mapping", int: "an integer",
          float: "a finite number"}
@@ -47,8 +50,8 @@ SPLIT = Annotated[float, ">", 0, "<", 1]  # the training share of a split
 
 
 @functools.cache
-def _setting(hint) -> tuple[type, bool, tuple]:
-    """(type, takes None, its (op, limit) pairs) of annotation `hint`."""
+def _setting(hint) -> tuple[type, bool, tuple, tuple]:
+    """(type, takes None, its (op, limit) pairs, its choices) of annotation `hint`."""
     args = typing.get_args(hint)
     optional = type(None) in args
     if optional:  # X | None
@@ -57,7 +60,9 @@ def _setting(hint) -> tuple[type, bool, tuple]:
     if typing.get_origin(hint) is Annotated:
         hint, meta = hint.__origin__, hint.__metadata__
         bound = tuple(zip(meta[::2], meta[1::2]))
-    return typing.get_origin(hint) or hint, optional, bound
+    if typing.get_origin(hint) is Literal:
+        return str, optional, bound, typing.get_args(hint)
+    return typing.get_origin(hint) or hint, optional, bound, ()
 
 
 @functools.cache
@@ -80,7 +85,7 @@ def accepts(kind: type, value) -> bool:
 
 def check_value(value, setting, name: str) -> None:
     """Raise a ValueError naming `name` unless annotation `setting` takes `value`."""
-    kind, optional, bound = _setting(setting)
+    kind, optional, bound, choices = _setting(setting)
     if optional and value is None:
         return
     if bound and isinstance(value, Real) and not isinstance(value, bool):
@@ -90,6 +95,8 @@ def check_value(value, setting, name: str) -> None:
     if not accepts(kind, value):
         raise ValueError(f"{name} must be {_WHAT.get(kind, f'a {kind.__name__}')}, "
                          f"got {value!r}")
+    if choices and value not in choices:
+        raise ValueError(f"{name} must be one of {list(choices)}, got {value!r}")
 
 
 def check_fields(obj) -> None:

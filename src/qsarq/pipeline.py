@@ -30,7 +30,7 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Annotated
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .preprocess import (
     resolve_labels,
 )
 from .regression import (
-    BASIS_KINDS,
+    BASIS,
     RIDGE,
     AnnealSchedule,
     BasisSpec,
@@ -134,15 +134,11 @@ class RegEntry(ModelEntry):
 
     default_tag = "c"  # not a field: it has no annotation
 
-    basis: str = "affine"
+    basis: BASIS = "affine"
     ridge: RIDGE = 0.0
-    target: str = "label"  # "label" (+-1) or "activity" (raw pEC50)
+    target: Literal["label", "activity"] = "label"  # +-1, or the raw pEC50
 
     def _check(self):
-        if self.target not in ("label", "activity"):
-            raise ValueError(f"unknown target {self.target!r}")
-        if self.basis not in BASIS_KINDS:
-            raise ValueError(f"unknown basis kind {self.basis!r}")
         if self.tag is None:
             self.tag = self.default_tag
 

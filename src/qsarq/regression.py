@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Annotated
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .fields import SEED, check_fields, check_value
 
 AFFINE = "affine"
 POLY2 = "poly2"
-BASIS_KINDS = frozenset({AFFINE, POLY2})
+BASIS = Literal["affine", "poly2"]  # the kind of a basis, and a config row's (`pipeline.RegEntry`)
 RIDGE = Annotated[float, ">=", 0]  # the ridge of a fit, and of a config row (`pipeline.RegEntry`)
 # annealing keeps nothing per step and stops once q is frozen: a million-iteration
 # poly2 fit on 92 rows of 5 features drew 83 200 steps in 0.7-1.2 s and traced
@@ -52,13 +52,10 @@ _NORMAL_BOUND = 16.0
 class BasisSpec:
     """Which expansion to apply to an n_features input vector."""
 
-    kind: str
+    kind: BASIS
     n_features: Annotated[int, ">=", 1]
 
-    def __post_init__(self):
-        check_fields(self)
-        if self.kind not in BASIS_KINDS:
-            raise ValueError(f"unknown basis kind {self.kind!r}")
+    __post_init__ = check_fields
 
     @property
     def size(self) -> int:

@@ -126,15 +126,16 @@ VALID = {
 }
 
 
-@pytest.mark.parametrize("type_, key, value", [
-    ("gram", "entries", np.array([[1.0, 0.5, 0.0], [0.5, np.nan, 0.5], [0.0, 0.5, 1.0]])),
-    ("reg", "coefficients", np.array([0.5, np.inf, -1.0])),
-    ("reg", "coefficients", np.array([0.5, 1.0, -np.inf])),
-    ("reg", "threshold", float("nan")),
+@pytest.mark.parametrize("type_, key, value, message", [
+    ("gram", "entries", np.array([[1.0, 0.5, 0.0], [0.5, np.nan, 0.5], [0.0, 0.5, 1.0]]),
+     "entries holds non-finite values"),
+    ("reg", "coefficients", np.array([0.5, np.inf, -1.0]), "coefficients holds non-finite values"),
+    ("reg", "coefficients", np.array([0.5, 1.0, -np.inf]), "coefficients holds non-finite values"),
+    ("reg", "threshold", float("nan"), "threshold must be a finite number, got nan"),
 ], ids=["NaN in a middle row", "inf", "-inf", "NaN scalar"])
-def test_save_refuses_non_finite_values_before_writing(tmp_path, type_, key, value):
+def test_save_refuses_non_finite_values_before_writing(tmp_path, type_, key, value, message):
     path = tmp_path / "artifact"
-    with pytest.raises(ValueError, match=re.escape(f"{path}: {key} holds non-finite values")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         artifact.save(path, type_, {**VALID[type_], key: value})
     assert not path.exists()
 
@@ -157,11 +158,16 @@ def test_save_refuses_fields_that_load_refuses_before_writing(tmp_path, fields, 
 # per type, one scalar field and one array field to spoil; a gram header's one
 # scalar is its kernel, a mapping, so a number in its place has the wrong type
 SCALAR_OF = {"gram": "kernel_config", "svm": "bias", "reg": "threshold"}
-TOO_LARGE = {"gram": "kernel_config must be of type dict", "svm": "too large for a float",
-             "reg": "too large for a float"}
+SCALAR_MUST_BE = {"gram": "kernel_config must be a mapping", "svm": "bias must be a finite number",
+                  "reg": "threshold must be a finite number"}
 ARRAY_OF = {"gram": "entries", "svm": "support_vectors", "reg": "coefficients"}
 # the fields saved as their upper triangle: the rows [i, i:] back to back
 UPPER = {"entries"}
+
+
+def scalar_refused(got):
+    """Per type, the message that refuses its spoiled scalar, read as `got`."""
+    return {type_: f"{must_be}, got {got}" for type_, must_be in SCALAR_MUST_BE.items()}
 
 
 def triangle(array):
@@ -303,11 +309,11 @@ FAULTS = [
      "not a finite number"),
     ("overflowing number", on_record(lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]],
                                                                  RAW_1E400)),
-     TOO_LARGE),
+     scalar_refused("inf")),
     ("huge integer", on_record(lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], 10**400)),
-     TOO_LARGE),
+     scalar_refused(str(10**400))),
     ("number as a string", on_record(lambda rec: rec.__setitem__(SCALAR_OF[rec["type"]], "0.5")),
-     "must be of type"),
+     scalar_refused("'0.5'")),
     ("payload not a multiple of 8", lambda data: data[:-1], r"holds \d+ bytes of arrays, not"),
     ("truncated payload", lambda data: data[:-8], r"holds \d+ bytes of arrays, not"),
     ("trailing bytes", lambda data: data + bytes(8), r"holds \d+ bytes of arrays, not"),

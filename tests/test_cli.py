@@ -466,11 +466,12 @@ def test_model_not_in_the_config_exits_2_naming_the_config(tmp_path, config, qsa
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("model, key, number", [("qsvm", "bias", "1e400"),
-                                                ("ls", "threshold", str(10**400))],
+@pytest.mark.parametrize("model, key, number, read", [("qsvm", "bias", "1e400", "inf"),
+                                                      ("ls", "threshold", str(10**400),
+                                                       str(10**400))],
                          ids=["svm bias 1e400", "reg threshold 10**400"])
 def test_model_number_too_large_for_a_float_exits_2_naming_it(tmp_path, config, qsarq,
-                                                              model, key, number):
+                                                              model, key, number, read):
     assert qsarq("train", "--config", config, "--model", model, "--out", tmp_path,
                  "--quiet")[0] == 0
     path = tmp_path / "huge.model"
@@ -479,7 +480,7 @@ def test_model_number_too_large_for_a_float_exits_2_naming_it(tmp_path, config, 
     path.write_bytes(head + newline + payload)
     code, _, err = qsarq("eval", path, tmp_path / "data.csv", "--cutoff", CUTOFF,
                          "--out", tmp_path / "out", "--quiet")
-    assert code == 2 and f"error: {path}: {key} is too large for a float" in err
+    assert code == 2 and f"error: {path}: {key} must be a finite number, got {read}\n" in err
 
 
 def test_train_gram_on_a_regression_row_exits_2(tmp_path, config, qsarq):
@@ -752,7 +753,7 @@ SLOW_ROW = {"name": "slow", "kind": "reg_anneal", "iterations": 200_000}
     ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "max_iters": 10**9}, {},
      f"max_iters must be <= {MAX_SVM_ITERS}"),
     ({"kind": "reg_ls", "ridge": -1.0}, {}, "ridge must be >= 0"),
-    ({"kind": "reg_anneal", "basis": "cubic"}, {}, "unknown basis kind 'cubic'"),
+    ({"kind": "reg_anneal", "basis": "cubic"}, {}, "basis must be one of ['affine', 'poly2'], got 'cubic'"),
     ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "jitter": 0.1}, {},
      "jitter must be 0"),
     ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "jitter": -0.1}, {},
@@ -804,7 +805,8 @@ def test_negative_run_seed_exits_2_before_any_row_is_fitted(tmp_path, config, qs
      "n_qubits must be >= 1"),
     ({"kind": "quantum_shots", "shots": 0, "rng_seed": 1, "feature_map": {"family": "zz"}},
      "shots must be >= 1, got 0"),
-    ({"kind": "cosine"}, "unknown kernel kind 'cosine'"),
+    ({"kind": "cosine"}, "kind must be one of ['quantum_exact', 'quantum_shots', 'linear', "
+                         "'poly', 'rbf'], got 'cosine'"),
     ({"gamma": 1.0}, "kind must be a string, got None"),
     ({"kind": "quantum_exact", "feature_map": {"family": "zz", "rep": 1}},
      "unknown key(s) ['rep']"),
