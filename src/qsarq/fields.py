@@ -10,7 +10,8 @@ other class takes its instances. ``Annotated[X, op, limit]`` also bounds X,
 and ``Annotated[X, op, limit, op, limit]`` bounds it on two sides, each op
 one of ">", ">=", "<" and "<=": a number that fails a comparison (NaN fails
 every one) is refused for the first side it fails, as ``{name} must be {op}
-{limit}, got {value!r}``. `SEED` and `SPLIT` are two such annotations.
+{limit}, got {value!r}``. `SEED` and `SPLIT` are two such annotations. A
+numpy number is tested as the Python number it equals.
 Values are checked, not converted, so a report echoes them as written.
 
 A message names the setting alone; the layer that knows where the value
@@ -40,6 +41,8 @@ import typing
 from collections.abc import Mapping
 from numbers import Integral, Real
 from typing import Annotated, Literal
+
+import numpy as np
 
 _WHAT = {str: "a string", bool: "true or false", dict: "a mapping", int: "an integer",
          float: "a finite number"}
@@ -79,8 +82,15 @@ def accepts(kind: type, value) -> bool:
     if kind is int:
         return isinstance(value, Integral)
     if kind is float:  # the test is false for NaN, +-inf and huge ints
-        return isinstance(value, Real) and abs(value) <= sys.float_info.max
+        return isinstance(value, Real) and abs(_plain(value)) <= sys.float_info.max
     return isinstance(value, Mapping if kind is dict else kind)
+
+
+def _plain(value):
+    """A numpy number as the Python number it equals, any other value as itself.
+    numpy compares a float32 with a Python float in float32, to which the largest
+    float overflows, and the absolute value of the least int64 overflows too."""
+    return value.item() if isinstance(value, np.number) else value
 
 
 def check_value(value, setting, name: str) -> None:
@@ -90,7 +100,7 @@ def check_value(value, setting, name: str) -> None:
         return
     if bound and isinstance(value, Real) and not isinstance(value, bool):
         for op, limit in bound:
-            if not _COMPARE[op](value, limit):
+            if not _COMPARE[op](_plain(value), limit):
                 raise ValueError(f"{name} must be {op} {limit}, got {value!r}")
     if not accepts(kind, value):
         raise ValueError(f"{name} must be {_WHAT.get(kind, f'a {kind.__name__}')}, "

@@ -204,15 +204,31 @@ def _model_entry(raw) -> ModelEntry:
 def load_experiment_config(path) -> ExperimentConfig:
     """Read and validate a YAML experiment config.
 
-    A relative input path is read relative to the config file's directory.
+    A key repeated in any mapping of the config is refused, naming both its
+    lines. A relative input path is read relative to the config file's directory.
     """
     import yaml  # imported here so that commands reading no config never load it
 
+    class Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+        """libyaml's parser, where built, refusing a key repeated in a mapping,
+        which YAML's own loaders let the last value take silently."""
+
+        def construct_mapping(self, node, deep=False):
+            lines = {}
+            for key_node, _ in node.value:  # a merge key (<<) is YAML's, not the config's
+                if (isinstance(key_node, yaml.ScalarNode)
+                        and key_node.tag != "tag:yaml.org,2002:merge"):
+                    key, line = self.construct_object(key_node), key_node.start_mark.line + 1
+                    if key in lines:
+                        raise ValueError(f"key {key!r} is repeated, on lines {lines[key]} "
+                                         f"and {line}")
+                    lines[key] = line
+            return super().construct_mapping(node, deep)
+
     cfg_path = Path(path)
     try:
-        with open(cfg_path, "r", encoding="utf-8") as fh:  # libyaml's parser, where built
-            raw = yaml.load(fh, Loader=yaml.CSafeLoader if yaml.__with_libyaml__
-                            else yaml.SafeLoader)
+        with open(cfg_path, "r", encoding="utf-8") as fh:
+            raw = yaml.load(fh, Loader=Loader)
         if isinstance(raw, dict) and isinstance(raw.get("models"), list):
             raw = {**raw, "models": [_model_entry(m) for m in raw["models"]]}
         config = from_mapping(ExperimentConfig, raw, "config")

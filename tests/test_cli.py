@@ -594,12 +594,13 @@ TYPE_ERRORS = [
     ("kernel", {"kind": "quantum_exact", "feature_map": {}}, "family"),
     ("kernel", {"kind": "quantum_exact", "feature_map": {"family": "zz", "n_qubits": [5]}},
      "n_qubits"),
-    ("kernel", {"kind": "quantum_exact", "feature_map": {"family": "zz", "reps": [1]}},
-     "reps"),
-    ("kernel", {"kind": "quantum_exact", "feature_map": {"family": "zz", "reps": 1.5}},
-     "reps"),
-    ("kernel", {"kind": "quantum_exact", "feature_map": {"family": "zz", "reps": True}},
-     "reps"),
+    # three cases name reps: numbered ids keep each unique
+    pytest.param("kernel", {"kind": "quantum_exact", "feature_map": {"family": "zz", "reps": [1]}},
+                 "reps", id="reps0"),
+    pytest.param("kernel", {"kind": "quantum_exact", "feature_map": {"family": "zz", "reps": 1.5}},
+                 "reps", id="reps1"),
+    pytest.param("kernel", {"kind": "quantum_exact", "feature_map": {"family": "zz", "reps": True}},
+                 "reps", id="reps2"),
     # explicit ids keep those of the cases above
     pytest.param("seed", 1.7, "seed", id="seed_float"),
     pytest.param("seed", True, "seed", id="seed_bool"),
@@ -753,7 +754,8 @@ SLOW_ROW = {"name": "slow", "kind": "reg_anneal", "iterations": 200_000}
     ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "max_iters": 10**9}, {},
      f"max_iters must be <= {MAX_SVM_ITERS}"),
     ({"kind": "reg_ls", "ridge": -1.0}, {}, "ridge must be >= 0"),
-    ({"kind": "reg_anneal", "basis": "cubic"}, {}, "basis must be one of ['affine', 'poly2'], got 'cubic'"),
+    ({"kind": "reg_anneal", "basis": "cubic"}, {},
+     "basis must be one of ['affine', 'poly2'], got 'cubic'"),
     ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "jitter": 0.1}, {},
      "jitter must be 0"),
     ({"kind": "svm", "kernel": {"kind": "rbf", "gamma": 1.5}, "jitter": -0.1}, {},
@@ -819,6 +821,42 @@ def test_bad_kernel_exits_2_at_load_naming_config_and_model(tmp_path, qsarq, com
     code, _, err = qsarq(command, "--config", config, "--out", tmp_path / "out", "--quiet")
     assert code == 2 and err.startswith(f"error: {config}: model 'bad_row': ")
     assert message in err and "missing.csv" not in err
+    assert not (tmp_path / "out").exists()
+
+
+REPEATED_KEY_CONFIG = """\
+input: missing.csv
+seed: 1
+split: 0.7
+models:
+  - name: ls
+    kind: reg_ls
+  - name: q
+    kind: svm
+    C: 1.0
+    kernel:
+      kind: quantum_exact
+      feature_map:
+        family: zz
+"""
+
+
+@pytest.mark.parametrize("after, repeat, key, first", [
+    ("split: 0.7", "seed: 2", "seed", 2),
+    ("    C: 1.0", "    C: 50.0", "C", 9),
+    ("      kind: quantum_exact", "      kind: linear", "kind", 11),
+    ("        family: zz", "        family: custom", "family", 13),
+], ids=["top level", "row", "kernel", "feature_map"])
+def test_repeated_config_key_exits_2_naming_it_and_both_lines(tmp_path, qsarq, after, repeat,
+                                                              key, first):
+    # YAML's loaders let the last value of a repeated key win silently
+    text = REPEATED_KEY_CONFIG.replace(f"{after}\n", f"{after}\n{repeat}\n")
+    config = tmp_path / "exp.yaml"
+    config.write_text(text, encoding="utf-8")
+    second = text.splitlines().index(repeat) + 1
+    code, _, err = qsarq("run", "--config", config, "--out", tmp_path / "out", "--quiet")
+    assert (code, err) == (2, f"error: {config}: key {key!r} is repeated, on lines {first} "
+                              f"and {second}\n")
     assert not (tmp_path / "out").exists()
 
 

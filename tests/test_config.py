@@ -72,4 +72,4 @@ def test_libyaml_and_python_loaders_give_equal_configs(tmp_path, monkeypatch):
     fast = load_experiment_config(path)
     monkeypatch.setattr(yaml, "__with_libyaml__", False)
     assert load_experiment_config(path) == fast
-    assert used == [yaml.CSafeLoader, yaml.SafeLoader]
+    assert [loader.__base__ for loader in used] == [yaml.CSafeLoader, yaml.SafeLoader]

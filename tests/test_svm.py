@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import oracles
 from oracles import decision_value, predict, reference_bias, reference_dual_solve
-from qsarq import feature_maps, kernels, pipeline, regression, svm
+from qsarq import feature_maps, fields, kernels, pipeline, regression, svm
 from qsarq.feature_maps import FeatureMapSpec
 from qsarq.kernels import (
     KernelConfig,
@@ -344,13 +345,73 @@ BOUNDS = [
 ]
 
 
-@pytest.mark.parametrize("setting, make, limit, past", BOUNDS,
-                         ids=[f"{s}-{limit:.17g}" for s, _, limit, _ in BOUNDS])
+BOUND_IDS = [f"{s}-{limit:.17g}" for s, _, limit, _ in BOUNDS]
+# a repeated id is numbered _0, _1, ... so that each is unique
+BOUND_IDS = [f"{i}_{BOUND_IDS[:k].count(i)}" if BOUND_IDS.count(i) > 1 else i
+             for k, i in enumerate(BOUND_IDS)]
+
+
+@pytest.mark.parametrize("setting, make, limit, past", BOUNDS, ids=BOUND_IDS)
 def test_each_bound_accepts_its_limit_and_refuses_the_nearest_value_past_it(setting, make, limit,
                                                                             past):
     make(limit)
     with pytest.raises(ValueError, match=setting):
         make(past)
+
+
+# the settings each kernel kind requires, so that a kind's own values build
+KERNEL_PARAMS = {QUANTUM_EXACT: {"feature_map": {"family": "zz", "n_qubits": 2}},
+                 QUANTUM_SHOTS: {"feature_map": {"family": "zz", "n_qubits": 2}, "shots": 1,
+                                 "rng_seed": 0},
+                 POLY: {"degree": 2, "offset": 1.0}, RBF: {"gamma": 1.0}}
+# (test id, setting, build from one value, every value it takes)
+CHOICES = [
+    ("kernel kind", "kind",
+     lambda v: KernelConfig.from_dict({"kind": v, **KERNEL_PARAMS.get(v, {})}),
+     [QUANTUM_EXACT, QUANTUM_SHOTS, LINEAR, POLY, RBF]),
+    ("family", "family", lambda v: FeatureMapSpec.from_dict({"family": v, "n_qubits": 2}),
+     ["zz", "custom"]),
+    ("entanglement", "entanglement",
+     lambda v: FeatureMapSpec.from_dict({"family": "zz", "n_qubits": 2, "entanglement": v}),
+     ["linear", "full"]),
+    ("basis kind", "kind", lambda v: regression.BasisSpec(v, 2), ["affine", "poly2"]),
+    ("row basis", "basis",
+     lambda v: pipeline._model_entry({"name": "m", "kind": "reg_ls", "basis": v}),
+     ["affine", "poly2"]),
+    ("row target", "target",
+     lambda v: pipeline._model_entry({"name": "m", "kind": "reg_ls", "target": v}),
+     ["label", "activity"]),
+]
+
+
+@pytest.mark.parametrize("setting, make, takes", [c[1:] for c in CHOICES],
+                         ids=[c[0] for c in CHOICES])
+def test_each_choice_accepts_its_values_and_refuses_near_misses(setting, make, takes):
+    for value in takes:
+        make(value)
+    near = [variant(v) for v in takes for variant in (str.upper, " {}".format, "{} ".format)]
+    for value in ["ZZ", " zz", "zz ", "Linear", "", None, 1, *near]:
+        with pytest.raises(ValueError, match=setting):
+            make(value)
+
+
+# numpy numbers, each of which numpy warned of an overflow for when compared with the
+# largest float or made absolute; the rule holds each as the Python number it equals
+@pytest.mark.parametrize("make, refusal", [
+    (lambda: regression.AnnealSchedule(cooling=np.float32(0.25)), None),
+    (lambda: SvmConfig(C=np.float16(2)), None),
+    (lambda: fields.check_value(np.int64(-2**63), float, "x"), None),
+    (lambda: KernelConfig(kind=POLY, degree=np.float32(2.0), offset=1.0),
+     "degree must be an integer, got np.float32(2.0)"),
+    (lambda: fields.check_value(np.float32(np.inf), float, "x"),
+     "x must be a finite number, got np.float32(inf)"),
+], ids=["float32 cooling", "float16 C", "int64 minimum", "float32 degree", "float32 inf"])
+def test_numpy_numbers_are_held_to_the_rule_without_a_warning(make, refusal):
+    if refusal is None:
+        make()
+    else:
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            make()
 
 
 def test_degenerate_model_returns_bias():
