@@ -33,7 +33,7 @@ from .fields import SEED, check_fields, check_value
 
 AFFINE = "affine"
 POLY2 = "poly2"
-BASIS = Literal["affine", "poly2"]  # the kind of a basis, and a config row's (`pipeline.RegEntry`)
+BASIS = Literal["affine", "poly2"]  # a basis's kind, and a config row's basis (`pipeline.RegEntry`)
 RIDGE = Annotated[float, ">=", 0]  # the ridge of a fit, and of a config row (`pipeline.RegEntry`)
 # annealing keeps nothing per step and stops once q is frozen: a million-iteration
 # poly2 fit on 92 rows of 5 features drew 83 200 steps in 0.7-1.2 s and traced

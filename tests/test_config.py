@@ -73,3 +73,13 @@ def test_libyaml_and_python_loaders_give_equal_configs(tmp_path, monkeypatch):
     monkeypatch.setattr(yaml, "__with_libyaml__", False)
     assert load_experiment_config(path) == fast
     assert [loader.__base__ for loader in used] == [yaml.CSafeLoader, yaml.SafeLoader]
+
+
+def test_a_key_given_again_beside_a_merge_key_is_not_repeated(tmp_path):
+    # YAML's merge key copies a mapping's keys, and a key of the mapping itself wins
+    path = tmp_path / "exp.yaml"
+    path.write_text("input: data.csv\nseed: 1\nsplit: 0.7\nmodels:\n"
+                    "  - &ls {name: ls, kind: reg_ls, ridge: 0.5}\n"
+                    "  - {<<: *ls, name: ls2, ridge: 2.0}\n", encoding="utf-8")
+    models = load_experiment_config(path).models
+    assert [(m.name, m.ridge) for m in models] == [("ls", 0.5), ("ls2", 2.0)]
