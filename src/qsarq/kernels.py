@@ -2,8 +2,8 @@
 
 Quantum kernels measure the fidelity |<phi(x)|phi(x')>|^2 between encoded
 states, either exactly from the statevectors or through seeded binomial
-shot sampling. Classical kernels (linear, polynomial, RBF) act directly
-on the feature vectors. A Gram matrix is its kernel over its rows: it is
+shot sampling. Classical kernels (linear, RBF) act directly on the
+feature vectors. A Gram matrix is its kernel over its rows: it is
 symmetric by construction and carries the kernel configuration and the
 float64 feature rows it was built over, in memory and in a Gram file alike
 (`save_gram`), and no solver setting (the SVM's jitter is SMO's). So a
@@ -38,7 +38,6 @@ rows gate by gate (``tests/oracles.py``).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass, field
 from typing import Annotated, Literal
 
@@ -52,7 +51,6 @@ from .fields import SEED, check_fields, from_mapping
 QUANTUM_EXACT = "quantum_exact"
 QUANTUM_SHOTS = "quantum_shots"
 LINEAR = "linear"
-POLY = "poly"
 RBF = "rbf"
 
 QUANTUM_KINDS = frozenset({QUANTUM_EXACT, QUANTUM_SHOTS})
@@ -69,13 +67,10 @@ TILE_ROWS = 32
 class KernelConfig:
     """Kernel kind plus exactly the parameters that kind needs."""
 
-    kind: Literal["quantum_exact", "quantum_shots", "linear", "poly", "rbf"]
+    kind: Literal["quantum_exact", "quantum_shots", "linear", "rbf"]
     feature_map: FeatureMapSpec | None = None
     shots: Annotated[int, ">=", 1, "<=", _MAX_SHOTS] | None = None
     rng_seed: SEED | None = None
-    # a degree too large for a float would overflow the kernel's power
-    degree: Annotated[int, ">=", 1, "<=", sys.float_info.max] | None = None
-    offset: Annotated[float, ">=", 0] | None = None
     gamma: Annotated[float, ">", 0] | None = None
 
     def __post_init__(self):
@@ -84,10 +79,9 @@ class KernelConfig:
             QUANTUM_EXACT: ("feature_map",),
             QUANTUM_SHOTS: ("feature_map", "shots", "rng_seed"),
             LINEAR: (),
-            POLY: ("degree", "offset"),
             RBF: ("gamma",),
         }[self.kind]
-        all_params = ("feature_map", "shots", "rng_seed", "degree", "offset", "gamma")
+        all_params = ("feature_map", "shots", "rng_seed", "gamma")
         for name in all_params:
             value = getattr(self, name)
             if name in required and value is None:
@@ -105,8 +99,6 @@ class KernelConfig:
             return f"q | {fm.family} {fm.entanglement} r{fm.reps} shots={self.shots}"
         if self.kind == LINEAR:
             return "c | linear"
-        if self.kind == POLY:
-            return f"c | poly d={self.degree} c={self.offset:g}"
         return f"c | rbf gamma={self.gamma:g}"
 
     def to_dict(self) -> dict:
@@ -193,10 +185,8 @@ def _kernel_block(cfg: KernelConfig, a: np.ndarray, b: np.ndarray, out: np.ndarr
             diff = a[:, col, None] - b[None, :, col]
             sq += diff * diff
         out[...] = np.exp(-cfg.gamma * sq)
-    elif cfg.kind == LINEAR:
-        out[...] = a @ b.T
     else:
-        out[...] = (a @ b.T + cfg.offset) ** cfg.degree
+        out[...] = a @ b.T
 
 
 def _block_rows(cfg: KernelConfig, rows: int, columns: int) -> int:

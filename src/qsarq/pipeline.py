@@ -10,11 +10,11 @@ comparisons. A model row takes only its kind's fields (`SvmEntry`,
 `RegEntry`, `AnnealEntry`): a key of another kind is refused at load
 like any unknown key. An svm row is an `SvmConfig`, an annealing row an
 `AnnealSchedule`; every row is checked at load, each svm row's kernel
-too, and `SvmEntry.kernel_config` binds that kernel to the data's width
-(a stated `n_qubits` must match it before any row is fitted);
-`fit_entry` names the row of a fault in its fit. The report echoes the
-config as written, so reruns with the same config and input are
-byte-identical, wherever the two files live.
+too. A feature map takes the data's width, to which
+`SvmEntry.kernel_config` binds it, so a config that states `n_qubits` is
+refused at load. `fit_entry` names the row of a fault in its fit. The
+report echoes the config as written, so reruns with the same config and
+input are byte-identical, wherever the two files live.
 
 That holds on one machine and BLAS library. Other BLAS kernels round
 differently: on the benchmark's paper-table inputs (seeds 1-3) under five
@@ -115,17 +115,16 @@ class SvmEntry(ModelEntry, SvmConfig):
             self.tag = "c/q" if kind in QUANTUM_KINDS else "c"
 
     def kernel_config(self, n_features: int | None = None) -> KernelConfig:
-        """The row's kernel on `n_features`-column data: an unstated feature-map
-        `n_qubits` takes that width (1 at load, before any data); a stated one must match."""
+        """The row's kernel on `n_features`-column data: its feature map, if any,
+        takes that width as `n_qubits` (1 at load, before any data), which a
+        config does not state."""
         raw, fm = self.kernel, self.kernel.get("feature_map")
         if isinstance(fm, dict):
-            raw = {**raw, "feature_map": {"n_qubits": n_features or 1, **fm}}
-        kcfg = KernelConfig.from_dict(raw)  # checked at load, where a fault names the row
-        width = kcfg.feature_map and kcfg.feature_map.n_qubits
-        if n_features is not None and width not in (None, n_features):
-            raise ValueError(f"model {self.name!r}: feature map n_qubits={width} does not "
-                             f"match the {n_features}-dimensional data")
-        return kcfg
+            if "n_qubits" in fm:
+                raise ValueError(f"kernel feature_map takes the data's width: n_qubits "
+                                 f"must be left out, got {fm['n_qubits']!r}")
+            raw = {**raw, "feature_map": {**fm, "n_qubits": n_features or 1}}
+        return KernelConfig.from_dict(raw)  # checked at load, where a fault names the row
 
 
 @dataclass(kw_only=True)
@@ -473,9 +472,6 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     """Execute every configured model row and assemble the report."""
     X_train, X_test, y_train, y_test, info = prepare_features(config)
     table, train_idx, test_idx = info["table"], info["train_idx"], info["test_idx"]
-
-    for entry in (e for e in config.models if e.kind == SVM):  # before any row is fitted
-        entry.kernel_config(X_train.shape[1])  # a stated n_qubits must match the data
     results = [_run_row(entry, table.activity[train_idx], config.activity_cutoff,
                         X_train, X_test, y_train, y_test) for entry in config.models]
 

@@ -43,7 +43,6 @@ from qsarq.feature_maps import (
 )
 from qsarq.kernels import (
     LINEAR,
-    POLY,
     QUANTUM_EXACT,
     QUANTUM_SHOTS,
     RBF,
@@ -263,8 +262,6 @@ def kernel_value(cfg: KernelConfig, x, x2) -> float:
         return shot_estimate(cfg, a, b)
     if cfg.kind == LINEAR:
         return float(np.dot(a, b))
-    if cfg.kind == POLY:
-        return float((np.dot(a, b) + cfg.offset) ** cfg.degree)
     diff = a - b
     return float(np.exp(-cfg.gamma * np.dot(diff, diff)))
 

@@ -357,12 +357,20 @@ def test_ragged_rows_raise_naming_the_file(tmp_path, type_, row):
         TYPES[type_][2](path)
 
 
+# a kernel of the polynomial kind, which qsarq no longer has
+POLY_KERNEL = on_record(lambda rec: rec.update(kernel_config={"kind": "poly", "degree": 2,
+                                                              "offset": 1.0}))
+
+
 @pytest.mark.parametrize("type_, fault", [
     ("gram", on_record(lambda rec: rec["kernel_config"].update(gamma=1.0))),
     ("svm", on_record(lambda rec: rec["kernel_config"]["feature_map"].update(rep=1))),
     ("reg", on_array(lambda coefficients: coefficients[:-1], "coefficients")),
     ("reg", on_record(lambda rec: rec.update(n_features=True))),
-], ids=["kernel key", "feature map key", "coefficient count", "n_features"])
+    ("gram", POLY_KERNEL),
+    ("svm", POLY_KERNEL),
+], ids=["kernel key", "feature map key", "coefficient count", "n_features", "poly gram",
+        "poly svm"])
 def test_fields_that_build_no_object_raise_naming_the_file(tmp_path, type_, fault):
     path = spoiled(tmp_path, type_, fault)
     with pytest.raises(ValueError, match=re.escape(str(path))):

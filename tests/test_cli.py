@@ -545,7 +545,7 @@ def test_oversized_feature_map_reps_exit_2(tmp_path, qsarq, reps):
 def test_oversized_kernel_matrix_exits_2(tmp_path, qsarq):
     rows = ["compound_id,logp,pec50"] + [f"c{i},{i % 7},{5 + i % 3}" for i in range(12_000)]
     (tmp_path / "data.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    kernel = {"kind": "quantum_exact", "feature_map": {"family": "zz", "n_qubits": 1}}
+    kernel = {"kind": "quantum_exact", "feature_map": {"family": "zz"}}
     config = write_config(tmp_path / "exp.yaml",
                           models=[{"name": "q", "kind": "svm", "kernel": kernel}])
     code, _, err = qsarq("gram", "--config", config, "--out", tmp_path / "out", "--quiet")
@@ -619,17 +619,11 @@ TYPE_ERRORS = [
     pytest.param("split", math.nan, "split", id="split_nan"),
     pytest.param("activity_cutoff", math.nan, "activity_cutoff", id="activity_cutoff_nan"),
     pytest.param("kernel", {"kind": "rbf", "gamma": math.nan}, "gamma", id="gamma_nan"),
-    pytest.param("kernel", {"kind": "poly", "degree": 2, "offset": math.inf}, "offset",
-                 id="offset_inf"),
     # shot-kernel integers outside numpy's seed and binomial-count ranges
     pytest.param("kernel", {**SHOT_KERNEL, "rng_seed": -1}, "rng_seed", id="rng_seed_negative"),
     pytest.param("kernel", {**SHOT_KERNEL, "shots": 2**63}, "shots", id="shots_over_int64"),
     # integers too large for a float are not numbers either
     pytest.param("kernel", {"kind": "rbf", "gamma": 10**400}, "gamma", id="gamma_huge_int"),
-    pytest.param("kernel", {"kind": "poly", "degree": 2, "offset": 10**400}, "offset",
-                 id="offset_huge_int"),
-    pytest.param("kernel", {"kind": "poly", "degree": 10**400, "offset": 1.0}, "degree",
-                 id="degree_huge_int"),
     pytest.param("C", 10**400, "C", id="C_huge_int"),
     pytest.param("ridge", 10**400, "ridge", id="ridge_huge_int"),
     pytest.param("split", 10**400, "split", id="split_huge_int"),
@@ -765,7 +759,7 @@ SLOW_ROW = {"name": "slow", "kind": "reg_anneal", "iterations": 200_000}
     ({"kind": "reg_anneal", "anneal_seed": -3}, {}, "anneal_seed must be >= 0, got -3"),
     ({"kind": "svm", "kernel": {"kind": "quantum_exact",
                                 "feature_map": {"family": "zz", "n_qubits": 3}}}, {},
-     "feature map n_qubits=3 does not match the 5-dimensional data"),
+     "kernel feature_map takes the data's width: n_qubits must be left out, got 3"),
     ({"kind": "reg_ls"}, {"seed": -1}, "seed must be >= 0, got -1"),
     ({"kind": "reg_ls"}, {"pca_k": 0}, "pca_k must be >= 1, got 0"),
     ({"kind": "reg_ls"}, {"pca_k": -1}, "pca_k must be >= 1, got -1"),
@@ -803,16 +797,17 @@ def test_negative_run_seed_exits_2_before_any_row_is_fitted(tmp_path, config, qs
     ({"kind": "rbf", "gamma": 0.0}, "gamma must be > 0"),
     ({"kind": "quantum_exact", "feature_map": {"family": "zz", "reps": 0}},
      "reps must be >= 1, got 0"),
-    ({"kind": "quantum_exact", "feature_map": {"family": "zz", "n_qubits": 0}},
-     "n_qubits must be >= 1"),
+    ({"kind": "quantum_exact", "feature_map": {"family": "zz", "n_qubits": 5}},
+     "kernel feature_map takes the data's width: n_qubits must be left out, got 5"),
     ({"kind": "quantum_shots", "shots": 0, "rng_seed": 1, "feature_map": {"family": "zz"}},
      "shots must be >= 1, got 0"),
     ({"kind": "cosine"}, "kind must be one of ['quantum_exact', 'quantum_shots', 'linear', "
-                         "'poly', 'rbf'], got 'cosine'"),
+                         "'rbf'], got 'cosine'"),
+    ({"kind": "poly", "degree": 2, "offset": 1.0}, "kernel has unknown key(s) ['degree', 'offset']"),
     ({"gamma": 1.0}, "kind must be a string, got None"),
     ({"kind": "quantum_exact", "feature_map": {"family": "zz", "rep": 1}},
      "unknown key(s) ['rep']"),
-], ids=["gamma", "reps", "n_qubits", "shots", "kind", "no_kind", "feature_map_key"])
+], ids=["gamma", "reps", "n_qubits", "shots", "kind", "poly", "no_kind", "feature_map_key"])
 def test_bad_kernel_exits_2_at_load_naming_config_and_model(tmp_path, qsarq, command, kernel,
                                                            message):
     # the input does not exist, so reading it first would fail with another error

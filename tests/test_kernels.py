@@ -25,7 +25,6 @@ from qsarq.errors import InternalConsistencyError, ResourceLimitError
 from qsarq.feature_maps import FeatureMapSpec
 from qsarq.kernels import (
     LINEAR,
-    POLY,
     QUANTUM_EXACT,
     QUANTUM_SHOTS,
     RBF,
@@ -55,8 +54,6 @@ def test_config_requires_exact_parameter_set():
         KernelConfig(kind=QUANTUM_SHOTS, feature_map=ZZ2, shots=100)  # no seed
     with pytest.raises(ValueError):
         KernelConfig(kind=RBF, gamma=-1.0)
-    with pytest.raises(ValueError):
-        KernelConfig(kind=POLY, degree=0, offset=1.0)
 
 
 def test_config_dict_round_trip():
@@ -67,11 +64,6 @@ def test_config_dict_round_trip():
 def test_quantum_self_kernel_is_one():
     x = [0.37, 0.81]
     assert abs(kernel_value(EXACT2, x, x) - 1.0) <= 1e-12
-
-
-def test_poly_kernel_direct_formula():
-    cfg = KernelConfig(kind=POLY, degree=2, offset=1.0)
-    assert kernel_value(cfg, [1.0, 1.0], [1.0, 1.0]) == 9.0
 
 
 def test_linear_and_rbf_kernels():
@@ -220,7 +212,6 @@ def test_gram_batched_matches_per_pair_reference():
         KernelConfig(kind=QUANTUM_EXACT,
                      feature_map=FeatureMapSpec("zz", 3, reps=2, entanglement="full")),
         KernelConfig(kind=LINEAR),
-        KernelConfig(kind=POLY, degree=3, offset=0.5),
         KernelConfig(kind=RBF, gamma=1.5),
     ):
         batched = gram(cfg, X).entries
@@ -316,7 +307,6 @@ def test_gram_files_unchanged_for_the_same_config(tmp_path):
                                                                 entanglement="full"),
                  shots=200, rng_seed=11),
     KernelConfig(kind=LINEAR),
-    KernelConfig(kind=POLY, degree=2, offset=1.0),
     KernelConfig(kind=RBF, gamma=0.7),
 ], ids=lambda cfg: cfg.kind)
 def test_cross_gram_matches_kernel_value(cfg):
@@ -414,8 +404,7 @@ def test_gram_blocks_stay_small_beside_the_state_stack():
 
 @pytest.mark.parametrize("cfg", [
     EXACT2, KernelConfig(kind=QUANTUM_SHOTS, feature_map=ZZ2, shots=64, rng_seed=4),
-    KernelConfig(kind=LINEAR), KernelConfig(kind=POLY, degree=2, offset=1.0),
-    KernelConfig(kind=RBF, gamma=0.7),
+    KernelConfig(kind=LINEAR), KernelConfig(kind=RBF, gamma=0.7),
 ], ids=lambda cfg: cfg.kind)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_every_kind_refuses_non_finite_feature_rows(cfg, bad):

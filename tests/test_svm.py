@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from qsarq.feature_maps import FeatureMapSpec
 from qsarq.kernels import (
     KernelConfig,
     LINEAR,
-    POLY,
     QUANTUM_EXACT,
     QUANTUM_SHOTS,
     RBF,
@@ -320,10 +318,6 @@ BOUNDS = [
     ("shots", lambda v: shots_kernel(shots=v), 1, 0),
     ("shots", lambda v: shots_kernel(shots=v), 2**63 - 1, 2**63),
     ("rng_seed", lambda v: shots_kernel(rng_seed=v), 0, -1),
-    ("degree", lambda v: KernelConfig(kind=POLY, degree=v, offset=0.0), 1, 0),
-    ("degree", lambda v: KernelConfig(kind=POLY, degree=v, offset=0.0),
-     int(sys.float_info.max), int(sys.float_info.max) + 1),
-    ("offset", lambda v: KernelConfig(kind=POLY, degree=2, offset=v), 0.0, -ABOVE_0),
     ("gamma", lambda v: KernelConfig(kind=RBF, gamma=v), ABOVE_0, 0.0),
     ("n_qubits", lambda v: FeatureMapSpec("zz", v), 1, 0),
     ("reps", lambda v: FeatureMapSpec("zz", 2, reps=v), 1, 0),
@@ -363,12 +357,12 @@ def test_each_bound_accepts_its_limit_and_refuses_the_nearest_value_past_it(sett
 KERNEL_PARAMS = {QUANTUM_EXACT: {"feature_map": {"family": "zz", "n_qubits": 2}},
                  QUANTUM_SHOTS: {"feature_map": {"family": "zz", "n_qubits": 2}, "shots": 1,
                                  "rng_seed": 0},
-                 POLY: {"degree": 2, "offset": 1.0}, RBF: {"gamma": 1.0}}
+                 RBF: {"gamma": 1.0}}
 # (test id, setting, build from one value, every value it takes)
 CHOICES = [
     ("kernel kind", "kind",
      lambda v: KernelConfig.from_dict({"kind": v, **KERNEL_PARAMS.get(v, {})}),
-     [QUANTUM_EXACT, QUANTUM_SHOTS, LINEAR, POLY, RBF]),
+     [QUANTUM_EXACT, QUANTUM_SHOTS, LINEAR, RBF]),
     ("family", "family", lambda v: FeatureMapSpec.from_dict({"family": v, "n_qubits": 2}),
      ["zz", "custom"]),
     ("entanglement", "entanglement",
@@ -401,11 +395,11 @@ def test_each_choice_accepts_its_values_and_refuses_near_misses(setting, make, t
     (lambda: regression.AnnealSchedule(cooling=np.float32(0.25)), None),
     (lambda: SvmConfig(C=np.float16(2)), None),
     (lambda: fields.check_value(np.int64(-2**63), float, "x"), None),
-    (lambda: KernelConfig(kind=POLY, degree=np.float32(2.0), offset=1.0),
-     "degree must be an integer, got np.float32(2.0)"),
+    (lambda: shots_kernel(shots=np.float32(2.0)),
+     "shots must be an integer, got np.float32(2.0)"),
     (lambda: fields.check_value(np.float32(np.inf), float, "x"),
      "x must be a finite number, got np.float32(inf)"),
-], ids=["float32 cooling", "float16 C", "int64 minimum", "float32 degree", "float32 inf"])
+], ids=["float32 cooling", "float16 C", "int64 minimum", "float32 shots", "float32 inf"])
 def test_numpy_numbers_are_held_to_the_rule_without_a_warning(make, refusal):
     if refusal is None:
         make()
@@ -555,7 +549,6 @@ def test_loading_rejects_other_formats(tmp_path):
     KernelConfig(kind=QUANTUM_SHOTS, feature_map=FeatureMapSpec("custom", 3, reps=2),
                  shots=128, rng_seed=6),
     KernelConfig(kind=LINEAR),
-    KernelConfig(kind=POLY, degree=2, offset=1.0),
     KernelConfig(kind=RBF, gamma=2.0),
 ], ids=lambda cfg: cfg.kind)
 def test_decision_values_match_decision_value(cfg):
@@ -641,15 +634,18 @@ def test_support_set_stable_under_gram_rounding():
 
 
 def test_kernel_with_large_entries_keeps_its_support_set():
-    # a cubic kernel on coordinates up to 100 has entries near 1e13, so
+    # a linear kernel on coordinates up to 2e6 has entries near 1e13, so
     # every multiplier is far below 1e-8 * C; the dust slack at 0 follows
     # the largest multiplier, and the solution is not snapped away
     rng = np.random.default_rng(0)
     X = rng.uniform(0.0, 100.0, size=(20, 3))
     y = np.where(X[:, 0] > 50.0, 1, -1)
     assert np.mean(y == 1) == 0.55
-    model = train(gram(KernelConfig(kind=POLY, degree=3, offset=1.0), X), y,
-                  SvmConfig(C=1.0))
+    X *= 2e4
+    gm = gram(LIN, X)
+    assert 1e12 < gm.entries.max() < 1e13
+    model = train(gm, y, SvmConfig(C=1.0))
+    assert np.abs(model.dual_coef).max() < 1e-8
     assert model.dual_coef.size >= 2
     assert abs(model.dual_coef.sum()) <= 1e-12 * np.abs(model.dual_coef).sum()
     predicted = np.where(decision_values(model, X) >= 0.0, 1, -1)
