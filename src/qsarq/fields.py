@@ -12,7 +12,10 @@ one of ">", ">=", "<" and "<=": a number that fails a comparison (NaN fails
 every one) is refused for the first side it fails, as ``{name} must be {op}
 {limit}, got {value!r}``. `SEED` and `SPLIT` are two such annotations. A
 numpy number is tested as the Python number it equals.
-Values are checked, not converted, so a report echoes them as written.
+Values are checked, not converted, so a report echoes them as written. The
+refusal of a string such as '1e-3' for a float, which YAML reads as a
+string (its floats need a dot and a signed exponent), says how to write
+the number.
 
 A message names the setting alone; the layer that knows where the value
 came from names that once: `pipeline.load_experiment_config` the config
@@ -104,9 +107,28 @@ def check_value(value, setting, name: str) -> None:
                 raise ValueError(f"{name} must be {op} {limit}, got {value!r}")
     if not accepts(kind, value):
         raise ValueError(f"{name} must be {_WHAT.get(kind, f'a {kind.__name__}')}, "
-                         f"got {value!r}")
+                         f"got {value!r}{_exponent_hint(kind, value)}")
     if choices and value not in choices:
         raise ValueError(f"{name} must be one of {list(choices)}, got {value!r}")
+
+
+def _exponent_hint(kind: type, value) -> str:
+    """How to write the number a float setting's string `value` spells with an
+    exponent, in a form YAML reads as a float; "" for any other value."""
+    if kind is not float or not isinstance(value, str) or "e" not in value.lower():
+        return ""
+    try:
+        number = float(value)
+    except ValueError:
+        return ""
+    if not accepts(float, number):  # NaN or +-inf
+        return ""
+    mantissa, _, exponent = repr(number).partition("e")  # repr signs an exponent
+    if exponent and "." not in mantissa:
+        mantissa += ".0"
+    spelled = f"{mantissa}e{exponent}" if exponent else mantissa
+    return (f" (to YAML, a number with an exponent needs a dot and a signed exponent: "
+            f"write {spelled})")
 
 
 def check_fields(obj) -> None:

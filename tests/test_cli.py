@@ -170,8 +170,9 @@ baseline = set(sys.modules)
 from qsarq import cli
 
 def loaded():
-    new = {name.split(".")[0] for name in set(sys.modules) - baseline}
-    return sorted(new & {"yaml", "logging", "hashlib", "base64"})
+    new = set(sys.modules) - baseline
+    tops = {name.split(".")[0] for name in new} | (new & {"numpy.random"})
+    return sorted(tops & {"yaml", "logging", "hashlib", "base64", "numpy.random"})
 
 seen = {"import": loaded()}
 for label, argv in json.loads(sys.argv[1]).items():
@@ -185,6 +186,8 @@ def test_commands_load_no_yaml_hashlib_or_logging_they_do_not_use(tmp_path, conf
     # numpy is the baseline because numpy 1.x loads hashlib through numpy.random;
     # pytest loads logging, so the check needs its own interpreter. Modules stay
     # loaded, so each command's list includes those of the commands before it.
+    # A command that draws nothing loads no numpy.random: under numpy 2 its import
+    # loads OpenSSL through `secrets` and raises the peak memory by ~6 MB.
     for model in ("ls", "qsvm"):
         assert qsarq("train", "--config", config, "--model", model, "--out", tmp_path,
                      "--quiet")[0] == 0
@@ -803,7 +806,8 @@ def test_negative_run_seed_exits_2_before_any_row_is_fitted(tmp_path, config, qs
      "shots must be >= 1, got 0"),
     ({"kind": "cosine"}, "kind must be one of ['quantum_exact', 'quantum_shots', 'linear', "
                          "'rbf'], got 'cosine'"),
-    ({"kind": "poly", "degree": 2, "offset": 1.0}, "kernel has unknown key(s) ['degree', 'offset']"),
+    ({"kind": "poly", "degree": 2, "offset": 1.0},
+     "kernel has unknown key(s) ['degree', 'offset']"),
     ({"gamma": 1.0}, "kind must be a string, got None"),
     ({"kind": "quantum_exact", "feature_map": {"family": "zz", "rep": 1}},
      "unknown key(s) ['rep']"),

@@ -83,3 +83,23 @@ def test_a_key_given_again_beside_a_merge_key_is_not_repeated(tmp_path):
                     "  - {<<: *ls, name: ls2, ridge: 2.0}\n", encoding="utf-8")
     models = load_experiment_config(path).models
     assert [(m.name, m.ridge) for m in models] == [("ls", 0.5), ("ls2", 2.0)]
+
+
+@pytest.mark.parametrize("written, spelled", [("1e-3", "0.001"), ("1.0e308", "1.0e+308"),
+                                              ("abc", None)])
+def test_a_number_yaml_reads_as_a_string_is_refused_saying_how_to_write_it(tmp_path, written,
+                                                                         spelled):
+    path = tmp_path / "exp.yaml"
+    config = ("input: data.csv\nseed: 1\nsplit: 0.7\nmodels:\n"
+              "  - {{name: ls, kind: reg_ls, ridge: {}}}\n")
+    path.write_text(config.format(written), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_experiment_config(path)
+    message = f"ridge must be a finite number, got {written!r}"
+    if spelled is None:
+        assert str(info.value).endswith(message)
+    else:
+        assert str(info.value).endswith(f"{message} (to YAML, a number with an exponent needs "
+                                        f"a dot and a signed exponent: write {spelled})")
+        path.write_text(config.format(spelled), encoding="utf-8")
+        assert load_experiment_config(path).models[0].ridge == float(written)
