@@ -85,8 +85,9 @@ def test_a_key_given_again_beside_a_merge_key_is_not_repeated(tmp_path):
     assert [(m.name, m.ridge) for m in models] == [("ls", 0.5), ("ls2", 2.0)]
 
 
-@pytest.mark.parametrize("written, spelled", [("1e-3", "0.001"), ("1.0e308", "1.0e+308"),
-                                              ("abc", None)])
+# YAML's float needs both a dot and a signed exponent: each of the first three lacks one
+@pytest.mark.parametrize("written, spelled", [("1e-3", "0.001"), ("1e308", "1.0e+308"),
+                                              ("1.0e308", "1.0e+308"), ("abc", None)])
 def test_a_number_yaml_reads_as_a_string_is_refused_saying_how_to_write_it(tmp_path, written,
                                                                          spelled):
     path = tmp_path / "exp.yaml"

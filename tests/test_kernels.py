@@ -54,6 +54,8 @@ def test_config_requires_exact_parameter_set():
         KernelConfig(kind=QUANTUM_SHOTS, feature_map=ZZ2, shots=100)  # no seed
     with pytest.raises(ValueError):
         KernelConfig(kind=RBF, gamma=-1.0)
+    with pytest.raises(ValueError, match="^kind must be one of"):
+        KernelConfig(kind="poly")  # the polynomial kernel is gone
 
 
 def test_config_dict_round_trip():
